@@ -54,8 +54,12 @@ def _write_text(path: str, text: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    # mkstemp creates the file with mode 0600; give it the mode a plain open would.
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, target)
     finally:
@@ -414,22 +418,19 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     grid = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]
     probes = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]
 
+    collapsed = multiround.collapse_odd_rounds(protocol)
     if flavor == "three_round":
-        collapsed = multiround.collapse_to_one_round(protocol)
-        direct = lambda psi, phi: multiround.run_three_round(protocol, psi, phi)
-        sizes = {"alphabets": list(protocol.alphabet_sizes)}
+        (m1, m3), (m2,) = protocol.sender_alphabets, protocol.receiver_alphabets
+        sizes = {"alphabets": [len(m1), len(m2), len(m3)]}
     else:
-        collapsed = multiround.collapse_odd_rounds(protocol)
-        direct = lambda psi, phi: multiround.run_odd_round(protocol, psi, phi)
         sizes = {
             "stage_alphabet_sizes": [list(s) for s in collapsed.meta["stage_alphabet_sizes"]]
         }
 
     deviation = 0.0
     for psi, phi in zip(grid, probes):
-        gap = np.max(
-            np.abs(protocols.run_analytic(collapsed, psi, phi) - direct(psi, phi))
-        )
+        direct = multiround.run_odd_round(protocol, psi, phi)
+        gap = np.max(np.abs(protocols.run_analytic(collapsed, psi, phi) - direct))
         deviation = max(deviation, float(gap))
 
     resolved = {

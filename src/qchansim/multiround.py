@@ -1,19 +1,19 @@
 """Finite back-and-forth protocols and their collapse to one-round protocols.
 
-A three-round protocol runs: sender coin -> receiver instrument (with
-communicated outcome) -> sender coin -> receiver measurement.  Because the
+An odd-depth protocol alternates sender coins and receiver instruments (with
+communicated outcomes) and ends with a receiver measurement.  Because the
 receiver's mid-protocol measurement disturbs their state, instruments carry
-Kraus operators, and the final statistics are evaluated exactly from
+Kraus operators, and at depth three the statistics are evaluated exactly from
 
     p(b) = sum over transcripts of
            p(x) q(m1|psi,x) r(m3|m1,m2,psi,x) tr[pi_b K_m2 phi K_m2^dag].
 
-The collapse replaces the interaction with a single message: the sender draws
-m1 and, for every possible reply m2, the answer she would have given; the
-receiver runs the instrument, looks up the planned answer, and measures.  The
-composed decoder effect for outcome b is sum_m2 K_m2^dag pi_b K_m2, so the
-collapsed protocol reproduces the original distribution exactly.  Protocols of
-any odd depth reduce by repeatedly collapsing the trailing three rounds.
+The collapse replaces the last exchange with a single message: the sender
+draws m1 and, for every possible reply m2, the answer she would have given;
+the receiver runs the instrument, looks up the planned answer, and measures.
+The composed effect for outcome b is sum_m2 K_m2^dag pi_b K_m2, so the
+collapsed protocol reproduces the original distribution exactly.  Repeating
+the collapse on the trailing three rounds reduces any odd depth to one round.
 """
 
 from __future__ import annotations
@@ -36,125 +36,6 @@ def _check_distribution(dist: np.ndarray, size: int, what: str) -> np.ndarray:
     if abs(dist.sum() - 1.0) > ATOL_SCALAR or dist.min() < -ATOL_SCALAR:
         raise ProtocolError(f"{what} is not a probability distribution")
     return np.clip(dist, 0.0, None)
-
-
-@dataclass(frozen=True)
-class ThreeRoundProtocol:
-    """Sender coin, receiver instrument, sender coin, receiver measurement.
-
-    ``coin1(psi, x)`` and ``coin2(m1, m2, psi, x)`` return distributions over
-    the first and second sender alphabets; ``instrument(m1, x)`` is the
-    receiver's mid-protocol measurement; ``final_povm(m1, m2, m3, x)`` is the
-    closing measurement, with labels drawn from ``outcomes``.
-    """
-
-    randomness: SharedRandomness
-    m1_alphabet: tuple
-    m2_alphabet: tuple
-    m3_alphabet: tuple
-    outcomes: tuple[Hashable, ...]
-    coin1: Callable[[np.ndarray, int], np.ndarray]
-    instrument: Callable[[int, int], Instrument]
-    coin2: Callable[[int, int, np.ndarray, int], np.ndarray]
-    final_povm: Callable[[int, int, int, int], Povm]
-
-    @property
-    def alphabet_sizes(self) -> tuple[int, int, int]:
-        return (len(self.m1_alphabet), len(self.m2_alphabet), len(self.m3_alphabet))
-
-
-def run_three_round(p: ThreeRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Exact outcome distribution of a three-round protocol."""
-    phi = qmath.assert_density_matrix(phi, "receiver state")
-    n1, n2, n3 = p.alphabet_sizes
-    index = {label: i for i, label in enumerate(p.outcomes)}
-    out = np.zeros(len(p.outcomes))
-    for x, p_atom in enumerate(p.randomness.probabilities):
-        q1 = _check_distribution(p.coin1(psi, x), n1, "first coin")
-        for m1 in range(n1):
-            if q1[m1] <= 0.0:
-                continue
-            inst = p.instrument(m1, x)
-            if len(inst) != n2:
-                raise ProtocolError("instrument outcome count does not match the reply alphabet")
-            for m2, kraus in enumerate(inst.kraus):
-                updated = kraus @ phi @ dagger(kraus)
-                weight = np.trace(updated).real
-                if weight <= 1e-15:
-                    continue
-                q2 = _check_distribution(p.coin2(m1, m2, psi, x), n3, "second coin")
-                for m3 in range(n3):
-                    if q2[m3] <= 0.0:
-                        continue
-                    povm = p.final_povm(m1, m2, m3, x)
-                    for label, effect in zip(povm.labels, povm.effects):
-                        prob = np.trace(effect @ updated).real
-                        out[index[label]] += p_atom * q1[m1] * q2[m3] * prob
-    return out
-
-
-def collapse_to_one_round(p: ThreeRoundProtocol) -> OneRoundProtocol:
-    """Equivalent one-round protocol with message (m1, planned replies).
-
-    The message carries m1 together with one planned m3 per possible
-    instrument outcome; its probability is q(m1) times the product of the
-    second-coin probabilities of each planned answer.  The decoder measures
-    the composed effects sum_m2 K^dag pi_b K, which absorbs the instrument.
-    """
-    n1, n2, n3 = p.alphabet_sizes
-    messages = tuple(
-        (m1, table)
-        for m1 in range(n1)
-        for table in itertools.product(range(n3), repeat=n2)
-    )
-
-    decoder_cache: dict[tuple[int, int], Povm] = {}
-
-    def decoder(message_index: int, x: int) -> Povm:
-        key = (message_index, x)
-        if key not in decoder_cache:
-            m1, table = messages[message_index]
-            inst = p.instrument(m1, x)
-            dim = inst.dim
-            effects = {label: np.zeros((dim, dim), dtype=complex) for label in p.outcomes}
-            for m2, kraus in enumerate(inst.kraus):
-                povm = p.final_povm(m1, m2, table[m2], x)
-                for label, effect in zip(povm.labels, povm.effects):
-                    effects[label] += dagger(kraus) @ effect @ kraus
-            decoder_cache[key] = Povm(
-                effects=tuple(effects[label] for label in p.outcomes), labels=p.outcomes
-            )
-        return decoder_cache[key]
-
-    def encoder(x: int, psi: np.ndarray) -> np.ndarray:
-        q1 = _check_distribution(p.coin1(psi, x), n1, "first coin")
-        replies = {
-            m1: [
-                _check_distribution(p.coin2(m1, m2, psi, x), n3, "second coin")
-                for m2 in range(n2)
-            ]
-            for m1 in range(n1)
-        }
-        dist = np.empty(len(messages))
-        for k, (m1, table) in enumerate(messages):
-            prob = q1[m1]
-            for m2, m3 in enumerate(table):
-                prob *= replies[m1][m2][m3]
-            dist[k] = prob
-        return dist
-
-    return OneRoundProtocol(
-        randomness=p.randomness,
-        messages=messages,
-        encoder=encoder,
-        decoder=decoder,
-        outcomes=p.outcomes,
-        cost_bits=bit_cost(len(messages)),
-        meta={
-            "construction": "collapsed_three_round",
-            "alphabet_sizes": p.alphabet_sizes,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +73,38 @@ class OddRoundProtocol:
         return len(self.sender_alphabets) + len(self.receiver_alphabets)
 
 
+def three_round_protocol(
+    randomness: SharedRandomness,
+    m1_alphabet: tuple,
+    m2_alphabet: tuple,
+    m3_alphabet: tuple,
+    outcomes: tuple[Hashable, ...],
+    coin1: Callable[[np.ndarray, int], np.ndarray],
+    instrument: Callable[[int, int], Instrument],
+    coin2: Callable[[int, int, np.ndarray, int], np.ndarray],
+    final_povm: Callable[[int, int, int, int], Povm],
+) -> OddRoundProtocol:
+    """Depth-3 protocol: sender coin, receiver instrument, sender coin, receiver measurement.
+
+    ``coin1(psi, x)`` and ``coin2(m1, m2, psi, x)`` return distributions over
+    the first and second sender alphabets; ``instrument(m1, x)`` is the
+    receiver's mid-protocol measurement; ``final_povm(m1, m2, m3, x)`` is the
+    closing measurement, with labels drawn from ``outcomes``.
+    """
+    return OddRoundProtocol(
+        randomness=randomness,
+        sender_alphabets=(m1_alphabet, m3_alphabet),
+        receiver_alphabets=(m2_alphabet,),
+        outcomes=outcomes,
+        coins=(
+            lambda psi, x, tr: coin1(psi, x),
+            lambda psi, x, tr: coin2(tr[0], tr[1], psi, x),
+        ),
+        instruments=(lambda x, tr: instrument(tr[0], x),),
+        final_povm=lambda x, tr: final_povm(tr[0], tr[1], tr[2], x),
+    )
+
+
 def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Direct nested-summation evaluation of an odd-depth protocol."""
     phi = qmath.assert_density_matrix(phi, "receiver state")
@@ -227,44 +140,12 @@ def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.n
     return out
 
 
-def three_round_as_odd(p: ThreeRoundProtocol) -> OddRoundProtocol:
-    return OddRoundProtocol(
-        randomness=p.randomness,
-        sender_alphabets=(p.m1_alphabet, p.m3_alphabet),
-        receiver_alphabets=(p.m2_alphabet,),
-        outcomes=p.outcomes,
-        coins=(
-            lambda psi, x, tr: p.coin1(psi, x),
-            lambda psi, x, tr: p.coin2(tr[0], tr[1], psi, x),
-        ),
-        instruments=(lambda x, tr: p.instrument(tr[0], x),),
-        final_povm=lambda x, tr: p.final_povm(tr[0], tr[1], tr[2], x),
-    )
-
-
-def odd_as_three_round(p: OddRoundProtocol) -> ThreeRoundProtocol:
-    if p.depth != 3:
-        raise ProtocolError(f"expected depth 3, got {p.depth}")
-    return ThreeRoundProtocol(
-        randomness=p.randomness,
-        m1_alphabet=p.sender_alphabets[0],
-        m2_alphabet=p.receiver_alphabets[0],
-        m3_alphabet=p.sender_alphabets[1],
-        outcomes=p.outcomes,
-        coin1=lambda psi, x: p.coins[0](psi, x, ()),
-        instrument=lambda m1, x: p.instruments[0](x, (m1,)),
-        coin2=lambda m1, m2, psi, x: p.coins[1](psi, x, (m1, m2)),
-        final_povm=lambda m1, m2, m3, x: p.final_povm(x, (m1, m2, m3)),
-    )
-
-
 def collapse_trailing_rounds(p: OddRoundProtocol) -> OddRoundProtocol:
     """Collapse the last sender-receiver-sender exchange into one sender round.
 
     The new last message is (old last-but-one message, planned final answers),
     and the new final measurement composes the last instrument's Kraus
-    sandwiches, exactly as in the three-round collapse but conditioned on the
-    surviving transcript prefix.
+    sandwiches, conditioned on the surviving transcript prefix.
     """
     if p.depth < 3:
         raise ProtocolError("nothing to collapse below depth 3")
@@ -331,35 +212,25 @@ def collapse_trailing_rounds(p: OddRoundProtocol) -> OddRoundProtocol:
 
 
 def collapse_odd_rounds(p: OddRoundProtocol) -> OneRoundProtocol:
-    """Reduce any odd-depth protocol to one round by repeated trailing collapse."""
-    stages = [tuple(len(a) for a in p.sender_alphabets)]
-    while p.depth > 3:
-        p = collapse_trailing_rounds(p)
+    """Reduce any odd-depth protocol to one round by repeated trailing collapse.
+
+    ``meta["stage_alphabet_sizes"]`` lists the sender alphabet sizes before
+    each collapse step.
+    """
+    stages = []
+    while p.depth > 1:
         stages.append(tuple(len(a) for a in p.sender_alphabets))
-    if p.depth == 3:
-        collapsed = collapse_to_one_round(odd_as_three_round(p))
-    else:
-        only_coin = p.coins[0]
-        final = p.final_povm
-        alphabet = p.sender_alphabets[0]
-        povm_cache: dict[tuple[int, int], Povm] = {}
-
-        def decoder(m, x):
-            if (m, x) not in povm_cache:
-                povm_cache[(m, x)] = final(x, (m,))
-            return povm_cache[(m, x)]
-
-        collapsed = OneRoundProtocol(
-            randomness=p.randomness,
-            messages=alphabet,
-            encoder=lambda x, psi: only_coin(psi, x, ()),
-            decoder=decoder,
-            outcomes=p.outcomes,
-            cost_bits=bit_cost(len(alphabet)),
-            meta={"construction": "collapsed_odd_round"},
-        )
-    collapsed.meta["stage_alphabet_sizes"] = stages
-    return collapsed
+        p = collapse_trailing_rounds(p)
+    alphabet = p.sender_alphabets[0]
+    return OneRoundProtocol(
+        randomness=p.randomness,
+        messages=alphabet,
+        encoder=lambda x, psi: p.coins[0](psi, x, ()),
+        decoder=lambda m, x: p.final_povm(x, (m,)),
+        outcomes=p.outcomes,
+        cost_bits=bit_cost(len(alphabet)),
+        meta={"construction": "collapsed_three_round", "stage_alphabet_sizes": stages},
+    )
 
 
 def pad_leading_sender_round(
@@ -442,7 +313,7 @@ def random_three_round(
     n_m3: int = 2,
     n_outcomes: int = 2,
     dim: int = 2,
-) -> ThreeRoundProtocol:
+) -> OddRoundProtocol:
     """Seeded random three-round protocol with state-dependent coins."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     atom_probs = _random_simplex(rng, n_atoms)
@@ -466,7 +337,7 @@ def random_three_round(
         for m3 in range(n_m3)
         for x in range(n_atoms)
     }
-    return ThreeRoundProtocol(
+    return three_round_protocol(
         randomness=SharedRandomness(probabilities=tuple(atom_probs)),
         m1_alphabet=tuple(range(n_m1)),
         m2_alphabet=tuple(range(n_m2)),
@@ -534,7 +405,7 @@ def random_odd_round(
     )
 
 
-def interactive_twist_protocol() -> ThreeRoundProtocol:
+def interactive_twist_protocol() -> OddRoundProtocol:
     """Receiver-first simulator of the sender-tilted twisted measurement.
 
     The receiver measures z on their unknown qubit and reports the outcome;
@@ -548,30 +419,26 @@ def interactive_twist_protocol() -> ThreeRoundProtocol:
     labels = qmath.catalog_labels("twistA")
     outcome_of = {(0, 0): "z+ z+", (0, 1): "z- z+", (1, 0): "x+ z-", (1, 1): "x- z-"}
 
-    def coin2(m1, m2, psi, x):
-        if m2 == 0:
-            p0 = np.trace(qmath.projector(qmath.KET0) @ psi).real
-        else:
-            p0 = np.trace(qmath.projector(qmath.KET_PLUS) @ psi).real
-        p0 = float(np.clip(p0, 0.0, 1.0))
+    def coin(psi, x, transcript):
+        ket = qmath.KET0 if transcript[0] == 0 else qmath.KET_PLUS
+        p0 = float(np.clip(np.trace(qmath.projector(ket) @ psi).real, 0.0, 1.0))
         return np.array([p0, 1.0 - p0])
 
-    def final_povm(m1, m2, m3, x):
-        chosen = outcome_of[(m2, m3)]
+    def final_povm(x, transcript):
+        chosen = outcome_of[transcript]
         effects = tuple(
             qmath.I2 if label == chosen else np.zeros((2, 2), dtype=complex)
             for label in labels
         )
         return Povm(effects=effects, labels=labels)
 
-    return ThreeRoundProtocol(
+    reply = OddRoundProtocol(
         randomness=SharedRandomness.trivial(),
-        m1_alphabet=("wake",),
-        m2_alphabet=(0, 1),
-        m3_alphabet=(0, 1),
+        sender_alphabets=((0, 1),),
+        receiver_alphabets=(),
         outcomes=labels,
-        coin1=lambda psi, x: np.array([1.0]),
-        instrument=lambda m1, x: z_instrument,
-        coin2=coin2,
+        coins=(coin,),
+        instruments=(),
         final_povm=final_povm,
     )
+    return pad_leading_sender_round(lambda x: z_instrument, (0, 1), reply)

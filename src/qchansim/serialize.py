@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qmath
 from .decompose import ExtremalDecomposition, ExtremalPovm, Rank1Povm
-from .multiround import ThreeRoundProtocol
+from .multiround import OddRoundProtocol, three_round_protocol
 from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness
 from .qmath import Instrument, Povm, ProductRank1Effect
 
@@ -260,22 +260,24 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
 
 
 def three_round_protocol_to_obj(
-    p: ThreeRoundProtocol, psi_grid: Sequence[np.ndarray]
+    p: OddRoundProtocol, psi_grid: Sequence[np.ndarray]
 ) -> dict:
-    """Explicit tables of a three-round protocol over a declared sender grid."""
-    n1, n2, n3 = p.alphabet_sizes
+    """Explicit tables of a depth-3 protocol over a declared sender grid."""
+    (m1_alphabet, m3_alphabet), (m2_alphabet,) = p.sender_alphabets, p.receiver_alphabets
+    n1, n2, n3 = len(m1_alphabet), len(m2_alphabet), len(m3_alphabet)
     n_atoms = len(p.randomness)
     coin1 = [
-        [[float(v) for v in p.coin1(psi, x)] for psi in psi_grid] for x in range(n_atoms)
+        [[float(v) for v in p.coins[0](psi, x, ())] for psi in psi_grid]
+        for x in range(n_atoms)
     ]
     instruments = [
-        [[matrix_to_obj(k) for k in p.instrument(m1, x).kraus] for x in range(n_atoms)]
+        [[matrix_to_obj(k) for k in p.instruments[0](x, (m1,)).kraus] for x in range(n_atoms)]
         for m1 in range(n1)
     ]
     coin2 = [
         [
             [
-                [[float(v) for v in p.coin2(m1, m2, psi, x)] for psi in psi_grid]
+                [[float(v) for v in p.coins[1](psi, x, (m1, m2))] for psi in psi_grid]
                 for x in range(n_atoms)
             ]
             for m2 in range(n2)
@@ -285,7 +287,7 @@ def three_round_protocol_to_obj(
     finals = [
         [
             [
-                [povm_to_obj(p.final_povm(m1, m2, m3, x)) for x in range(n_atoms)]
+                [povm_to_obj(p.final_povm(x, (m1, m2, m3))) for x in range(n_atoms)]
                 for m3 in range(n3)
             ]
             for m2 in range(n2)
@@ -295,9 +297,9 @@ def three_round_protocol_to_obj(
     return {
         "kind": "three_round_protocol",
         "atoms": [float(q) for q in p.randomness.probabilities],
-        "m1": [_label_to_obj(m) for m in p.m1_alphabet],
-        "m2": [_label_to_obj(m) for m in p.m2_alphabet],
-        "m3": [_label_to_obj(m) for m in p.m3_alphabet],
+        "m1": [_label_to_obj(m) for m in m1_alphabet],
+        "m2": [_label_to_obj(m) for m in m2_alphabet],
+        "m3": [_label_to_obj(m) for m in m3_alphabet],
         "outcomes": [_label_to_obj(o) for o in p.outcomes],
         "psi_grid": _bloch_list(psi_grid),
         "coin1": coin1,
@@ -307,7 +309,7 @@ def three_round_protocol_to_obj(
     }
 
 
-def three_round_protocol_from_obj(obj: dict) -> ThreeRoundProtocol:
+def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
     if obj.get("kind") != "three_round_protocol":
         raise SerializationError("expected three_round_protocol")
     grid_bloch = np.asarray(obj["psi_grid"], dtype=float)
@@ -324,7 +326,7 @@ def three_round_protocol_from_obj(obj: dict) -> ThreeRoundProtocol:
         ]
         for per_m1 in obj["finals"]
     ]
-    return ThreeRoundProtocol(
+    return three_round_protocol(
         randomness=SharedRandomness(probabilities=tuple(obj["atoms"])),
         m1_alphabet=tuple(_label_from_obj(m) for m in obj["m1"]),
         m2_alphabet=tuple(_label_from_obj(m) for m in obj["m2"]),

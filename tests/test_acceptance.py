@@ -165,13 +165,13 @@ def test_criterion_4_collapse():
                 seed=5000 + index, n_m1=n1, n_m2=n2, n_m3=n3,
                 n_outcomes=2 + index % 2,
             )
-            collapsed = multiround.collapse_to_one_round(p)
+            collapsed = multiround.collapse_odd_rounds(p)
             for _ in range(10):
                 psi = projector(haar_ket(2, rng))
                 phi = projector(haar_ket(2, rng))
                 np.testing.assert_allclose(
                     run_analytic(collapsed, psi, phi),
-                    multiround.run_three_round(p, psi, phi),
+                    multiround.run_odd_round(p, psi, phi),
                     atol=1e-12,
                 )
         five = multiround.random_odd_round(seed=0xC45, depth=5)

@@ -1,7 +1,13 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import qchansim
 from qchansim import cli
 
 
@@ -233,3 +239,25 @@ class TestRac:
         assert report["one_bit_bound"]["fraction"] == "3/4"
         assert report["two_bit_simulator"]["cost_bits"] == 2
         assert abs(report["two_bit_simulator"]["success"] - (2 + 2**0.5) / 4) < 1e-10
+
+    def test_artifact_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "rac.json"
+        previous = os.umask(0o022)
+        try:
+            assert run_cli(["rac", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_starts_without_warnings(self):
+        env = dict(os.environ)
+        src = str(Path(qchansim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qchansim", "rac"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["command"] == "rac"

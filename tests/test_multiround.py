@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchansim import multiround, protocols, qmath
 from qchansim.multiround import (
     OddRoundProtocol,
-    ThreeRoundProtocol,
     collapse_odd_rounds,
-    collapse_to_one_round,
     collapse_trailing_rounds,
     interactive_twist_protocol,
     pad_leading_sender_round,
     random_odd_round,
     random_three_round,
     run_odd_round,
-    run_three_round,
-    three_round_as_odd,
+    three_round_protocol,
 )
 from qchansim.protocols import ProtocolError, SharedRandomness, run_analytic
 from qchansim.qmath import Instrument, born, catalog_measurement, haar_ket, projector, tensor
@@ -24,13 +23,21 @@ def random_pair(rng):
     return projector(haar_ket(2, rng)), projector(haar_ket(2, rng))
 
 
+def collapsed_message_count(p):
+    """|m_prev| * |m_last|^|replies|, folded from the last exchange to the first."""
+    count = len(p.sender_alphabets[-1])
+    for sender, receiver in zip(p.sender_alphabets[-2::-1], p.receiver_alphabets[::-1]):
+        count = len(sender) * count ** len(receiver)
+    return count
+
+
 class TestRunThreeRound:
     def test_distribution_normalizes(self):
         rng = np.random.default_rng(1)
         p = random_three_round(seed=5, n_m1=2, n_m2=3, n_m3=2, n_outcomes=3)
         for _ in range(10):
             psi, phi = random_pair(rng)
-            dist = run_three_round(p, psi, phi)
+            dist = run_odd_round(p, psi, phi)
             assert abs(dist.sum() - 1.0) <= 1e-12
             assert dist.min() >= -1e-12
 
@@ -39,7 +46,7 @@ class TestRunThreeRound:
         # a one-round protocol in disguise.
         rng = np.random.default_rng(3)
         final = multiround.random_povm(np.random.default_rng(11), 3, 2)
-        wrapped = ThreeRoundProtocol(
+        wrapped = three_round_protocol(
             randomness=SharedRandomness.trivial(),
             m1_alphabet=(0,),
             m2_alphabet=(0,),
@@ -54,7 +61,7 @@ class TestRunThreeRound:
         for _ in range(10):
             psi, phi = random_pair(rng)
             np.testing.assert_allclose(
-                run_three_round(wrapped, psi, phi),
+                run_odd_round(wrapped, psi, phi),
                 run_analytic(plain, psi, phi),
                 atol=1e-14,
             )
@@ -66,7 +73,7 @@ class TestRunThreeRound:
         for _ in range(50):
             psi, phi = random_pair(rng)
             np.testing.assert_allclose(
-                run_three_round(p, psi, phi),
+                run_odd_round(p, psi, phi),
                 born(tensor(psi, phi), povm),
                 atol=1e-12,
             )
@@ -77,19 +84,19 @@ class TestCollapse:
         rng = np.random.default_rng(13)
         for k in range(100):
             p = random_three_round(seed=1000 + k, n_m1=2, n_m2=2, n_m3=3, n_outcomes=2)
-            collapsed = collapse_to_one_round(p)
+            collapsed = collapse_odd_rounds(p)
             for _ in range(10):
                 psi, phi = random_pair(rng)
                 np.testing.assert_allclose(
                     run_analytic(collapsed, psi, phi),
-                    run_three_round(p, psi, phi),
+                    run_odd_round(p, psi, phi),
                     atol=1e-12,
                 )
 
     def test_collapse_of_interactive_twist(self):
         rng = np.random.default_rng(17)
         p = interactive_twist_protocol()
-        collapsed = collapse_to_one_round(p)
+        collapsed = collapse_odd_rounds(p)
         povm = catalog_measurement("twistA")
         # One opening message times a planned reply for each of the receiver's
         # two possible reports: alphabet 1 * 2^2, carried in 2 bits.
@@ -105,7 +112,7 @@ class TestCollapse:
 
     def test_point_mass_coins_collapse_to_point_mass(self):
         final = multiround.random_povm(np.random.default_rng(23), 2, 2)
-        p = ThreeRoundProtocol(
+        p = three_round_protocol(
             randomness=SharedRandomness.trivial(),
             m1_alphabet=(0, 1),
             m2_alphabet=(0, 1),
@@ -118,7 +125,7 @@ class TestCollapse:
             coin2=lambda m1, m2, psi, x: np.array([1.0, 0.0]) if m2 == 0 else np.array([0.0, 1.0]),
             final_povm=lambda m1, m2, m3, x: final,
         )
-        collapsed = collapse_to_one_round(p)
+        collapsed = collapse_odd_rounds(p)
         dist = collapsed.encoder_distribution(0, qmath.I2 / 2)
         assert np.count_nonzero(dist) == 1
         chosen = collapsed.messages[int(np.argmax(dist))]
@@ -126,35 +133,24 @@ class TestCollapse:
 
     def test_collapsed_alphabet_size_and_cost(self):
         p = random_three_round(seed=77, n_m1=3, n_m2=2, n_m3=3, n_outcomes=2)
-        collapsed = collapse_to_one_round(p)
+        collapsed = collapse_odd_rounds(p)
         assert collapsed.n_messages == 3 * 3**2
         assert collapsed.cost_bits == 5  # ceil(log2 27)
 
     def test_collapse_preserves_atom_count(self):
         p = random_three_round(seed=99, n_atoms=3)
-        collapsed = collapse_to_one_round(p)
+        collapsed = collapse_odd_rounds(p)
         assert len(collapsed.randomness) == len(p.randomness)
 
     def test_collapsed_interactive_twist_wins_the_access_code(self):
         # The receiver-first two-bit protocol, collapsed to one round, must
         # still reach the qubit value of the 2->1 access code.
-        collapsed = collapse_to_one_round(interactive_twist_protocol())
+        collapsed = collapse_odd_rounds(interactive_twist_protocol())
         success = protocols.rac_success_via_protocol(collapsed)
         assert abs(success - 0.25 * (2.0 + 2.0**0.5)) <= 1e-10
 
 
 class TestOddRounds:
-    def test_three_round_conversion_round_trip(self):
-        rng = np.random.default_rng(29)
-        p = random_three_round(seed=5)
-        as_odd = three_round_as_odd(p)
-        assert as_odd.depth == 3
-        for _ in range(10):
-            psi, phi = random_pair(rng)
-            np.testing.assert_allclose(
-                run_odd_round(as_odd, psi, phi), run_three_round(p, psi, phi), atol=1e-13
-            )
-
     def test_five_round_collapse_matches_direct_evaluation(self):
         rng = np.random.default_rng(31)
         p = random_odd_round(seed=41, depth=5)
@@ -171,16 +167,15 @@ class TestOddRounds:
         # Depth-5 protocol whose last exchange is inert equals its inner
         # three-round protocol.
         inner = random_three_round(seed=53, n_m1=2, n_m2=2, n_m3=2, n_outcomes=2)
-        as_odd = three_round_as_odd(inner)
         padded = OddRoundProtocol(
             randomness=inner.randomness,
-            sender_alphabets=as_odd.sender_alphabets + ((0,),),
-            receiver_alphabets=as_odd.receiver_alphabets + ((0,),),
+            sender_alphabets=inner.sender_alphabets + ((0,),),
+            receiver_alphabets=inner.receiver_alphabets + ((0,),),
             outcomes=inner.outcomes,
-            coins=as_odd.coins + (lambda psi, x, tr: np.array([1.0]),),
-            instruments=as_odd.instruments
+            coins=inner.coins + (lambda psi, x, tr: np.array([1.0]),),
+            instruments=inner.instruments
             + (lambda x, tr: Instrument(kraus=(np.eye(2, dtype=complex),)),),
-            final_povm=lambda x, tr: as_odd.final_povm(x, tr[:3]),
+            final_povm=lambda x, tr: inner.final_povm(x, tr[:3]),
         )
         rng = np.random.default_rng(59)
         collapsed = collapse_odd_rounds(padded)
@@ -188,8 +183,32 @@ class TestOddRounds:
             psi, phi = random_pair(rng)
             np.testing.assert_allclose(
                 run_analytic(collapsed, psi, phi),
-                run_three_round(inner, psi, phi),
+                run_odd_round(inner, psi, phi),
                 atol=1e-12,
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_atoms=st.integers(1, 3),
+        three_round_alphabets=st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), st.none()
+        ),
+    )
+    def test_collapse_equals_direct_evaluation_property(self, seed, n_atoms, three_round_alphabets):
+        if three_round_alphabets is None:
+            # Depth 5 with binary alphabets collapses to 2 * (2 * 2^2)^2 = 128 messages.
+            p = random_odd_round(seed=seed, depth=5, n_atoms=n_atoms, alphabet=2)
+        else:
+            n1, n2, n3 = three_round_alphabets
+            p = random_three_round(seed=seed, n_atoms=n_atoms, n_m1=n1, n_m2=n2, n_m3=n3)
+        collapsed = collapse_odd_rounds(p)
+        assert collapsed.n_messages == collapsed_message_count(p)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            psi, phi = random_pair(rng)
+            np.testing.assert_allclose(
+                run_analytic(collapsed, psi, phi), run_odd_round(p, psi, phi), atol=1e-10
             )
 
     def test_message_growth_recurrence(self):

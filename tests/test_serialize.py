@@ -107,8 +107,8 @@ class TestThreeRoundProtocolRoundTrip:
         for psi in grid:
             phi = projector(haar_ket(2, rng))
             np.testing.assert_allclose(
-                multiround.run_three_round(loaded, psi, phi),
-                multiround.run_three_round(p, psi, phi),
+                multiround.run_odd_round(loaded, psi, phi),
+                multiround.run_odd_round(p, psi, phi),
                 atol=1e-12,
             )
 
@@ -119,12 +119,12 @@ class TestThreeRoundProtocolRoundTrip:
         loaded = serialize.three_round_protocol_from_obj(
             serialize.three_round_protocol_to_obj(p, grid)
         )
-        collapsed = multiround.collapse_to_one_round(loaded)
+        collapsed = multiround.collapse_odd_rounds(loaded)
         for psi in grid:
             phi = projector(haar_ket(2, rng))
             np.testing.assert_allclose(
                 run_analytic(collapsed, psi, phi),
-                multiround.run_three_round(p, psi, phi),
+                multiround.run_odd_round(p, psi, phi),
                 atol=1e-12,
             )
 

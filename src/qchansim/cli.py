@@ -375,6 +375,7 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_protocol(spec: dict):
+    """The protocol, its flavor, and the spec that regenerates it."""
     kind = spec.get("kind")
     if kind == "random_three_round":
         return (
@@ -387,6 +388,7 @@ def _build_protocol(spec: dict):
                 n_outcomes=int(spec.get("n_outcomes", 2)),
             ),
             "three_round",
+            spec,
         )
     if kind == "random_odd_round":
         return (
@@ -398,10 +400,16 @@ def _build_protocol(spec: dict):
                 n_outcomes=int(spec.get("n_outcomes", 2)),
             ),
             "odd_round",
+            spec,
         )
     if kind == "file":
-        obj = serialize.loads(Path(spec["path"]).read_text())
-        return serialize.three_round_protocol_from_obj(obj), "three_round"
+        obj = _load_config(str(spec.get("path")))
+        loaded = obj.get("kind")
+        if loaded == "three_round_protocol":
+            return serialize.three_round_protocol_from_obj(obj), "three_round", obj
+        if loaded in ("random_three_round", "random_odd_round"):
+            return _build_protocol(obj)
+        raise ConfigError(f"protocol file {spec['path']} holds kind {loaded!r}, not a protocol")
     raise ConfigError(f"unknown protocol kind {kind!r}")
 
 
@@ -411,7 +419,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
         raise ConfigError("collapse needs a 'protocol' object")
     seed = int(config.get("seed", 0))
     n_checks = int(config.get("check_states", 10))
-    protocol, flavor = _build_protocol(spec)
+    protocol, flavor, source = _build_protocol(spec)
     tolerance = float(config.get("check_tolerance", 1e-12 if flavor == "three_round" else 1e-10))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -460,7 +468,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
             )
         else:
             # Deep protocols are regenerated from their descriptor.
-            _write_text(str(original_path), serialize.dumps({"kind": "generator", **spec}))
+            _write_text(str(original_path), serialize.dumps(source))
         body["original_file"] = original_path.name
     _emit(out, _json_report("collapse", resolved, body))
     return EXIT_OK if deviation < tolerance else EXIT_INVARIANT

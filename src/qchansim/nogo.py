@@ -145,20 +145,29 @@ class WitnessReport:
     strategy: FiniteStrategy
 
 
-def _effective_bloch(s: FiniteStrategy) -> tuple[np.ndarray, np.ndarray]:
+def _effective_bloch(
+    p: np.ndarray, enc: np.ndarray, weights: np.ndarray, axes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Scalar and vector parts (t_j, v_j) of every effective effect t I + v.sigma."""
     # c[j, m, x] = p(x) * encoder[j, x, m] * weight[m, x]
-    c = s.atom_probs[None, None, :] * np.transpose(s.encoder, (0, 2, 1)) * s.effect_weights[None, :, :]
+    c = p[None, None, :] * np.transpose(enc, (0, 2, 1)) * weights[None, :, :]
     t = 0.5 * c.sum(axis=(1, 2))
-    v = 0.5 * np.einsum("jmx,mxd->jd", c, s.effect_axes)
+    v = 0.5 * np.einsum("jmx,mxd->jd", c, axes)
     return t, v
+
+
+def _state_errors(
+    targets: TargetFamily, p: np.ndarray, enc: np.ndarray, weights: np.ndarray, axes: np.ndarray
+) -> np.ndarray:
+    t, v = _effective_bloch(p, enc, weights, axes)
+    return np.abs(t - 0.25) + np.linalg.norm(v + 0.25 * targets.grid, axis=1)
 
 
 def effective_effect(s: FiniteStrategy, j: int) -> np.ndarray:
     """The effect the receiver effectively applies when the sender holds grid state j."""
     if not 0 <= j < s.n_states:
         raise NogoError(f"grid index {j} out of range")
-    t, v = _effective_bloch(s)
+    t, v = _effective_bloch(s.atom_probs, s.encoder, s.effect_weights, s.effect_axes)
     return t[j] * qmath.I2 + v[j, 0] * qmath.SIGMA_X + v[j, 1] * qmath.SIGMA_Y + v[j, 2] * qmath.SIGMA_Z
 
 
@@ -170,15 +179,11 @@ def strategy_error(s: FiniteStrategy, targets: TargetFamily) -> float:
     """
     if s.n_states != len(targets):
         raise NogoError("strategy and target family disagree on the grid size")
-    t, v = _effective_bloch(s)
-    dt = np.abs(t - 0.25)
-    dv = np.linalg.norm(v + 0.25 * targets.grid, axis=1)
-    return float(np.max(dt + dv))
+    return float(np.max(per_state_errors(s, targets)))
 
 
 def per_state_errors(s: FiniteStrategy, targets: TargetFamily) -> np.ndarray:
-    t, v = _effective_bloch(s)
-    return np.abs(t - 0.25) + np.linalg.norm(v + 0.25 * targets.grid, axis=1)
+    return _state_errors(targets, s.atom_probs, s.encoder, s.effect_weights, s.effect_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +311,6 @@ def _effects_step(
             z = rest + np.outer(cj, g[m, x])
 
 
-def _support_subsets(m: int) -> list[tuple[int, ...]]:
-    subsets: list[tuple[int, ...]] = []
-    for size in range(1, m + 1):
-        subsets.extend(itertools.combinations(range(m), size))
-    return subsets
-
-
 def _encoder_step(
     targets: TargetFamily, enc: np.ndarray, p: np.ndarray,
     weights: np.ndarray, axes: np.ndarray,
@@ -322,53 +320,56 @@ def _encoder_step(
     For fixed effects the objective restricted to one (j, x) row is a convex
     quadratic over the simplex; with few messages the optimum is found by
     enumerating supports and solving the equality-constrained normal
-    equations, keeping the best feasible candidate.
+    equations, keeping the best feasible candidate (in support order, a later
+    candidate wins only when it is lower by more than 1e-15).
+
+    The KKT matrix of an (atom, support) pair depends only on the effects, so
+    all of them are inverted once per step with one stacked pseudo-inverse per
+    support size; its cut-off eps * (s + 1) is that of ``lstsq(rcond=None)``,
+    so singular systems from zero-weight effects get the same minimum-norm
+    solution.  Rows of different grid states never read each other and are
+    solved together, for every support at once.  Atoms stay sequential
+    (Gauss-Seidel): the row for atom x is fitted against the rows already
+    updated for the atoms before it, which batching across atoms would change.
     """
     n, k, m_count = enc.shape
-    g = _effect_vectors(weights, axes)
+    basis = p[:, None, None] * _effect_vectors(weights, axes).transpose(1, 0, 2)  # (K, M, 4)
     tau = _target_vectors(targets)
-    supports = _support_subsets(m_count)
-    for j in range(n):
-        for x in range(k):
-            others = np.zeros(4)
-            for xx in range(k):
-                if xx == x:
-                    continue
-                others += p[xx] * (enc[j, xx, :, None] * g[:, xx, :]).sum(axis=0)
-            target_vec = tau[j] - others
-            basis = p[x] * g[:, x, :]  # (M, 4)
-            best_q, best_val = None, None
-            for sup in supports:
-                q = _simplex_affine_solve(basis[list(sup)], target_vec)
-                if q is None or q.min() < -1e-12:
-                    continue
-                full = np.zeros(m_count)
-                full[list(sup)] = np.clip(q, 0.0, None)
-                total = full.sum()
-                if total <= 0.0:
-                    continue
-                full /= total
-                val = float(np.square(full @ basis - target_vec).sum())
-                if best_val is None or val < best_val - 1e-15:
-                    best_q, best_val = full, val
-            if best_q is not None:
-                enc[j, x, :] = best_q
-
-
-def _simplex_affine_solve(basis: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Minimize |q @ basis - target|^2 subject to sum(q) = 1 (equality only)."""
-    s = basis.shape[0]
-    gram = 2.0 * basis @ basis.T
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = gram
-    kkt[:s, s] = 1.0
-    kkt[s, :s] = 1.0
-    rhs = np.concatenate([2.0 * basis @ target, [1.0]])
-    try:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:s]
+    # solve[x, c] maps the full right-hand side (2 basis[x] @ target, 1) to the
+    # candidate row of support c, zero off the support.
+    # Candidates are the non-empty supports, by size, each size in combinations order.
+    solve = np.zeros((k, 2**m_count - 1, m_count, m_count + 1))
+    first = 0
+    for size in range(1, m_count + 1):
+        sups = np.array(list(itertools.combinations(range(m_count), size)))  # (S, size)
+        cand = first + np.arange(len(sups))
+        first += len(sups)
+        b = basis[:, sups]  # (K, S, size, 4)
+        kkt = np.ones((k, len(sups), size + 1, size + 1))
+        kkt[..., :size, :size] = 2.0 * b @ b.swapaxes(-1, -2)
+        kkt[..., size, size] = 0.0
+        inv = np.linalg.pinv(kkt, rtol=np.finfo(float).eps * (size + 1))
+        cols = np.concatenate([sups, np.full((len(sups), 1), m_count)], axis=1)
+        solve[:, cand[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :size, :]
+    contrib = np.einsum("jxm,xmd->jxd", enc, basis)  # (N, K, 4) per-atom effective parts
+    rhs = np.ones((n, m_count + 1))
+    for x in range(k):
+        target = tau - contrib[:, np.arange(k) != x].sum(axis=1)  # (N, 4)
+        rhs[:, :m_count] = 2.0 * target @ basis[x].T
+        q = np.einsum("cmi,ji->jcm", solve[x], rhs)  # (N, candidates, M)
+        full = np.clip(q, 0.0, None)
+        total = full.sum(axis=2)
+        feasible = (q.min(axis=2) >= -1e-12) & (total > 0.0)
+        full /= np.where(feasible, total, 1.0)[..., None]
+        vals = np.square(full @ basis[x] - target[:, None, :]).sum(axis=2)
+        vals[~feasible] = np.inf
+        best_val, choice = np.full(n, np.inf), np.full(n, -1)
+        for c in range(solve.shape[1]):
+            take = vals[:, c] < best_val - 1e-15
+            best_val, choice = np.where(take, vals[:, c], best_val), np.where(take, c, choice)
+        won = np.flatnonzero(choice >= 0)
+        enc[won, x] = full[won, choice[won]]
+        contrib[:, x] = enc[:, x] @ basis[x]
 
 
 def optimize(
@@ -412,18 +413,19 @@ def optimize(
             _effects_step(targets, enc, p, weights, axes, state_weights)
             _encoder_step(targets, enc, p, weights, axes)
             iterations += 1
-            current = FiniteStrategy(
-                atom_probs=p, encoder=enc, effect_weights=weights, effect_axes=axes
-            )
-            err = strategy_error(current, targets)
+            errors = _state_errors(targets, p, enc, weights, axes)
+            err = float(errors.max())
             if err < best_error:
                 best_error = err
-                best = current
+                # The copy made by FiniteStrategy keeps the best apart from
+                # the working arrays that later sweeps overwrite.
+                best = FiniteStrategy(
+                    atom_probs=p, encoder=enc, effect_weights=weights, effect_axes=axes
+                )
             if best_error < EXACTNESS_TOL / 10.0:
                 break
             # Multiplicative re-weighting concentrates the least-squares steps
             # on the worst grid states, approximating the minimax solution.
-            errors = per_state_errors(current, targets)
             state_weights = state_weights * np.exp(errors / max(errors.max(), 1e-15))
             state_weights = np.minimum(state_weights / state_weights.mean(), 1e6)
         if best_error < EXACTNESS_TOL / 10.0:

@@ -173,6 +173,32 @@ class TestCollapse:
         assert run_cli(["collapse", "--config", config2, "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())["max_deviation"] < 1e-12
 
+    def test_recollapse_of_odd_round_original_file(self, tmp_path):
+        readme = {"protocol": {"kind": "random_odd_round", "depth": 5, "seed": 23}}
+        config = write_config(tmp_path, "col.json", readme)
+        out = tmp_path / "first.json"
+        assert run_cli(["collapse", "--config", config, "--out", str(out)]) == 0
+        config2 = write_config(
+            tmp_path,
+            "col2.json",
+            {"protocol": {"kind": "file", "path": str(tmp_path / "first.original.json")}},
+        )
+        out2 = tmp_path / "second.json"
+        assert run_cli(["collapse", "--config", config2, "--out", str(out2)]) == 0
+        first, second = json.loads(out.read_text()), json.loads(out2.read_text())
+        assert second["collapsed_messages"] == first["collapsed_messages"]
+        assert (tmp_path / "second.collapsed.json").read_bytes() == (
+            tmp_path / "first.collapsed.json"
+        ).read_bytes()
+        assert (tmp_path / "second.original.json").read_bytes() == (
+            tmp_path / "first.original.json"
+        ).read_bytes()
+
+    def test_protocol_file_must_hold_a_protocol(self, tmp_path):
+        nested = write_config(tmp_path, "nested.json", {"kind": "file", "path": "elsewhere.json"})
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "file", "path": nested}})
+        assert run_cli(["collapse", "--config", config]) == 3
+
     def test_malformed_protocol_spec(self, tmp_path):
         config = write_config(tmp_path, "col.json", {"protocol": {"kind": "spaghetti"}})
         assert run_cli(["collapse", "--config", config]) == 3

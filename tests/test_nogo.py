@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qchansim import qmath
+from qchansim import nogo, qmath
 from qchansim.nogo import (
     CountingVerdict,
     FiniteStrategy,
@@ -225,6 +227,78 @@ class TestOptimize:
         b = optimize(fam, n_messages=2, n_atoms=2, seed=23, budget=24, starts=2)
         assert a.best_error == b.best_error
         np.testing.assert_array_equal(a.strategy.encoder, b.strategy.encoder)
+
+
+def reference_encoder_step(targets, enc, p, weights, axes):
+    """Row-by-row encoder update: one lstsq KKT solve per (state, atom, support).
+
+    Atoms are visited in order for each state, each reading the rows already
+    updated for the atoms before it; a later support wins only when its value
+    is lower by more than 1e-15.
+    """
+    n, k, m_count = enc.shape
+    g = np.concatenate([0.5 * weights[..., None], 0.5 * weights[..., None] * axes], axis=2)
+    tau = np.concatenate([np.full((n, 1), 0.25), -0.25 * targets.grid], axis=1)
+    supports = [
+        list(sup) for size in range(1, m_count + 1)
+        for sup in itertools.combinations(range(m_count), size)
+    ]
+    for j in range(n):
+        for x in range(k):
+            others = sum(
+                (p[xx] * (enc[j, xx, :, None] * g[:, xx, :]).sum(axis=0) for xx in range(k) if xx != x),
+                np.zeros(4),
+            )
+            target = tau[j] - others
+            basis = p[x] * g[:, x, :]
+            best_q, best_val = None, None
+            for sup in supports:
+                s = len(sup)
+                kkt = np.zeros((s + 1, s + 1))
+                kkt[:s, :s] = 2.0 * basis[sup] @ basis[sup].T
+                kkt[:s, s] = kkt[s, :s] = 1.0
+                rhs = np.concatenate([2.0 * basis[sup] @ target, [1.0]])
+                q = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:s]
+                if q.min() < -1e-12:
+                    continue
+                full = np.zeros(m_count)
+                full[sup] = np.clip(q, 0.0, None)
+                if full.sum() <= 0.0:
+                    continue
+                full /= full.sum()
+                val = float(np.square(full @ basis - target).sum())
+                if best_val is None or val < best_val - 1e-15:
+                    best_q, best_val = full, val
+            if best_q is not None:
+                enc[j, x, :] = best_q
+
+
+class TestEncoderStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        k=st.integers(1, 5),
+        n=st.integers(1, 5),
+        zero_weights=st.floats(0.0, 0.6),
+        repeat_axes=st.booleans(),
+    )
+    def test_matches_row_by_row_reference(self, seed, m, k, n, zero_weights, repeat_axes):
+        rng = np.random.default_rng(seed)
+        targets = nested_grid(n)
+        s = random_strategy(rng, n=n, m=m, k=k)
+        weights = np.where(rng.uniform(size=(m, k)) < zero_weights, 0.0, s.effect_weights)
+        axes = np.array(s.effect_axes)
+        if repeat_axes:
+            # Every message of an atom shares one axis: parallel effect vectors.
+            axes[:] = axes[:1]
+        batched = np.array(s.encoder)
+        reference = np.array(s.encoder)
+        nogo._encoder_step(targets, batched, s.atom_probs, weights, axes)
+        reference_encoder_step(targets, reference, s.atom_probs, weights, axes)
+        np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-10)
+        assert batched.min() >= 0.0
+        np.testing.assert_allclose(batched.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestCountingBound:

@@ -103,19 +103,29 @@ def _csv_document(command: str, config: dict, header: list[str], rows: list[list
     return "\n".join(lines) + "\n"
 
 
+def _int_entry(config: dict, key: str, default: int, minimum: int | None = None) -> int:
+    try:
+        value = int(config.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {config.get(key)!r}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return value
+
+
 def _resolve_state(spec, dim: int, rng: np.random.Generator, what: str) -> np.ndarray:
     """A density matrix from 'haar', a Bloch triple (qubits), or an amplitude list."""
     if spec == "haar" or spec is None:
         return qmath.projector(qmath.haar_ket(dim, rng))
-    if isinstance(spec, (list, tuple)):
-        arr = np.asarray(spec, dtype=float) if not _is_amplitude_list(spec) else None
-        if arr is not None and arr.shape == (3,) and dim == 2:
-            return qmath.bloch_to_density(arr)
+    if _is_amplitude_list(spec) and len(spec) != dim:
+        raise ConfigError(f"{what} has dimension {len(spec)}, expected {dim}")
+    try:
         if _is_amplitude_list(spec):
-            ket = serialize.ket_from_obj(spec)
-            if ket.shape != (dim,):
-                raise ConfigError(f"{what} has dimension {ket.shape[0]}, expected {dim}")
-            return qmath.projector(qmath.ket(*ket))
+            return qmath.projector(qmath.ket(*serialize.ket_from_obj(spec)))
+        if dim == 2 and np.shape(spec) == (3,):
+            return qmath.bloch_to_density(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is not a valid state: {exc}") from exc
     raise ConfigError(f"{what} must be 'haar', a Bloch triple, or [re, im] amplitudes")
 
 
@@ -127,15 +137,24 @@ def _is_amplitude_list(spec) -> bool:
     )
 
 
-def _state_obj(rho: np.ndarray) -> dict:
-    return serialize.matrix_to_obj(rho)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 _TWO_PARTY_CATALOG = ("comp", "twistA", "twistB", "tb")
+
+
+def _measurement_name(config: dict, command: str) -> str:
+    name = config.get("measurement")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{command} needs a 'measurement' name or file path")
+    return name
+
+
+def _measurement_file(spec: str) -> dict:
+    if not Path(spec).exists():
+        raise ConfigError(f"unknown measurement {spec!r}")
+    return _load_config(spec)
 
 
 def _load_measurement(spec: str):
@@ -146,47 +165,65 @@ def _load_measurement(spec: str):
         raise ConfigError(
             "the singlet measurement has entangled effects and no product-form simulator"
         )
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"unknown measurement {spec!r}")
-    effects, labels = serialize.product_povm_from_obj(serialize.loads(path.read_text()))
-    return effects, labels
+    return serialize.product_povm_from_obj(_measurement_file(spec))
 
 
-def _block_basis_povm(blocks):
-    effects, labels = [], []
-    for i, b in enumerate(blocks):
-        for j, v in enumerate(b.bob_bit0):
-            effects.append(qmath.projector(qmath.tensor(b.alice, v)))
-            labels.append((i, 0, j))
-        for j, v in enumerate(b.bob_bit1):
-            effects.append(qmath.projector(qmath.tensor(b.alice_perp, v)))
-            labels.append((i, 1, j))
-    return qmath.Povm(effects=tuple(effects), labels=tuple(labels))
+def _simulation(name: str, config: dict):
+    """What ``simulate`` runs for one measurement.
 
-
-def _simulate_protocol_file(config: dict, out: str | None, obj: dict) -> int:
-    """Run a serialized one-round protocol (e.g. a collapsed multi-round file).
-
-    The sender state must lie on the protocol's declared grid; the default is
-    the first grid point.  No Born reference exists for a bare protocol file,
-    so only the analytic and sampled statistics are reported.
+    Returns the protocol; the sender states as {config key: (dimension,
+    default spec)}, in the order they are drawn; the receiver dimension; the
+    joint effects in outcome order, or None for a protocol file, which has no
+    Born reference; and the resolved config keys the measurement adds.  A
+    protocol file's sender state must lie on its declared grid, so it
+    defaults to the first grid point.
     """
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 0))
+    if name == "blockbasis6":
+        blocks = protocols.demo_block_basis()
+        protocol = protocols.block_basis_protocol(blocks)
+        effects = []
+        for i, a, j in protocol.outcomes:
+            b = blocks[i]
+            alice, family = (b.alice, b.bob_bit0) if a == 0 else (b.alice_perp, b.bob_bit1)
+            effects.append(qmath.projector(qmath.tensor(alice, family[j])))
+        return protocol, {"psi": (2, "haar")}, 6, effects, {}
+    if name == "shift":
+        sender_config = config.get("sender_config", "A")
+        if sender_config not in ("A", "B"):
+            raise ConfigError(f"sender_config must be 'A' or 'B', got {sender_config!r}")
+        effects, labels = _load_measurement(name)
+        protocol = protocols.multi_sender_protocol(effects, sender_config, labels)
+        senders = {"psi": (2, "haar"), "psi2": (2, "haar")}
+        return protocol, senders, 2, [e.matrix() for e in effects], {"sender_config": sender_config}
+    if name not in _TWO_PARTY_CATALOG and name != "singlet":
+        obj = _measurement_file(name)
+        if obj.get("kind") == "one_round_protocol":
+            protocol = serialize.one_round_protocol_from_obj(obj)
+            grid = obj["encoder"]["psi_grid"]
+            return protocol, {"psi": (2, grid[0])}, protocol.decoder(0, 0).dim, None, {}
+    effects, labels = _load_measurement(name)
+    protocol = protocols.rank1_product_protocol(effects, labels)
+    senders = {"psi": (effects[0].factors[0].shape[0], "haar")}
+    return protocol, senders, effects[0].factors[1].shape[0], [e.matrix() for e in effects], {}
+
+
+def cmd_simulate(config: dict, out: str | None) -> int:
+    name = _measurement_name(config, "simulate")
+    seed = _int_entry(config, "seed", 0)
+    samples = _int_entry(config, "samples", 0, minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    protocol = serialize.one_round_protocol_from_obj(obj)
-    grid = obj["encoder"]["psi_grid"]
-    psi_spec = config.get("psi")
-    if psi_spec is None or psi_spec == "haar":
-        psi = qmath.bloch_to_density(grid[0])
-    else:
-        psi = _resolve_state(psi_spec, 2, rng, "psi")
-    dim_b = protocol.decoder(0, 0).dim
-    phi = _resolve_state(config.get("phi", "haar"), dim_b, rng, "phi")
+    protocol, senders, dim_b, effects, extra = _simulation(name, config)
+    states = {}
+    for key, (dim, default) in senders.items():
+        spec = config.get(key)
+        states[key] = _resolve_state(default if spec in (None, "haar") else spec, dim, rng, key)
+    phi = states["phi"] = _resolve_state(config.get("phi", "haar"), dim_b, rng, "phi")
+    sender_states = [states[key] for key in senders]
+    psi = sender_states[0] if len(sender_states) == 1 else sender_states
+
     analytic = protocols.run_analytic(protocol, psi, phi)
     body = {
-        "states": {"psi": _state_obj(psi), "phi": _state_obj(phi)},
+        "states": {key: serialize.matrix_to_obj(rho) for key, rho in states.items()},
         "outcomes": [serialize._label_to_obj(o) for o in protocol.outcomes],
         "analytic": [float(p) for p in analytic],
         "born": None,
@@ -197,108 +234,21 @@ def _simulate_protocol_file(config: dict, out: str | None, obj: dict) -> int:
         sampled, stderr = protocols.run_sampled(protocol, psi, phi, samples, seed)
         body["sampled"] = [float(p) for p in sampled]
         body["stderr"] = [float(s) for s in stderr]
-    resolved = {
-        "measurement": config.get("measurement"),
-        "seed": seed,
-        "samples": samples,
-    }
+    if effects is not None:
+        joint_state = qmath.tensor(*states.values())
+        born_ref = np.array([np.trace(joint_state @ e).real for e in effects])
+        body["born"] = [float(p) for p in born_ref]
+        body["max_abs_deviation"] = float(np.max(np.abs(analytic - born_ref)))
+        if samples > 0:
+            sigma = [
+                abs(f - a) / max(math.sqrt(a * (1 - a) / samples), 1e-12)
+                for f, a in zip(sampled, analytic)
+            ]
+            body["max_sigma_deviation"] = float(max(sigma))
+    resolved = {"measurement": name, **extra, "seed": seed, "samples": samples}
     _emit(out, _json_report("simulate", resolved, body))
-    return EXIT_OK
-
-
-def cmd_simulate(config: dict, out: str | None) -> int:
-    name = config.get("measurement")
-    if not name:
-        raise ConfigError("simulate needs a 'measurement' entry")
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 0))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    if isinstance(name, str) and name not in _TWO_PARTY_CATALOG and name not in (
-        "shift", "singlet", "blockbasis6"
-    ):
-        path = Path(name)
-        if path.exists():
-            obj = serialize.loads(path.read_text())
-            if obj.get("kind") == "one_round_protocol":
-                return _simulate_protocol_file(config, out, obj)
-
-    if name == "blockbasis6":
-        blocks = protocols.demo_block_basis()
-        protocol = protocols.block_basis_protocol(blocks)
-        povm = _block_basis_povm(blocks)
-        psi = _resolve_state(config.get("psi", "haar"), 2, rng, "psi")
-        phi = _resolve_state(config.get("phi", "haar"), 6, rng, "phi")
-        analytic = protocols.run_analytic(protocol, psi, phi)
-        order = [povm.labels.index(label) for label in protocol.outcomes]
-        born_ref = qmath.born(qmath.tensor(psi, phi), povm)[order]
-        sampled = stderr = None
-        if samples > 0:
-            sampled, stderr = protocols.run_sampled(protocol, psi, phi, samples, seed)
-        resolved = {"measurement": name, "seed": seed, "samples": samples}
-        states = {"psi": _state_obj(psi), "phi": _state_obj(phi)}
-        cost = protocol.cost_bits
-        outcomes = protocol.outcomes
-    elif name == "shift":
-        effects, labels = _load_measurement(name)
-        sender_config = config.get("sender_config", "A")
-        protocol = protocols.multi_sender_protocol(effects, sender_config, labels)
-        povm = qmath.catalog_measurement("shift")
-        psi1 = _resolve_state(config.get("psi", "haar"), 2, rng, "psi")
-        psi2 = _resolve_state(config.get("psi2", "haar"), 2, rng, "psi2")
-        phi = _resolve_state(config.get("phi", "haar"), 2, rng, "phi")
-        analytic = protocol.run_analytic([psi1, psi2], phi)
-        born_ref = qmath.born(qmath.tensor(psi1, psi2, phi), povm)
-        sampled = stderr = None
-        if samples > 0:
-            sampled, stderr = protocol.run_sampled([psi1, psi2], phi, samples, seed)
-        resolved = {
-            "measurement": name,
-            "sender_config": sender_config,
-            "seed": seed,
-            "samples": samples,
-        }
-        states = {"psi": _state_obj(psi1), "psi2": _state_obj(psi2), "phi": _state_obj(phi)}
-        cost = protocol.cost_bits
-        outcomes = protocol.outcomes
-    else:
-        effects, labels = _load_measurement(name)
-        protocol = protocols.rank1_product_protocol(effects, labels)
-        povm = qmath.Povm.from_effects([e.matrix() for e in effects], labels)
-        dim_b = effects[0].factors[1].shape[0]
-        psi = _resolve_state(config.get("psi", "haar"), effects[0].factors[0].shape[0], rng, "psi")
-        phi = _resolve_state(config.get("phi", "haar"), dim_b, rng, "phi")
-        analytic = protocols.run_analytic(protocol, psi, phi)
-        born_ref = np.array(
-            [np.trace(qmath.tensor(psi, phi) @ e.matrix()).real for e in effects]
-        )
-        sampled = stderr = None
-        if samples > 0:
-            sampled, stderr = protocols.run_sampled(protocol, psi, phi, samples, seed)
-        resolved = {"measurement": name, "seed": seed, "samples": samples}
-        states = {"psi": _state_obj(psi), "phi": _state_obj(phi)}
-        cost = protocol.cost_bits
-        outcomes = protocol.outcomes
-
-    deviation = float(np.max(np.abs(analytic - born_ref)))
-    body = {
-        "states": states,
-        "outcomes": [serialize._label_to_obj(o) for o in outcomes],
-        "analytic": [float(p) for p in analytic],
-        "born": [float(p) for p in born_ref],
-        "max_abs_deviation": deviation,
-        "cost_bits": int(cost),
-    }
-    if sampled is not None:
-        body["sampled"] = [float(p) for p in sampled]
-        body["stderr"] = [float(s) for s in stderr]
-        sigma = [
-            abs(f - a) / max(math.sqrt(a * (1 - a) / samples), 1e-12)
-            for f, a in zip(sampled, analytic)
-        ]
-        body["max_sigma_deviation"] = float(max(sigma))
-    _emit(out, _json_report("simulate", resolved, body))
-    return EXIT_OK if deviation < SIMULATION_TOL else EXIT_INVARIANT
+    deviation = body["max_abs_deviation"]
+    return EXIT_OK if deviation is None or deviation < SIMULATION_TOL else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +256,10 @@ def cmd_simulate(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(config: dict, out: str | None) -> int:
-    name = config.get("measurement")
-    if not name:
-        raise ConfigError("decompose needs a 'measurement' entry")
+    name = _measurement_name(config, "decompose")
     if name == "shift":
         raise ConfigError("decompose works on two-party measurements")
-    seed = int(config.get("seed", 0))
+    seed = _int_entry(config, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     effects, labels = _load_measurement(name)
     psi = _resolve_state(config.get("psi", "haar"), effects[0].factors[0].shape[0], rng, "psi")
@@ -324,7 +272,7 @@ def cmd_decompose(config: dict, out: str | None) -> int:
     )
     resolved = {"measurement": name, "seed": seed}
     body = {
-        "psi": _state_obj(psi),
+        "psi": serialize.matrix_to_obj(psi),
         "labels": [serialize._label_to_obj(l) for l in labels],
         "target_weights": [float(w) for w in target.weights],
         "family": [
@@ -344,8 +292,8 @@ def cmd_decompose(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_depolarize(config: dict, out: str | None) -> int:
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 10**6))
+    seed = _int_entry(config, "seed", 0)
+    samples = _int_entry(config, "samples", 10**6)
     if "sweep_max_bits" in config:
         bit_counts = list(range(1, int(config["sweep_max_bits"]) + 1))
     else:
@@ -380,12 +328,12 @@ def _build_protocol(spec: dict):
     if kind == "random_three_round":
         return (
             multiround.random_three_round(
-                seed=int(spec.get("seed", 0)),
-                n_atoms=int(spec.get("n_atoms", 2)),
-                n_m1=int(spec.get("n_m1", 2)),
-                n_m2=int(spec.get("n_m2", 2)),
-                n_m3=int(spec.get("n_m3", 2)),
-                n_outcomes=int(spec.get("n_outcomes", 2)),
+                seed=_int_entry(spec, "seed", 0),
+                n_atoms=_int_entry(spec, "n_atoms", 2),
+                n_m1=_int_entry(spec, "n_m1", 2),
+                n_m2=_int_entry(spec, "n_m2", 2),
+                n_m3=_int_entry(spec, "n_m3", 2),
+                n_outcomes=_int_entry(spec, "n_outcomes", 2),
             ),
             "three_round",
             spec,
@@ -393,11 +341,11 @@ def _build_protocol(spec: dict):
     if kind == "random_odd_round":
         return (
             multiround.random_odd_round(
-                seed=int(spec.get("seed", 0)),
-                depth=int(spec.get("depth", 5)),
-                n_atoms=int(spec.get("n_atoms", 2)),
-                alphabet=int(spec.get("alphabet", 2)),
-                n_outcomes=int(spec.get("n_outcomes", 2)),
+                seed=_int_entry(spec, "seed", 0),
+                depth=_int_entry(spec, "depth", 5),
+                n_atoms=_int_entry(spec, "n_atoms", 2),
+                alphabet=_int_entry(spec, "alphabet", 2),
+                n_outcomes=_int_entry(spec, "n_outcomes", 2),
             ),
             "odd_round",
             spec,
@@ -417,8 +365,8 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     spec = config.get("protocol")
     if not isinstance(spec, dict):
         raise ConfigError("collapse needs a 'protocol' object")
-    seed = int(config.get("seed", 0))
-    n_checks = int(config.get("check_states", 10))
+    seed = _int_entry(config, "seed", 0)
+    n_checks = _int_entry(config, "check_states", 10)
     protocol, flavor, source = _build_protocol(spec)
     tolerance = float(config.get("check_tolerance", 1e-12 if flavor == "three_round" else 1e-10))
 
@@ -482,10 +430,10 @@ def cmd_nogo(config: dict, out: str | None) -> int:
     cases = config.get("cases")
     if not cases:
         raise ConfigError("nogo needs a non-empty 'cases' list")
-    seed = int(config.get("seed", 0))
-    budget = int(config.get("budget", 320))
-    starts = int(config.get("starts", 8))
-    grid_seed = int(config.get("grid_seed", 0xF00D))
+    seed = _int_entry(config, "seed", 0)
+    budget = _int_entry(config, "budget", 320)
+    starts = _int_entry(config, "starts", 8)
+    grid_seed = _int_entry(config, "grid_seed", 0xF00D)
     resolved = {
         "cases": cases,
         "seed": seed,
@@ -547,8 +495,8 @@ def cmd_nogo(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rac(config: dict, out: str | None) -> int:
-    seed = int(config.get("seed", 0))
-    n_atoms = int(config.get("one_bit_atoms", 8))
+    seed = _int_entry(config, "seed", 0)
+    n_atoms = _int_entry(config, "one_bit_atoms", 8)
     resolved = {"seed": seed, "one_bit_atoms": n_atoms}
     classical_best, achievers = protocols.rac_classical_best()
     one_bit, detail = protocols.rac_one_bit_bound(n_atoms)

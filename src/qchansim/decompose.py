@@ -77,13 +77,6 @@ class Rank1Povm:
     def __len__(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def from_terms(cls, terms, labels=None) -> "Rank1Povm":
-        weights, projectors = zip(*terms)
-        if labels is None:
-            labels = tuple(range(len(weights)))
-        return cls(weights=tuple(weights), projectors=tuple(projectors), labels=tuple(labels))
-
 
 @dataclass(frozen=True)
 class ExtremalPovm:

@@ -14,9 +14,10 @@ Constructors provided here:
   measurement into extremal rank-1 measurements and sending the sampled label.
 * ``block_basis_protocol`` simulates a product von Neumann measurement on
   C^2 x C^d given in block form, using one classical bit per block.
-* ``multi_sender_protocol`` extends the product construction to several
-  senders holding local known states, in both a broadcast configuration (A)
-  and a strictly one-way configuration (B).
+* ``multi_sender_protocol`` extends the product construction to two senders
+  holding local known states, in both a broadcast configuration (A) and a
+  strictly one-way configuration (B).  It is a one-round protocol whose
+  sender state is the list of the senders' states.
 * The ``rac_*`` functions implement the 2->1 random access code bounds and the
   reduction that turns any claimed simulator of the sender-tilted twisted
   measurement into a random access code strategy.
@@ -501,78 +502,35 @@ def demo_block_basis() -> list[BasisBlock]:
 # Several senders (fully product measurements)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiSenderProtocol:
-    """Simulator for a fully product measurement with several senders.
+@dataclass(frozen=True, kw_only=True)
+class MultiSenderProtocol(OneRoundProtocol):
+    """Simulator for a fully product measurement with two senders.
 
-    The first sender samples an extremal label for the measurement induced on
-    everyone else and the remaining parties solve the residual problem.  In
+    A one-round protocol whose sender state is the list ``[psi1, psi2]`` of
+    the senders' known states.  The first sender samples an extremal label l
+    for the measurement induced on everyone else, with weight mu_l(psi1); the
+    second sender runs branch l's two-party protocol on psi2.  Messages are
+    (label, branch message) pairs and the decoder is the branch decoder.  In
     configuration A the label is broadcast, so only the selected branch
-    transmits; in configuration B the later senders transmit their branch
-    messages for every possible label and the receiver selects, which
-    multiplies the downstream cost by the alphabet size.
+    transmits; in configuration B the second sender transmits its branch
+    message for every possible label and the receiver selects, which
+    multiplies the downstream cost by the alphabet size.  ``cost_bits``
+    counts what the configuration transmits; the statistics are the same.
     """
 
     config: str
-    outcomes: tuple[Hashable, ...]
-    first_family: tuple[ExtremalPovm, ...]
-    branch_protocols: tuple
-    joint: tuple[ProductRank1Effect, ...]
-    cost_bits: int
     first_bits: int
     branch_bits: tuple[int, ...]
 
-    def mixture_for(self, psi_first: np.ndarray) -> np.ndarray:
-        pairs = _peel_pairs(self.joint)
-        return mixture_weights(effective_povm(pairs, psi_first), self.first_family).coefficients
-
     def run_analytic(self, states: Sequence[np.ndarray], phi: np.ndarray) -> np.ndarray:
         """Exact statistics given the senders' known states and the receiver state."""
-        states = list(states)
-        if not states:
-            raise ProtocolError("at least one sender state is required")
-        mu = self.mixture_for(states[0])
-        index = {label: i for i, label in enumerate(self.outcomes)}
-        out = np.zeros(len(self.outcomes))
-        for coefficient, branch in zip(mu, self.branch_protocols):
-            if coefficient <= 0.0:
-                continue
-            if isinstance(branch, MultiSenderProtocol):
-                sub = branch.run_analytic(states[1:], phi)
-                sub_labels = branch.outcomes
-            else:
-                sub = run_analytic(branch, states[1], phi)
-                sub_labels = branch.outcomes
-            for label, p in zip(sub_labels, sub):
-                out[index[label]] += coefficient * p
-        return out
+        return run_analytic(self, states, phi)
 
     def run_sampled(
         self, states: Sequence[np.ndarray], phi: np.ndarray, n: int, seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Monte Carlo run: sample the first sender's label, then the branches."""
-        if n < 1:
-            raise ProtocolError("sample count must be at least 1")
-        states = list(states)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        mu = np.clip(self.mixture_for(states[0]), 0.0, None)
-        branch_counts = rng.multinomial(n, mu / mu.sum())
-        branch_seeds = np.random.SeedSequence(seed).spawn(len(self.branch_protocols) + 1)
-        index = {label: i for i, label in enumerate(self.outcomes)}
-        counts = np.zeros(len(self.outcomes))
-        for b, (count, branch) in enumerate(zip(branch_counts, self.branch_protocols)):
-            if count == 0:
-                continue
-            sub_seed = branch_seeds[b + 1].generate_state(1)[0]
-            if isinstance(branch, MultiSenderProtocol):
-                freqs, _ = branch.run_sampled(states[1:], phi, int(count), int(sub_seed))
-            else:
-                freqs, _ = run_sampled(branch, states[1], phi, int(count), int(sub_seed))
-            for label, f in zip(branch.outcomes, freqs):
-                counts[index[label]] += f * count
-        freqs = counts / n
-        stderr = np.sqrt(np.clip(freqs * (1.0 - freqs), 0.0, None) / n)
-        return freqs, stderr
+        """Monte Carlo statistics given the senders' known states and the receiver state."""
+        return run_sampled(self, states, phi, n, seed)
 
 
 def _peel_pairs(joint: Sequence[ProductRank1Effect]) -> list[ProductRank1Effect]:
@@ -592,12 +550,14 @@ def multi_sender_protocol(
     labels: Sequence[Hashable] | None = None,
     *,
     minimize_alphabet: bool = True,
-) -> MultiSenderProtocol | OneRoundProtocol:
+) -> OneRoundProtocol:
     """Build the multi-sender simulator for a fully product rank-1 measurement.
 
-    With two parties this reduces to ``rank1_product_protocol``.  The general
-    case peels the first sender: enumerate extremal measurements of the
-    induced measurement on the remaining parties, then recurse per label.
+    With two parties this reduces to ``rank1_product_protocol``.  With three,
+    it peels the first sender: enumerate extremal measurements of the induced
+    measurement on the remaining parties, and build one two-party branch
+    protocol per label.  More parties leave a residual of dimension above
+    ``enumerate_extremals``' maximum, which rejects them.
     """
     if config not in ("A", "B"):
         raise ProtocolError(f"config must be 'A' or 'B', got {config!r}")
@@ -624,31 +584,40 @@ def multi_sender_protocol(
         family = _minimal_subfamily(pairs, family, _probe_states(joint[0].factors[0].shape[0]))
     family = tuple(family)
 
-    branches = []
-    for ext in family:
-        branch_joint = tuple(
-            ProductRank1Effect(weight=w, factors=joint[i].factors[1:])
-            for i, w in zip(ext.support, ext.weights)
+    branches = tuple(
+        rank1_product_protocol(
+            [ProductRank1Effect(weight=w, factors=joint[i].factors[1:])
+             for i, w in zip(ext.support, ext.weights)],
+            [labels[i] for i in ext.support],
+            minimize_alphabet=minimize_alphabet,
         )
-        branch_labels = tuple(labels[i] for i in ext.support)
-        branches.append(
-            multi_sender_protocol(
-                branch_joint, config, branch_labels, minimize_alphabet=minimize_alphabet
-            )
-        )
+        for ext in family
+    )
+    messages = tuple((ext.support, m) for ext, b in zip(family, branches) for m in b.messages)
+    decoders = tuple(b.decoder(m, 0) for b in branches for m in range(b.n_messages))
+    offsets = np.cumsum([0] + [b.n_messages for b in branches])
+
+    def encoder(atom: int, states: Sequence[np.ndarray]) -> np.ndarray:
+        if len(states) != 2:
+            raise ProtocolError(f"expected 2 sender states, got {len(states)}")
+        mu = mixture_weights(effective_povm(pairs, states[0]), family).coefficients
+        dist = np.zeros(len(messages))
+        for coefficient, branch, lo, hi in zip(mu, branches, offsets, offsets[1:]):
+            if coefficient > 0.0:
+                dist[lo:hi] = coefficient * branch.encoder_distribution(0, states[1])
+        return dist
+
     branch_bits = tuple(b.cost_bits for b in branches)
     first_bits = bit_cost(len(family))
-    if config == "A":
-        total = first_bits + max(branch_bits)
-    else:
-        total = first_bits + sum(branch_bits)
     return MultiSenderProtocol(
-        config=config,
+        randomness=SharedRandomness.trivial(),
+        messages=messages,
+        encoder=encoder,
+        decoder=lambda m, atom: decoders[m],
         outcomes=labels,
-        first_family=family,
-        branch_protocols=tuple(branches),
-        joint=joint,
-        cost_bits=total,
+        cost_bits=first_bits + (max(branch_bits) if config == "A" else sum(branch_bits)),
+        meta={"construction": "multi_sender"},
+        config=config,
         first_bits=first_bits,
         branch_bits=branch_bits,
     )

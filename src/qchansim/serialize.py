@@ -14,13 +14,14 @@ Conventions, shared by every schema here:
 
 from __future__ import annotations
 
+import contextlib
 import json
 from typing import Sequence
 
 import numpy as np
 
 from . import qmath
-from .decompose import ExtremalDecomposition, ExtremalPovm, Rank1Povm
+from .decompose import ExtremalDecomposition, ExtremalPovm
 from .multiround import OddRoundProtocol, three_round_protocol
 from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness
 from .qmath import Instrument, Povm, ProductRank1Effect
@@ -28,6 +29,17 @@ from .qmath import Instrument, Povm, ProductRank1Effect
 
 class SerializationError(ValueError):
     """Malformed or unsupported serialized object."""
+
+
+@contextlib.contextmanager
+def _reading(kind: str):
+    """Report a missing key or a value of the wrong type as a SerializationError."""
+    try:
+        yield
+    except (qmath.QmathError, ProtocolError, SerializationError):
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed {kind}: {exc!r}") from exc
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -101,26 +113,6 @@ def povm_from_obj(obj: dict) -> Povm:
     )
 
 
-def rank1_povm_to_obj(p: Rank1Povm) -> dict:
-    return {
-        "kind": "rank1_povm",
-        "dim": p.dim,
-        "labels": [_label_to_obj(label) for label in p.labels],
-        "weights": [float(w) for w in p.weights],
-        "projectors": [matrix_to_obj(proj) for proj in p.projectors],
-    }
-
-
-def rank1_povm_from_obj(obj: dict) -> Rank1Povm:
-    if obj.get("kind") != "rank1_povm":
-        raise SerializationError(f"expected rank1_povm object, got {obj.get('kind')!r}")
-    return Rank1Povm(
-        weights=tuple(float(w) for w in obj["weights"]),
-        projectors=tuple(matrix_from_obj(p) for p in obj["projectors"]),
-        labels=tuple(_label_from_obj(label) for label in obj["labels"]),
-    )
-
-
 def product_effect_to_obj(e: ProductRank1Effect) -> dict:
     return {
         "kind": "product_effect",
@@ -147,10 +139,11 @@ def product_povm_to_obj(effects: Sequence[ProductRank1Effect], labels=None) -> d
 
 
 def product_povm_from_obj(obj: dict) -> tuple[tuple[ProductRank1Effect, ...], tuple]:
-    if obj.get("kind") != "product_povm":
-        raise SerializationError(f"expected product_povm, got {obj.get('kind')!r}")
-    effects = tuple(product_effect_from_obj(e) for e in obj["effects"])
-    labels = tuple(_label_from_obj(l) for l in obj["labels"])
+    with _reading("product_povm"):
+        if obj.get("kind") != "product_povm":
+            raise SerializationError(f"expected product_povm, got {obj.get('kind')!r}")
+        effects = tuple(product_effect_from_obj(e) for e in obj["effects"])
+        labels = tuple(_label_from_obj(l) for l in obj["labels"])
     return effects, labels
 
 
@@ -234,27 +227,39 @@ def one_round_protocol_to_obj(
 
 
 def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
-    if obj.get("kind") != "one_round_protocol":
-        raise SerializationError("expected one_round_protocol")
-    enc = obj["encoder"]
-    if enc.get("kind") != "table":
-        raise SerializationError(f"unsupported encoder kind {enc.get('kind')!r}")
-    grid_bloch = np.asarray(enc["psi_grid"], dtype=float)
-    table = [np.asarray(rows, dtype=float) for rows in enc["table"]]
-    decoders = [
-        [povm_from_obj(d) for d in per_atom] for per_atom in obj["decoders"]
-    ]
+    with _reading("one_round_protocol"):
+        if obj.get("kind") != "one_round_protocol":
+            raise SerializationError("expected one_round_protocol")
+        enc = obj["encoder"]
+        if enc.get("kind") != "table":
+            raise SerializationError(f"unsupported encoder kind {enc.get('kind')!r}")
+        grid_bloch = np.asarray(enc["psi_grid"], dtype=float)
+        table = [np.asarray(rows, dtype=float) for rows in enc["table"]]
+        decoders = [
+            [povm_from_obj(d) for d in per_atom] for per_atom in obj["decoders"]
+        ]
+        randomness = SharedRandomness(probabilities=tuple(obj["atoms"]))
+        messages = tuple(_label_from_obj(m) for m in obj["messages"])
+        outcomes = tuple(_label_from_obj(o) for o in obj["outcomes"])
+        cost_bits = int(obj["cost_bits"])
+        if (
+            grid_bloch.shape[1:] != (3,)
+            or [t.shape for t in table] != [(len(grid_bloch), len(messages))] * len(randomness)
+            or [len(d) for d in decoders] != [len(messages)] * len(randomness)
+            or not {o for row in decoders for d in row for o in d.labels} <= set(outcomes)
+        ):
+            raise SerializationError("one_round_protocol tables do not match its grid and alphabets")
 
     def encoder(x: int, psi: np.ndarray) -> np.ndarray:
         return table[x][_grid_lookup(grid_bloch, psi)]
 
     return OneRoundProtocol(
-        randomness=SharedRandomness(probabilities=tuple(obj["atoms"])),
-        messages=tuple(_label_from_obj(m) for m in obj["messages"]),
+        randomness=randomness,
+        messages=messages,
         encoder=encoder,
         decoder=lambda m, x: decoders[x][m],
-        outcomes=tuple(_label_from_obj(o) for o in obj["outcomes"]),
-        cost_bits=int(obj["cost_bits"]),
+        outcomes=outcomes,
+        cost_bits=cost_bits,
         meta={"construction": obj.get("construction", "table")},
     )
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qchansim
 from qchansim import cli
@@ -274,6 +275,47 @@ class TestRac:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, measurement_file",
+        [
+            ("simulate", None),
+            ("simulate", "not json {"),
+            ("simulate", "[1, 2]"),
+            ("simulate", '{"kind": "product_povm"}'),
+            ("decompose", '{"kind": "product_povm"}'),
+            ("simulate", '{"kind": "one_round_protocol", "atoms": [1.0]}'),
+        ],
+    )
+    def test_malformed_measurement_is_malformed_input(self, tmp_path, command, measurement_file):
+        if measurement_file is None:
+            measurement = ["tb"]
+        else:
+            measurement = str(tmp_path / "measurement.json")
+            Path(measurement).write_text(measurement_file)
+        config = write_config(tmp_path, "sim.json", {"measurement": measurement})
+        assert run_cli([command, "--config", config]) == 3
+
+    @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("simulate", {"measurement": "tb", "seed": "abc"}),
+            ("decompose", {"measurement": "tb", "seed": "abc"}),
+            ("depolarize", {"seed": "abc"}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "seed": "abc"}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "seed": "abc"}),
+            ("rac", {"seed": "abc"}),
+            ("simulate", {"measurement": "tb", "psi": ["a", 1, 2]}),
+            ("simulate", {"measurement": "tb", "psi": [2, 0, 0]}),
+            ("simulate", {"measurement": "shift", "sender_config": "C"}),
+            ("simulate", {"measurement": "tb", "samples": -3}),
+        ],
+    )
+    def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):
+        config = write_config(tmp_path, "config.json", entries)
+        assert run_cli([command, "--config", config]) == 3
 
 
 class TestModuleEntryPoint:

@@ -12,6 +12,7 @@ from helpers import (
 from qchansim import qmath
 from qchansim.protocols import (
     BasisBlock,
+    MultiSenderProtocol,
     OneRoundProtocol,
     ProtocolError,
     SharedRandomness,
@@ -327,6 +328,53 @@ class TestMultiSender:
     def test_rejects_bad_config(self):
         with pytest.raises(ProtocolError):
             multi_sender_protocol(catalog_product_effects("shift"), "C")
+
+    @pytest.mark.parametrize("config", ["A", "B"])
+    def test_sampled_is_reproducible_and_matches_analytic(self, config):
+        protocol = multi_sender_protocol(
+            catalog_product_effects("shift"), config, labels=catalog_labels("shift")
+        )
+        rng = np.random.default_rng(31)
+        n = 200_000
+        for _ in range(3):
+            states = [projector(haar_ket(2, rng)) for _ in range(2)]
+            phi = projector(haar_ket(2, rng))
+            freqs, stderr = protocol.run_sampled(states, phi, n, seed=5)
+            again, _ = protocol.run_sampled(states, phi, n, seed=5)
+            np.testing.assert_array_equal(freqs, again)
+            analytic = protocol.run_analytic(states, phi)
+            sigma = np.sqrt(np.clip(analytic * (1 - analytic), 1e-12, None) / n)
+            assert np.all(np.abs(freqs - analytic) <= 6.0 * sigma)
+            assert abs(freqs.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_needs_one_state_per_sender(self, count):
+        protocol = multi_sender_protocol(catalog_product_effects("shift"), "A")
+        states = [projector(KET0)] * count
+        with pytest.raises(ProtocolError):
+            run_analytic(protocol, states, projector(KET0))
+        with pytest.raises(ProtocolError):
+            protocol.run_sampled(states, projector(KET0), 100, seed=1)
+
+    def test_four_party_residual_is_rejected(self):
+        # Peeling one of four qubit parties leaves an 8-dimensional residual,
+        # above what the extremal enumeration supports, so every branch of a
+        # multi-sender protocol is a two-party protocol.
+        basis = (KET0, qmath.KET1)
+        joint = [
+            qmath.ProductRank1Effect(weight=1.0, factors=(a, b, c, d))
+            for a in basis for b in basis for c in basis for d in basis
+        ]
+        with pytest.raises(qmath.DimensionError):
+            multi_sender_protocol(joint, "A")
+
+    def test_is_a_one_round_protocol_with_forwarding_runners(self):
+        # The benchmark calls these methods and wraps run_analytic by name.
+        protocol = multi_sender_protocol(catalog_product_effects("shift"), "B")
+        assert isinstance(protocol, MultiSenderProtocol)
+        assert isinstance(protocol, OneRoundProtocol)
+        assert "run_analytic" in vars(MultiSenderProtocol)
+        assert "run_sampled" in vars(MultiSenderProtocol)
 
 
 class TestRac:

@@ -97,6 +97,26 @@ class TestOneRoundProtocolRoundTrip:
             run_analytic(loaded, projector(haar_ket(2, rng)), projector(haar_ket(2, rng)))
 
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda obj: obj["encoder"]["table"][0].pop(),
+            lambda obj: obj["encoder"].update(psi_grid=[[0.0, 0.0]]),
+            lambda obj: obj["decoders"][0].pop(),
+            lambda obj: obj["outcomes"].pop(),
+            lambda obj: obj.pop("cost_bits"),
+            lambda obj: obj.update(messages=7),
+        ],
+        ids=["short-table", "flat-grid", "missing-decoder", "unknown-label", "no-cost", "bad-messages"],
+    )
+    def test_inconsistent_file_is_rejected(self, damage):
+        rng = np.random.default_rng(9)
+        grid = [projector(haar_ket(2, rng)) for _ in range(2)]
+        obj = serialize.one_round_protocol_to_obj(protocols.catalog_protocol("tb"), grid)
+        damage(obj)
+        with pytest.raises(serialize.SerializationError):
+            serialize.one_round_protocol_from_obj(obj)
+
 class TestThreeRoundProtocolRoundTrip:
     def test_statistics_match_on_grid(self):
         rng = np.random.default_rng(9)

@@ -103,11 +103,16 @@ def _csv_document(command: str, config: dict, header: list[str], rows: list[list
     return "\n".join(lines) + "\n"
 
 
-def _int_entry(config: dict, key: str, default: int, minimum: int | None = None) -> int:
+def _number(value, kind: type, what: str):
     try:
-        value = int(config.get(key, default))
+        return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {config.get(key)!r}") from exc
+        article = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {article}, got {value!r}") from exc
+
+
+def _int_entry(config: dict, key: str, default: int, minimum: int | None = None) -> int:
+    value = _number(config.get(key, default), int, key)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value}")
     return value
@@ -200,7 +205,7 @@ def _simulation(name: str, config: dict):
         if obj.get("kind") == "one_round_protocol":
             protocol = serialize.one_round_protocol_from_obj(obj)
             grid = obj["encoder"]["psi_grid"]
-            return protocol, {"psi": (2, grid[0])}, protocol.decoder(0, 0).dim, None, {}
+            return protocol, {"psi": (2, grid[0])}, protocol.effects.shape[-1], None, {}
     effects, labels = _load_measurement(name)
     protocol = protocols.rank1_product_protocol(effects, labels)
     senders = {"psi": (effects[0].factors[0].shape[0], "haar")}
@@ -295,9 +300,12 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0)
     samples = _int_entry(config, "samples", 10**6)
     if "sweep_max_bits" in config:
-        bit_counts = list(range(1, int(config["sweep_max_bits"]) + 1))
+        bit_counts = list(range(1, _int_entry(config, "sweep_max_bits", 0) + 1))
     else:
-        bit_counts = [int(m) for m in config.get("bit_counts", [1, 2, 3])]
+        bit_counts = config.get("bit_counts", [1, 2, 3])
+        if not isinstance(bit_counts, list):
+            raise ConfigError(f"bit_counts must be a list, got {bit_counts!r}")
+        bit_counts = [_number(m, int, "bit_counts entry") for m in bit_counts]
     if not bit_counts or min(bit_counts) < 1:
         raise ConfigError("bit counts must be positive")
     resolved = {"seed": seed, "samples": samples, "bit_counts": bit_counts}
@@ -322,40 +330,28 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
 # collapse
 # ---------------------------------------------------------------------------
 
+#: The integer entries of each generator spec, with their defaults; the kind
+#: names the ``multiround`` function that builds the protocol.
+_GENERATORS = {
+    "random_three_round": {
+        "seed": 0, "n_atoms": 2, "n_m1": 2, "n_m2": 2, "n_m3": 2, "n_outcomes": 2,
+    },
+    "random_odd_round": {"seed": 0, "depth": 5, "n_atoms": 2, "alphabet": 2, "n_outcomes": 2},
+}
+
+
 def _build_protocol(spec: dict):
     """The protocol, its flavor, and the spec that regenerates it."""
     kind = spec.get("kind")
-    if kind == "random_three_round":
-        return (
-            multiround.random_three_round(
-                seed=_int_entry(spec, "seed", 0),
-                n_atoms=_int_entry(spec, "n_atoms", 2),
-                n_m1=_int_entry(spec, "n_m1", 2),
-                n_m2=_int_entry(spec, "n_m2", 2),
-                n_m3=_int_entry(spec, "n_m3", 2),
-                n_outcomes=_int_entry(spec, "n_outcomes", 2),
-            ),
-            "three_round",
-            spec,
-        )
-    if kind == "random_odd_round":
-        return (
-            multiround.random_odd_round(
-                seed=_int_entry(spec, "seed", 0),
-                depth=_int_entry(spec, "depth", 5),
-                n_atoms=_int_entry(spec, "n_atoms", 2),
-                alphabet=_int_entry(spec, "alphabet", 2),
-                n_outcomes=_int_entry(spec, "n_outcomes", 2),
-            ),
-            "odd_round",
-            spec,
-        )
+    if kind in _GENERATORS:
+        entries = {key: _int_entry(spec, key, value) for key, value in _GENERATORS[kind].items()}
+        return getattr(multiround, kind)(**entries), kind.removeprefix("random_"), spec
     if kind == "file":
         obj = _load_config(str(spec.get("path")))
         loaded = obj.get("kind")
         if loaded == "three_round_protocol":
             return serialize.three_round_protocol_from_obj(obj), "three_round", obj
-        if loaded in ("random_three_round", "random_odd_round"):
+        if loaded in _GENERATORS:
             return _build_protocol(obj)
         raise ConfigError(f"protocol file {spec['path']} holds kind {loaded!r}, not a protocol")
     raise ConfigError(f"unknown protocol kind {kind!r}")
@@ -368,7 +364,8 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0)
     n_checks = _int_entry(config, "check_states", 10)
     protocol, flavor, source = _build_protocol(spec)
-    tolerance = float(config.get("check_tolerance", 1e-12 if flavor == "three_round" else 1e-10))
+    default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
+    tolerance = _number(config.get("check_tolerance", default_tolerance), float, "check_tolerance")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]

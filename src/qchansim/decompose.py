@@ -93,8 +93,7 @@ class ExtremalPovm:
 
     def full_weights(self, n_slots: int) -> np.ndarray:
         out = np.zeros(n_slots)
-        for idx, w in zip(self.support, self.weights):
-            out[idx] = w
+        out[list(self.support)] = self.weights
         return out
 
 

@@ -179,6 +179,9 @@ def simulate_average_state(
     return qmath.bloch_to_density(total / n)
 
 
+_SCORE_ROWS = 4096  # rows of the (samples x codewords) score matrix held at once
+
+
 def estimate_eta(
     c: Codebook, n: int, seed: int, batch: int = 200_000
 ) -> tuple[float, float]:
@@ -197,8 +200,12 @@ def estimate_eta(
         # Only the z-row of each rotation enters z_hat . R omega_i.
         q = rng.normal(size=(size, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        rotations = _quaternions_to_rotations(q)
-        scores = np.max(rotations[:, 2, :] @ c.vectors.T, axis=1)
+        z_rows = _quaternions_to_rotations(q)[:, 2, :]
+        # Score in row chunks so the score matrix stays small at large codebooks.
+        scores = np.empty(size)
+        for lo in range(0, size, _SCORE_ROWS):
+            chunk = z_rows[lo : lo + _SCORE_ROWS]
+            scores[lo : lo + len(chunk)] = np.max(chunk @ c.vectors.T, axis=1)
         total += scores.sum()
         total_sq += np.square(scores).sum()
     mean = total / n

@@ -18,24 +18,29 @@ the collapse on the trailing three rounds reduces any odd depth to one round.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from . import qmath
-from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness, bit_cost
-from .qmath import ATOL_SCALAR, Instrument, Povm, dagger
+from .protocols import (
+    OneRoundProtocol,
+    ProtocolError,
+    SharedRandomness,
+    bit_cost,
+    check_distributions,
+)
+from .qmath import Instrument, Povm, dagger
 
 
-def _check_distribution(dist: np.ndarray, size: int, what: str) -> np.ndarray:
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (size,):
-        raise ProtocolError(f"{what} has wrong length {dist.shape}")
-    if abs(dist.sum() - 1.0) > ATOL_SCALAR or dist.min() < -ATOL_SCALAR:
-        raise ProtocolError(f"{what} is not a probability distribution")
-    return np.clip(dist, 0.0, None)
+def _instrument(p: "OddRoundProtocol", t: int, x: int, transcript: tuple) -> Instrument:
+    inst = p.instruments[t](x, transcript)
+    if len(inst) != len(p.receiver_alphabets[t]):
+        raise ProtocolError("instrument outcome count does not match its alphabet")
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +118,8 @@ def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.n
     n_receiver = len(p.receiver_alphabets)
 
     def descend(x: int, t: int, transcript: tuple, state: np.ndarray, weight: float) -> None:
-        coin = _check_distribution(
-            p.coins[t](psi, x, transcript), len(p.sender_alphabets[t]), f"coin {t}"
-        )
+        size = len(p.sender_alphabets[t])
+        coin = check_distributions(p.coins[t](psi, x, transcript), (size,), f"coin {t}")
         for m_a in range(len(p.sender_alphabets[t])):
             if coin[m_a] <= 0.0:
                 continue
@@ -126,10 +130,7 @@ def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.n
                 for label, effect in zip(povm.labels, povm.effects):
                     out[index[label]] += w_a * np.trace(effect @ state).real
                 continue
-            inst = p.instruments[t](x, after_a)
-            if len(inst) != len(p.receiver_alphabets[t]):
-                raise ProtocolError("instrument outcome count does not match its alphabet")
-            for m_b, kraus in enumerate(inst.kraus):
+            for m_b, kraus in enumerate(_instrument(p, t, x, after_a).kraus):
                 updated = kraus @ state @ dagger(kraus)
                 if np.trace(updated).real <= 1e-15:
                     continue  # zero-probability branch
@@ -140,94 +141,134 @@ def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.n
     return out
 
 
-def collapse_trailing_rounds(p: OddRoundProtocol) -> OddRoundProtocol:
+@dataclass(frozen=True, eq=False)
+class TabulatedRounds:
+    """An odd-depth protocol with its receiver side held as arrays over transcripts.
+
+    Transcript axes follow the rounds (sender, receiver, ..., sender) after a
+    leading atom axis.  ``kraus[t]`` has shape (atoms, transcript of length
+    2t+1, reply, d, d); ``final`` has shape (atoms, full transcript,
+    outcomes, d, d), zero for outcomes a final measurement does not name.
+    ``coins(psi)`` returns one table per sender round t, of shape (atoms,
+    transcript of length 2t, message).
+    """
+
+    randomness: SharedRandomness
+    sender_alphabets: tuple[tuple, ...]
+    receiver_alphabets: tuple[tuple, ...]
+    outcomes: tuple[Hashable, ...]
+    coins: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    kraus: tuple[np.ndarray, ...]
+    final: np.ndarray
+
+
+def tabulate(p: OddRoundProtocol) -> TabulatedRounds:
+    """Evaluate an odd-depth protocol's instruments and final measurements on every transcript."""
+    rounds = [a for pair in itertools.zip_longest(p.sender_alphabets, p.receiver_alphabets)
+              for a in pair if a is not None]
+    n_atoms = len(p.randomness)
+
+    def table(length: int, entry: Callable) -> np.ndarray:
+        """entry(x, transcript) over every atom and transcript of the first ``length`` rounds."""
+        sizes = tuple(len(a) for a in rounds[:length])
+        rows = np.array([entry(x, tr) for x in range(n_atoms) for tr in np.ndindex(*sizes)])
+        return rows.reshape((n_atoms,) + sizes + rows.shape[1:])
+
+    def coin_table(t: int, psi) -> np.ndarray:
+        coin = table(2 * t, lambda x, tr: p.coins[t](psi, x, tr))
+        expected = coin.shape[: 2 * t + 1] + (len(p.sender_alphabets[t]),)
+        return check_distributions(coin, expected, f"coin {t}")
+
+    return TabulatedRounds(
+        randomness=p.randomness,
+        sender_alphabets=p.sender_alphabets,
+        receiver_alphabets=p.receiver_alphabets,
+        outcomes=p.outcomes,
+        coins=lambda psi: tuple(coin_table(t, psi) for t in range(len(p.sender_alphabets))),
+        kraus=tuple(
+            table(2 * t + 1, lambda x, tr: _instrument(p, t, x, tr).kraus)
+            for t in range(len(p.receiver_alphabets))
+        ),
+        final=table(p.depth, lambda x, tr: p.final_povm(x, tr).padded(p.outcomes)),
+    )
+
+
+def _merge_coins(coins: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Fold the last two coins into one over (previous message, planned answers).
+
+    The merged probability is old[m_prev] * r_0[a_0] * r_1[a_1] * ..., taken
+    left to right, for the planned answer a_b to each reply b.
+    """
+    base, replies = coins[-2:]
+    n_reply, n_last = replies.shape[-2:]
+    merged = base.reshape(base.shape + (1,) * n_reply)
+    for b in range(n_reply):
+        axes = (1,) * b + (n_last,) + (1,) * (n_reply - b - 1)
+        merged = merged * replies[..., b, :].reshape(base.shape + axes)
+    return coins[:-2] + (merged.reshape(base.shape[:-1] + (-1,)),)
+
+
+def _merge_final(kraus: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Compose the last instrument with the final measurement, per planned-answer table.
+
+    For each reply b the effect for answer a_b is K_b^dag E[..., b, a_b] K_b;
+    the merged effect adds these over the replies in order.
+    """
+    lead = final.shape[:-5]
+    n_reply, n_last, n_out = final.shape[-5:-2]
+    d = kraus.shape[-1]
+    merged = np.zeros(lead + (n_last,) * n_reply + (n_out, d, d), dtype=complex)
+    for b in range(n_reply):
+        k = kraus[..., b, None, None, :, :]
+        axes = (1,) * b + (n_last,) + (1,) * (n_reply - b - 1)
+        merged += (dagger(k) @ final[..., b, :, :, :, :] @ k).reshape(lead + axes + (n_out, d, d))
+    return merged.reshape(lead[:-1] + (-1, n_out, d, d))
+
+
+def collapse_trailing_rounds(p: OddRoundProtocol | TabulatedRounds) -> TabulatedRounds:
     """Collapse the last sender-receiver-sender exchange into one sender round.
 
     The new last message is (old last-but-one message, planned final answers),
     and the new final measurement composes the last instrument's Kraus
     sandwiches, conditioned on the surviving transcript prefix.
     """
-    if p.depth < 3:
+    if isinstance(p, OddRoundProtocol):
+        p = tabulate(p)
+    if not p.receiver_alphabets:
         raise ProtocolError("nothing to collapse below depth 3")
-    last = len(p.sender_alphabets) - 1
-    n_prev = len(p.sender_alphabets[last - 1])
-    n_reply = len(p.receiver_alphabets[last - 1])
-    n_last = len(p.sender_alphabets[last])
-    merged_alphabet = tuple(
-        (m_prev, table)
-        for m_prev in range(n_prev)
-        for table in itertools.product(range(n_last), repeat=n_reply)
-    )
-
-    def merged_coin(psi, x, transcript):
-        old_coin = _check_distribution(
-            p.coins[last - 1](psi, x, transcript), n_prev, "merged coin base"
-        )
-        replies = {}
-        dist = np.empty(len(merged_alphabet))
-        for k, (m_prev, table) in enumerate(merged_alphabet):
-            if m_prev not in replies:
-                replies[m_prev] = [
-                    _check_distribution(
-                        p.coins[last](psi, x, transcript + (m_prev, m_b)),
-                        n_last,
-                        "merged coin reply",
-                    )
-                    for m_b in range(n_reply)
-                ]
-            prob = old_coin[m_prev]
-            for m_b, m_a in enumerate(table):
-                prob *= replies[m_prev][m_b][m_a]
-            dist[k] = prob
-        return dist
-
-    final_cache: dict[tuple, Povm] = {}
-
-    def merged_final(x, transcript):
-        key = (x, tuple(transcript))
-        if key not in final_cache:
-            prefix = transcript[:-1]
-            m_prev, table = merged_alphabet[transcript[-1]]
-            inst = p.instruments[last - 1](x, prefix + (m_prev,))
-            dim = inst.dim
-            effects = {label: np.zeros((dim, dim), dtype=complex) for label in p.outcomes}
-            for m_b, kraus in enumerate(inst.kraus):
-                povm = p.final_povm(x, prefix + (m_prev, m_b, table[m_b]))
-                for label, effect in zip(povm.labels, povm.effects):
-                    effects[label] += dagger(kraus) @ effect @ kraus
-            final_cache[key] = Povm(
-                effects=tuple(effects[label] for label in p.outcomes), labels=p.outcomes
-            )
-        return final_cache[key]
-
-    return OddRoundProtocol(
-        randomness=p.randomness,
-        sender_alphabets=p.sender_alphabets[: last - 1] + (merged_alphabet,),
-        receiver_alphabets=p.receiver_alphabets[: last - 1],
-        outcomes=p.outcomes,
-        coins=p.coins[: last - 1] + (merged_coin,),
-        instruments=p.instruments[: last - 1],
-        final_povm=merged_final,
+    n_prev, n_last = (len(a) for a in p.sender_alphabets[-2:])
+    answers = itertools.product(range(n_last), repeat=len(p.receiver_alphabets[-1]))
+    merged_alphabet = tuple(itertools.product(range(n_prev), answers))
+    return dataclasses.replace(
+        p,
+        sender_alphabets=p.sender_alphabets[:-2] + (merged_alphabet,),
+        receiver_alphabets=p.receiver_alphabets[:-1],
+        coins=lambda psi: _merge_coins(p.coins(psi)),
+        kraus=p.kraus[:-1],
+        final=_merge_final(p.kraus[-1], p.final),
     )
 
 
 def collapse_odd_rounds(p: OddRoundProtocol) -> OneRoundProtocol:
     """Reduce any odd-depth protocol to one round by repeated trailing collapse.
 
+    The receiver side is tabulated once and collapsed as arrays; the coins
+    are tabulated and merged for each sender state the encoder is given.
     ``meta["stage_alphabet_sizes"]`` lists the sender alphabet sizes before
     each collapse step.
     """
+    tables = tabulate(p)
     stages = []
-    while p.depth > 1:
-        stages.append(tuple(len(a) for a in p.sender_alphabets))
-        p = collapse_trailing_rounds(p)
-    alphabet = p.sender_alphabets[0]
+    while tables.receiver_alphabets:
+        stages.append(tuple(len(a) for a in tables.sender_alphabets))
+        tables = collapse_trailing_rounds(tables)
+    alphabet = tables.sender_alphabets[0]
     return OneRoundProtocol(
-        randomness=p.randomness,
+        randomness=tables.randomness,
         messages=alphabet,
-        encoder=lambda x, psi: p.coins[0](psi, x, ()),
-        decoder=lambda m, x: p.final_povm(x, (m,)),
-        outcomes=p.outcomes,
+        encoder=lambda psi: tables.coins(psi)[0],
+        effects=tables.final,
+        outcomes=tables.outcomes,
         cost_bits=bit_cost(len(alphabet)),
         meta={"construction": "collapsed_three_round", "stage_alphabet_sizes": stages},
     )
@@ -252,13 +293,9 @@ def pad_leading_sender_round(
         receiver_alphabets=(receiver_alphabet,) + rest.receiver_alphabets,
         outcomes=rest.outcomes,
         coins=(lambda psi, x, tr: np.array([1.0]),)
-        + tuple(
-            (lambda coin: lambda psi, x, tr: coin(psi, x, tr[1:]))(c) for c in rest.coins
-        ),
+        + tuple((lambda c: lambda psi, x, tr: c(psi, x, tr[1:]))(c) for c in rest.coins),
         instruments=(lambda x, tr: instrument0(x),)
-        + tuple(
-            (lambda inst: lambda x, tr: inst(x, tr[1:]))(i) for i in rest.instruments
-        ),
+        + tuple((lambda i: lambda x, tr: i(x, tr[1:]))(i) for i in rest.instruments),
         final_povm=lambda x, tr: rest.final_povm(x, tr[1:]),
     )
 
@@ -304,6 +341,58 @@ def random_povm(rng: np.random.Generator, n_outcomes: int, dim: int, labels=None
     )
 
 
+def _random_rounds(
+    seed: int,
+    rounds: tuple[int, ...],
+    n_atoms: int,
+    n_outcomes: int,
+    dim: int,
+    *,
+    table_order: Sequence[int],
+    atom_major: bool,
+) -> OddRoundProtocol:
+    """Seeded random protocol over round alphabets of the given sizes.
+
+    Each table is keyed by (atom, transcript); the table for transcripts of
+    length L is a coin (L even), an instrument (L odd) or the final
+    measurement (L the depth).  Tables are drawn in ``table_order``, and
+    within a table atom by atom (``atom_major``) or transcript by transcript.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    atom_probs = _random_simplex(rng, n_atoms)
+    atom_probs = atom_probs / atom_probs.sum()
+    depth = len(rounds)
+    tables = {}
+    for length in table_order:
+        if length == depth:
+            make = lambda: random_povm(rng, n_outcomes, dim)
+        elif length % 2 == 0:
+            make = lambda: _random_state_coin(rng, rounds[length])
+        else:
+            make = lambda: random_instrument(rng, rounds[length], dim)
+        transcripts = list(np.ndindex(*rounds[:length]))
+        keys = itertools.product(range(n_atoms), transcripts) if atom_major else (
+            (x, tr) for tr in transcripts for x in range(n_atoms)
+        )
+        tables[length] = {key: make() for key in keys}
+
+    def coin(table):
+        return lambda psi, x, tr: table[(x, tuple(tr))](psi)
+
+    def instrument(table):
+        return lambda x, tr: table[(x, tuple(tr))]
+
+    return OddRoundProtocol(
+        randomness=SharedRandomness(probabilities=tuple(atom_probs)),
+        sender_alphabets=tuple(tuple(range(n)) for n in rounds[0::2]),
+        receiver_alphabets=tuple(tuple(range(n)) for n in rounds[1::2]),
+        outcomes=tuple(range(n_outcomes)),
+        coins=tuple(coin(tables[length]) for length in range(0, depth, 2)),
+        instruments=tuple(instrument(tables[length]) for length in range(1, depth, 2)),
+        final_povm=lambda x, tr: tables[depth][(x, tuple(tr))],
+    )
+
+
 def random_three_round(
     seed: int,
     *,
@@ -315,38 +404,9 @@ def random_three_round(
     dim: int = 2,
 ) -> OddRoundProtocol:
     """Seeded random three-round protocol with state-dependent coins."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    atom_probs = _random_simplex(rng, n_atoms)
-    atom_probs = atom_probs / atom_probs.sum()
-    coin1_table = {x: _random_state_coin(rng, n_m1) for x in range(n_atoms)}
-    instruments = {
-        (m1, x): random_instrument(rng, n_m2, dim)
-        for m1 in range(n_m1)
-        for x in range(n_atoms)
-    }
-    coin2_table = {
-        (m1, m2, x): _random_state_coin(rng, n_m3)
-        for m1 in range(n_m1)
-        for m2 in range(n_m2)
-        for x in range(n_atoms)
-    }
-    final_table = {
-        (m1, m2, m3, x): random_povm(rng, n_outcomes, dim)
-        for m1 in range(n_m1)
-        for m2 in range(n_m2)
-        for m3 in range(n_m3)
-        for x in range(n_atoms)
-    }
-    return three_round_protocol(
-        randomness=SharedRandomness(probabilities=tuple(atom_probs)),
-        m1_alphabet=tuple(range(n_m1)),
-        m2_alphabet=tuple(range(n_m2)),
-        m3_alphabet=tuple(range(n_m3)),
-        outcomes=tuple(range(n_outcomes)),
-        coin1=lambda psi, x: coin1_table[x](psi),
-        instrument=lambda m1, x: instruments[(m1, x)],
-        coin2=lambda m1, m2, psi, x: coin2_table[(m1, m2, x)](psi),
-        final_povm=lambda m1, m2, m3, x: final_table[(m1, m2, m3, x)],
+    return _random_rounds(
+        seed, (n_m1, n_m2, n_m3), n_atoms, n_outcomes, dim,
+        table_order=(0, 1, 2, 3), atom_major=False,
     )
 
 
@@ -364,44 +424,9 @@ def random_odd_round(
         raise ProtocolError("depth must be an odd number >= 3")
     if depth > 7:
         raise ProtocolError("depths beyond 7 are outside the supported desk scale")
-    n_receiver = (depth - 1) // 2
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    atom_probs = _random_simplex(rng, n_atoms)
-    atom_probs = atom_probs / atom_probs.sum()
-
-    coin_tables: list[dict] = []
-    for t in range(n_receiver + 1):
-        table: dict = {}
-        for x in range(n_atoms):
-            for transcript in itertools.product(range(alphabet), repeat=2 * t):
-                table[(x, transcript)] = _random_state_coin(rng, alphabet)
-        coin_tables.append(table)
-    inst_tables: list[dict] = []
-    for t in range(n_receiver):
-        table = {}
-        for x in range(n_atoms):
-            for transcript in itertools.product(range(alphabet), repeat=2 * t + 1):
-                table[(x, transcript)] = random_instrument(rng, alphabet, dim)
-        inst_tables.append(table)
-    final_table = {}
-    for x in range(n_atoms):
-        for transcript in itertools.product(range(alphabet), repeat=depth):
-            final_table[(x, transcript)] = random_povm(rng, n_outcomes, dim)
-
-    def make_coin(t):
-        return lambda psi, x, tr: coin_tables[t][(x, tuple(tr))](psi)
-
-    def make_instrument(t):
-        return lambda x, tr: inst_tables[t][(x, tuple(tr))]
-
-    return OddRoundProtocol(
-        randomness=SharedRandomness(probabilities=tuple(atom_probs)),
-        sender_alphabets=tuple(tuple(range(alphabet)) for _ in range(n_receiver + 1)),
-        receiver_alphabets=tuple(tuple(range(alphabet)) for _ in range(n_receiver)),
-        outcomes=tuple(range(n_outcomes)),
-        coins=tuple(make_coin(t) for t in range(n_receiver + 1)),
-        instruments=tuple(make_instrument(t) for t in range(n_receiver)),
-        final_povm=lambda x, tr: final_table[(x, tuple(tr))],
+    order = (*range(0, depth, 2), *range(1, depth, 2), depth)
+    return _random_rounds(
+        seed, (alphabet,) * depth, n_atoms, n_outcomes, dim, table_order=order, atom_major=True
     )
 
 
@@ -424,14 +449,6 @@ def interactive_twist_protocol() -> OddRoundProtocol:
         p0 = float(np.clip(np.trace(qmath.projector(ket) @ psi).real, 0.0, 1.0))
         return np.array([p0, 1.0 - p0])
 
-    def final_povm(x, transcript):
-        chosen = outcome_of[transcript]
-        effects = tuple(
-            qmath.I2 if label == chosen else np.zeros((2, 2), dtype=complex)
-            for label in labels
-        )
-        return Povm(effects=effects, labels=labels)
-
     reply = OddRoundProtocol(
         randomness=SharedRandomness.trivial(),
         sender_alphabets=((0, 1),),
@@ -439,6 +456,6 @@ def interactive_twist_protocol() -> OddRoundProtocol:
         outcomes=labels,
         coins=(coin,),
         instruments=(),
-        final_povm=final_povm,
+        final_povm=lambda x, tr: Povm(effects=(qmath.I2,), labels=(outcome_of[tr],)),
     )
     return pad_leading_sender_round(lambda x: z_instrument, (0, 1), reply)

@@ -43,6 +43,7 @@ from .decompose import (
 )
 from .qmath import (
     ATOL_SCALAR,
+    DimensionError,
     Povm,
     ProductRank1Effect,
     bloch_to_density,
@@ -61,10 +62,9 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class SharedRandomness:
-    """A finite shared random variable: probabilities with opaque payloads."""
+    """A finite shared random variable: the probabilities of its atoms."""
 
     probabilities: tuple[float, ...]
-    payloads: tuple = ()
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
@@ -72,11 +72,7 @@ class SharedRandomness:
             raise ProtocolError("shared-randomness atoms must have positive probability")
         if abs(sum(probs) - 1.0) > ATOL_SCALAR:
             raise ProtocolError(f"atom probabilities sum to {sum(probs)!r}")
-        payloads = self.payloads if self.payloads else tuple(range(len(probs)))
-        if len(payloads) != len(probs):
-            raise ProtocolError("payloads must align with probabilities")
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "payloads", tuple(payloads))
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -86,34 +82,62 @@ class SharedRandomness:
         return cls(probabilities=(1.0,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneRoundProtocol:
     """Sender-to-receiver protocol: sample a message from the encoder, measure per the decoder.
 
-    ``encoder(atom_index, psi)`` returns a distribution over the message
-    alphabet; ``decoder(message_index, atom_index)`` returns a measurement
-    whose outcome labels are a subset of ``outcomes``.
+    ``encoder(psi)`` returns the (atoms, messages) matrix whose row x is the
+    message distribution under shared atom x.  ``effects`` stacks every
+    decoder, shape (atoms, messages, outcomes, d, d): ``effects[x, m, o]`` is
+    the receiver's effect for ``outcomes[o]`` after message m under atom x.
+    It is checked once, at construction, and stored read-only.  A decoder
+    that names only some outcomes has zero effects for the rest, and
+    ``named[x, m, o]`` records which outcomes it names (default: all).
     """
 
     randomness: SharedRandomness
     messages: tuple
-    encoder: Callable[[int, np.ndarray], np.ndarray]
-    decoder: Callable[[int, int], Povm]
+    encoder: Callable[[np.ndarray], np.ndarray]
+    effects: np.ndarray
     outcomes: tuple[Hashable, ...]
     cost_bits: int
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
+    named: np.ndarray | None = None
+
+    def __post_init__(self):
+        effects = np.array(self.effects, dtype=complex)
+        if effects.ndim != 5 or effects.shape[:3] != self.shape:
+            raise ProtocolError(f"decoder effects have shape {effects.shape}, not {self.shape}")
+        qmath.assert_measurements(effects)
+        named = np.array(np.ones(self.shape) if self.named is None else self.named, dtype=bool)
+        if named.shape != self.shape:
+            raise ProtocolError(f"named outcomes have shape {named.shape}, expected {self.shape}")
+        for name, value in (("effects", effects), ("named", named)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_messages(self) -> int:
         return len(self.messages)
 
-    def encoder_distribution(self, atom: int, psi: np.ndarray) -> np.ndarray:
-        dist = np.asarray(self.encoder(atom, psi), dtype=float)
-        if dist.shape != (self.n_messages,):
-            raise ProtocolError("encoder returned a distribution of the wrong length")
-        if abs(dist.sum() - 1.0) > ATOL_SCALAR or dist.min() < -ATOL_SCALAR:
-            raise ProtocolError("encoder output is not a probability distribution")
-        return np.clip(dist, 0.0, None)
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(atoms, messages, outcomes)."""
+        return len(self.randomness), self.n_messages, len(self.outcomes)
+
+    def encoder_matrix(self, psi) -> np.ndarray:
+        """The checked (atoms, messages) matrix of message distributions, negatives clipped."""
+        return check_distributions(self.encoder(psi), self.shape[:2], "encoder output")
+
+
+def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``dist`` as floats of the given shape, distributions on its last axis, negatives clipped."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != shape:
+        raise ProtocolError(f"{what} has shape {dist.shape}, expected {shape}")
+    if np.max(np.abs(dist.sum(axis=-1) - 1.0)) > ATOL_SCALAR or dist.min() < -ATOL_SCALAR:
+        raise ProtocolError(f"{what} is not a probability distribution")
+    return np.clip(dist, 0.0, None)
 
 
 def bit_cost(alphabet_size: int) -> int:
@@ -125,34 +149,32 @@ def constant_protocol(povm: Povm) -> OneRoundProtocol:
     return OneRoundProtocol(
         randomness=SharedRandomness.trivial(),
         messages=("go",),
-        encoder=lambda atom, psi: np.array([1.0]),
-        decoder=lambda m, atom: povm,
+        encoder=lambda psi: np.ones((1, 1)),
+        effects=np.array(povm.effects)[None, None],
         outcomes=povm.labels,
         cost_bits=0,
         meta={"construction": "constant"},
     )
 
 
-def run_analytic(protocol: OneRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Exact outcome distribution sum_x sum_m p(x) p(m|x,psi) born(phi, decoder(m,x))."""
+def _weights_and_state(protocol: OneRoundProtocol, psi, phi: np.ndarray):
+    """p(x) p(m | x, psi) as an (atoms, messages) matrix, and the checked receiver state."""
     phi = qmath.assert_density_matrix(phi, "receiver state")
-    index = {label: i for i, label in enumerate(protocol.outcomes)}
-    out = np.zeros(len(protocol.outcomes))
-    for atom, p_atom in enumerate(protocol.randomness.probabilities):
-        dist = protocol.encoder_distribution(atom, psi)
-        for m, p_message in enumerate(dist):
-            if p_message <= 0.0:
-                continue
-            povm = protocol.decoder(m, atom)
-            probs = born(phi, povm)
-            for label, pk in zip(povm.labels, probs):
-                out[index[label]] += p_atom * p_message * pk
-    return out
+    if phi.shape != protocol.effects.shape[-2:]:
+        raise DimensionError(f"receiver state {phi.shape} for effects {protocol.effects.shape}")
+    atoms = np.asarray(protocol.randomness.probabilities)
+    return atoms[:, None] * protocol.encoder_matrix(psi), phi
+
+
+def run_analytic(protocol: OneRoundProtocol, psi, phi: np.ndarray) -> np.ndarray:
+    """Exact outcome distribution sum_x sum_m p(x) p(m|x,psi) tr(phi effects[x, m, o])."""
+    weights, phi = _weights_and_state(protocol, psi, phi)
+    return np.einsum("xm,xmoij,ji->o", weights, protocol.effects, phi).real
 
 
 def run_sampled(
     protocol: OneRoundProtocol,
-    psi: np.ndarray,
+    psi,
     phi: np.ndarray,
     n: int,
     seed: int,
@@ -160,34 +182,26 @@ def run_sampled(
     """Monte Carlo estimate of the protocol statistics with standard errors.
 
     Deterministic given the seed.  Sampling is two-stage: multinomial counts
-    over (atom, message), then multinomial outcome counts from each decoder's
-    Born distribution, which is distributionally identical to per-shot
+    over the (atom, message) pairs of positive weight, then, for each drawn
+    pair, multinomial counts over the outcomes its decoder names, from their
+    Born probabilities.  This is distributionally identical to per-shot
     simulation.
     """
     if n < 1:
         raise ProtocolError("sample count must be at least 1")
+    weights, phi = _weights_and_state(protocol, psi, phi)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    index = {label: i for i, label in enumerate(protocol.outcomes)}
-    pair_probs = []
-    pairs = []
-    for atom, p_atom in enumerate(protocol.randomness.probabilities):
-        dist = protocol.encoder_distribution(atom, psi)
-        for m, p_message in enumerate(dist):
-            weight = p_atom * p_message
-            if weight > 0.0:
-                pairs.append((atom, m))
-                pair_probs.append(weight)
-    pair_probs = np.asarray(pair_probs)
+    atoms, messages = np.nonzero(weights > 0.0)
+    pair_probs = weights[atoms, messages]
     pair_counts = rng.multinomial(n, pair_probs / pair_probs.sum())
+    drawn = np.flatnonzero(pair_counts)
+    atoms, messages, pair_counts = atoms[drawn], messages[drawn], pair_counts[drawn]
+    born_probs = np.trace(phi @ protocol.effects[atoms, messages], axis1=-2, axis2=-1).real
     counts = np.zeros(len(protocol.outcomes))
-    for (atom, m), count in zip(pairs, pair_counts):
-        if count == 0:
-            continue
-        povm = protocol.decoder(m, atom)
-        probs = np.clip(born(phi, povm), 0.0, None)
-        outcome_counts = rng.multinomial(count, probs / probs.sum())
-        for label, c in zip(povm.labels, outcome_counts):
-            counts[index[label]] += c
+    for x, m, count, probs in zip(atoms, messages, pair_counts, born_probs):
+        named = protocol.named[x, m]
+        probs = np.clip(probs[named], 0.0, None)
+        counts[named] += rng.multinomial(count, probs / probs.sum())
     freqs = counts / n
     stderr = np.sqrt(np.clip(freqs * (1.0 - freqs), 0.0, None) / n)
     return freqs, stderr
@@ -237,6 +251,16 @@ def _minimal_subfamily(pairs, family, probes) -> list[ExtremalPovm]:
     return list(family)
 
 
+def _message_family(pairs: Sequence[ProductRank1Effect], minimize_alphabet: bool) -> tuple:
+    """Extremal measurements over the receiver factors of two-party effects, optionally pruned."""
+    family = enumerate_extremals([projector(e.factors[1]) for e in pairs])
+    if not family:
+        raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
+    if minimize_alphabet:
+        family = _minimal_subfamily(pairs, family, _probe_states(pairs[0].factors[0].shape[0]))
+    return tuple(family)
+
+
 def rank1_product_protocol(
     joint: Sequence[ProductRank1Effect],
     labels: Sequence[Hashable] | None = None,
@@ -258,33 +282,19 @@ def rank1_product_protocol(
     if labels is None:
         labels = tuple(range(len(joint)))
     labels = tuple(labels)
-    slots = [projector(e.factors[1]) for e in joint]
-    family = enumerate_extremals(slots)
-    if not family:
-        raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
-    if minimize_alphabet:
-        family = _minimal_subfamily(joint, family, _probe_states(joint[0].factors[0].shape[0]))
-    family = tuple(family)
+    family = _message_family(joint, minimize_alphabet)
+    weights = np.array([ext.full_weights(len(joint)) for ext in family])
+    slots = np.array([projector(e.factors[1]) for e in joint])
 
-    decoders = tuple(
-        Povm(
-            effects=tuple(
-                ext.full_weights(len(joint))[i] * slots[i] for i in range(len(joint))
-            ),
-            labels=labels,
-        )
-        for ext in family
-    )
-
-    def encoder(atom: int, psi: np.ndarray) -> np.ndarray:
+    def encoder(psi: np.ndarray) -> np.ndarray:
         target = effective_povm(joint, psi)
-        return mixture_weights(target, family).coefficients
+        return mixture_weights(target, family).coefficients[None, :]
 
     return OneRoundProtocol(
         randomness=SharedRandomness.trivial(),
         messages=tuple(ext.support for ext in family),
         encoder=encoder,
-        decoder=lambda m, atom: decoders[m],
+        effects=weights[None, :, :, None, None] * slots,
         outcomes=labels,
         cost_bits=bit_cost(len(family)),
         meta={
@@ -379,39 +389,25 @@ def block_basis_protocol(blocks: Sequence[BasisBlock]) -> OneRoundProtocol:
     )
     messages = tuple(itertools.product((0, 1), repeat=n_blocks))
     d = blocks[0].bob_bit0[0].shape[0]
-    zero_effect = np.zeros((d, d), dtype=complex)
-
-    decoders = []
-    for message in messages:
-        effects = []
-        for i, a, j in outcomes:
+    effects = np.zeros((1, len(messages), len(outcomes), d, d), dtype=complex)
+    for k, message in enumerate(messages):
+        for o, (i, a, j) in enumerate(outcomes):
             if message[i] == a:
                 family = blocks[i].bob_bit0 if a == 0 else blocks[i].bob_bit1
-                effects.append(projector(family[j]))
-            else:
-                effects.append(zero_effect)
-        decoders.append(Povm(effects=tuple(effects), labels=outcomes))
-    decoders = tuple(decoders)
+                effects[0, k, o] = projector(family[j])
 
-    def encoder(atom: int, psi: np.ndarray) -> np.ndarray:
+    def encoder(psi: np.ndarray) -> np.ndarray:
         psi = qmath.assert_density_matrix(psi, "sender state")
-        bit_probs = []
-        for b in blocks:
-            p0 = np.trace(projector(b.alice) @ psi).real
-            bit_probs.append((max(p0, 0.0), max(1.0 - p0, 0.0)))
-        dist = np.empty(len(messages))
-        for k, message in enumerate(messages):
-            prob = 1.0
-            for i, a in enumerate(message):
-                prob *= bit_probs[i][a]
-            dist[k] = prob
-        return dist
+        p0 = np.array([np.trace(projector(b.alice) @ psi).real for b in blocks])
+        bit_probs = np.maximum(np.stack([p0, 1.0 - p0], axis=1), 0.0)
+        # Row k multiplies block i's probability of the bit message k sends, block by block.
+        return np.prod(bit_probs[np.arange(n_blocks), np.array(messages)], axis=1)[None, :]
 
     return OneRoundProtocol(
         randomness=SharedRandomness.trivial(),
         messages=messages,
         encoder=encoder,
-        decoder=lambda m, atom: decoders[m],
+        effects=effects,
         outcomes=outcomes,
         cost_bits=n_blocks,
         meta={"construction": "block_basis", "n_blocks": n_blocks},
@@ -502,7 +498,7 @@ def demo_block_basis() -> list[BasisBlock]:
 # Several senders (fully product measurements)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class MultiSenderProtocol(OneRoundProtocol):
     """Simulator for a fully product measurement with two senders.
 
@@ -535,13 +531,10 @@ class MultiSenderProtocol(OneRoundProtocol):
 
 def _peel_pairs(joint: Sequence[ProductRank1Effect]) -> list[ProductRank1Effect]:
     """View a fully product measurement as (first party) x (everyone else)."""
-    pairs = []
-    for e in joint:
-        rest = e.factors[1]
-        for f in e.factors[2:]:
-            rest = np.kron(rest, f)
-        pairs.append(ProductRank1Effect(weight=e.weight, factors=(e.factors[0], rest)))
-    return pairs
+    return [
+        ProductRank1Effect(weight=e.weight, factors=(e.factors[0], tensor(*e.factors[1:])))
+        for e in joint
+    ]
 
 
 def multi_sender_protocol(
@@ -576,13 +569,7 @@ def multi_sender_protocol(
 
     qmath.assert_product_povm(joint)
     pairs = _peel_pairs(joint)
-    slots = [projector(p.factors[1]) for p in pairs]
-    family = enumerate_extremals(slots)
-    if not family:
-        raise DecompositionInfeasibleError("no extremal measurements over the residual slots")
-    if minimize_alphabet:
-        family = _minimal_subfamily(pairs, family, _probe_states(joint[0].factors[0].shape[0]))
-    family = tuple(family)
+    family = _message_family(pairs, minimize_alphabet)
 
     branches = tuple(
         rank1_product_protocol(
@@ -594,18 +581,23 @@ def multi_sender_protocol(
         for ext in family
     )
     messages = tuple((ext.support, m) for ext, b in zip(family, branches) for m in b.messages)
-    decoders = tuple(b.decoder(m, 0) for b in branches for m in range(b.n_messages))
     offsets = np.cumsum([0] + [b.n_messages for b in branches])
+    d = branches[0].effects.shape[-1]
+    effects = np.zeros((1, len(messages), len(labels), d, d), dtype=complex)
+    named = np.zeros(effects.shape[:3], dtype=bool)
+    for ext, branch, lo, hi in zip(family, branches, offsets, offsets[1:]):
+        effects[0][lo:hi, list(ext.support)] = branch.effects[0]
+        named[0][lo:hi, list(ext.support)] = True
 
-    def encoder(atom: int, states: Sequence[np.ndarray]) -> np.ndarray:
+    def encoder(states: Sequence[np.ndarray]) -> np.ndarray:
         if len(states) != 2:
             raise ProtocolError(f"expected 2 sender states, got {len(states)}")
         mu = mixture_weights(effective_povm(pairs, states[0]), family).coefficients
         dist = np.zeros(len(messages))
         for coefficient, branch, lo, hi in zip(mu, branches, offsets, offsets[1:]):
             if coefficient > 0.0:
-                dist[lo:hi] = coefficient * branch.encoder_distribution(0, states[1])
-        return dist
+                dist[lo:hi] = coefficient * branch.encoder_matrix(states[1])[0]
+        return dist[None, :]
 
     branch_bits = tuple(b.cost_bits for b in branches)
     first_bits = bit_cost(len(family))
@@ -613,10 +605,11 @@ def multi_sender_protocol(
         randomness=SharedRandomness.trivial(),
         messages=messages,
         encoder=encoder,
-        decoder=lambda m, atom: decoders[m],
+        effects=effects,
         outcomes=labels,
         cost_bits=first_bits + (max(branch_bits) if config == "A" else sum(branch_bits)),
         meta={"construction": "multi_sender"},
+        named=named,
         config=config,
         first_bits=first_bits,
         branch_bits=branch_bits,

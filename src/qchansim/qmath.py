@@ -45,17 +45,19 @@ class UnknownMeasurementError(QmathError):
     """Requested catalog entry does not exist."""
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, stack: bool = False) -> np.ndarray:
+    """A finite complex square matrix or, with ``stack``, a stack of them on the last two axes."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise QmathError("matrix has non-finite entries")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_SCALAR) -> bool:
@@ -64,17 +66,17 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_SCALAR) -> bool:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, or of each matrix in a stack, ascending.
 
     The 2x2 case uses the closed-form discriminant so invariant checks do not
     depend on iterative-solver variance; larger dimensions fall back to
     numpy's Hermitian solver.
     """
-    a = _as_matrix(m)
-    if a.shape == (2, 2):
-        half_trace = 0.5 * (a[0, 0].real + a[1, 1].real)
-        radius = math.hypot(0.5 * (a[0, 0].real - a[1, 1].real), abs(a[0, 1]))
-        return np.array([half_trace - radius, half_trace + radius])
+    a = _as_matrix(m, stack=True)
+    if a.shape[-2:] == (2, 2):
+        half_trace = 0.5 * (a[..., 0, 0].real + a[..., 1, 1].real)
+        radius = np.hypot(0.5 * (a[..., 0, 0].real - a[..., 1, 1].real), np.abs(a[..., 0, 1]))
+        return np.stack([half_trace - radius, half_trace + radius], axis=-1)
     return np.linalg.eigvalsh(a)
 
 
@@ -89,13 +91,22 @@ def assert_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     return rho
 
 
-def assert_effect(e: np.ndarray, name: str = "effect") -> np.ndarray:
-    e = _as_matrix(e)
+def assert_measurements(effects) -> np.ndarray:
+    """Check a stack of measurements, shape (..., outcomes, d, d).
+
+    Every effect must be Hermitian with eigenvalues in [0, 1], and the effects
+    of each measurement must sum to the identity.
+    """
+    e = _as_matrix(effects, stack=True)
+    if e.ndim < 3 or e.size == 0:
+        raise DimensionError(f"expected a non-empty stack of effects, got shape {e.shape}")
     if not is_hermitian(e):
-        raise QmathError(f"{name} is not Hermitian")
+        raise QmathError("effect is not Hermitian")
     eigs = hermitian_eigenvalues(e)
-    if eigs[0] < -ATOL_SCALAR or eigs[-1] > 1.0 + ATOL_SCALAR:
-        raise QmathError(f"{name} has eigenvalues outside [0, 1]: {eigs}")
+    if eigs.min() < -ATOL_SCALAR or eigs.max() > 1.0 + ATOL_SCALAR:
+        raise QmathError(f"effects have eigenvalues outside [0, 1]: {eigs.min()}, {eigs.max()}")
+    if np.max(np.abs(e.sum(axis=-3) - np.eye(e.shape[-1]))) > ATOL_MATRIX:
+        raise QmathError("effects do not sum to identity")
     return e
 
 
@@ -199,20 +210,12 @@ class Povm:
             raise QmathError("labels and effects must have the same length")
         if len(set(self.labels)) != len(self.labels):
             raise QmathError("outcome labels must be unique")
-        dims = {e.shape for e in self.effects}
+        dims = {np.shape(e) for e in self.effects}
         if len(dims) != 1:
             raise DimensionError(f"effects have mixed shapes: {dims}")
-        total = np.zeros(self.effects[0].shape, dtype=complex)
-        for e in self.effects:
-            assert_effect(e)
-            total = total + e
-        dim = self.effects[0].shape[0]
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_MATRIX:
-            raise QmathError("effects do not sum to identity")
-        frozen = tuple(np.array(e, dtype=complex) for e in self.effects)
-        for e in frozen:
-            e.setflags(write=False)
-        object.__setattr__(self, "effects", frozen)
+        frozen = assert_measurements(np.array(self.effects, dtype=complex))
+        frozen.setflags(write=False)
+        object.__setattr__(self, "effects", tuple(frozen))
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -221,6 +224,12 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.effects)
+
+    def padded(self, outcomes: Sequence[Hashable]) -> np.ndarray:
+        """The effects in ``outcomes`` order, zero for outcomes this measurement does not name."""
+        out = np.zeros((len(outcomes), self.dim, self.dim), dtype=complex)
+        out[[list(outcomes).index(label) for label in self.labels]] = self.effects
+        return out
 
     @classmethod
     def from_effects(cls, effects: Iterable[np.ndarray], labels=None) -> "Povm":

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmath
 from .decompose import ExtremalDecomposition, ExtremalPovm
-from .multiround import OddRoundProtocol, three_round_protocol
+from .multiround import OddRoundProtocol, tabulate, three_round_protocol
 from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness
 from .qmath import Instrument, Povm, ProductRank1Effect
 
@@ -95,13 +95,17 @@ def _label_from_obj(obj):
     return obj
 
 
-def povm_to_obj(p: Povm) -> dict:
+def _measurement_to_obj(labels: Sequence, effects: Sequence[np.ndarray]) -> dict:
     return {
         "kind": "povm",
-        "dim": p.dim,
-        "labels": [_label_to_obj(label) for label in p.labels],
-        "effects": [matrix_to_obj(e) for e in p.effects],
+        "dim": int(np.shape(effects[0])[0]),
+        "labels": [_label_to_obj(label) for label in labels],
+        "effects": [matrix_to_obj(e) for e in effects],
     }
+
+
+def povm_to_obj(p: Povm) -> dict:
+    return _measurement_to_obj(p.labels, p.effects)
 
 
 def povm_from_obj(obj: dict) -> Povm:
@@ -202,12 +206,13 @@ def one_round_protocol_to_obj(
     Decoder measurements are state-independent and serialize exactly; the
     encoder serializes as its table of distributions over the grid.
     """
-    encoder_table = [
-        [[float(v) for v in p.encoder_distribution(x, psi)] for psi in psi_grid]
-        for x in range(len(p.randomness))
-    ]
+    tables = [p.encoder_matrix(psi) for psi in psi_grid]
+    encoder_table = [[[float(v) for v in t[x]] for t in tables] for x in range(len(p.randomness))]
     decoders = [
-        [povm_to_obj(p.decoder(m, x)) for m in range(p.n_messages)]
+        [
+            _measurement_to_obj([o for o, keep in zip(p.outcomes, named) if keep], effects[named])
+            for effects, named in zip(p.effects[x], p.named[x])
+        ]
         for x in range(len(p.randomness))
     ]
     return {
@@ -234,7 +239,7 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
         if enc.get("kind") != "table":
             raise SerializationError(f"unsupported encoder kind {enc.get('kind')!r}")
         grid_bloch = np.asarray(enc["psi_grid"], dtype=float)
-        table = [np.asarray(rows, dtype=float) for rows in enc["table"]]
+        table = np.asarray(enc["table"], dtype=float)
         decoders = [
             [povm_from_obj(d) for d in per_atom] for per_atom in obj["decoders"]
         ]
@@ -244,24 +249,27 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
         cost_bits = int(obj["cost_bits"])
         if (
             grid_bloch.shape[1:] != (3,)
-            or [t.shape for t in table] != [(len(grid_bloch), len(messages))] * len(randomness)
+            or table.shape != (len(randomness), len(grid_bloch), len(messages))
             or [len(d) for d in decoders] != [len(messages)] * len(randomness)
             or not {o for row in decoders for d in row for o in d.labels} <= set(outcomes)
+            or len({d.dim for row in decoders for d in row}) != 1
         ):
             raise SerializationError("one_round_protocol tables do not match its grid and alphabets")
-
-    def encoder(x: int, psi: np.ndarray) -> np.ndarray:
-        return table[x][_grid_lookup(grid_bloch, psi)]
-
     return OneRoundProtocol(
         randomness=randomness,
         messages=messages,
-        encoder=encoder,
-        decoder=lambda m, x: decoders[x][m],
+        encoder=lambda psi: table[:, _grid_lookup(grid_bloch, psi)],
+        effects=[[povm.padded(outcomes) for povm in row] for row in decoders],
         outcomes=outcomes,
         cost_bits=cost_bits,
         meta={"construction": obj.get("construction", "table")},
+        named=[[[o in povm.labels for o in outcomes] for povm in row] for row in decoders],
     )
+
+
+def _nested(fn, tables, depth: int):
+    """fn applied to every entry ``depth`` levels down in nested lists or array axes."""
+    return fn(tables) if depth == 0 else [_nested(fn, t, depth - 1) for t in tables]
 
 
 def three_round_protocol_to_obj(
@@ -269,36 +277,8 @@ def three_round_protocol_to_obj(
 ) -> dict:
     """Explicit tables of a depth-3 protocol over a declared sender grid."""
     (m1_alphabet, m3_alphabet), (m2_alphabet,) = p.sender_alphabets, p.receiver_alphabets
-    n1, n2, n3 = len(m1_alphabet), len(m2_alphabet), len(m3_alphabet)
-    n_atoms = len(p.randomness)
-    coin1 = [
-        [[float(v) for v in p.coins[0](psi, x, ())] for psi in psi_grid]
-        for x in range(n_atoms)
-    ]
-    instruments = [
-        [[matrix_to_obj(k) for k in p.instruments[0](x, (m1,)).kraus] for x in range(n_atoms)]
-        for m1 in range(n1)
-    ]
-    coin2 = [
-        [
-            [
-                [[float(v) for v in p.coins[1](psi, x, (m1, m2))] for psi in psi_grid]
-                for x in range(n_atoms)
-            ]
-            for m2 in range(n2)
-        ]
-        for m1 in range(n1)
-    ]
-    finals = [
-        [
-            [
-                [povm_to_obj(p.final_povm(x, (m1, m2, m3))) for x in range(n_atoms)]
-                for m3 in range(n3)
-            ]
-            for m2 in range(n2)
-        ]
-        for m1 in range(n1)
-    ]
+    tables = tabulate(p)
+    coins = [tables.coins(psi) for psi in psi_grid]
     return {
         "kind": "three_round_protocol",
         "atoms": [float(q) for q in p.randomness.probabilities],
@@ -307,10 +287,15 @@ def three_round_protocol_to_obj(
         "m3": [_label_to_obj(m) for m in m3_alphabet],
         "outcomes": [_label_to_obj(o) for o in p.outcomes],
         "psi_grid": _bloch_list(psi_grid),
-        "coin1": coin1,
-        "instruments": instruments,
-        "coin2": coin2,
-        "finals": finals,
+        # Nested as [x][grid], [m1][x][kraus], [m1][m2][x][grid] and [m1][m2][m3][x].
+        "coin1": np.transpose([c[0] for c in coins], (1, 0, 2)).tolist(),
+        "instruments": _nested(matrix_to_obj, np.swapaxes(tables.kraus[0], 0, 1), 3),
+        "coin2": np.transpose([c[1] for c in coins], (2, 3, 1, 0, 4)).tolist(),
+        "finals": _nested(
+            lambda effects: _measurement_to_obj(p.outcomes, effects),
+            np.moveaxis(tables.final, 0, 3),
+            4,
+        ),
     }
 
 
@@ -318,29 +303,20 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
     if obj.get("kind") != "three_round_protocol":
         raise SerializationError("expected three_round_protocol")
     grid_bloch = np.asarray(obj["psi_grid"], dtype=float)
-    coin1 = obj["coin1"]
-    coin2 = obj["coin2"]
-    instruments = [
-        [Instrument(kraus=tuple(matrix_from_obj(k) for k in per_atom)) for per_atom in row]
-        for row in obj["instruments"]
-    ]
-    finals = [
-        [
-            [[povm_from_obj(d) for d in per_m3] for per_m3 in per_m2]
-            for per_m2 in per_m1
-        ]
-        for per_m1 in obj["finals"]
-    ]
+    instruments = _nested(
+        lambda kraus: Instrument(kraus=tuple(map(matrix_from_obj, kraus))), obj["instruments"], 2
+    )
+    finals = _nested(povm_from_obj, obj["finals"], 4)
     return three_round_protocol(
         randomness=SharedRandomness(probabilities=tuple(obj["atoms"])),
         m1_alphabet=tuple(_label_from_obj(m) for m in obj["m1"]),
         m2_alphabet=tuple(_label_from_obj(m) for m in obj["m2"]),
         m3_alphabet=tuple(_label_from_obj(m) for m in obj["m3"]),
         outcomes=tuple(_label_from_obj(o) for o in obj["outcomes"]),
-        coin1=lambda psi, x: np.asarray(coin1[x][_grid_lookup(grid_bloch, psi)]),
+        coin1=lambda psi, x: np.asarray(obj["coin1"][x][_grid_lookup(grid_bloch, psi)]),
         instrument=lambda m1, x: instruments[m1][x],
         coin2=lambda m1, m2, psi, x: np.asarray(
-            coin2[m1][m2][x][_grid_lookup(grid_bloch, psi)]
+            obj["coin2"][m1][m2][x][_grid_lookup(grid_bloch, psi)]
         ),
         final_povm=lambda m1, m2, m3, x: finals[m1][m2][m3][x],
     )

@@ -156,6 +156,18 @@ class TestCollapse:
         assert report["max_deviation"] < 1e-10
         assert report["stage_alphabet_sizes"] == [[2, 2, 2], [2, 8]]
 
+    def test_seven_round_report_on_stdout(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "col.json",
+            {"protocol": {"kind": "random_odd_round", "depth": 7}, "check_states": 3},
+        )
+        assert run_cli(["collapse", "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["collapsed_messages"] == 32768
+        assert report["collapsed_cost_bits"] == 15
+        assert report["max_deviation"] < 1e-10
+
     def test_round_trip_through_protocol_file(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -311,6 +323,10 @@ class TestMalformedInput:
             ("simulate", {"measurement": "tb", "psi": [2, 0, 0]}),
             ("simulate", {"measurement": "shift", "sender_config": "C"}),
             ("simulate", {"measurement": "tb", "samples": -3}),
+            ("depolarize", {"bit_counts": 3}),
+            ("depolarize", {"sweep_max_bits": "x"}),
+            ("depolarize", {"bit_counts": ["x"]}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": "x"}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):

@@ -126,7 +126,7 @@ class TestCollapse:
             final_povm=lambda m1, m2, m3, x: final,
         )
         collapsed = collapse_odd_rounds(p)
-        dist = collapsed.encoder_distribution(0, qmath.I2 / 2)
+        dist = collapsed.encoder_matrix(qmath.I2 / 2)[0]
         assert np.count_nonzero(dist) == 1
         chosen = collapsed.messages[int(np.argmax(dist))]
         assert chosen == (1, (0, 1))
@@ -229,6 +229,17 @@ class TestOddRounds:
         np.testing.assert_allclose(
             run_analytic(collapsed, psi, phi), run_odd_round(p, psi, phi), atol=1e-10
         )
+
+    def test_seven_round_collapse_two_atoms(self):
+        rng = np.random.default_rng(79)
+        p = random_odd_round(seed=83, depth=7, n_atoms=2)
+        collapsed = collapse_odd_rounds(p)
+        assert collapsed.n_messages == collapsed_message_count(p) == 32768
+        for _ in range(3):
+            psi, phi = random_pair(rng)
+            np.testing.assert_allclose(
+                run_analytic(collapsed, psi, phi), run_odd_round(p, psi, phi), atol=1e-10
+            )
 
     def test_depth_validation(self):
         with pytest.raises(ProtocolError):

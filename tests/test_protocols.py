@@ -9,7 +9,10 @@ from helpers import (
     random_product_povm,
 )
 
-from qchansim import qmath
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qchansim import multiround, qmath
 from qchansim.protocols import (
     BasisBlock,
     MultiSenderProtocol,
@@ -63,16 +66,124 @@ class TestRunAnalytic:
             )
 
     def test_encoder_normalization_enforced(self):
+        comp = catalog_measurement("comp")
         p = OneRoundProtocol(
             randomness=SharedRandomness.trivial(),
             messages=(0, 1),
-            encoder=lambda atom, psi: np.array([0.7, 0.7]),
-            decoder=lambda m, atom: catalog_measurement("comp"),
-            outcomes=catalog_measurement("comp").labels,
+            encoder=lambda psi: np.array([[0.7, 0.7]]),
+            effects=np.array([[comp.effects, comp.effects]]),
+            outcomes=comp.labels,
             cost_bits=1,
         )
         with pytest.raises(ProtocolError):
             run_analytic(p, qmath.I2 / 2, np.eye(4, dtype=complex) / 4)
+
+
+def random_partial_protocol(seed, n_atoms, n_messages, n_outcomes, dim):
+    """A protocol whose decoders each name a random non-empty subset of the outcomes."""
+    rng = np.random.default_rng(seed)
+    effects = np.zeros((n_atoms, n_messages, n_outcomes, dim, dim), dtype=complex)
+    named = np.zeros((n_atoms, n_messages, n_outcomes), dtype=bool)
+    for x in range(n_atoms):
+        for m in range(n_messages):
+            size = rng.integers(1, n_outcomes + 1)
+            subset = np.sort(rng.choice(n_outcomes, size=size, replace=False))
+            povm = multiround.random_povm(rng, len(subset), dim)
+            effects[x, m, subset] = povm.effects
+            named[x, m, subset] = True
+    encoder = rng.dirichlet(np.ones(n_messages), size=n_atoms)
+    encoder[rng.random(encoder.shape) < 0.25] = 0.0  # some messages never sent
+    encoder[:, 0] += 1.0 - encoder.sum(axis=1)
+    atoms = rng.dirichlet(np.ones(n_atoms))
+    protocol = OneRoundProtocol(
+        randomness=SharedRandomness(probabilities=tuple(atoms / atoms.sum())),
+        messages=tuple(range(n_messages)),
+        encoder=lambda psi: encoder,
+        effects=effects,
+        outcomes=tuple(f"o{o}" for o in range(n_outcomes)),
+        cost_bits=bit_cost(n_messages),
+        named=named,
+    )
+    return protocol, projector(haar_ket(dim, rng))
+
+
+class TestTensorRunners:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_atoms=st.integers(1, 3),
+        n_messages=st.integers(1, 4),
+        n_outcomes=st.integers(1, 4),
+        dim=st.integers(2, 4),
+    )
+    def test_runners_match_per_message_born_loop(self, seed, n_atoms, n_messages, n_outcomes, dim):
+        p, phi = random_partial_protocol(seed, n_atoms, n_messages, n_outcomes, dim)
+        atoms = p.randomness.probabilities
+        encoder = p.encoder_matrix(None)
+        expected = np.zeros(n_outcomes)
+        for x in range(n_atoms):
+            for m in range(n_messages):
+                for o in np.flatnonzero(p.named[x, m]):
+                    born_p = np.trace(phi @ p.effects[x, m, o]).real
+                    expected[o] += atoms[x] * encoder[x, m] * born_p
+        np.testing.assert_allclose(run_analytic(p, None, phi), expected, rtol=0, atol=1e-12)
+
+        # Sampling: one multinomial over the sent (atom, message) pairs, then one
+        # per drawn pair over the outcomes its decoder names, in outcome order.
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        pairs = [
+            (x, m) for x in range(n_atoms) for m in range(n_messages) if atoms[x] * encoder[x, m] > 0
+        ]
+        weights = np.array([atoms[x] * encoder[x, m] for x, m in pairs])
+        counts = np.zeros(n_outcomes)
+        for (x, m), count in zip(pairs, rng.multinomial(500, weights / weights.sum())):
+            if count:
+                slots = np.flatnonzero(p.named[x, m])
+                probs = [np.trace(phi @ p.effects[x, m, o]).real for o in slots]
+                probs = np.clip(probs, 0.0, None)
+                counts[slots] += rng.multinomial(count, probs / probs.sum())
+        np.testing.assert_array_equal(run_sampled(p, None, phi, 500, seed)[0], counts / 500)
+
+
+class TestConstructionChecks:
+    def _protocol(self, effects, encoder=lambda psi: np.ones((1, 1)), outcomes=(0, 1)):
+        return OneRoundProtocol(
+            randomness=SharedRandomness.trivial(),
+            messages=("go",),
+            encoder=encoder,
+            effects=effects,
+            outcomes=outcomes,
+            cost_bits=0,
+        )
+
+    def test_incomplete_effects_are_rejected(self):
+        effects = np.array([[[projector(KET0), 0.5 * projector(qmath.KET1)]]])
+        with pytest.raises(qmath.QmathError):
+            self._protocol(effects)
+
+    def test_effect_that_is_not_psd_is_rejected(self):
+        # Sums to the identity with eigenvalues at most 1, but the first is -0.2.
+        diagonals = ([-0.2, 0.5], [0.6, 0.25], [0.6, 0.25])
+        effects = np.array([[[np.diag(d).astype(complex) for d in diagonals]]])
+        with pytest.raises(qmath.QmathError):
+            self._protocol(effects, outcomes=(0, 1, 2))
+
+    def test_effect_that_is_not_hermitian_is_rejected(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(qmath.QmathError):
+            self._protocol(np.array([[[skew, qmath.I2 - skew]]]))
+
+    def test_encoder_of_the_wrong_shape_is_rejected(self):
+        effects = np.array([[[projector(KET0), projector(qmath.KET1)]]])
+        for wrong in (np.ones(1), np.ones((1, 2)) / 2, np.ones((2, 1))):
+            p = self._protocol(effects, encoder=lambda psi, wrong=wrong: wrong)
+            with pytest.raises(ProtocolError):
+                run_analytic(p, qmath.I2 / 2, qmath.I2 / 2)
+
+    def test_effects_of_the_wrong_shape_are_rejected(self):
+        effects = np.array([[[projector(KET0), projector(qmath.KET1)]]])
+        with pytest.raises(ProtocolError):
+            self._protocol(effects[:, :, :1])
 
 
 class TestRankOneProductProtocol:

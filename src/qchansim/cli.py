@@ -112,7 +112,10 @@ def _number(value, kind: type, what: str):
 
 
 def _int_entry(config: dict, key: str, default: int, minimum: int | None = None) -> int:
-    value = _number(config.get(key, default), int, key)
+    value = config.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    value = _number(value, int, key)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value}")
     return value
@@ -298,7 +301,7 @@ def cmd_decompose(config: dict, out: str | None) -> int:
 
 def cmd_depolarize(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0)
-    samples = _int_entry(config, "samples", 10**6)
+    samples = _int_entry(config, "samples", 10**6, minimum=1)
     if "sweep_max_bits" in config:
         bit_counts = list(range(1, _int_entry(config, "sweep_max_bits", 0) + 1))
     else:
@@ -362,7 +365,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     if not isinstance(spec, dict):
         raise ConfigError("collapse needs a 'protocol' object")
     seed = _int_entry(config, "seed", 0)
-    n_checks = _int_entry(config, "check_states", 10)
+    n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     tolerance = _number(config.get("check_tolerance", default_tolerance), float, "check_tolerance")
@@ -428,8 +431,8 @@ def cmd_nogo(config: dict, out: str | None) -> int:
     if not cases:
         raise ConfigError("nogo needs a non-empty 'cases' list")
     seed = _int_entry(config, "seed", 0)
-    budget = _int_entry(config, "budget", 320)
-    starts = _int_entry(config, "starts", 8)
+    budget = _int_entry(config, "budget", 320, minimum=1)
+    starts = _int_entry(config, "starts", 8, minimum=1)
     grid_seed = _int_entry(config, "grid_seed", 0xF00D)
     resolved = {
         "cases": cases,
@@ -493,7 +496,7 @@ def cmd_nogo(config: dict, out: str | None) -> int:
 
 def cmd_rac(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0)
-    n_atoms = _int_entry(config, "one_bit_atoms", 8)
+    n_atoms = _int_entry(config, "one_bit_atoms", 8, minimum=1)
     resolved = {"seed": seed, "one_bit_atoms": n_atoms}
     classical_best, achievers = protocols.rac_classical_best()
     one_bit, detail = protocols.rac_one_bit_bound(n_atoms)

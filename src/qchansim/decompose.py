@@ -12,7 +12,10 @@ recovers a mixture for a given target.  The mixture is generally not unique,
 so a canonical representative is returned: the lexicographically smallest
 feasible weight vector (in enumeration order), computed exactly by vertex
 enumeration when the family is small and by deterministic non-negative least
-squares otherwise.
+squares otherwise.  Everything that depends only on the measurement or the
+family is built once: ``slot_weight_map`` for a joint measurement and
+``mixture_system`` for a family, after which ``slot_weights`` and
+``solve_mixture`` do the per-state work.
 """
 
 from __future__ import annotations
@@ -188,26 +191,72 @@ def enumerate_extremals(projectors: Sequence[np.ndarray]) -> list[ExtremalPovm]:
     return found
 
 
+@dataclass(frozen=True, eq=False)
+class SlotWeightMap:
+    """The state-independent half of ``effective_povm`` for one two-party product measurement.
+
+    Stacks the sender projectors U_i, the term weights w_i and the receiver
+    projectors V_i of the terms w_i U_i (x) V_i.  ``slot_weight_map`` checks
+    once that the terms sum to the identity; ``slot_weights`` then conditions
+    on each sender state.
+    """
+
+    sender: np.ndarray
+    weights: np.ndarray
+    receiver: np.ndarray
+
+
+def slot_weight_map(joint: Sequence[ProductRank1Effect]) -> SlotWeightMap:
+    """Check a two-party product measurement and stack its terms for ``slot_weights``."""
+    if any(e.n_parties != 2 for e in joint):
+        raise ValueError("slot weights need two-party product effects")
+    qmath.assert_product_povm(joint)
+    arrays = (
+        np.array([projector(e.factors[0]) for e in joint]),
+        np.array([e.weight for e in joint]),
+        np.array([projector(e.factors[1]) for e in joint]),
+    )
+    for p in arrays[2]:
+        _assert_rank1_projector(p)
+    for a in arrays:
+        a.setflags(write=False)
+    return SlotWeightMap(*arrays)
+
+
+def slot_weights(slot_map: SlotWeightMap, psi: np.ndarray) -> np.ndarray:
+    """The slot weights w_i tr(U_i psi) induced on the receiver projectors by a known sender state.
+
+    Negative overlaps (rounding) count as zero, and the weighted receiver
+    projectors must sum to the identity within ATOL_MATRIX.
+    """
+    psi = qmath.assert_density_matrix(psi)
+    if psi.shape[0] != slot_map.sender.shape[-1]:
+        raise qmath.DimensionError("state dimension does not match the first factor")
+    overlaps = np.trace(slot_map.sender @ psi, axis1=-2, axis2=-1).real
+    weights = slot_map.weights * np.where(overlaps < 0.0, 0.0, overlaps)
+    d = slot_map.receiver.shape[-1]
+    total = weights @ slot_map.receiver.reshape(len(weights), d * d)
+    if np.max(np.abs(total - np.eye(d).reshape(-1))) > ATOL_MATRIX:
+        raise ValueError("weighted projectors do not sum to identity")
+    return weights
+
+
+def induced_povm(slot_map: SlotWeightMap, psi: np.ndarray) -> Rank1Povm:
+    """``slot_weights`` on the receiver projectors, as a rank-1 measurement labelled by slot."""
+    return Rank1Povm(
+        weights=tuple(slot_weights(slot_map, psi)),
+        projectors=tuple(slot_map.receiver),
+        labels=tuple(range(len(slot_map.weights))),
+    )
+
+
 def effective_povm(joint: Sequence[ProductRank1Effect], psi: np.ndarray) -> Rank1Povm:
     """The rank-1 measurement induced on the second party by conditioning on a known first-party state.
 
     For a two-party product measurement with terms w_i P_{u_i} (x) P_{v_i},
     the induced slot weights are w_i tr(P_{u_i} psi) on projectors P_{v_i}.
     """
-    if any(e.n_parties != 2 for e in joint):
-        raise ValueError("effective_povm expects two-party product effects")
-    qmath.assert_product_povm(joint)
-    psi = qmath.assert_density_matrix(psi)
-    if psi.shape[0] != joint[0].factors[0].shape[0]:
-        raise qmath.DimensionError("state dimension does not match the first factor")
-    weights = []
-    projectors_out = []
-    for e in joint:
-        overlap = np.trace(projector(e.factors[0]) @ psi).real
-        weights.append(e.weight * max(overlap, 0.0))
-        projectors_out.append(projector(e.factors[1]))
-    return Rank1Povm(weights=tuple(weights), projectors=tuple(projectors_out),
-                     labels=tuple(range(len(joint))))
+    return induced_povm(slot_weight_map(joint), psi)
 
 
 def _constraint_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> np.ndarray:
@@ -227,29 +276,6 @@ def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> bool:
     return False
 
 
-def _vertex_lex_min(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray | None:
-    """Lexicographically smallest basic feasible solution of a mu = b, mu >= 0.
-
-    Every vertex of the feasible polytope is supported on at most ``rank``
-    coordinates, so enumerating column subsets of that size finds them all.
-    """
-    n_cols = a.shape[1]
-    best = None
-    for size in range(1, rank + 1):
-        for support in combinations(range(n_cols), size):
-            sub = a[:, support]
-            w, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if np.min(w) < -1e-11:
-                continue
-            if np.max(np.abs(sub @ w - b)) > RESIDUAL_TOL:
-                continue
-            mu = np.zeros(n_cols)
-            mu[list(support)] = np.clip(w, 0.0, None)
-            if best is None or _lex_less(mu, best):
-                best = mu
-    return best
-
-
 def is_feasible(target: Rank1Povm, extremals: Sequence[ExtremalPovm]) -> bool:
     """Quick check that some convex mixture of the family matches the target."""
     if not extremals:
@@ -258,6 +284,114 @@ def is_feasible(target: Rank1Povm, extremals: Sequence[ExtremalPovm]) -> bool:
     b = np.concatenate([np.asarray(target.weights, dtype=float), [1.0]])
     _, residual = nnls(a, b)
     return residual <= RESIDUAL_TOL
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureSystem:
+    """The state-independent half of ``mixture_weights`` for one family and slot count.
+
+    ``matrix`` is the constraint matrix A of A mu = (slot weights, 1): one
+    column per extremal pattern, holding its full weights over the slots and
+    a final 1.  Every vertex of {mu >= 0 : A mu = b} is supported on at most
+    ``rank`` columns.  When at most _VERTEX_ENUM_LIMIT column subsets are
+    that small, ``supports`` lists them by size and then in ``combinations``
+    order, and ``submatrices`` and ``inverses`` stack their columns of A and
+    the pseudo-inverses of those (cut off as ``lstsq(rcond=None)`` cuts off),
+    zero-padded to ``rank`` columns and rows; otherwise all three are None
+    and ``solve_mixture`` keeps the NNLS solution.
+    """
+
+    extremals: tuple[ExtremalPovm, ...]
+    matrix: np.ndarray
+    rank: int
+    supports: tuple[tuple[int, ...], ...] | None = None
+    submatrices: np.ndarray | None = None
+    inverses: np.ndarray | None = None
+
+
+def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSystem:
+    """Build the constraint system and candidate inverses that ``solve_mixture`` reuses per state."""
+    if not extremals:
+        raise DecompositionInfeasibleError("empty extremal family")
+    extremals = tuple(extremals)
+    a = _constraint_system(n_slots, extremals)
+    a.setflags(write=False)
+    rank = int(np.linalg.matrix_rank(a, tol=1e-10))
+    sizes = range(1, rank + 1)
+    if sum(math.comb(len(extremals), size) for size in sizes) > _VERTEX_ENUM_LIMIT:
+        return MixtureSystem(extremals=extremals, matrix=a, rank=rank)
+    supports = tuple(s for size in sizes for s in combinations(range(len(extremals)), size))
+    submatrices = np.zeros((len(supports), a.shape[0], rank))
+    inverses = np.zeros((len(supports), rank, a.shape[0]))
+    lo = 0
+    for size in sizes:
+        hi = lo + math.comb(len(extremals), size)
+        subs = np.stack([a[:, support] for support in supports[lo:hi]])
+        submatrices[lo:hi, :, :size] = subs
+        cutoff = np.finfo(float).eps * max(a.shape[0], size)
+        inverses[lo:hi, :size] = np.linalg.pinv(subs, rtol=cutoff)
+        lo = hi
+    for array in (submatrices, inverses):
+        array.setflags(write=False)
+    return MixtureSystem(extremals, a, rank, supports, submatrices, inverses)
+
+
+def _lex_min_support(system: MixtureSystem, b: np.ndarray) -> tuple[int, ...] | None:
+    """Support of the lexicographically smallest basic feasible solution of A mu = b, mu >= 0.
+
+    Every candidate support is solved at once from its stored pseudo-inverse;
+    the feasible ones are scanned in enumeration order with ``_lex_less``.
+    """
+    w = system.inverses @ b
+    residual = np.max(np.abs((system.submatrices @ w[:, :, None])[:, :, 0] - b), axis=1)
+    feasible = ~(np.min(w, axis=1) < -1e-11) & ~(residual > RESIDUAL_TOL)
+    best = best_support = None
+    for k in np.flatnonzero(feasible):
+        support = system.supports[k]
+        mu = np.zeros(system.matrix.shape[1])
+        mu[list(support)] = np.clip(w[k, :len(support)], 0.0, None)
+        if best is None or _lex_less(mu, best):
+            best, best_support = mu, support
+    return best_support
+
+
+def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDecomposition:
+    """Convex mixture of the system's extremal patterns reproducing the slot weights.
+
+    This is ``mixture_weights`` with the state-independent work done: the
+    lexicographically smallest feasible coefficient vector when the system
+    holds candidate supports (the winning support is solved again with
+    ``lstsq``), the deterministic NNLS solution otherwise.
+    """
+    a = system.matrix
+    b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
+    if b.shape != a.shape[:1]:
+        raise ValueError(f"{len(b) - 1} slot weights for a system over {a.shape[0] - 1} slots")
+
+    mu, residual = nnls(a, b)
+    if residual > RESIDUAL_TOL:
+        raise DecompositionInfeasibleError(
+            f"no convex decomposition over this family (residual {residual:.3e})"
+        )
+
+    if system.supports is not None:
+        support = _lex_min_support(system, b)
+        if support is not None:
+            w, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
+            mu = np.zeros(a.shape[1])
+            mu[list(support)] = np.clip(w, 0.0, None)
+
+    mu = np.where(mu < MIN_WEIGHT, 0.0, mu)
+    total = mu.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise DecompositionInfeasibleError(f"mixture coefficients sum to {total!r}")
+    mu = mu / total
+    slot_residual = np.max(np.abs(a[:-1] @ mu - b[:-1]))
+    if slot_residual > RESIDUAL_TOL:
+        raise DecompositionInfeasibleError(
+            f"reconstruction residual {slot_residual:.3e} exceeds tolerance"
+        )
+    return ExtremalDecomposition(mixture=tuple(zip(mu, system.extremals)))
 
 
 def mixture_weights(
@@ -270,38 +404,10 @@ def mixture_weights(
     measurement over these projectors).  Among feasible mixtures the
     lexicographically smallest coefficient vector is returned whenever the
     exact vertex search is affordable; otherwise a deterministic non-negative
-    least-squares solution is used.
+    least-squares solution is used.  Callers that decompose many targets over
+    one family build its ``mixture_system`` once and call ``solve_mixture``.
     """
-    if not extremals:
-        raise DecompositionInfeasibleError("empty extremal family")
-    n_slots = len(target)
-    a = _constraint_system(n_slots, extremals)
-    b = np.concatenate([np.asarray(target.weights, dtype=float), [1.0]])
-
-    mu, residual = nnls(a, b)
-    if residual > RESIDUAL_TOL:
-        raise DecompositionInfeasibleError(
-            f"no convex decomposition over this family (residual {residual:.3e})"
-        )
-
-    rank = int(np.linalg.matrix_rank(a, tol=1e-10))
-    n_candidates = sum(math.comb(len(extremals), s) for s in range(1, rank + 1))
-    if n_candidates <= _VERTEX_ENUM_LIMIT:
-        vertex = _vertex_lex_min(a, b, rank)
-        if vertex is not None:
-            mu = vertex
-
-    mu = np.where(mu < MIN_WEIGHT, 0.0, mu)
-    total = mu.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise DecompositionInfeasibleError(f"mixture coefficients sum to {total!r}")
-    mu = mu / total
-    slot_residual = np.max(np.abs(a[:-1] @ mu - b[:-1]))
-    if slot_residual > RESIDUAL_TOL:
-        raise DecompositionInfeasibleError(
-            f"reconstruction residual {slot_residual:.3e} exceeds tolerance"
-        )
-    return ExtremalDecomposition(mixture=tuple(zip(mu, extremals)))
+    return solve_mixture(mixture_system(len(target), extremals), target.weights)
 
 
 def refine_separable(

@@ -37,9 +37,8 @@ from . import decompose, qmath
 from .decompose import (
     DecompositionInfeasibleError,
     ExtremalPovm,
-    effective_povm,
+    SlotWeightMap,
     enumerate_extremals,
-    mixture_weights,
 )
 from .qmath import (
     ATOL_SCALAR,
@@ -229,7 +228,7 @@ def _probe_states(dim: int, count: int = 54) -> list[np.ndarray]:
     return probes
 
 
-def _minimal_subfamily(pairs, family, probes) -> list[ExtremalPovm]:
+def _minimal_subfamily(slot_map: SlotWeightMap, family, probes) -> list[ExtremalPovm]:
     """Smallest subfamily that stays decomposable, found by ascending-size search.
 
     Feasibility is certified on a fixed probe set; the full family (always
@@ -238,7 +237,7 @@ def _minimal_subfamily(pairs, family, probes) -> list[ExtremalPovm]:
     """
     if len(family) > _PRUNE_MAX_FAMILY:
         return list(family)
-    targets = [effective_povm(pairs, psi) for psi in probes]
+    targets = [decompose.induced_povm(slot_map, psi) for psi in probes]
     examined = 0
     for size in range(1, len(family)):
         for subset in itertools.combinations(range(len(family)), size):
@@ -251,13 +250,13 @@ def _minimal_subfamily(pairs, family, probes) -> list[ExtremalPovm]:
     return list(family)
 
 
-def _message_family(pairs: Sequence[ProductRank1Effect], minimize_alphabet: bool) -> tuple:
-    """Extremal measurements over the receiver factors of two-party effects, optionally pruned."""
-    family = enumerate_extremals([projector(e.factors[1]) for e in pairs])
+def _message_family(slot_map: SlotWeightMap, minimize_alphabet: bool) -> tuple:
+    """Extremal measurements over the receiver slots of a two-party measurement, optionally pruned."""
+    family = enumerate_extremals(slot_map.receiver)
     if not family:
         raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
     if minimize_alphabet:
-        family = _minimal_subfamily(pairs, family, _probe_states(pairs[0].factors[0].shape[0]))
+        family = _minimal_subfamily(slot_map, family, _probe_states(slot_map.sender.shape[-1]))
     return tuple(family)
 
 
@@ -273,28 +272,30 @@ def rank1_product_protocol(
     mixture of extremal rank-1 measurements and transmits the sampled label;
     the receiver performs the corresponding extremal measurement.  The message
     alphabet is the extremal family, optionally pruned to the smallest
-    subfamily that stays decomposable across probe states.
+    subfamily that stays decomposable across probe states.  The slot-weight
+    map and the family's mixture system are built here, once, so the encoder
+    does only the per-state work.
     """
     joint = tuple(joint)
     if any(e.n_parties != 2 for e in joint):
         raise ProtocolError("rank1_product_protocol expects two-party effects")
-    qmath.assert_product_povm(joint)
     if labels is None:
         labels = tuple(range(len(joint)))
     labels = tuple(labels)
-    family = _message_family(joint, minimize_alphabet)
+    slot_map = decompose.slot_weight_map(joint)
+    family = _message_family(slot_map, minimize_alphabet)
+    system = decompose.mixture_system(len(joint), family)
     weights = np.array([ext.full_weights(len(joint)) for ext in family])
-    slots = np.array([projector(e.factors[1]) for e in joint])
 
     def encoder(psi: np.ndarray) -> np.ndarray:
-        target = effective_povm(joint, psi)
-        return mixture_weights(target, family).coefficients[None, :]
+        mixture = decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi))
+        return mixture.coefficients[None, :]
 
     return OneRoundProtocol(
         randomness=SharedRandomness.trivial(),
         messages=tuple(ext.support for ext in family),
         encoder=encoder,
-        effects=weights[None, :, :, None, None] * slots,
+        effects=weights[None, :, :, None, None] * slot_map.receiver,
         outcomes=labels,
         cost_bits=bit_cost(len(family)),
         meta={
@@ -567,9 +568,9 @@ def multi_sender_protocol(
     if n_parties == 2:
         return rank1_product_protocol(joint, labels, minimize_alphabet=minimize_alphabet)
 
-    qmath.assert_product_povm(joint)
-    pairs = _peel_pairs(joint)
-    family = _message_family(pairs, minimize_alphabet)
+    slot_map = decompose.slot_weight_map(_peel_pairs(joint))
+    family = _message_family(slot_map, minimize_alphabet)
+    system = decompose.mixture_system(len(joint), family)
 
     branches = tuple(
         rank1_product_protocol(
@@ -592,7 +593,8 @@ def multi_sender_protocol(
     def encoder(states: Sequence[np.ndarray]) -> np.ndarray:
         if len(states) != 2:
             raise ProtocolError(f"expected 2 sender states, got {len(states)}")
-        mu = mixture_weights(effective_povm(pairs, states[0]), family).coefficients
+        mixture = decompose.solve_mixture(system, decompose.slot_weights(slot_map, states[0]))
+        mu = mixture.coefficients
         dist = np.zeros(len(messages))
         for coefficient, branch, lo, hi in zip(mu, branches, offsets, offsets[1:]):
             if coefficient > 0.0:

@@ -148,6 +148,10 @@ def product_povm_from_obj(obj: dict) -> tuple[tuple[ProductRank1Effect, ...], tu
             raise SerializationError(f"expected product_povm, got {obj.get('kind')!r}")
         effects = tuple(product_effect_from_obj(e) for e in obj["effects"])
         labels = tuple(_label_from_obj(l) for l in obj["labels"])
+        if len(labels) != len(effects):
+            raise SerializationError(f"{len(labels)} labels for {len(effects)} effects")
+        if len(set(labels)) != len(labels):
+            raise SerializationError("labels are not distinct")
     return effects, labels
 
 

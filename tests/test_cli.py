@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qchansim
-from qchansim import cli
+from qchansim import cli, qmath, serialize
 
 
 def run_cli(args):
@@ -20,6 +20,13 @@ def write_config(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def tb_product_povm(labels):
+    """The twisted-butterfly measurement as a product_povm file text, with the given labels."""
+    obj = serialize.product_povm_to_obj(qmath.catalog_product_effects("tb"))
+    obj["labels"] = labels
+    return json.dumps(obj)
 
 
 class TestSimulate:
@@ -299,6 +306,10 @@ class TestMalformedInput:
             ("simulate", '{"kind": "product_povm"}'),
             ("decompose", '{"kind": "product_povm"}'),
             ("simulate", '{"kind": "one_round_protocol", "atoms": [1.0]}'),
+            ("simulate", tb_product_povm(["a", "b", "c", "d"])),
+            ("decompose", tb_product_povm(["a", "b", "c", "d"])),
+            ("simulate", tb_product_povm(["a", "b", "c", "d", "a"])),
+            ("decompose", tb_product_povm(["a", "b", "c", "d", "a"])),
         ],
     )
     def test_malformed_measurement_is_malformed_input(self, tmp_path, command, measurement_file):
@@ -327,11 +338,32 @@ class TestMalformedInput:
             ("depolarize", {"sweep_max_bits": "x"}),
             ("depolarize", {"bit_counts": ["x"]}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": "x"}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": 0}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": -1}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "budget": 0}),
+            ("depolarize", {"samples": 0}),
+            ("depolarize", {"samples": -5}),
+            ("rac", {"one_bit_atoms": 0}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_states": 0}),
+            ("simulate", {"measurement": "tb", "seed": 1.9}),
+            ("simulate", {"measurement": "tb", "samples": 2.7}),
+            ("simulate", {"measurement": "tb", "seed": True}),
+            ("rac", {"one_bit_atoms": False}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):
         config = write_config(tmp_path, "config.json", entries)
         assert run_cli([command, "--config", config]) == 3
+
+    def test_integral_float_entries_are_accepted(self, tmp_path):
+        reports = []
+        for seed, samples in ((3, 1000), (3.0, 1e3)):
+            entries = {"measurement": "tb", "seed": seed, "samples": samples}
+            config = write_config(tmp_path, "config.json", entries)
+            out = tmp_path / "report.json"
+            assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
 
 
 class TestModuleEntryPoint:

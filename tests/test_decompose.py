@@ -1,7 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from helpers import random_product_povm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from qchansim import decompose, qmath
 from qchansim.decompose import (
@@ -199,6 +204,96 @@ class TestMixtureWeights:
         eff = effective_povm(self.joint, psi)
         with pytest.raises(DecompositionInfeasibleError):
             mixture_weights(eff, self.extremals[:3])
+
+
+def _vertex_lex_min(a, b, rank):
+    """Reference vertex search: one ``lstsq`` per candidate support, scanned with ``_lex_less``."""
+    n_cols = a.shape[1]
+    best = None
+    for size in range(1, rank + 1):
+        for support in combinations(range(n_cols), size):
+            sub = a[:, support]
+            w, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            if np.min(w) < -1e-11:
+                continue
+            if np.max(np.abs(sub @ w - b)) > decompose.RESIDUAL_TOL:
+                continue
+            mu = np.zeros(n_cols)
+            mu[list(support)] = np.clip(w, 0.0, None)
+            if best is None or decompose._lex_less(mu, best):
+                best = mu
+    return best
+
+
+def reference_coefficients(target, extremals):
+    """Mixture coefficients with every candidate support solved on its own, or None if infeasible."""
+    a = decompose._constraint_system(len(target), extremals)
+    b = np.concatenate([np.asarray(target.weights, dtype=float), [1.0]])
+    mu, residual = nnls(a, b)
+    if residual > decompose.RESIDUAL_TOL:
+        return None
+    rank = int(np.linalg.matrix_rank(a, tol=1e-10))
+    if sum(math.comb(len(extremals), s) for s in range(1, rank + 1)) <= decompose._VERTEX_ENUM_LIMIT:
+        vertex = _vertex_lex_min(a, b, rank)
+        if vertex is not None:
+            mu = vertex
+    mu = np.where(mu < decompose.MIN_WEIGHT, 0.0, mu)
+    return mu / mu.sum()
+
+
+# Local measurement pairs of helpers.random_product_povm; ("tetra", "tetra") is left out,
+# because its 256-member family takes the NNLS path that ("basis", "tetra") already covers.
+_KINDS = [
+    (left, right)
+    for left in ("basis", "trine", "tetra")
+    for right in ("basis", "trine", "tetra")
+    if (left, right) != ("tetra", "tetra")
+]
+
+
+@st.composite
+def measurements_and_states(draw):
+    """A two-party product measurement, a family over its receiver slots and a sender state."""
+    source = draw(st.sampled_from(["comp", "twistA", "twistB", "tb"] + _KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if isinstance(source, str):
+        joint = catalog_product_effects(source)
+    else:
+        joint = random_product_povm(rng, source)
+    family = enumerate_extremals([projector(e.factors[1]) for e in joint])
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.integers(0, len(family) - 1), min_size=1, unique=True))
+        family = [family[i] for i in sorted(keep)]
+    kind = draw(st.sampled_from(["pure", "mixed", "axis"]))
+    if kind == "axis":
+        psi = bloch_to_density(draw(st.sampled_from(
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        )))
+    else:
+        psi = projector(haar_ket(2, rng))
+        if kind == "mixed":
+            p = draw(st.floats(0.0, 1.0))
+            psi = p * psi + (1.0 - p) * qmath.I2 / 2
+    return joint, family, psi
+
+
+class TestBatchedSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(measurements_and_states())
+    def test_matches_per_support_lstsq_scan_exactly(self, case):
+        joint, family, psi = case
+        target = effective_povm(joint, psi)
+        expected = reference_coefficients(target, family)
+        if expected is None:
+            with pytest.raises(DecompositionInfeasibleError):
+                mixture_weights(target, family)
+        else:
+            np.testing.assert_array_equal(mixture_weights(target, family).coefficients, expected)
+
+    def test_weights_of_the_wrong_length_are_rejected(self):
+        system = decompose.mixture_system(5, enumerate_extremals(tb_bob_slots()))
+        with pytest.raises(ValueError):
+            decompose.solve_mixture(system, [1.0, 0.5, 0.0, 0.5])
 
 
 class TestRefineSeparable:

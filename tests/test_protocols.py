@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchansim import multiround, qmath
+from qchansim.decompose import effective_povm, enumerate_extremals, mixture_weights
 from qchansim.protocols import (
     BasisBlock,
     MultiSenderProtocol,
@@ -248,6 +249,30 @@ class TestRankOneProductProtocol:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize(
+        "source",
+        ["comp", "twistA", "twistB", "tb", ("basis", "trine"), ("trine", "basis"), ("basis", "tetra")],
+    )
+    def test_encoder_equals_mixture_weights(self, source):
+        rng = np.random.default_rng(37)
+        joint = catalog_product_effects(source) if isinstance(source, str) else random_product_povm(rng, source)
+        protocol = rank1_product_protocol(joint)
+        by_support = {e.support: e for e in enumerate_extremals([projector(e.factors[1]) for e in joint])}
+        family = [by_support[support] for support in protocol.messages]
+        for _ in range(20):
+            psi = projector(haar_ket(2, rng))
+            expected = mixture_weights(effective_povm(joint, psi), family).coefficients[None, :]
+            np.testing.assert_array_equal(protocol.encoder(psi), expected)
+
+    def test_encoder_rejects_a_sender_state_that_is_not_one(self):
+        protocol = catalog_protocol("tb")
+        with pytest.raises(qmath.QmathError):
+            protocol.encoder(np.eye(2))
+        with pytest.raises(qmath.QmathError):
+            protocol.encoder(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(qmath.DimensionError):
+            protocol.encoder(np.eye(4) / 4)
+
     def test_large_family_without_pruning(self):
         rng = np.random.default_rng(13)
         joint = random_product_povm(rng, ("tetra", "tetra"))
@@ -439,6 +464,41 @@ class TestMultiSender:
     def test_rejects_bad_config(self):
         with pytest.raises(ProtocolError):
             multi_sender_protocol(catalog_product_effects("shift"), "C")
+
+    @pytest.mark.parametrize("config", ["A", "B"])
+    def test_encoder_equals_mixture_weights_times_branch(self, config):
+        joint = catalog_product_effects("shift")
+        protocol = multi_sender_protocol(joint, config)
+        pairs = [
+            qmath.ProductRank1Effect(weight=e.weight, factors=(e.factors[0], tensor(*e.factors[1:])))
+            for e in joint
+        ]
+        by_support = {e.support: e for e in enumerate_extremals([projector(p.factors[1]) for p in pairs])}
+        family = [by_support[support] for support in dict.fromkeys(s for s, _ in protocol.messages)]
+        branches = [
+            rank1_product_protocol(
+                [qmath.ProductRank1Effect(weight=w, factors=joint[i].factors[1:])
+                 for i, w in zip(ext.support, ext.weights)],
+                ext.support,
+            )
+            for ext in family
+        ]
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            psi1, psi2 = (projector(haar_ket(2, rng)) for _ in range(2))
+            mu = mixture_weights(effective_povm(pairs, psi1), family).coefficients
+            expected = np.concatenate([
+                c * b.encoder_matrix(psi2)[0] if c > 0.0 else np.zeros(b.n_messages)
+                for c, b in zip(mu, branches)
+            ])
+            np.testing.assert_array_equal(protocol.encoder([psi1, psi2])[0], expected)
+
+    def test_encoder_rejects_a_first_sender_state_that_is_not_one(self):
+        protocol = multi_sender_protocol(catalog_product_effects("shift"), "A")
+        with pytest.raises(qmath.QmathError):
+            protocol.encoder([np.eye(2), qmath.I2 / 2])
+        with pytest.raises(qmath.DimensionError):
+            protocol.encoder([np.eye(4) / 4, qmath.I2 / 2])
 
     @pytest.mark.parametrize("config", ["A", "B"])
     def test_sampled_is_reproducible_and_matches_analytic(self, config):

@@ -383,10 +383,12 @@ def cmd_collapse(config: dict, out: str | None) -> int:
             "stage_alphabet_sizes": [list(s) for s in collapsed.meta["stage_alphabet_sizes"]]
         }
 
+    # One encoder evaluation per grid state serves both the check and the file.
+    tables = [collapsed.encoder_matrix(psi) for psi in grid]
     deviation = 0.0
-    for psi, phi in zip(grid, probes):
+    for psi, table, phi in zip(grid, tables, probes):
         direct = multiround.run_odd_round(protocol, psi, phi)
-        gap = np.max(np.abs(protocols.run_analytic(collapsed, psi, phi) - direct))
+        gap = np.max(np.abs(protocols.analytic_distribution(collapsed, table, phi) - direct))
         deviation = max(deviation, float(gap))
 
     resolved = {
@@ -405,7 +407,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     if out:
         stem = Path(out)
         collapsed_path = stem.with_suffix(".collapsed.json")
-        serializable = serialize.one_round_protocol_to_obj(collapsed, grid)
+        serializable = serialize.one_round_protocol_to_obj(collapsed, grid, tables)
         _write_text(str(collapsed_path), serialize.dumps(serializable))
         body["collapsed_file"] = collapsed_path.name
         original_path = stem.with_suffix(".original.json")

@@ -16,6 +16,10 @@ squares otherwise.  Everything that depends only on the measurement or the
 family is built once: ``slot_weight_map`` for a joint measurement and
 ``mixture_system`` for a family, after which ``slot_weights`` and
 ``solve_mixture`` do the per-state work.
+
+Only the non-negative least-squares solves (``is_feasible`` and
+``solve_mixture``) need scipy, and ``_nnls`` imports it on their first call,
+so the rest of the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from itertools import combinations
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import qmath
 from .qmath import ATOL_MATRIX, ProductRank1Effect, projector
@@ -241,22 +244,19 @@ def slot_weights(slot_map: SlotWeightMap, psi: np.ndarray) -> np.ndarray:
     return weights
 
 
-def induced_povm(slot_map: SlotWeightMap, psi: np.ndarray) -> Rank1Povm:
-    """``slot_weights`` on the receiver projectors, as a rank-1 measurement labelled by slot."""
+def effective_povm(joint: Sequence[ProductRank1Effect], psi: np.ndarray) -> Rank1Povm:
+    """The rank-1 measurement induced on the second party by conditioning on a known first-party state.
+
+    For a two-party product measurement with terms w_i P_{u_i} (x) P_{v_i},
+    the induced slot weights are w_i tr(P_{u_i} psi) on projectors P_{v_i},
+    labelled by slot.
+    """
+    slot_map = slot_weight_map(joint)
     return Rank1Povm(
         weights=tuple(slot_weights(slot_map, psi)),
         projectors=tuple(slot_map.receiver),
         labels=tuple(range(len(slot_map.weights))),
     )
-
-
-def effective_povm(joint: Sequence[ProductRank1Effect], psi: np.ndarray) -> Rank1Povm:
-    """The rank-1 measurement induced on the second party by conditioning on a known first-party state.
-
-    For a two-party product measurement with terms w_i P_{u_i} (x) P_{v_i},
-    the induced slot weights are w_i tr(P_{u_i} psi) on projectors P_{v_i}.
-    """
-    return induced_povm(slot_weight_map(joint), psi)
 
 
 def _constraint_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> np.ndarray:
@@ -276,13 +276,23 @@ def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> bool:
     return False
 
 
-def is_feasible(target: Rank1Povm, extremals: Sequence[ExtremalPovm]) -> bool:
-    """Quick check that some convex mixture of the family matches the target."""
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``scipy.optimize.nnls``, imported on first use (loading scipy takes about 0.5 s on 2 cores)."""
+    from scipy.optimize import nnls
+
+    return nnls(a, b)
+
+
+def is_feasible(weights: Sequence[float], extremals: Sequence[ExtremalPovm]) -> bool:
+    """Quick check that some convex mixture of the family matches the slot weights.
+
+    ``weights`` are checked slot weights, as ``slot_weights`` returns them.
+    """
     if not extremals:
         return False
-    a = _constraint_system(len(target), extremals)
-    b = np.concatenate([np.asarray(target.weights, dtype=float), [1.0]])
-    _, residual = nnls(a, b)
+    a = _constraint_system(len(weights), extremals)
+    b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
+    _, residual = _nnls(a, b)
     return residual <= RESIDUAL_TOL
 
 
@@ -368,7 +378,7 @@ def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDe
     if b.shape != a.shape[:1]:
         raise ValueError(f"{len(b) - 1} slot weights for a system over {a.shape[0] - 1} slots")
 
-    mu, residual = nnls(a, b)
+    mu, residual = _nnls(a, b)
     if residual > RESIDUAL_TOL:
         raise DecompositionInfeasibleError(
             f"no convex decomposition over this family (residual {residual:.3e})"

@@ -156,19 +156,26 @@ def constant_protocol(povm: Povm) -> OneRoundProtocol:
     )
 
 
-def _weights_and_state(protocol: OneRoundProtocol, psi, phi: np.ndarray):
+def _weights_and_state(protocol: OneRoundProtocol, encoder_matrix: np.ndarray, phi: np.ndarray):
     """p(x) p(m | x, psi) as an (atoms, messages) matrix, and the checked receiver state."""
     phi = qmath.assert_density_matrix(phi, "receiver state")
     if phi.shape != protocol.effects.shape[-2:]:
         raise DimensionError(f"receiver state {phi.shape} for effects {protocol.effects.shape}")
     atoms = np.asarray(protocol.randomness.probabilities)
-    return atoms[:, None] * protocol.encoder_matrix(psi), phi
+    return atoms[:, None] * encoder_matrix, phi
+
+
+def analytic_distribution(
+    protocol: OneRoundProtocol, encoder_matrix: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """``run_analytic`` for a sender state whose ``protocol.encoder_matrix`` is already evaluated."""
+    weights, phi = _weights_and_state(protocol, encoder_matrix, phi)
+    return np.einsum("xm,xmoij,ji->o", weights, protocol.effects, phi).real
 
 
 def run_analytic(protocol: OneRoundProtocol, psi, phi: np.ndarray) -> np.ndarray:
     """Exact outcome distribution sum_x sum_m p(x) p(m|x,psi) tr(phi effects[x, m, o])."""
-    weights, phi = _weights_and_state(protocol, psi, phi)
-    return np.einsum("xm,xmoij,ji->o", weights, protocol.effects, phi).real
+    return analytic_distribution(protocol, protocol.encoder_matrix(psi), phi)
 
 
 def run_sampled(
@@ -188,7 +195,7 @@ def run_sampled(
     """
     if n < 1:
         raise ProtocolError("sample count must be at least 1")
-    weights, phi = _weights_and_state(protocol, psi, phi)
+    weights, phi = _weights_and_state(protocol, protocol.encoder_matrix(psi), phi)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     atoms, messages = np.nonzero(weights > 0.0)
     pair_probs = weights[atoms, messages]
@@ -237,7 +244,7 @@ def _minimal_subfamily(slot_map: SlotWeightMap, family, probes) -> list[Extremal
     """
     if len(family) > _PRUNE_MAX_FAMILY:
         return list(family)
-    targets = [decompose.induced_povm(slot_map, psi) for psi in probes]
+    targets = [decompose.slot_weights(slot_map, psi) for psi in probes]
     examined = 0
     for size in range(1, len(family)):
         for subset in itertools.combinations(range(len(family)), size):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +43,27 @@ def _reading(kind: str):
         raise SerializationError(f"malformed {kind}: {exc!r}") from exc
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _nested(fn, tables, depth: int):
+    """fn applied to every entry ``depth`` levels down in nested lists or array axes."""
+    return fn(tables) if depth == 0 else [_nested(fn, t, depth - 1) for t in tables]
+
+
+def _complex_pairs(values: np.ndarray) -> list:
+    """A complex array as nested lists with an [re, im] pair in place of each entry."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], -1).tolist()
+
+
+def _matrix_objs(matrices: np.ndarray):
+    """``matrix_to_obj`` of every square matrix in an array of shape (..., d, d), as nested lists.
+
+    The whole array is converted in one pass, which is much faster than one
+    call per matrix when there are many small ones.
+    """
+    matrices = np.asarray(matrices, dtype=complex)
+    d = matrices.shape[-1]
+    entries = _complex_pairs(matrices.reshape(matrices.shape[:-2] + (d * d,)))
+    return _nested(lambda e: {"kind": "matrix", "dim": d, "entries": e}, entries, matrices.ndim - 2)
 
 
 def _pair_to_complex(pair) -> complex:
@@ -56,11 +76,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SerializationError(f"expected square matrix, got shape {m.shape}")
-    return {
-        "kind": "matrix",
-        "dim": int(m.shape[0]),
-        "entries": [_complex_to_pair(z) for z in m.reshape(-1)],
-    }
+    return _matrix_objs(m)
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -74,7 +90,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 
 
 def ket_to_obj(v: np.ndarray) -> list:
-    return [_complex_to_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    return _complex_pairs(np.reshape(v, -1))
 
 
 def ket_from_obj(obj) -> np.ndarray:
@@ -95,17 +111,18 @@ def _label_from_obj(obj):
     return obj
 
 
-def _measurement_to_obj(labels: Sequence, effects: Sequence[np.ndarray]) -> dict:
+def _measurement_to_obj(label_objs: list, effect_objs: list[dict]) -> dict:
+    """A measurement from its serialized labels and effects (``_label_to_obj``, ``_matrix_objs``)."""
     return {
         "kind": "povm",
-        "dim": int(np.shape(effects[0])[0]),
-        "labels": [_label_to_obj(label) for label in labels],
-        "effects": [matrix_to_obj(e) for e in effects],
+        "dim": effect_objs[0]["dim"],
+        "labels": label_objs,
+        "effects": effect_objs,
     }
 
 
 def povm_to_obj(p: Povm) -> dict:
-    return _measurement_to_obj(p.labels, p.effects)
+    return _measurement_to_obj([_label_to_obj(l) for l in p.labels], _matrix_objs(p.effects))
 
 
 def povm_from_obj(obj: dict) -> Povm:
@@ -203,21 +220,29 @@ def _grid_lookup(grid_bloch: np.ndarray, psi: np.ndarray) -> int:
 
 
 def one_round_protocol_to_obj(
-    p: OneRoundProtocol, psi_grid: Sequence[np.ndarray]
+    p: OneRoundProtocol,
+    psi_grid: Sequence[np.ndarray],
+    tables: Sequence[np.ndarray] | None = None,
 ) -> dict:
     """Tabulate a one-round protocol on a declared grid of sender states.
 
     Decoder measurements are state-independent and serialize exactly; the
-    encoder serializes as its table of distributions over the grid.
+    encoder serializes as its table of distributions over the grid.  A caller
+    that has already evaluated ``p.encoder_matrix`` on every grid state passes
+    those matrices as ``tables``.
     """
-    tables = [p.encoder_matrix(psi) for psi in psi_grid]
-    encoder_table = [[[float(v) for v in t[x]] for t in tables] for x in range(len(p.randomness))]
+    if tables is None:
+        tables = [p.encoder_matrix(psi) for psi in psi_grid]
+    if len(tables) != len(psi_grid):
+        raise SerializationError(f"{len(tables)} encoder tables for {len(psi_grid)} grid states")
+    encoder_table = np.stack(tables, axis=1).tolist()
+    outcome_objs = [_label_to_obj(o) for o in p.outcomes]
     decoders = [
         [
-            _measurement_to_obj([o for o, keep in zip(p.outcomes, named) if keep], effects[named])
-            for effects, named in zip(p.effects[x], p.named[x])
+            _measurement_to_obj(list(compress(outcome_objs, named)), list(compress(effects, named)))
+            for effects, named in zip(effects_x, p.named[x])
         ]
-        for x in range(len(p.randomness))
+        for x, effects_x in enumerate(_matrix_objs(p.effects))
     ]
     return {
         "kind": "one_round_protocol",
@@ -271,11 +296,6 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
     )
 
 
-def _nested(fn, tables, depth: int):
-    """fn applied to every entry ``depth`` levels down in nested lists or array axes."""
-    return fn(tables) if depth == 0 else [_nested(fn, t, depth - 1) for t in tables]
-
-
 def three_round_protocol_to_obj(
     p: OddRoundProtocol, psi_grid: Sequence[np.ndarray]
 ) -> dict:
@@ -293,11 +313,11 @@ def three_round_protocol_to_obj(
         "psi_grid": _bloch_list(psi_grid),
         # Nested as [x][grid], [m1][x][kraus], [m1][m2][x][grid] and [m1][m2][m3][x].
         "coin1": np.transpose([c[0] for c in coins], (1, 0, 2)).tolist(),
-        "instruments": _nested(matrix_to_obj, np.swapaxes(tables.kraus[0], 0, 1), 3),
+        "instruments": _matrix_objs(np.swapaxes(tables.kraus[0], 0, 1)),
         "coin2": np.transpose([c[1] for c in coins], (2, 3, 1, 0, 4)).tolist(),
         "finals": _nested(
-            lambda effects: _measurement_to_obj(p.outcomes, effects),
-            np.moveaxis(tables.final, 0, 3),
+            lambda effects: _measurement_to_obj([_label_to_obj(o) for o in p.outcomes], effects),
+            _matrix_objs(np.moveaxis(tables.final, 0, 3)),
             4,
         ),
     }

@@ -366,14 +366,69 @@ class TestMalformedInput:
         assert reports[0] == reports[1]
 
 
+def subprocess_env():
+    """The environment with this checkout's qchansim first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(qchansim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_starts_without_warnings(self):
-        env = dict(os.environ)
-        src = str(Path(qchansim.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "qchansim", "rac"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["command"] == "rac"
+
+
+# Runs one CLI command in a fresh interpreter and reports its exit code and
+# whether scipy was imported along the way.
+_FRESH_RUN = """
+import json, sys
+from qchansim import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def run_fresh(args):
+    result = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(args)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    """Only the NNLS solves of ``decompose`` import scipy."""
+
+    @pytest.mark.parametrize(
+        "command, config, expected",
+        [
+            ("nogo", {"cases": [{"messages": 1, "atoms": 2, "states": 3}],
+                      "budget": 8, "starts": 1, "seed": 5}, 1),
+            ("depolarize", {"bit_counts": [1, 2], "samples": 1000, "seed": 9}, 0),
+            ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 3, "seed": 23},
+                          "check_states": 2}, 0),
+        ],
+        ids=["nogo", "depolarize", "collapse"],
+    )
+    def test_command_runs_without_scipy(self, tmp_path, command, config, expected):
+        args = [command, "--config", write_config(tmp_path, "config.json", config),
+                "--out", str(tmp_path / "out")]
+        assert run_fresh(args) == {"code": expected, "scipy": False}
+
+    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
+        config = write_config(tmp_path, "dec.json", {"measurement": "tb", "psi": [0, 0, 1]})
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert run_fresh(["decompose", "--config", config, "--out", str(cold)]) == {
+            "code": 0, "scipy": True,
+        }
+        assert run_cli(["decompose", "--config", config, "--out", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
+        mus = [entry["mu"] for entry in json.loads(cold.read_text())["decomposition"]["mixture"]]
+        np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)

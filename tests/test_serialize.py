@@ -96,6 +96,56 @@ class TestOneRoundProtocolRoundTrip:
         with pytest.raises(protocols.ProtocolError):
             run_analytic(loaded, projector(haar_ket(2, rng)), projector(haar_ket(2, rng)))
 
+    @pytest.mark.parametrize("kind", ["partial-decoders", "collapsed"])
+    def test_matches_per_entry_reference(self, kind):
+        """Encoder table and decoders agree, byte for byte, with a per-entry conversion."""
+        if kind == "collapsed":
+            protocol = multiround.collapse_odd_rounds(multiround.random_three_round(seed=31))
+        else:
+            z, x = qmath.I2 * 0, [projector(qmath.KET_PLUS), projector(qmath.KET_MINUS)]
+            decoders = [[projector(qmath.KET0), projector(qmath.KET1), z], [z, *x]]
+            protocol = protocols.OneRoundProtocol(
+                randomness=protocols.SharedRandomness.trivial(),
+                messages=("z", ("x", 1)),
+                encoder=lambda psi: np.array([[psi[0, 0].real, psi[1, 1].real]]),
+                effects=[decoders],
+                outcomes=(0, 1, ("minus",)),
+                cost_bits=1,
+                named=[[[True, True, False], [False, True, True]]],
+            )
+        grid = [projector(haar_ket(2, np.random.default_rng(s))) for s in range(3)]
+        obj = serialize.one_round_protocol_to_obj(protocol, grid)
+
+        def matrix(m):
+            entries = [[float(np.real(v)), float(np.imag(v))] for v in m.reshape(-1)]
+            return {"kind": "matrix", "dim": int(m.shape[0]), "entries": entries}
+
+        tables = [protocol.encoder_matrix(psi) for psi in grid]
+        expected_table = [[[float(v) for v in t[x]] for t in tables] for x in range(len(tables[0]))]
+        expected_decoders = [
+            [
+                {
+                    "kind": "povm",
+                    "dim": 2,
+                    "labels": [serialize._label_to_obj(o) for o, k in zip(protocol.outcomes, keep) if k],
+                    "effects": [matrix(e) for e in effects[keep]],
+                }
+                for effects, keep in zip(protocol.effects[x], protocol.named[x])
+            ]
+            for x in range(len(protocol.randomness))
+        ]
+        assert serialize.dumps(obj["encoder"]["table"]) == serialize.dumps(expected_table)
+        assert serialize.dumps(obj["decoders"]) == serialize.dumps(expected_decoders)
+
+    def test_precomputed_encoder_tables(self):
+        rng = np.random.default_rng(3)
+        protocol = protocols.catalog_protocol("tb")
+        grid = [projector(haar_ket(2, rng)) for _ in range(3)]
+        tables = [protocol.encoder_matrix(psi) for psi in grid]
+        text = serialize.dumps(serialize.one_round_protocol_to_obj(protocol, grid))
+        assert serialize.dumps(serialize.one_round_protocol_to_obj(protocol, grid, tables)) == text
+        with pytest.raises(serialize.SerializationError):
+            serialize.one_round_protocol_to_obj(protocol, grid, tables[:2])
 
     @pytest.mark.parametrize(
         "damage",

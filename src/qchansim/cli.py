@@ -111,7 +111,7 @@ def _number(value, kind: type, what: str):
         raise ConfigError(f"{what} must be {article}, got {value!r}") from exc
 
 
-def _int_entry(config: dict, key: str, default: int, minimum: int | None = None) -> int:
+def _int_entry(config: dict, key: str, default: int | None, minimum: int | None = None) -> int:
     value = config.get(key, default)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -217,7 +217,7 @@ def _simulation(name: str, config: dict):
 
 def cmd_simulate(config: dict, out: str | None) -> int:
     name = _measurement_name(config, "simulate")
-    seed = _int_entry(config, "seed", 0)
+    seed = _int_entry(config, "seed", 0, minimum=0)
     samples = _int_entry(config, "samples", 0, minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     protocol, senders, dim_b, effects, extra = _simulation(name, config)
@@ -267,7 +267,7 @@ def cmd_decompose(config: dict, out: str | None) -> int:
     name = _measurement_name(config, "decompose")
     if name == "shift":
         raise ConfigError("decompose works on two-party measurements")
-    seed = _int_entry(config, "seed", 0)
+    seed = _int_entry(config, "seed", 0, minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     effects, labels = _load_measurement(name)
     psi = _resolve_state(config.get("psi", "haar"), effects[0].factors[0].shape[0], rng, "psi")
@@ -300,7 +300,7 @@ def cmd_decompose(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_depolarize(config: dict, out: str | None) -> int:
-    seed = _int_entry(config, "seed", 0)
+    seed = _int_entry(config, "seed", 0, minimum=0)
     samples = _int_entry(config, "samples", 10**6, minimum=1)
     if "sweep_max_bits" in config:
         bit_counts = list(range(1, _int_entry(config, "sweep_max_bits", 0) + 1))
@@ -347,7 +347,10 @@ def _build_protocol(spec: dict):
     """The protocol, its flavor, and the spec that regenerates it."""
     kind = spec.get("kind")
     if kind in _GENERATORS:
-        entries = {key: _int_entry(spec, key, value) for key, value in _GENERATORS[kind].items()}
+        entries = {
+            key: _int_entry(spec, key, value, minimum=0 if key == "seed" else None)
+            for key, value in _GENERATORS[kind].items()
+        }
         return getattr(multiround, kind)(**entries), kind.removeprefix("random_"), spec
     if kind == "file":
         obj = _load_config(str(spec.get("path")))
@@ -364,7 +367,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     spec = config.get("protocol")
     if not isinstance(spec, dict):
         raise ConfigError("collapse needs a 'protocol' object")
-    seed = _int_entry(config, "seed", 0)
+    seed = _int_entry(config, "seed", 0, minimum=0)
     n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
@@ -430,12 +433,16 @@ def cmd_collapse(config: dict, out: str | None) -> int:
 
 def cmd_nogo(config: dict, out: str | None) -> int:
     cases = config.get("cases")
-    if not cases:
-        raise ConfigError("nogo needs a non-empty 'cases' list")
-    seed = _int_entry(config, "seed", 0)
+    if not isinstance(cases, list) or not cases or not all(isinstance(c, dict) for c in cases):
+        raise ConfigError(f"nogo needs a non-empty 'cases' list of objects, got {cases!r}")
+    sizes = [
+        [_int_entry(case, key, None, minimum=1) for key in ("messages", "atoms", "states")]
+        for case in cases
+    ]
+    seed = _int_entry(config, "seed", 0, minimum=0)
     budget = _int_entry(config, "budget", 320, minimum=1)
     starts = _int_entry(config, "starts", 8, minimum=1)
-    grid_seed = _int_entry(config, "grid_seed", 0xF00D)
+    grid_seed = _int_entry(config, "grid_seed", 0xF00D, minimum=0)
     resolved = {
         "cases": cases,
         "seed": seed,
@@ -447,13 +454,7 @@ def cmd_nogo(config: dict, out: str | None) -> int:
     strategies = []
     all_exact = True
     child_seeds = np.random.SeedSequence(seed).spawn(len(cases))
-    for child, case in zip(child_seeds, cases):
-        try:
-            m = int(case["messages"])
-            k = int(case["atoms"])
-            n = int(case["states"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad nogo case {case!r}") from exc
+    for child, (m, k, n) in zip(child_seeds, sizes):
         case_seed = int(child.generate_state(1)[0])
         family = nogo.nested_grid(n, seed=grid_seed)
         report = nogo.optimize(
@@ -497,7 +498,7 @@ def cmd_nogo(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rac(config: dict, out: str | None) -> int:
-    seed = _int_entry(config, "seed", 0)
+    seed = _int_entry(config, "seed", 0, minimum=0)
     n_atoms = _int_entry(config, "one_bit_atoms", 8, minimum=1)
     resolved = {"seed": seed, "one_bit_atoms": n_atoms}
     classical_best, achievers = protocols.rac_classical_best()

@@ -12,14 +12,11 @@ recovers a mixture for a given target.  The mixture is generally not unique,
 so a canonical representative is returned: the lexicographically smallest
 feasible weight vector (in enumeration order), computed exactly by vertex
 enumeration when the family is small and by deterministic non-negative least
-squares otherwise.  Everything that depends only on the measurement or the
-family is built once: ``slot_weight_map`` for a joint measurement and
-``mixture_system`` for a family, after which ``slot_weights`` and
-``solve_mixture`` do the per-state work.
-
-Only the non-negative least-squares solves (``is_feasible`` and
-``solve_mixture``) need scipy, and ``_nnls`` imports it on their first call,
-so the rest of the package runs on numpy alone.
+squares otherwise; each family is decided by that one rule.  Everything that
+depends only on the measurement or the family is built once: ``slot_weight_map``
+for a joint measurement and ``mixture_system`` for a family, after which
+``slot_weights`` and ``solve_mixture`` (or ``is_feasible``) do the per-state
+work.  Only the NNLS solves need scipy, and ``_nnls`` imports it on first use.
 """
 
 from __future__ import annotations
@@ -283,19 +280,6 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return nnls(a, b)
 
 
-def is_feasible(weights: Sequence[float], extremals: Sequence[ExtremalPovm]) -> bool:
-    """Quick check that some convex mixture of the family matches the slot weights.
-
-    ``weights`` are checked slot weights, as ``slot_weights`` returns them.
-    """
-    if not extremals:
-        return False
-    a = _constraint_system(len(weights), extremals)
-    b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
-    _, residual = _nnls(a, b)
-    return residual <= RESIDUAL_TOL
-
-
 @dataclass(frozen=True, eq=False)
 class MixtureSystem:
     """The state-independent half of ``mixture_weights`` for one family and slot count.
@@ -307,8 +291,8 @@ class MixtureSystem:
     that small, ``supports`` lists them by size and then in ``combinations``
     order, and ``submatrices`` and ``inverses`` stack their columns of A and
     the pseudo-inverses of those (cut off as ``lstsq(rcond=None)`` cuts off),
-    zero-padded to ``rank`` columns and rows; otherwise all three are None
-    and ``solve_mixture`` keeps the NNLS solution.
+    zero-padded to ``rank`` columns and rows, and they alone decide
+    feasibility.  Otherwise all three are None and NNLS decides.
     """
 
     extremals: tuple[ExtremalPovm, ...]
@@ -346,11 +330,12 @@ def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSy
     return MixtureSystem(extremals, a, rank, supports, submatrices, inverses)
 
 
-def _lex_min_support(system: MixtureSystem, b: np.ndarray) -> tuple[int, ...] | None:
-    """Support of the lexicographically smallest basic feasible solution of A mu = b, mu >= 0.
+def _lex_min_vertex(system: MixtureSystem, b: np.ndarray) -> np.ndarray | None:
+    """The lexicographically smallest basic feasible solution of A mu = b, mu >= 0, or None.
 
     Every candidate support is solved at once from its stored pseudo-inverse;
-    the feasible ones are scanned in enumeration order with ``_lex_less``.
+    the feasible ones are scanned in enumeration order with ``_lex_less``, and
+    the winning support is solved again with ``lstsq``.
     """
     w = system.inverses @ b
     residual = np.max(np.abs((system.submatrices @ w[:, :, None])[:, :, 0] - b), axis=1)
@@ -362,34 +347,33 @@ def _lex_min_support(system: MixtureSystem, b: np.ndarray) -> tuple[int, ...] | 
         mu[list(support)] = np.clip(w[k, :len(support)], 0.0, None)
         if best is None or _lex_less(mu, best):
             best, best_support = mu, support
-    return best_support
+    if best_support is None:
+        return None
+    w, *_ = np.linalg.lstsq(system.matrix[:, best_support], b, rcond=None)
+    mu = np.zeros(system.matrix.shape[1])
+    mu[list(best_support)] = np.clip(w, 0.0, None)
+    return mu
 
 
-def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDecomposition:
-    """Convex mixture of the system's extremal patterns reproducing the slot weights.
+def _coefficients(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray:
+    """Normalised mixture coefficients for the slot weights, by the system's one feasibility rule.
 
-    This is ``mixture_weights`` with the state-independent work done: the
-    lexicographically smallest feasible coefficient vector when the system
-    holds candidate supports (the winning support is solved again with
-    ``lstsq``), the deterministic NNLS solution otherwise.
+    The rule is ``_lex_min_vertex`` when the system holds candidate supports
+    and NNLS when it does not; DecompositionInfeasibleError is raised when it
+    finds no mixture or the mixture misses the weights.
     """
     a = system.matrix
     b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
     if b.shape != a.shape[:1]:
         raise ValueError(f"{len(b) - 1} slot weights for a system over {a.shape[0] - 1} slots")
-
-    mu, residual = _nnls(a, b)
-    if residual > RESIDUAL_TOL:
-        raise DecompositionInfeasibleError(
-            f"no convex decomposition over this family (residual {residual:.3e})"
-        )
-
-    if system.supports is not None:
-        support = _lex_min_support(system, b)
-        if support is not None:
-            w, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
-            mu = np.zeros(a.shape[1])
-            mu[list(support)] = np.clip(w, 0.0, None)
+    if system.supports is None:
+        mu, residual = _nnls(a, b)
+        if residual > RESIDUAL_TOL:
+            mu = None
+    else:
+        mu = _lex_min_vertex(system, b)
+    if mu is None:
+        raise DecompositionInfeasibleError("no convex decomposition over this family")
 
     mu = np.where(mu < MIN_WEIGHT, 0.0, mu)
     total = mu.sum()
@@ -401,6 +385,27 @@ def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDe
         raise DecompositionInfeasibleError(
             f"reconstruction residual {slot_residual:.3e} exceeds tolerance"
         )
+    return mu
+
+
+def is_feasible(system: MixtureSystem, weights: Sequence[float]) -> bool:
+    """Whether ``solve_mixture`` decomposes the slot weights over the system's family.
+
+    ``weights`` are checked slot weights, as ``slot_weights`` returns them.
+    """
+    try:
+        _coefficients(system, weights)
+    except DecompositionInfeasibleError:
+        return False
+    return True
+
+
+def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDecomposition:
+    """Convex mixture of the system's extremal patterns reproducing the slot weights.
+
+    This is ``mixture_weights`` with the state-independent work done.
+    """
+    mu = _coefficients(system, weights)
     return ExtremalDecomposition(mixture=tuple(zip(mu, system.extremals)))
 
 

@@ -198,9 +198,7 @@ def estimate_eta(
     total_sq = 0.0
     for rng, size in zip(rngs, sizes):
         # Only the z-row of each rotation enters z_hat . R omega_i.
-        q = rng.normal(size=(size, 4))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        z_rows = _quaternions_to_rotations(q)[:, 2, :]
+        z_rows = sample_rotations(rng, size)[:, 2, :]
         # Score in row chunks so the score matrix stays small at large codebooks.
         scores = np.empty(size)
         for lo in range(0, size, _SCORE_ROWS):

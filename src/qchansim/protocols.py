@@ -235,53 +235,44 @@ def _probe_states(dim: int, count: int = 54) -> list[np.ndarray]:
     return probes
 
 
-def _minimal_subfamily(slot_map: SlotWeightMap, family, probes) -> list[ExtremalPovm]:
-    """Smallest subfamily that stays decomposable, found by ascending-size search.
+def _message_family(slot_map: SlotWeightMap) -> tuple[ExtremalPovm, ...]:
+    """The smallest subfamily of the receiver slots' extremal measurements that stays decomposable.
 
-    Feasibility is certified on a fixed probe set; the full family (always
-    feasible) is the fallback when the family is large or no smaller subfamily
-    passes.
+    Subfamilies are tried by ascending size, each certified on a fixed probe
+    set against its mixture system, built once for all probes.  The full
+    family (always feasible) is the fallback when the family is large or no
+    smaller subfamily passes.
     """
-    if len(family) > _PRUNE_MAX_FAMILY:
-        return list(family)
-    targets = [decompose.slot_weights(slot_map, psi) for psi in probes]
-    examined = 0
-    for size in range(1, len(family)):
-        for subset in itertools.combinations(range(len(family)), size):
-            examined += 1
-            if examined > _PRUNE_MAX_CANDIDATES:
-                return list(family)
-            subfamily = [family[i] for i in subset]
-            if all(decompose.is_feasible(t, subfamily) for t in targets):
-                return subfamily
-    return list(family)
-
-
-def _message_family(slot_map: SlotWeightMap, minimize_alphabet: bool) -> tuple:
-    """Extremal measurements over the receiver slots of a two-party measurement, optionally pruned."""
-    family = enumerate_extremals(slot_map.receiver)
+    family = tuple(enumerate_extremals(slot_map.receiver))
     if not family:
         raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
-    if minimize_alphabet:
-        family = _minimal_subfamily(slot_map, family, _probe_states(slot_map.sender.shape[-1]))
-    return tuple(family)
+    if len(family) > _PRUNE_MAX_FAMILY:
+        return family
+    probes = _probe_states(slot_map.sender.shape[-1])
+    targets = [decompose.slot_weights(slot_map, psi) for psi in probes]
+    subfamilies = itertools.chain.from_iterable(
+        itertools.combinations(family, size) for size in range(1, len(family))
+    )
+    for subfamily in itertools.islice(subfamilies, _PRUNE_MAX_CANDIDATES):
+        system = decompose.mixture_system(len(slot_map.weights), subfamily)
+        if all(decompose.is_feasible(system, t) for t in targets):
+            return subfamily
+    return family
 
 
 def rank1_product_protocol(
     joint: Sequence[ProductRank1Effect],
     labels: Sequence[Hashable] | None = None,
-    *,
-    minimize_alphabet: bool = True,
 ) -> OneRoundProtocol:
     """One-round simulator for a two-party rank-1 product measurement.
 
     The sender decomposes the receiver-side effective measurement into a
     mixture of extremal rank-1 measurements and transmits the sampled label;
     the receiver performs the corresponding extremal measurement.  The message
-    alphabet is the extremal family, optionally pruned to the smallest
-    subfamily that stays decomposable across probe states.  The slot-weight
-    map and the family's mixture system are built here, once, so the encoder
-    does only the per-state work.
+    alphabet is the extremal family, pruned to the smallest subfamily that
+    stays decomposable across probe states.  The slot-weight map and the
+    family's mixture system are built here, once, so the encoder does only
+    the per-state work.
     """
     joint = tuple(joint)
     if any(e.n_parties != 2 for e in joint):
@@ -290,7 +281,7 @@ def rank1_product_protocol(
         labels = tuple(range(len(joint)))
     labels = tuple(labels)
     slot_map = decompose.slot_weight_map(joint)
-    family = _message_family(slot_map, minimize_alphabet)
+    family = _message_family(slot_map)
     system = decompose.mixture_system(len(joint), family)
     weights = np.array([ext.full_weights(len(joint)) for ext in family])
 
@@ -308,7 +299,6 @@ def rank1_product_protocol(
         meta={
             "construction": "rank1_product",
             "family_supports": tuple(ext.support for ext in family),
-            "pruned": minimize_alphabet,
         },
     )
 
@@ -549,8 +539,6 @@ def multi_sender_protocol(
     joint: Sequence[ProductRank1Effect],
     config: str,
     labels: Sequence[Hashable] | None = None,
-    *,
-    minimize_alphabet: bool = True,
 ) -> OneRoundProtocol:
     """Build the multi-sender simulator for a fully product rank-1 measurement.
 
@@ -573,10 +561,10 @@ def multi_sender_protocol(
         labels = tuple(range(len(joint)))
     labels = tuple(labels)
     if n_parties == 2:
-        return rank1_product_protocol(joint, labels, minimize_alphabet=minimize_alphabet)
+        return rank1_product_protocol(joint, labels)
 
     slot_map = decompose.slot_weight_map(_peel_pairs(joint))
-    family = _message_family(slot_map, minimize_alphabet)
+    family = _message_family(slot_map)
     system = decompose.mixture_system(len(joint), family)
 
     branches = tuple(
@@ -584,7 +572,6 @@ def multi_sender_protocol(
             [ProductRank1Effect(weight=w, factors=joint[i].factors[1:])
              for i, w in zip(ext.support, ext.weights)],
             [labels[i] for i in ext.support],
-            minimize_alphabet=minimize_alphabet,
         )
         for ext in family
     )

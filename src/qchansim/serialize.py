@@ -323,25 +323,60 @@ def three_round_protocol_to_obj(
     }
 
 
-def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
-    if obj.get("kind") != "three_round_protocol":
-        raise SerializationError("expected three_round_protocol")
-    grid_bloch = np.asarray(obj["psi_grid"], dtype=float)
-    instruments = _nested(
-        lambda kraus: Instrument(kraus=tuple(map(matrix_from_obj, kraus))), obj["instruments"], 2
+def _has_lengths(tables, lengths: Sequence[int]) -> bool:
+    """Whether ``tables`` are nested lists with the given length at each level."""
+    return not lengths or (
+        isinstance(tables, list)
+        and len(tables) == lengths[0]
+        and all(_has_lengths(t, lengths[1:]) for t in tables)
     )
-    finals = _nested(povm_from_obj, obj["finals"], 4)
+
+
+def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
+    with _reading("three_round_protocol"):
+        if obj.get("kind") != "three_round_protocol":
+            raise SerializationError("expected three_round_protocol")
+        randomness = SharedRandomness(probabilities=tuple(obj["atoms"]))
+        alphabets = [tuple(_label_from_obj(m) for m in obj[key]) for key in ("m1", "m2", "m3")]
+        n1, n2, n3 = map(len, alphabets)
+        k = len(randomness)
+        outcomes = tuple(_label_from_obj(o) for o in obj["outcomes"])
+        grid_bloch = np.asarray(obj["psi_grid"], dtype=float)
+        coin1 = np.asarray(obj["coin1"], dtype=float)
+        coin2 = np.asarray(obj["coin2"], dtype=float)
+        if not (
+            _has_lengths(obj["instruments"], (n1, k))
+            and _has_lengths(obj["finals"], (n1, n2, n3, k))
+        ):
+            raise SerializationError("three_round_protocol tables do not match its alphabets")
+        instruments = _nested(
+            lambda kraus: Instrument(kraus=tuple(map(matrix_from_obj, kraus))),
+            obj["instruments"],
+            2,
+        )
+        finals = _nested(povm_from_obj, obj["finals"], 4)
+        flat_instruments = [i for row in instruments for i in row]
+        flat_finals = [f for a in finals for b in a for c in b for f in c]
+        if (
+            grid_bloch.shape[1:] != (3,)
+            or coin1.shape != (k, len(grid_bloch), n1)
+            or coin2.shape != (n1, n2, k, len(grid_bloch), n3)
+            or {len(i) for i in flat_instruments} != {n2}
+            or not {o for f in flat_finals for o in f.labels} <= set(outcomes)
+            or len({i.dim for i in flat_instruments} | {f.dim for f in flat_finals}) != 1
+        ):
+            raise SerializationError(
+                "three_round_protocol tables do not match its grid and alphabets"
+            )
     return three_round_protocol(
-        randomness=SharedRandomness(probabilities=tuple(obj["atoms"])),
-        m1_alphabet=tuple(_label_from_obj(m) for m in obj["m1"]),
-        m2_alphabet=tuple(_label_from_obj(m) for m in obj["m2"]),
-        m3_alphabet=tuple(_label_from_obj(m) for m in obj["m3"]),
-        outcomes=tuple(_label_from_obj(o) for o in obj["outcomes"]),
-        coin1=lambda psi, x: np.asarray(obj["coin1"][x][_grid_lookup(grid_bloch, psi)]),
+        randomness=randomness,
+        m1_alphabet=alphabets[0],
+        m2_alphabet=alphabets[1],
+        m3_alphabet=alphabets[2],
+        outcomes=outcomes,
+        coin1=lambda psi, x: coin1[x, _grid_lookup(grid_bloch, psi)],
         instrument=lambda m1, x: instruments[m1][x],
-        coin2=lambda m1, m2, psi, x: np.asarray(
-            obj["coin2"][m1][m2][x][_grid_lookup(grid_bloch, psi)]
-        ),
+        coin2=lambda m1, m2, psi, x: coin2[m1, m2, x, _grid_lookup(grid_bloch, psi)],
         final_povm=lambda m1, m2, m3, x: finals[m1][m2][m3][x],
     )
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import random_product_povm
 
 import qchansim
 from qchansim import cli, qmath, serialize
@@ -243,6 +244,34 @@ class TestCollapse:
         assert abs(sum(report["analytic"]) - 1.0) < 1e-9
         assert len(report["sampled"]) == len(report["analytic"])
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda obj: obj.pop("psi_grid"),
+            lambda obj: obj["coin1"].pop(),
+            lambda obj: obj["coin2"][0][0][0][0].pop(),
+            lambda obj: obj["instruments"][0].pop(),
+            lambda obj: obj["finals"][1][0][1].pop(),
+        ],
+        ids=["no-psi-grid", "coin1-atom-short", "coin2-wrong-length", "instrument-atom-short",
+             "final-atom-short"],
+    )
+    def test_malformed_three_round_file_is_malformed_input(self, tmp_path, damage):
+        config = write_config(
+            tmp_path,
+            "col.json",
+            {"protocol": {"kind": "random_three_round", "seed": 29}, "check_states": 2},
+        )
+        assert run_cli(["collapse", "--config", config, "--out", str(tmp_path / "first.json")]) == 0
+        original = tmp_path / "first.original.json"
+        obj = json.loads(original.read_text())
+        damage(obj)
+        original.write_text(json.dumps(obj))
+        config2 = write_config(
+            tmp_path, "col2.json", {"protocol": {"kind": "file", "path": str(original)}}
+        )
+        assert run_cli(["collapse", "--config", config2]) == 3
+
 
 class TestNogo:
     def test_exactness_exit_code(self, tmp_path):
@@ -349,11 +378,31 @@ class TestMalformedInput:
             ("simulate", {"measurement": "tb", "samples": 2.7}),
             ("simulate", {"measurement": "tb", "seed": True}),
             ("rac", {"one_bit_atoms": False}),
+            ("nogo", {"cases": 5}),
+            ("nogo", {"cases": [{"messages": 1.9, "atoms": 1, "states": 1}],
+                      "budget": 8, "starts": 1}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": True, "states": 1}],
+                      "budget": 8, "starts": 1}),
+            ("nogo", {"cases": [{"messages": 0, "atoms": 1, "states": 1}]}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": -2}]}),
+            ("simulate", {"measurement": "tb", "seed": -1}),
+            ("decompose", {"measurement": "tb", "seed": -1}),
+            ("depolarize", {"seed": -1}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "seed": -1}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "seed": -4}}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "seed": -1}),
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "grid_seed": -1}),
+            ("rac", {"seed": -1}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):
         config = write_config(tmp_path, "config.json", entries)
         assert run_cli([command, "--config", config]) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "rac"])
+    def test_negative_seed_override_is_malformed_input(self, tmp_path, command):
+        config = write_config(tmp_path, "config.json", {"measurement": "tb"})
+        assert run_cli([command, "--config", config, "--seed", "-2"]) == 3
 
     def test_integral_float_entries_are_accepted(self, tmp_path):
         reports = []
@@ -404,7 +453,7 @@ def run_fresh(args):
 
 
 class TestColdStart:
-    """Only the NNLS solves of ``decompose`` import scipy."""
+    """Only families too large for the vertex search import scipy, on their first NNLS solve."""
 
     @pytest.mark.parametrize(
         "command, config, expected",
@@ -414,21 +463,37 @@ class TestColdStart:
             ("depolarize", {"bit_counts": [1, 2], "samples": 1000, "seed": 9}, 0),
             ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 3, "seed": 23},
                           "check_states": 2}, 0),
+            ("simulate", {"measurement": "tb", "samples": 1000, "seed": 3}, 0),
+            ("simulate", {"measurement": "shift", "sender_config": "B", "seed": 3}, 0),
+            ("rac", {}, 0),
         ],
-        ids=["nogo", "depolarize", "collapse"],
+        ids=["nogo", "depolarize", "collapse", "simulate-tb", "simulate-shift-B", "rac"],
     )
     def test_command_runs_without_scipy(self, tmp_path, command, config, expected):
         args = [command, "--config", write_config(tmp_path, "config.json", config),
                 "--out", str(tmp_path / "out")]
         assert run_fresh(args) == {"code": expected, "scipy": False}
 
-    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
+    def test_decompose_on_a_vertex_search_family_runs_without_scipy(self, tmp_path):
         config = write_config(tmp_path, "dec.json", {"measurement": "tb", "psi": [0, 0, 1]})
+        out = tmp_path / "out.json"
+        assert run_fresh(["decompose", "--config", config, "--out", str(out)]) == {
+            "code": 0, "scipy": False,
+        }
+        mus = [entry["mu"] for entry in json.loads(out.read_text())["decomposition"]["mixture"]]
+        np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)
+
+    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
+        # The 16-member family of a (basis, tetra) measurement has more candidate
+        # supports than the vertex search takes, so it is decided by NNLS.
+        joint = random_product_povm(np.random.default_rng(11), ("basis", "tetra"))
+        measurement = tmp_path / "povm.json"
+        measurement.write_text(serialize.dumps(serialize.product_povm_to_obj(joint)))
+        config = write_config(tmp_path, "dec.json", {"measurement": str(measurement)})
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         assert run_fresh(["decompose", "--config", config, "--out", str(cold)]) == {
             "code": 0, "scipy": True,
         }
         assert run_cli(["decompose", "--config", config, "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
-        mus = [entry["mu"] for entry in json.loads(cold.read_text())["decomposition"]["mixture"]]
-        np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)
+        assert len(json.loads(cold.read_text())["family"]) == 16

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from qchansim import decompose, qmath
+from qchansim import decompose, protocols, qmath
 from qchansim.decompose import (
     DecompositionInfeasibleError,
     Rank1Povm,
@@ -294,6 +294,41 @@ class TestBatchedSolve:
         system = decompose.mixture_system(5, enumerate_extremals(tb_bob_slots()))
         with pytest.raises(ValueError):
             decompose.solve_mixture(system, [1.0, 0.5, 0.0, 0.5])
+
+
+class TestOneFeasibilityRule:
+    @settings(max_examples=80, deadline=None)
+    @given(measurements_and_states())
+    def test_is_feasible_exactly_when_solve_mixture_succeeds(self, case):
+        joint, family, psi = case
+        weights = decompose.slot_weights(decompose.slot_weight_map(joint), psi)
+        system = decompose.mixture_system(len(joint), family)
+        try:
+            decompose.solve_mixture(system, weights)
+            solved = True
+        except DecompositionInfeasibleError:
+            solved = False
+        assert decompose.is_feasible(system, weights) == solved
+
+    def test_families_with_candidate_supports_never_run_nnls(self, monkeypatch):
+        def nnls_forbidden(a, b):
+            raise AssertionError("NNLS ran on a family that holds candidate supports")
+
+        monkeypatch.setattr(decompose, "_nnls", nnls_forbidden)
+        rng = np.random.default_rng(17)
+        for name in ("comp", "twistA", "twistB", "tb"):
+            joint = catalog_product_effects(name)
+            protocol = protocols.catalog_protocol(name)
+            family = enumerate_extremals([projector(e.factors[1]) for e in joint])
+            for _ in range(8):
+                psi = projector(haar_ket(2, rng))
+                protocol.encoder_matrix(psi)
+                mixture_weights(effective_povm(joint, psi), family)
+        shift, labels = catalog_product_effects("shift"), qmath.catalog_labels("shift")
+        for config in ("A", "B"):
+            protocol = protocols.multi_sender_protocol(shift, config, labels)
+            for _ in range(8):
+                protocol.encoder_matrix([projector(haar_ket(2, rng)) for _ in range(2)])
 
 
 class TestRefineSeparable:

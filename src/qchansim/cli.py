@@ -173,7 +173,10 @@ def _load_measurement(spec: str):
         raise ConfigError(
             "the singlet measurement has entangled effects and no product-form simulator"
         )
-    return serialize.product_povm_from_obj(_measurement_file(spec))
+    effects, labels = serialize.product_povm_from_obj(_measurement_file(spec))
+    if not effects or any(e.n_parties != 2 for e in effects):
+        raise ConfigError(f"measurement {spec} needs two-party product effects")
+    return effects, labels
 
 
 def _simulation(name: str, config: dict):
@@ -271,23 +274,23 @@ def cmd_decompose(config: dict, out: str | None) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     effects, labels = _load_measurement(name)
     psi = _resolve_state(config.get("psi", "haar"), effects[0].factors[0].shape[0], rng, "psi")
-    slots = [qmath.projector(e.factors[1]) for e in effects]
-    family = decompose.enumerate_extremals(slots)
-    target = decompose.effective_povm(effects, psi)
-    mixture = decompose.mixture_weights(target, family)
-    residual = float(
-        np.max(np.abs(mixture.reconstructed_weights(len(effects)) - np.asarray(target.weights)))
-    )
+    slot_map = decompose.slot_weight_map(effects)
+    family = decompose.enumerate_extremals(slot_map.receiver)
+    weights = decompose.slot_weights(slot_map, psi)
+    mu = decompose.solve_mixture(decompose.mixture_system(len(effects), family), weights)
+    # Summed pattern by pattern: a matrix product rounds differently and changes the reported bits.
+    reconstructed = sum(m * ext.full_weights(len(effects)) for m, ext in zip(mu, family))
+    residual = float(np.max(np.abs(reconstructed - weights)))
     resolved = {"measurement": name, "seed": seed}
     body = {
         "psi": serialize.matrix_to_obj(psi),
         "labels": [serialize._label_to_obj(l) for l in labels],
-        "target_weights": [float(w) for w in target.weights],
+        "target_weights": [float(w) for w in weights],
         "family": [
             {"support": list(e.support), "weights": [float(w) for w in e.weights]}
             for e in family
         ],
-        "decomposition": serialize.decomposition_to_obj(mixture),
+        "decomposition": serialize.decomposition_to_obj(mu, family),
         "residual": residual,
         "cost_bits": protocols.bit_cost(len(family)),
     }
@@ -334,7 +337,8 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 #: The integer entries of each generator spec, with their defaults; the kind
-#: names the ``multiround`` function that builds the protocol.
+#: names the ``multiround`` function that builds the protocol.  Sizes are at
+#: least 1 and the seed at least 0; the generator itself checks the depth.
 _GENERATORS = {
     "random_three_round": {
         "seed": 0, "n_atoms": 2, "n_m1": 2, "n_m2": 2, "n_m3": 2, "n_outcomes": 2,
@@ -348,10 +352,14 @@ def _build_protocol(spec: dict):
     kind = spec.get("kind")
     if kind in _GENERATORS:
         entries = {
-            key: _int_entry(spec, key, value, minimum=0 if key == "seed" else None)
+            key: _int_entry(spec, key, value, minimum=0 if key == "seed" else 1)
             for key, value in _GENERATORS[kind].items()
         }
-        return getattr(multiround, kind)(**entries), kind.removeprefix("random_"), spec
+        try:
+            protocol = getattr(multiround, kind)(**entries)
+        except protocols.ProtocolError as exc:
+            raise ConfigError(f"{kind} spec: {exc}") from exc
+        return protocol, kind.removeprefix("random_"), spec
     if kind == "file":
         obj = _load_config(str(spec.get("path")))
         loaded = obj.get("kind")

@@ -7,16 +7,19 @@ which case the completeness condition fixes the weights uniquely.  Over a
 finite slot list there are finitely many extremal weight patterns, and every
 valid rank-1 measurement on those slots is a convex mixture of them.
 
-``enumerate_extremals`` lists all extremal patterns; ``mixture_weights``
-recovers a mixture for a given target.  The mixture is generally not unique,
-so a canonical representative is returned: the lexicographically smallest
-feasible weight vector (in enumeration order), computed exactly by vertex
-enumeration when the family is small and by deterministic non-negative least
-squares otherwise; each family is decided by that one rule.  Everything that
-depends only on the measurement or the family is built once: ``slot_weight_map``
-for a joint measurement and ``mixture_system`` for a family, after which
-``slot_weights`` and ``solve_mixture`` (or ``is_feasible``) do the per-state
-work.  Only the NNLS solves need scipy, and ``_nnls`` imports it on first use.
+``enumerate_extremals`` lists all extremal patterns.  Conditioning a
+two-party product measurement on a known sender state gives the slot weights
+of a rank-1 measurement on the receiver: ``slot_weight_map`` stacks the
+measurement once and ``slot_weights`` conditions it on each state.
+``mixture_system`` builds what depends only on a family, and
+``solve_mixture`` (or ``is_feasible``) then decomposes each weight vector.
+A decomposition is its coefficient vector mu over the family, in family
+order.  The mixture is generally not unique, so a canonical representative
+is returned: the lexicographically smallest feasible weight vector (in
+enumeration order), computed exactly by vertex enumeration when the family
+is small and by deterministic non-negative least squares otherwise; each
+family is decided by that one rule.  Only the NNLS solves need scipy, and
+``_nnls`` imports it on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,43 +48,6 @@ class DecompositionInfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Rank1Povm:
-    """Weighted rank-1 projectors on an ordered slot list, summing to identity."""
-
-    weights: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-    labels: tuple[Hashable, ...]
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.projectors) == len(self.labels)):
-            raise ValueError("weights, projectors and labels must align")
-        frozen = []
-        for p in self.projectors:
-            p = np.asarray(p, dtype=complex)
-            _assert_rank1_projector(p)
-            p = np.array(p)
-            p.setflags(write=False)
-            frozen.append(p)
-        weights = tuple(float(w) for w in self.weights)
-        if min(weights) < -1e-12:
-            raise ValueError(f"negative weight in rank-1 measurement: {min(weights)}")
-        dim = frozen[0].shape[0]
-        total = sum(w * p for w, p in zip(weights, frozen))
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_MATRIX:
-            raise ValueError("weighted projectors do not sum to identity")
-        object.__setattr__(self, "projectors", tuple(frozen))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
 class ExtremalPovm:
     """An extremal weight pattern: slot indices with their uniquely determined weights."""
 
@@ -97,32 +63,6 @@ class ExtremalPovm:
     def full_weights(self, n_slots: int) -> np.ndarray:
         out = np.zeros(n_slots)
         out[list(self.support)] = self.weights
-        return out
-
-
-@dataclass(frozen=True)
-class ExtremalDecomposition:
-    """Convex mixture of extremal patterns reproducing a target slot-weight vector."""
-
-    mixture: tuple[tuple[float, ExtremalPovm], ...]
-
-    def __post_init__(self):
-        mix = tuple((float(mu), ext) for mu, ext in self.mixture)
-        total = sum(mu for mu, _ in mix)
-        if min((mu for mu, _ in mix), default=0.0) < -1e-12:
-            raise ValueError("mixture coefficients must be nonnegative")
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"mixture coefficients sum to {total!r}, expected 1")
-        object.__setattr__(self, "mixture", mix)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([mu for mu, _ in self.mixture])
-
-    def reconstructed_weights(self, n_slots: int) -> np.ndarray:
-        out = np.zeros(n_slots)
-        for mu, ext in self.mixture:
-            out += mu * ext.full_weights(n_slots)
         return out
 
 
@@ -193,7 +133,7 @@ def enumerate_extremals(projectors: Sequence[np.ndarray]) -> list[ExtremalPovm]:
 
 @dataclass(frozen=True, eq=False)
 class SlotWeightMap:
-    """The state-independent half of ``effective_povm`` for one two-party product measurement.
+    """The state-independent part of ``slot_weights`` for one two-party product measurement.
 
     Stacks the sender projectors U_i, the term weights w_i and the receiver
     projectors V_i of the terms w_i U_i (x) V_i.  ``slot_weight_map`` checks
@@ -241,21 +181,6 @@ def slot_weights(slot_map: SlotWeightMap, psi: np.ndarray) -> np.ndarray:
     return weights
 
 
-def effective_povm(joint: Sequence[ProductRank1Effect], psi: np.ndarray) -> Rank1Povm:
-    """The rank-1 measurement induced on the second party by conditioning on a known first-party state.
-
-    For a two-party product measurement with terms w_i P_{u_i} (x) P_{v_i},
-    the induced slot weights are w_i tr(P_{u_i} psi) on projectors P_{v_i},
-    labelled by slot.
-    """
-    slot_map = slot_weight_map(joint)
-    return Rank1Povm(
-        weights=tuple(slot_weights(slot_map, psi)),
-        projectors=tuple(slot_map.receiver),
-        labels=tuple(range(len(slot_map.weights))),
-    )
-
-
 def _constraint_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> np.ndarray:
     a = np.zeros((n_slots + 1, len(extremals)))
     for col, ext in enumerate(extremals):
@@ -282,7 +207,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class MixtureSystem:
-    """The state-independent half of ``mixture_weights`` for one family and slot count.
+    """The state-independent part of ``solve_mixture`` for one family and slot count.
 
     ``matrix`` is the constraint matrix A of A mu = (slot weights, 1): one
     column per extremal pattern, holding its full weights over the slots and
@@ -355,12 +280,16 @@ def _lex_min_vertex(system: MixtureSystem, b: np.ndarray) -> np.ndarray | None:
     return mu
 
 
-def _coefficients(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray:
-    """Normalised mixture coefficients for the slot weights, by the system's one feasibility rule.
+def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray:
+    """The mixture coefficients mu over ``system.extremals`` that reproduce the slot weights.
 
-    The rule is ``_lex_min_vertex`` when the system holds candidate supports
-    and NNLS when it does not; DecompositionInfeasibleError is raised when it
-    finds no mixture or the mixture misses the weights.
+    mu is nonnegative, sums to 1, and A[:-1] mu matches ``weights`` within
+    RESIDUAL_TOL.  It is found by the system's one feasibility rule:
+    ``_lex_min_vertex`` (the lexicographically smallest vertex, in enumeration
+    order) when the system holds candidate supports, and deterministic NNLS
+    when it does not.  DecompositionInfeasibleError is raised when the rule
+    finds no mixture or the mixture misses the weights, which signals that
+    the weights are not a valid measurement over this family.
     """
     a = system.matrix
     b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
@@ -394,35 +323,10 @@ def is_feasible(system: MixtureSystem, weights: Sequence[float]) -> bool:
     ``weights`` are checked slot weights, as ``slot_weights`` returns them.
     """
     try:
-        _coefficients(system, weights)
+        solve_mixture(system, weights)
     except DecompositionInfeasibleError:
         return False
     return True
-
-
-def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> ExtremalDecomposition:
-    """Convex mixture of the system's extremal patterns reproducing the slot weights.
-
-    This is ``mixture_weights`` with the state-independent work done.
-    """
-    mu = _coefficients(system, weights)
-    return ExtremalDecomposition(mixture=tuple(zip(mu, system.extremals)))
-
-
-def mixture_weights(
-    target: Rank1Povm, extremals: Sequence[ExtremalPovm]
-) -> ExtremalDecomposition:
-    """Convex mixture of extremal patterns reproducing the target weights.
-
-    Raises DecompositionInfeasibleError when no nonnegative mixture matches
-    the target within tolerance (which signals the target is not a valid
-    measurement over these projectors).  Among feasible mixtures the
-    lexicographically smallest coefficient vector is returned whenever the
-    exact vertex search is affordable; otherwise a deterministic non-negative
-    least-squares solution is used.  Callers that decompose many targets over
-    one family build its ``mixture_system`` once and call ``solve_mixture``.
-    """
-    return solve_mixture(mixture_system(len(target), extremals), target.weights)
 
 
 def refine_separable(

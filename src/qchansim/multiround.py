@@ -78,38 +78,6 @@ class OddRoundProtocol:
         return len(self.sender_alphabets) + len(self.receiver_alphabets)
 
 
-def three_round_protocol(
-    randomness: SharedRandomness,
-    m1_alphabet: tuple,
-    m2_alphabet: tuple,
-    m3_alphabet: tuple,
-    outcomes: tuple[Hashable, ...],
-    coin1: Callable[[np.ndarray, int], np.ndarray],
-    instrument: Callable[[int, int], Instrument],
-    coin2: Callable[[int, int, np.ndarray, int], np.ndarray],
-    final_povm: Callable[[int, int, int, int], Povm],
-) -> OddRoundProtocol:
-    """Depth-3 protocol: sender coin, receiver instrument, sender coin, receiver measurement.
-
-    ``coin1(psi, x)`` and ``coin2(m1, m2, psi, x)`` return distributions over
-    the first and second sender alphabets; ``instrument(m1, x)`` is the
-    receiver's mid-protocol measurement; ``final_povm(m1, m2, m3, x)`` is the
-    closing measurement, with labels drawn from ``outcomes``.
-    """
-    return OddRoundProtocol(
-        randomness=randomness,
-        sender_alphabets=(m1_alphabet, m3_alphabet),
-        receiver_alphabets=(m2_alphabet,),
-        outcomes=outcomes,
-        coins=(
-            lambda psi, x, tr: coin1(psi, x),
-            lambda psi, x, tr: coin2(tr[0], tr[1], psi, x),
-        ),
-        instruments=(lambda x, tr: instrument(tr[0], x),),
-        final_povm=lambda x, tr: final_povm(tr[0], tr[1], tr[2], x),
-    )
-
-
 def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Direct nested-summation evaluation of an odd-depth protocol."""
     phi = qmath.assert_density_matrix(phi, "receiver state")

@@ -286,8 +286,7 @@ def rank1_product_protocol(
     weights = np.array([ext.full_weights(len(joint)) for ext in family])
 
     def encoder(psi: np.ndarray) -> np.ndarray:
-        mixture = decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi))
-        return mixture.coefficients[None, :]
+        return decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi))[None, :]
 
     return OneRoundProtocol(
         randomness=SharedRandomness.trivial(),
@@ -587,8 +586,7 @@ def multi_sender_protocol(
     def encoder(states: Sequence[np.ndarray]) -> np.ndarray:
         if len(states) != 2:
             raise ProtocolError(f"expected 2 sender states, got {len(states)}")
-        mixture = decompose.solve_mixture(system, decompose.slot_weights(slot_map, states[0]))
-        mu = mixture.coefficients
+        mu = decompose.solve_mixture(system, decompose.slot_weights(slot_map, states[0]))
         dist = np.zeros(len(messages))
         for coefficient, branch, lo, hi in zip(mu, branches, offsets, offsets[1:]):
             if coefficient > 0.0:

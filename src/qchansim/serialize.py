@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import qmath
-from .decompose import ExtremalDecomposition, ExtremalPovm
-from .multiround import OddRoundProtocol, tabulate, three_round_protocol
+from .decompose import ExtremalPovm
+from .multiround import OddRoundProtocol, tabulate
 from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness
 from .qmath import Instrument, Povm, ProductRank1Effect
 
@@ -172,7 +172,8 @@ def product_povm_from_obj(obj: dict) -> tuple[tuple[ProductRank1Effect, ...], tu
     return effects, labels
 
 
-def decomposition_to_obj(d: ExtremalDecomposition) -> dict:
+def decomposition_to_obj(coefficients: np.ndarray, extremals: Sequence[ExtremalPovm]) -> dict:
+    """The mixture coefficients over a family, each with its extremal pattern."""
     return {
         "kind": "extremal_decomposition",
         "mixture": [
@@ -181,25 +182,9 @@ def decomposition_to_obj(d: ExtremalDecomposition) -> dict:
                 "support": [int(i) for i in ext.support],
                 "weights": [float(w) for w in ext.weights],
             }
-            for mu, ext in d.mixture
+            for mu, ext in zip(coefficients, extremals, strict=True)
         ],
     }
-
-
-def decomposition_from_obj(obj: dict) -> ExtremalDecomposition:
-    if obj.get("kind") != "extremal_decomposition":
-        raise SerializationError("expected extremal_decomposition")
-    return ExtremalDecomposition(
-        mixture=tuple(
-            (
-                float(entry["mu"]),
-                ExtremalPovm(
-                    support=tuple(entry["support"]), weights=tuple(entry["weights"])
-                ),
-            )
-            for entry in obj["mixture"]
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +353,17 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
             raise SerializationError(
                 "three_round_protocol tables do not match its grid and alphabets"
             )
-    return three_round_protocol(
+    return OddRoundProtocol(
         randomness=randomness,
-        m1_alphabet=alphabets[0],
-        m2_alphabet=alphabets[1],
-        m3_alphabet=alphabets[2],
+        sender_alphabets=(alphabets[0], alphabets[2]),
+        receiver_alphabets=(alphabets[1],),
         outcomes=outcomes,
-        coin1=lambda psi, x: coin1[x, _grid_lookup(grid_bloch, psi)],
-        instrument=lambda m1, x: instruments[m1][x],
-        coin2=lambda m1, m2, psi, x: coin2[m1, m2, x, _grid_lookup(grid_bloch, psi)],
-        final_povm=lambda m1, m2, m3, x: finals[m1][m2][m3][x],
+        coins=(
+            lambda psi, x, tr: coin1[x, _grid_lookup(grid_bloch, psi)],
+            lambda psi, x, tr: coin2[tr[0], tr[1], x, _grid_lookup(grid_bloch, psi)],
+        ),
+        instruments=(lambda x, tr: instruments[tr[0]][x],),
+        final_povm=lambda x, tr: finals[tr[0]][tr[1]][tr[2]][x],
     )
 
 

@@ -13,7 +13,13 @@ import pytest
 from helpers import born_product_oracle, mixed_product_povm, random_product_povm
 
 from qchansim import depolarize, multiround, nogo, protocols, qmath
-from qchansim.decompose import effective_povm, enumerate_extremals, mixture_weights
+from qchansim.decompose import (
+    enumerate_extremals,
+    mixture_system,
+    slot_weight_map,
+    slot_weights,
+    solve_mixture,
+)
 from qchansim.protocols import (
     block_basis_protocol,
     block_branch_table,
@@ -73,12 +79,14 @@ def test_criterion_1_twisted_butterfly_decomposition():
         joint = catalog_product_effects("tb")
         slots = [projector(e.factors[1]) for e in joint]
         family = enumerate_extremals(slots)
+        slot_map, system = slot_weight_map(joint), mixture_system(len(joint), family)
         rng = np.random.default_rng(0xC1)
         for _ in range(100):
             psi = projector(haar_ket(2, rng))
-            dec = mixture_weights(effective_povm(joint, psi), family)
             np.testing.assert_allclose(
-                dec.coefficients, tb_closed_form_mixture(psi), atol=1e-9
+                solve_mixture(system, slot_weights(slot_map, psi)),
+                tb_closed_form_mixture(psi),
+                atol=1e-9,
             )
         assert protocols.catalog_protocol("tb").cost_bits == 2
 

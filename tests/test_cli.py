@@ -30,6 +30,13 @@ def tb_product_povm(labels):
     return json.dumps(obj)
 
 
+SHIFT_PRODUCT_POVM = json.dumps(
+    serialize.product_povm_to_obj(
+        qmath.catalog_product_effects("shift"), qmath.catalog_labels("shift")
+    )
+)
+
+
 class TestSimulate:
     def test_twisted_butterfly_report(self, tmp_path):
         config = write_config(
@@ -339,6 +346,10 @@ class TestMalformedInput:
             ("decompose", tb_product_povm(["a", "b", "c", "d"])),
             ("simulate", tb_product_povm(["a", "b", "c", "d", "a"])),
             ("decompose", tb_product_povm(["a", "b", "c", "d", "a"])),
+            ("simulate", SHIFT_PRODUCT_POVM),
+            ("decompose", SHIFT_PRODUCT_POVM),
+            ("simulate", '{"kind": "product_povm", "effects": [], "labels": []}'),
+            ("decompose", '{"kind": "product_povm", "effects": [], "labels": []}'),
         ],
     )
     def test_malformed_measurement_is_malformed_input(self, tmp_path, command, measurement_file):
@@ -393,6 +404,12 @@ class TestMalformedInput:
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "seed": -1}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "grid_seed": -1}),
             ("rac", {"seed": -1}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "n_atoms": 0}}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "n_m2": -1}}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "n_outcomes": 0}}),
+            ("collapse", {"protocol": {"kind": "random_odd_round", "alphabet": 0}}),
+            ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 2}}),
+            ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 9}}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):

@@ -11,12 +11,13 @@ from scipy.optimize import nnls
 from qchansim import decompose, protocols, qmath
 from qchansim.decompose import (
     DecompositionInfeasibleError,
-    Rank1Povm,
     coarse_grain,
-    effective_povm,
     enumerate_extremals,
-    mixture_weights,
+    mixture_system,
     refine_separable,
+    slot_weight_map,
+    slot_weights,
+    solve_mixture,
 )
 from qchansim.qmath import (
     KET0,
@@ -98,67 +99,68 @@ class TestEnumerateExtremals:
             enumerate_extremals([projector(KET0), projector(qmath.ket(1, 0, 0, 0))])
 
 
-class TestEffectivePovm:
+def reconstructed_weights(mu, extremals, n_slots):
+    """Slot weights of the mixture sum_l mu_l (pattern l), summed pattern by pattern."""
+    return sum(m * ext.full_weights(n_slots) for m, ext in zip(mu, extremals))
+
+
+class TestSlotWeights:
     def test_twisted_butterfly_at_ground_state(self):
         # Trace oracle: weights w_i tr(P_{u_i} |0><0|) on the receiver projectors.
-        eff = effective_povm(catalog_product_effects("tb"), projector(KET0))
-        np.testing.assert_allclose(eff.weights, [1.0, 0.5, 0.0, 0.5, 0.0], atol=1e-12)
+        weights = slot_weights(slot_weight_map(catalog_product_effects("tb")), projector(KET0))
+        np.testing.assert_allclose(weights, [1.0, 0.5, 0.0, 0.5, 0.0], atol=1e-12)
 
     def test_maximally_mixed_gives_half_marginals(self):
         joint = catalog_product_effects("tb")
-        eff = effective_povm(joint, qmath.I2 / 2)
+        weights = slot_weights(slot_weight_map(joint), qmath.I2 / 2)
         expected = [e.weight * 0.5 for e in joint]
-        np.testing.assert_allclose(eff.weights, expected, atol=1e-12)
+        np.testing.assert_allclose(weights, expected, atol=1e-12)
 
     def test_completeness_for_random_states(self):
         rng = np.random.default_rng(5)
-        joint = catalog_product_effects("tb")
+        slot_map = slot_weight_map(catalog_product_effects("tb"))
         for _ in range(100):
-            eff = effective_povm(joint, projector(haar_ket(2, rng)))
-            total = sum(w * p for w, p in zip(eff.weights, eff.projectors))
+            weights = slot_weights(slot_map, projector(haar_ket(2, rng)))
+            total = sum(w * p for w, p in zip(weights, slot_map.receiver))
             np.testing.assert_allclose(total, np.eye(2), atol=1e-10)
 
     def test_rejects_incomplete_joint(self):
         joint = list(catalog_product_effects("tb"))[:-1]
         with pytest.raises(qmath.QmathError):
-            effective_povm(joint, qmath.I2 / 2)
+            slot_weight_map(joint)
 
 
-class TestMixtureWeights:
+class TestSolveMixture:
     def setup_method(self):
         self.joint = catalog_product_effects("tb")
         self.extremals = enumerate_extremals(tb_bob_slots())
+        self.slot_map = slot_weight_map(self.joint)
+        self.system = mixture_system(5, self.extremals)
+
+    def mixture(self, psi):
+        return solve_mixture(self.system, slot_weights(self.slot_map, psi))
 
     def test_ground_state_mixture(self):
-        eff = effective_povm(self.joint, projector(KET0))
-        dec = mixture_weights(eff, self.extremals)
-        np.testing.assert_allclose(dec.coefficients, [0.5, 0.5, 0.0, 0.0], atol=1e-10)
+        mu = self.mixture(projector(KET0))
+        np.testing.assert_allclose(mu, [0.5, 0.5, 0.0, 0.0], atol=1e-10)
 
     def test_single_extremal_target(self):
-        ext = self.extremals[2]
-        target = Rank1Povm(
-            weights=tuple(ext.full_weights(5)),
-            projectors=tuple(tb_bob_slots()),
-            labels=tuple(range(5)),
-        )
-        dec = mixture_weights(target, self.extremals)
-        np.testing.assert_allclose(dec.coefficients, [0.0, 0.0, 1.0, 0.0], atol=1e-10)
+        mu = solve_mixture(self.system, self.extremals[2].full_weights(5))
+        np.testing.assert_allclose(mu, [0.0, 0.0, 1.0, 0.0], atol=1e-10)
 
     def test_matches_closed_form_for_100_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             psi = projector(haar_ket(2, rng))
-            dec = mixture_weights(effective_povm(self.joint, psi), self.extremals)
-            np.testing.assert_allclose(dec.coefficients, tb_mixture_oracle(psi), atol=1e-9)
+            np.testing.assert_allclose(self.mixture(psi), tb_mixture_oracle(psi), atol=1e-9)
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            psi = projector(haar_ket(2, rng))
-            eff = effective_povm(self.joint, psi)
-            dec = mixture_weights(eff, self.extremals)
+            weights = slot_weights(self.slot_map, projector(haar_ket(2, rng)))
+            mu = solve_mixture(self.system, weights)
             np.testing.assert_allclose(
-                dec.reconstructed_weights(5), eff.weights, atol=1e-9
+                reconstructed_weights(mu, self.extremals, 5), weights, atol=1e-9
             )
 
     def test_end_to_end_statistics(self):
@@ -170,9 +172,8 @@ class TestMixtureWeights:
         for _ in range(100):
             psi = projector(haar_ket(2, rng))
             phi = projector(haar_ket(2, rng))
-            dec = mixture_weights(effective_povm(self.joint, psi), self.extremals)
             simulated = np.zeros(5)
-            for mu, ext in dec.mixture:
+            for mu, ext in zip(self.mixture(psi), self.extremals):
                 for idx, w in zip(ext.support, ext.weights):
                     simulated[idx] += mu * w * np.trace(slots[idx] @ phi).real
             np.testing.assert_allclose(
@@ -190,20 +191,19 @@ class TestMixtureWeights:
             joint = random_product_povm(rng, kinds)
             slots = [projector(e.factors[1]) for e in joint]
             family = enumerate_extremals(slots)
+            slot_map, system = slot_weight_map(joint), mixture_system(len(joint), family)
             for _ in range(10):
-                psi = projector(haar_ket(2, rng))
-                eff = effective_povm(joint, psi)
-                dec = mixture_weights(eff, family)
+                weights = slot_weights(slot_map, projector(haar_ket(2, rng)))
+                mu = solve_mixture(system, weights)
                 np.testing.assert_allclose(
-                    dec.reconstructed_weights(len(joint)), eff.weights, atol=1e-9
+                    reconstructed_weights(mu, family, len(joint)), weights, atol=1e-9
                 )
 
     def test_infeasible_family_raises(self):
         # Dropping the last extremal makes states on the +x side undecomposable.
-        psi = bloch_to_density((1.0, 0.0, 0.0))
-        eff = effective_povm(self.joint, psi)
+        weights = slot_weights(self.slot_map, bloch_to_density((1.0, 0.0, 0.0)))
         with pytest.raises(DecompositionInfeasibleError):
-            mixture_weights(eff, self.extremals[:3])
+            solve_mixture(mixture_system(5, self.extremals[:3]), weights)
 
 
 def _vertex_lex_min(a, b, rank):
@@ -225,10 +225,10 @@ def _vertex_lex_min(a, b, rank):
     return best
 
 
-def reference_coefficients(target, extremals):
+def reference_coefficients(weights, extremals):
     """Mixture coefficients with every candidate support solved on its own, or None if infeasible."""
-    a = decompose._constraint_system(len(target), extremals)
-    b = np.concatenate([np.asarray(target.weights, dtype=float), [1.0]])
+    a = decompose._constraint_system(len(weights), extremals)
+    b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])
     mu, residual = nnls(a, b)
     if residual > decompose.RESIDUAL_TOL:
         return None
@@ -282,13 +282,14 @@ class TestBatchedSolve:
     @given(measurements_and_states())
     def test_matches_per_support_lstsq_scan_exactly(self, case):
         joint, family, psi = case
-        target = effective_povm(joint, psi)
-        expected = reference_coefficients(target, family)
+        weights = slot_weights(slot_weight_map(joint), psi)
+        expected = reference_coefficients(weights, family)
+        system = mixture_system(len(joint), family)
         if expected is None:
             with pytest.raises(DecompositionInfeasibleError):
-                mixture_weights(target, family)
+                solve_mixture(system, weights)
         else:
-            np.testing.assert_array_equal(mixture_weights(target, family).coefficients, expected)
+            np.testing.assert_array_equal(solve_mixture(system, weights), expected)
 
     def test_weights_of_the_wrong_length_are_rejected(self):
         system = decompose.mixture_system(5, enumerate_extremals(tb_bob_slots()))
@@ -304,11 +305,15 @@ class TestOneFeasibilityRule:
         weights = decompose.slot_weights(decompose.slot_weight_map(joint), psi)
         system = decompose.mixture_system(len(joint), family)
         try:
-            decompose.solve_mixture(system, weights)
-            solved = True
+            mu = decompose.solve_mixture(system, weights)
         except DecompositionInfeasibleError:
-            solved = False
-        assert decompose.is_feasible(system, weights) == solved
+            mu = None
+        assert decompose.is_feasible(system, weights) == (mu is not None)
+        if mu is not None:
+            assert isinstance(mu, np.ndarray) and mu.shape == (len(family),)
+            assert np.min(mu) >= 0.0
+            assert abs(np.sum(mu) - 1.0) <= 1e-12
+            assert np.max(np.abs(system.matrix[:-1] @ mu - weights)) <= decompose.RESIDUAL_TOL
 
     def test_families_with_candidate_supports_never_run_nnls(self, monkeypatch):
         def nnls_forbidden(a, b):
@@ -320,10 +325,11 @@ class TestOneFeasibilityRule:
             joint = catalog_product_effects(name)
             protocol = protocols.catalog_protocol(name)
             family = enumerate_extremals([projector(e.factors[1]) for e in joint])
+            slot_map, system = slot_weight_map(joint), mixture_system(len(joint), family)
             for _ in range(8):
                 psi = projector(haar_ket(2, rng))
                 protocol.encoder_matrix(psi)
-                mixture_weights(effective_povm(joint, psi), family)
+                solve_mixture(system, slot_weights(slot_map, psi))
         shift, labels = catalog_product_effects("shift"), qmath.catalog_labels("shift")
         for config in ("A", "B"):
             protocol = protocols.multi_sender_protocol(shift, config, labels)

@@ -13,7 +13,6 @@ from qchansim.multiround import (
     random_odd_round,
     random_three_round,
     run_odd_round,
-    three_round_protocol,
 )
 from qchansim.protocols import ProtocolError, SharedRandomness, run_analytic
 from qchansim.qmath import Instrument, born, catalog_measurement, haar_ket, projector, tensor
@@ -46,16 +45,14 @@ class TestRunThreeRound:
         # a one-round protocol in disguise.
         rng = np.random.default_rng(3)
         final = multiround.random_povm(np.random.default_rng(11), 3, 2)
-        wrapped = three_round_protocol(
+        wrapped = OddRoundProtocol(
             randomness=SharedRandomness.trivial(),
-            m1_alphabet=(0,),
-            m2_alphabet=(0,),
-            m3_alphabet=(0,),
+            sender_alphabets=((0,), (0,)),
+            receiver_alphabets=((0,),),
             outcomes=final.labels,
-            coin1=lambda psi, x: np.array([1.0]),
-            instrument=lambda m1, x: Instrument(kraus=(np.eye(2, dtype=complex),)),
-            coin2=lambda m1, m2, psi, x: np.array([1.0]),
-            final_povm=lambda m1, m2, m3, x: final,
+            coins=(lambda psi, x, tr: np.array([1.0]),) * 2,
+            instruments=(lambda x, tr: Instrument(kraus=(np.eye(2, dtype=complex),)),),
+            final_povm=lambda x, tr: final,
         )
         plain = protocols.constant_protocol(final)
         for _ in range(10):
@@ -112,18 +109,19 @@ class TestCollapse:
 
     def test_point_mass_coins_collapse_to_point_mass(self):
         final = multiround.random_povm(np.random.default_rng(23), 2, 2)
-        p = three_round_protocol(
+        p = OddRoundProtocol(
             randomness=SharedRandomness.trivial(),
-            m1_alphabet=(0, 1),
-            m2_alphabet=(0, 1),
-            m3_alphabet=(0, 1),
+            sender_alphabets=((0, 1), (0, 1)),
+            receiver_alphabets=((0, 1),),
             outcomes=final.labels,
-            coin1=lambda psi, x: np.array([0.0, 1.0]),
-            instrument=lambda m1, x: Instrument(
-                kraus=(projector(qmath.KET0), projector(qmath.KET1))
+            coins=(
+                lambda psi, x, tr: np.array([0.0, 1.0]),
+                lambda psi, x, tr: np.array([1.0, 0.0]) if tr[1] == 0 else np.array([0.0, 1.0]),
             ),
-            coin2=lambda m1, m2, psi, x: np.array([1.0, 0.0]) if m2 == 0 else np.array([0.0, 1.0]),
-            final_povm=lambda m1, m2, m3, x: final,
+            instruments=(
+                lambda x, tr: Instrument(kraus=(projector(qmath.KET0), projector(qmath.KET1))),
+            ),
+            final_povm=lambda x, tr: final,
         )
         collapsed = collapse_odd_rounds(p)
         dist = collapsed.encoder_matrix(qmath.I2 / 2)[0]

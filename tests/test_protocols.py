@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchansim import multiround, qmath
-from qchansim.decompose import effective_povm, enumerate_extremals, mixture_weights
+from qchansim.decompose import (
+    enumerate_extremals,
+    mixture_system,
+    slot_weight_map,
+    slot_weights,
+    solve_mixture,
+)
 from qchansim.protocols import (
     BasisBlock,
     MultiSenderProtocol,
@@ -253,15 +259,16 @@ class TestRankOneProductProtocol:
         "source",
         ["comp", "twistA", "twistB", "tb", ("basis", "trine"), ("trine", "basis"), ("basis", "tetra")],
     )
-    def test_encoder_equals_mixture_weights(self, source):
+    def test_encoder_equals_solve_mixture(self, source):
         rng = np.random.default_rng(37)
         joint = catalog_product_effects(source) if isinstance(source, str) else random_product_povm(rng, source)
         protocol = rank1_product_protocol(joint)
         by_support = {e.support: e for e in enumerate_extremals([projector(e.factors[1]) for e in joint])}
         family = [by_support[support] for support in protocol.messages]
+        slot_map, system = slot_weight_map(joint), mixture_system(len(joint), family)
         for _ in range(20):
             psi = projector(haar_ket(2, rng))
-            expected = mixture_weights(effective_povm(joint, psi), family).coefficients[None, :]
+            expected = solve_mixture(system, slot_weights(slot_map, psi))[None, :]
             np.testing.assert_array_equal(protocol.encoder(psi), expected)
 
     def test_encoder_rejects_a_sender_state_that_is_not_one(self):
@@ -466,7 +473,7 @@ class TestMultiSender:
             multi_sender_protocol(catalog_product_effects("shift"), "C")
 
     @pytest.mark.parametrize("config", ["A", "B"])
-    def test_encoder_equals_mixture_weights_times_branch(self, config):
+    def test_encoder_equals_solve_mixture_times_branch(self, config):
         joint = catalog_product_effects("shift")
         protocol = multi_sender_protocol(joint, config)
         pairs = [
@@ -483,10 +490,11 @@ class TestMultiSender:
             )
             for ext in family
         ]
+        slot_map, system = slot_weight_map(pairs), mixture_system(len(pairs), family)
         rng = np.random.default_rng(41)
         for _ in range(10):
             psi1, psi2 = (projector(haar_ket(2, rng)) for _ in range(2))
-            mu = mixture_weights(effective_povm(pairs, psi1), family).coefficients
+            mu = solve_mixture(system, slot_weights(slot_map, psi1))
             expected = np.concatenate([
                 c * b.encoder_matrix(psi2)[0] if c > 0.0 else np.zeros(b.n_messages)
                 for c, b in zip(mu, branches)

@@ -49,14 +49,17 @@ class TestDecompositionRoundTrip:
         joint = qmath.catalog_product_effects("tb")
         slots = [projector(e.factors[1]) for e in joint]
         family = decompose.enumerate_extremals(slots)
-        dec = decompose.mixture_weights(
-            decompose.effective_povm(joint, projector(qmath.KET0)), family
+        mu = decompose.solve_mixture(
+            decompose.mixture_system(len(joint), family),
+            decompose.slot_weights(decompose.slot_weight_map(joint), projector(qmath.KET0)),
         )
-        again = serialize.decomposition_from_obj(
-            serialize.loads(serialize.dumps(serialize.decomposition_to_obj(dec)))
-        )
-        np.testing.assert_allclose(again.coefficients, dec.coefficients, atol=0)
-        assert [e.support for _, e in again.mixture] == [e.support for _, e in dec.mixture]
+        obj = serialize.loads(serialize.dumps(serialize.decomposition_to_obj(mu, family)))
+        assert obj["kind"] == "extremal_decomposition"
+        np.testing.assert_allclose([entry["mu"] for entry in obj["mixture"]], mu, atol=0)
+        assert [tuple(entry["support"]) for entry in obj["mixture"]] == [e.support for e in family]
+        assert [tuple(entry["weights"]) for entry in obj["mixture"]] == [e.weights for e in family]
+        with pytest.raises(ValueError):
+            serialize.decomposition_to_obj(mu[:-1], family)
 
 
 class TestProductPovmRoundTrip:

@@ -165,15 +165,15 @@ def _measurement_file(spec: str) -> dict:
     return _load_config(spec)
 
 
-def _load_measurement(spec: str):
-    """Product effects and labels for a catalog name or a product_povm file."""
+def _load_measurement(spec: str, obj: dict | None = None):
+    """Product effects and labels for a catalog name or a product_povm file, read as ``obj`` if given."""
     if spec in _TWO_PARTY_CATALOG or spec == "shift":
         return qmath.catalog_product_effects(spec), qmath.catalog_labels(spec)
     if spec == "singlet":
         raise ConfigError(
             "the singlet measurement has entangled effects and no product-form simulator"
         )
-    effects, labels = serialize.product_povm_from_obj(_measurement_file(spec))
+    effects, labels = serialize.product_povm_from_obj(_measurement_file(spec) if obj is None else obj)
     if not effects or any(e.n_parties != 2 for e in effects):
         raise ConfigError(f"measurement {spec} needs two-party product effects")
     return effects, labels
@@ -186,17 +186,13 @@ def _simulation(name: str, config: dict):
     default spec)}, in the order they are drawn; the receiver dimension; the
     joint effects in outcome order, or None for a protocol file, which has no
     Born reference; and the resolved config keys the measurement adds.  A
-    protocol file's sender state must lie on its declared grid, so it
-    defaults to the first grid point.
+    protocol file runs only on its declared grid: its sender state defaults
+    to the first grid point, and ``cmd_simulate`` rejects one off the grid.
     """
     if name == "blockbasis6":
         blocks = protocols.demo_block_basis()
         protocol = protocols.block_basis_protocol(blocks)
-        effects = []
-        for i, a, j in protocol.outcomes:
-            b = blocks[i]
-            alice, family = (b.alice, b.bob_bit0) if a == 0 else (b.alice_perp, b.bob_bit1)
-            effects.append(qmath.projector(qmath.tensor(alice, family[j])))
+        effects = [qmath.projector(v) for v in protocols.block_basis_vectors(blocks)]
         return protocol, {"psi": (2, "haar")}, 6, effects, {}
     if name == "shift":
         sender_config = config.get("sender_config", "A")
@@ -206,16 +202,26 @@ def _simulation(name: str, config: dict):
         protocol = protocols.multi_sender_protocol(effects, sender_config, labels)
         senders = {"psi": (2, "haar"), "psi2": (2, "haar")}
         return protocol, senders, 2, [e.matrix() for e in effects], {"sender_config": sender_config}
+    obj = None
     if name not in _TWO_PARTY_CATALOG and name != "singlet":
         obj = _measurement_file(name)
         if obj.get("kind") == "one_round_protocol":
             protocol = serialize.one_round_protocol_from_obj(obj)
             grid = obj["encoder"]["psi_grid"]
             return protocol, {"psi": (2, grid[0])}, protocol.effects.shape[-1], None, {}
-    effects, labels = _load_measurement(name)
+    effects, labels = _load_measurement(name, obj)
     protocol = protocols.rank1_product_protocol(effects, labels)
     senders = {"psi": (effects[0].factors[0].shape[0], "haar")}
     return protocol, senders, effects[0].factors[1].shape[0], [e.matrix() for e in effects], {}
+
+
+def _check_on_grid(grid_bloch, states, path: str) -> None:
+    """Reject sender states off a protocol file's grid, by the lookup rule ``serialize`` applies."""
+    for psi in states:
+        try:
+            serialize._grid_lookup(np.asarray(grid_bloch, dtype=float), psi)
+        except protocols.ProtocolError as exc:
+            raise ConfigError(f"{exc}: protocol file {path} runs only on its own grid") from exc
 
 
 def cmd_simulate(config: dict, out: str | None) -> int:
@@ -231,6 +237,8 @@ def cmd_simulate(config: dict, out: str | None) -> int:
     phi = states["phi"] = _resolve_state(config.get("phi", "haar"), dim_b, rng, "phi")
     sender_states = [states[key] for key in senders]
     psi = sender_states[0] if len(sender_states) == 1 else sender_states
+    if "psi_grid" in protocol.meta:
+        _check_on_grid(protocol.meta["psi_grid"], sender_states, name)
 
     analytic = protocols.run_analytic(protocol, psi, phi)
     body = {
@@ -384,6 +392,8 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]
     probes = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]
+    if source.get("kind") == "three_round_protocol":
+        _check_on_grid(source["psi_grid"], grid, spec["path"])
 
     collapsed = multiround.collapse_odd_rounds(protocol)
     if flavor == "three_round":

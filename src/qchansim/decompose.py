@@ -12,7 +12,7 @@ two-party product measurement on a known sender state gives the slot weights
 of a rank-1 measurement on the receiver: ``slot_weight_map`` stacks the
 measurement once and ``slot_weights`` conditions it on each state.
 ``mixture_system`` builds what depends only on a family, and
-``solve_mixture`` (or ``is_feasible``) then decomposes each weight vector.
+``solve_mixture`` then decomposes each weight vector.
 A decomposition is its coefficient vector mu over the family, in family
 order.  The mixture is generally not unique, so a canonical representative
 is returned: the lexicographically smallest feasible weight vector (in
@@ -37,6 +37,7 @@ from .qmath import ATOL_MATRIX, ProductRank1Effect, projector
 INDEPENDENCE_TOL = 1e-8   # smallest singular value separating degeneracy from noise
 MIN_WEIGHT = 1e-10        # weights at or below this count as structural zeros
 RESIDUAL_TOL = 1e-9       # per-slot reconstruction residual for decompositions
+SIGN_TOL = 1e-11          # most negative mixture coefficient a vertex may have
 
 _MAX_PROJECTORS = 16
 _MAX_DIM = 4
@@ -182,10 +183,9 @@ def slot_weights(slot_map: SlotWeightMap, psi: np.ndarray) -> np.ndarray:
 
 
 def _constraint_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> np.ndarray:
-    a = np.zeros((n_slots + 1, len(extremals)))
+    a = np.ones((n_slots + 1, len(extremals)))
     for col, ext in enumerate(extremals):
         a[:n_slots, col] = ext.full_weights(n_slots)
-        a[n_slots, col] = 1.0
     return a
 
 
@@ -264,7 +264,7 @@ def _lex_min_vertex(system: MixtureSystem, b: np.ndarray) -> np.ndarray | None:
     """
     w = system.inverses @ b
     residual = np.max(np.abs((system.submatrices @ w[:, :, None])[:, :, 0] - b), axis=1)
-    feasible = ~(np.min(w, axis=1) < -1e-11) & ~(residual > RESIDUAL_TOL)
+    feasible = ~(np.min(w, axis=1) < -SIGN_TOL) & ~(residual > RESIDUAL_TOL)
     best = best_support = None
     for k in np.flatnonzero(feasible):
         support = system.supports[k]
@@ -315,18 +315,6 @@ def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray
             f"reconstruction residual {slot_residual:.3e} exceeds tolerance"
         )
     return mu
-
-
-def is_feasible(system: MixtureSystem, weights: Sequence[float]) -> bool:
-    """Whether ``solve_mixture`` decomposes the slot weights over the system's family.
-
-    ``weights`` are checked slot weights, as ``slot_weights`` returns them.
-    """
-    try:
-        solve_mixture(system, weights)
-    except DecompositionInfeasibleError:
-        return False
-    return True
 
 
 def refine_separable(

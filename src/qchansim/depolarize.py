@@ -151,6 +151,9 @@ def _batch_seeds(seed: int, n_batches: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_batches)]
 
 
+_SCORE_ROWS = 4096  # rows of the (samples x codewords) score matrix held at once
+
+
 def simulate_average_state(
     psi: np.ndarray, c: Codebook, n: int, seed: int, batch: int = 100_000
 ) -> np.ndarray:
@@ -173,13 +176,14 @@ def simulate_average_state(
     total = np.zeros(3)
     for rng, size in zip(rngs, sizes):
         rotations = sample_rotations(rng, size)
-        rotated = np.einsum("nij,kj->nki", rotations, c.vectors)
-        winners = np.argmax(rotated @ psi_hat, axis=1)
-        total += rotated[np.arange(size), winners].sum(axis=0)
+        # Score in row chunks, as estimate_eta does, and sum the batch's choices at once.
+        chosen = np.empty((size, 3))
+        for lo in range(0, size, _SCORE_ROWS):
+            rotated = np.einsum("nij,kj->nki", rotations[lo : lo + _SCORE_ROWS], c.vectors)
+            winners = np.argmax(rotated @ psi_hat, axis=1)
+            chosen[lo : lo + len(rotated)] = rotated[np.arange(len(rotated)), winners]
+        total += chosen.sum(axis=0)
     return qmath.bloch_to_density(total / n)
-
-
-_SCORE_ROWS = 4096  # rows of the (samples x codewords) score matrix held at once
 
 
 def estimate_eta(

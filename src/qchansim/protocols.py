@@ -217,46 +217,42 @@ def run_sampled(
 # Rank-1 product measurements (single sender)
 # ---------------------------------------------------------------------------
 
-_AXIAL_PROBES = [
-    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
-    (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
-]
 _PRUNE_MAX_FAMILY = 24
 _PRUNE_MAX_CANDIDATES = 4096
 
 
-def _probe_states(dim: int, count: int = 54) -> list[np.ndarray]:
-    rng = np.random.default_rng(0xA11CE)
-    probes = []
-    if dim == 2:
-        probes.extend(bloch_to_density(v) for v in _AXIAL_PROBES)
-    probes.extend(projector(qmath.haar_ket(dim, rng)) for _ in range(count))
-    return probes
-
-
 def _message_family(slot_map: SlotWeightMap) -> tuple[ExtremalPovm, ...]:
-    """The smallest subfamily of the receiver slots' extremal measurements that stays decomposable.
+    """The smallest subfamily of the receiver slots' extremal measurements that decomposes every state.
 
-    Subfamilies are tried by ascending size, each certified on a fixed probe
-    set against its mixture system, built once for all probes.  The full
-    family (always feasible) is the fallback when the family is large or no
-    smaller subfamily passes.
+    Subfamilies are tried by ascending size, in ``combinations`` order; the
+    full family (always feasible) is the fallback.  The slot weights and
+    tr(psi) = 1 are linear in psi, b(psi)_k = tr(G_k psi) with G stacking the
+    w_i U_i and the identity.  For columns A_S and P = pinv(A_S), the mixture
+    P b(psi) is tr(Q_j psi) and its residual tr(R_k psi), with Q = P G and
+    R = (1 - A_S P) G.  Over all states, of any dimension, min tr(Q_j psi) =
+    lambda_min(Q_j) and max |tr(R_k psi)| = ||R_k||, so lambda_min(Q_j) >=
+    -SIGN_TOL and ||R_k|| <= RESIDUAL_TOL (the vertex scan's sign and residual
+    tests) certify every state; the converse holds when A_S has independent
+    columns, as P b(psi) is then the only mixture.
     """
     family = tuple(enumerate_extremals(slot_map.receiver))
     if not family:
         raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
     if len(family) > _PRUNE_MAX_FAMILY:
         return family
-    probes = _probe_states(slot_map.sender.shape[-1])
-    targets = [decompose.slot_weights(slot_map, psi) for psi in probes]
-    subfamilies = itertools.chain.from_iterable(
-        itertools.combinations(family, size) for size in range(1, len(family))
+    a = decompose._constraint_system(len(slot_map.weights), family)
+    d = slot_map.sender.shape[-1]
+    g = np.concatenate([slot_map.weights[:, None, None] * slot_map.sender, np.eye(d)[None]])
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(family)), size) for size in range(1, len(family))
     )
-    for subfamily in itertools.islice(subfamilies, _PRUNE_MAX_CANDIDATES):
-        system = decompose.mixture_system(len(slot_map.weights), subfamily)
-        if all(decompose.is_feasible(system, t) for t in targets):
-            return subfamily
+    for subset in itertools.islice(subsets, _PRUNE_MAX_CANDIDATES):
+        p = np.linalg.pinv(a[:, subset])
+        if qmath.hermitian_eigenvalues(np.tensordot(p, g, 1))[:, 0].min() < -decompose.SIGN_TOL:
+            continue
+        residual = g - np.tensordot(a[:, subset] @ p, g, 1)
+        if np.abs(qmath.hermitian_eigenvalues(residual)).max() <= decompose.RESIDUAL_TOL:
+            return tuple(family[i] for i in subset)
     return family
 
 
@@ -270,7 +266,7 @@ def rank1_product_protocol(
     mixture of extremal rank-1 measurements and transmits the sampled label;
     the receiver performs the corresponding extremal measurement.  The message
     alphabet is the extremal family, pruned to the smallest subfamily that
-    stays decomposable across probe states.  The slot-weight map and the
+    decomposes every sender state.  The slot-weight map and the
     family's mixture system are built here, once, so the encoder does only
     the per-state work.
     """
@@ -283,7 +279,7 @@ def rank1_product_protocol(
     slot_map = decompose.slot_weight_map(joint)
     family = _message_family(slot_map)
     system = decompose.mixture_system(len(joint), family)
-    weights = np.array([ext.full_weights(len(joint)) for ext in family])
+    weights = system.matrix[:-1].T
 
     def encoder(psi: np.ndarray) -> np.ndarray:
         return decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi))[None, :]
@@ -348,7 +344,8 @@ class BasisBlock:
         return sum(projector(v) for v in self.bob_bit0)
 
 
-def _check_block_basis(blocks: Sequence[BasisBlock]) -> int:
+def block_basis_vectors(blocks: Sequence[BasisBlock]) -> list[np.ndarray]:
+    """The product kets of a block basis in outcome order, checked orthonormal and in block form."""
     dims = {v.shape[0] for b in blocks for v in b.bob_bit0 + b.bob_bit1}
     if len(dims) != 1:
         raise ProtocolError("receiver states have mixed dimensions")
@@ -366,7 +363,7 @@ def _check_block_basis(blocks: Sequence[BasisBlock]) -> int:
         alt = sum(projector(v) for v in b.bob_bit1)
         if np.max(np.abs(alt - b.subspace_projector())) > 1e-10:
             raise ProtocolError("basis is not in block form: receiver families span different subspaces")
-    return d
+    return vectors
 
 
 def block_basis_protocol(blocks: Sequence[BasisBlock]) -> OneRoundProtocol:
@@ -379,7 +376,7 @@ def block_basis_protocol(blocks: Sequence[BasisBlock]) -> OneRoundProtocol:
     (block index, bit, within-block index).
     """
     blocks = tuple(blocks)
-    _check_block_basis(blocks)
+    block_basis_vectors(blocks)
     n_blocks = len(blocks)
     outcomes = tuple(
         (i, a, j) for i, b in enumerate(blocks) for a in (0, 1) for j in range(b.size)

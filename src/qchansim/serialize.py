@@ -276,7 +276,7 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
         effects=[[povm.padded(outcomes) for povm in row] for row in decoders],
         outcomes=outcomes,
         cost_bits=cost_bits,
-        meta={"construction": obj.get("construction", "table")},
+        meta={"construction": obj.get("construction", "table"), "psi_grid": grid_bloch},
         named=[[[o in povm.labels for o in outcomes] for povm in row] for row in decoders],
     )
 

@@ -416,6 +416,19 @@ class TestMalformedInput:
         config = write_config(tmp_path, "config.json", entries)
         assert run_cli([command, "--config", config]) == 3
 
+    @pytest.mark.parametrize("command", ["collapse", "simulate"])
+    def test_sender_state_off_a_protocol_files_grid_is_malformed_input(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
+        out = str(tmp_path / "r.json")
+        assert run_cli(["collapse", "--config", config, "--seed", "1", "--out", out]) == 0
+        if command == "collapse":
+            entries = {"protocol": {"kind": "file", "path": str(tmp_path / "r.original.json")}, "seed": 2}
+        else:
+            entries = {"measurement": str(tmp_path / "r.collapsed.json"), "psi": [0, 0, 1]}
+        capsys.readouterr()
+        assert run_cli([command, "--config", write_config(tmp_path, "run.json", entries)]) == 3
+        assert "runs only on its own grid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "rac"])
     def test_negative_seed_override_is_malformed_input(self, tmp_path, command):
         config = write_config(tmp_path, "config.json", {"measurement": "tb"})

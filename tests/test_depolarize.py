@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,28 @@ class TestAverageState:
     def test_rejects_mixed_input(self):
         with pytest.raises(DepolarizeError):
             simulate_average_state(qmath.I2 / 2, codebook("cube"), 10, seed=1)
+
+    @pytest.mark.parametrize("m, seed", [(1, 3), (3, 4), (6, 5)])
+    def test_row_chunks_match_the_whole_batch_average(self, m, seed):
+        psi_hat = qmath.random_bloch(np.random.default_rng(seed))
+        c, n, batch = codebook(m), 10_000, 6_000
+        total = np.zeros(3)
+        for rng, size in zip(dp._batch_seeds(seed, 2), (batch, n - batch)):
+            rotated = np.einsum("nij,kj->nki", sample_rotations(rng, size), c.vectors)
+            winners = np.argmax(rotated @ psi_hat, axis=1)
+            total += rotated[np.arange(size), winners].sum(axis=0)
+        rho = simulate_average_state(qmath.bloch_to_density(psi_hat), c, n, seed, batch=batch)
+        np.testing.assert_array_equal(rho, qmath.bloch_to_density(total / n))
+
+    def test_peak_memory_stays_bounded_at_256_codewords(self):
+        # Scoring the whole 20,000-row batch at once peaks at about 166 MB; row chunks near 52 MB.
+        tracemalloc.start()
+        try:
+            simulate_average_state(qmath.bloch_to_density((0, 0, 1)), codebook(8), 20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
 
 
 class TestEstimateEta:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import multiround, qmath
+from qchansim import multiround, protocols, qmath
 from qchansim.decompose import (
+    DecompositionInfeasibleError,
     enumerate_extremals,
     mixture_system,
     slot_weight_map,
@@ -47,6 +49,8 @@ from qchansim.protocols import (
 )
 from qchansim.qmath import (
     KET0,
+    ProductRank1Effect,
+    bloch_to_density,
     born,
     catalog_labels,
     catalog_measurement,
@@ -290,6 +294,92 @@ class TestRankOneProductProtocol:
             run_analytic(protocol, psi, phi),
             born_product_oracle(joint, psi, phi),
             atol=1e-10,
+        )
+
+
+AXIS_STATES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+
+# Local measurement pairs of helpers.random_product_povm; the (tetra, tetra) family has 256
+# members and is never pruned.
+KIND_PAIRS = [
+    (left, right)
+    for left in ("basis", "trine", "tetra")
+    for right in ("basis", "trine", "tetra")
+    if (left, right) != ("tetra", "tetra")
+]
+
+
+def probe_rule_family(slot_map):
+    """Reference copy of the former alphabet pruning, which checked probe states only.
+
+    The first subfamily, by ascending size, over which ``solve_mixture``
+    decomposes the six axis states (qubit senders) and 54 Haar states drawn
+    from a fixed seed, each subfamily with its own mixture system.
+    """
+    family = tuple(enumerate_extremals(slot_map.receiver))
+    if len(family) > protocols._PRUNE_MAX_FAMILY:
+        return family
+    dim = slot_map.sender.shape[-1]
+    rng = np.random.default_rng(0xA11CE)
+    probes = [bloch_to_density(v) for v in AXIS_STATES] if dim == 2 else []
+    probes += [projector(haar_ket(dim, rng)) for _ in range(54)]
+    targets = [slot_weights(slot_map, psi) for psi in probes]
+
+    def decomposes(system, weights):
+        try:
+            solve_mixture(system, weights)
+        except DecompositionInfeasibleError:
+            return False
+        return True
+
+    subfamilies = itertools.chain.from_iterable(
+        itertools.combinations(family, size) for size in range(1, len(family))
+    )
+    for subfamily in itertools.islice(subfamilies, protocols._PRUNE_MAX_CANDIDATES):
+        system = mixture_system(len(slot_map.weights), subfamily)
+        if all(decomposes(system, t) for t in targets):
+            return subfamily
+    return family
+
+
+class TestMessageFamily:
+    def test_certificate_chooses_what_the_probe_rule_chose(self):
+        shift = catalog_product_effects("shift")
+        first_sender = slot_weight_map(protocols._peel_pairs(shift))
+        slot_maps = [slot_weight_map(catalog_product_effects(n)) for n in ("comp", "twistA", "twistB", "tb")]
+        slot_maps.append(first_sender)
+        for ext in probe_rule_family(first_sender):
+            branch = [ProductRank1Effect(weight=w, factors=shift[i].factors[1:])
+                      for i, w in zip(ext.support, ext.weights)]
+            slot_maps.append(slot_weight_map(branch))
+        for seed in (0, 1):
+            for kinds in KIND_PAIRS:
+                slot_maps.append(slot_weight_map(random_product_povm(np.random.default_rng(seed), kinds)))
+        assert len(slot_maps) == 25
+        for slot_map in slot_maps:
+            chosen = [e.support for e in protocols._message_family(slot_map)]
+            assert chosen == [e.support for e in probe_rule_family(slot_map)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        source=st.sampled_from(KIND_PAIRS + ["mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["pure", "mixed", "axis"]),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_pruned_protocol_matches_born_on_every_state(self, source, seed, kind, p):
+        rng = np.random.default_rng(seed)
+        joint = mixed_product_povm(rng) if source == "mixed" else random_product_povm(rng, source)
+        protocol = rank1_product_protocol(joint)
+        if kind == "axis":
+            psi = bloch_to_density(AXIS_STATES[rng.integers(len(AXIS_STATES))])
+        else:
+            psi = projector(haar_ket(2, rng))
+            if kind == "mixed":
+                psi = p * psi + (1.0 - p) * qmath.I2 / 2
+        phi = projector(haar_ket(2, rng))
+        np.testing.assert_allclose(
+            run_analytic(protocol, psi, phi), born_product_oracle(joint, psi, phi), atol=1e-10
         )
 
 

@@ -111,14 +111,17 @@ def _number(value, kind: type, what: str):
         raise ConfigError(f"{what} must be {article}, got {value!r}") from exc
 
 
-def _int_entry(config: dict, key: str, default: int | None, minimum: int | None = None) -> int:
-    value = config.get(key, default)
+def _integer(value, what: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    value = _number(value, int, key)
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    value = _number(value, int, what)
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+        raise ConfigError(f"{what} must be at least {minimum}, got {value}")
     return value
+
+
+def _int_entry(config: dict, key: str, default: int | None, minimum: int | None = None) -> int:
+    return _integer(config.get(key, default), key, minimum)
 
 
 def _resolve_state(spec, dim: int, rng: np.random.Generator, what: str) -> np.ndarray:
@@ -303,7 +306,7 @@ def cmd_decompose(config: dict, out: str | None) -> int:
         "cost_bits": protocols.bit_cost(len(family)),
     }
     _emit(out, _json_report("decompose", resolved, body))
-    return EXIT_OK if residual < 1e-9 else EXIT_INVARIANT
+    return EXIT_OK if residual < decompose.RESIDUAL_TOL else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
         bit_counts = config.get("bit_counts", [1, 2, 3])
         if not isinstance(bit_counts, list):
             raise ConfigError(f"bit_counts must be a list, got {bit_counts!r}")
-        bit_counts = [_number(m, int, "bit_counts entry") for m in bit_counts]
+        bit_counts = [_integer(m, "bit_counts entry") for m in bit_counts]
     if not bit_counts or min(bit_counts) < 1:
         raise ConfigError("bit counts must be positive")
     resolved = {"seed": seed, "samples": samples, "bit_counts": bit_counts}
@@ -387,7 +390,10 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
-    tolerance = _number(config.get("check_tolerance", default_tolerance), float, "check_tolerance")
+    raw_tolerance = config.get("check_tolerance", default_tolerance)
+    tolerance = _number(raw_tolerance, float, "check_tolerance")
+    if isinstance(raw_tolerance, bool) or not 0.0 < tolerance < math.inf:
+        raise ConfigError(f"check_tolerance must be a finite number above 0, got {raw_tolerance!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(n_checks)]

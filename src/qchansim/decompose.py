@@ -11,22 +11,22 @@ valid rank-1 measurement on those slots is a convex mixture of them.
 two-party product measurement on a known sender state gives the slot weights
 of a rank-1 measurement on the receiver: ``slot_weight_map`` stacks the
 measurement once and ``slot_weights`` conditions it on each state.
-``mixture_system`` builds what depends only on a family, and
-``solve_mixture`` then decomposes each weight vector.
-A decomposition is its coefficient vector mu over the family, in family
-order.  The mixture is generally not unique, so a canonical representative
-is returned: the lexicographically smallest feasible weight vector (in
-enumeration order), computed exactly by vertex enumeration when the family
-is small and by deterministic non-negative least squares otherwise; each
-family is decided by that one rule.  Only the NNLS solves need scipy, and
-``_nnls`` imports it on first use.
+``mixture_system`` builds what depends only on a family (``message_system``
+over the smallest subfamily that provably decomposes every sender state), and
+``solve_mixture`` decomposes each weight vector into its coefficients mu over
+the family.  The mixture is generally not unique, so the lexicographically
+smallest feasible mu (in enumeration order) is returned, computed exactly by
+vertex enumeration when the family has at most _VERTEX_ENUM_LIMIT candidate
+supports (the subfamily search's cap too) and by deterministic non-negative
+least squares otherwise.  Only the NNLS solves need scipy, and ``_nnls``
+imports it on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, groupby, islice
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ SIGN_TOL = 1e-11          # most negative mixture coefficient a vertex may have
 
 _MAX_PROJECTORS = 16
 _MAX_DIM = 4
-_VERTEX_ENUM_LIMIT = 3000  # candidate-support cap for the exact path
+_VERTEX_ENUM_LIMIT = 3000  # candidate cap for the vertex scan and for alphabet pruning
 
 
 class DecompositionInfeasibleError(ValueError):
@@ -228,6 +228,14 @@ class MixtureSystem:
     inverses: np.ndarray | None = None
 
 
+def _stacked_subsets(a: np.ndarray, supports):
+    """Per size of the size-grouped ``supports``: those supports, their columns of ``a``, their pinv."""
+    for size, group in groupby(supports, len):
+        group = np.array(list(group))
+        subs = a[:, group].transpose(1, 0, 2)
+        yield group, subs, np.linalg.pinv(subs, rtol=np.finfo(float).eps * max(a.shape[0], size))
+
+
 def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSystem:
     """Build the constraint system and candidate inverses that ``solve_mixture`` reuses per state."""
     if not extremals:
@@ -243,16 +251,50 @@ def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSy
     submatrices = np.zeros((len(supports), a.shape[0], rank))
     inverses = np.zeros((len(supports), rank, a.shape[0]))
     lo = 0
-    for size in sizes:
-        hi = lo + math.comb(len(extremals), size)
-        subs = np.stack([a[:, support] for support in supports[lo:hi]])
-        submatrices[lo:hi, :, :size] = subs
-        cutoff = np.finfo(float).eps * max(a.shape[0], size)
-        inverses[lo:hi, :size] = np.linalg.pinv(subs, rtol=cutoff)
+    for group, subs, invs in _stacked_subsets(a, supports):
+        hi = lo + len(group)
+        submatrices[lo:hi, :, :group.shape[1]] = subs
+        inverses[lo:hi, :group.shape[1]] = invs
         lo = hi
     for array in (submatrices, inverses):
         array.setflags(write=False)
     return MixtureSystem(extremals, a, rank, supports, submatrices, inverses)
+
+
+def message_system(slot_map: SlotWeightMap) -> MixtureSystem:
+    """The mixture system over the smallest extremal subfamily that decomposes every sender state.
+
+    Proper subfamilies are tried by ascending size, in ``combinations`` order,
+    the first _VERTEX_ENUM_LIMIT of them; the full family (always feasible)
+    is the fallback.  The slot weights and tr(psi) = 1 are linear in psi,
+    b(psi)_k = tr(G_k psi) with G stacking the w_i U_i and the identity.  For
+    columns A_S and P = pinv(A_S), the mixture P b(psi) is tr(Q_j psi) and
+    its residual tr(R_k psi), with Q = P G and R = (1 - A_S P) G.  Over all
+    states, of any dimension, min tr(Q_j psi) = lambda_min(Q_j) and
+    max |tr(R_k psi)| = ||R_k||, so lambda_min(Q_j) >= -SIGN_TOL and
+    ||R_k|| <= RESIDUAL_TOL (the vertex scan's sign and residual tests)
+    certify every state; the converse holds when A_S has independent
+    columns, as P b(psi) is then the only mixture.
+    """
+    family = tuple(enumerate_extremals(slot_map.receiver))
+    n_slots = len(slot_map.weights)
+    a = _constraint_system(n_slots, family)
+    d = slot_map.sender.shape[-1]
+    g = np.concatenate([slot_map.weights[:, None, None] * slot_map.sender, np.eye(d)[None]])
+    mixed = np.trace(g, axis1=1, axis2=2).real / d  # b(1/d)
+    subsets = chain.from_iterable(combinations(range(len(family)), k) for k in range(1, len(family)))
+    for group, subs, invs in _stacked_subsets(a, islice(subsets, _VERTEX_ENUM_LIMIT)):
+        # |tr(R_k 1/d)| <= ||R_k||, so the maximally mixed state's residual rules most candidates out.
+        mixed_residual = mixed - np.einsum("krs,ks->kr", subs, invs @ mixed)
+        near = np.flatnonzero(np.abs(mixed_residual).max(axis=1) <= RESIDUAL_TOL)
+        q = np.tensordot(invs[near], g, 1)
+        r = g - np.einsum("krs,ksij->krij", subs[near], q)
+        certified = qmath.hermitian_eigenvalues(q)[..., 0].min(axis=1) >= -SIGN_TOL
+        certified &= np.abs(qmath.hermitian_eigenvalues(r)).max(axis=(1, 2)) <= RESIDUAL_TOL
+        if certified.any():
+            family = tuple(family[i] for i in group[near[np.argmax(certified)]])
+            break
+    return mixture_system(n_slots, family)
 
 
 def _lex_min_vertex(system: MixtureSystem, b: np.ndarray) -> np.ndarray | None:

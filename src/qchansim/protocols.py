@@ -11,7 +11,8 @@ Constructors provided here:
 
 * ``rank1_product_protocol`` simulates any rank-1 product measurement on a
   known state times an unknown state, by decomposing the induced receiver-side
-  measurement into extremal rank-1 measurements and sending the sampled label.
+  measurement into extremal rank-1 measurements and sending the sampled label;
+  ``decompose.message_system`` picks the alphabet.
 * ``block_basis_protocol`` simulates a product von Neumann measurement on
   C^2 x C^d given in block form, using one classical bit per block.
 * ``multi_sender_protocol`` extends the product construction to two senders
@@ -34,12 +35,6 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from . import decompose, qmath
-from .decompose import (
-    DecompositionInfeasibleError,
-    ExtremalPovm,
-    SlotWeightMap,
-    enumerate_extremals,
-)
 from .qmath import (
     ATOL_SCALAR,
     DimensionError,
@@ -217,45 +212,6 @@ def run_sampled(
 # Rank-1 product measurements (single sender)
 # ---------------------------------------------------------------------------
 
-_PRUNE_MAX_FAMILY = 24
-_PRUNE_MAX_CANDIDATES = 4096
-
-
-def _message_family(slot_map: SlotWeightMap) -> tuple[ExtremalPovm, ...]:
-    """The smallest subfamily of the receiver slots' extremal measurements that decomposes every state.
-
-    Subfamilies are tried by ascending size, in ``combinations`` order; the
-    full family (always feasible) is the fallback.  The slot weights and
-    tr(psi) = 1 are linear in psi, b(psi)_k = tr(G_k psi) with G stacking the
-    w_i U_i and the identity.  For columns A_S and P = pinv(A_S), the mixture
-    P b(psi) is tr(Q_j psi) and its residual tr(R_k psi), with Q = P G and
-    R = (1 - A_S P) G.  Over all states, of any dimension, min tr(Q_j psi) =
-    lambda_min(Q_j) and max |tr(R_k psi)| = ||R_k||, so lambda_min(Q_j) >=
-    -SIGN_TOL and ||R_k|| <= RESIDUAL_TOL (the vertex scan's sign and residual
-    tests) certify every state; the converse holds when A_S has independent
-    columns, as P b(psi) is then the only mixture.
-    """
-    family = tuple(enumerate_extremals(slot_map.receiver))
-    if not family:
-        raise DecompositionInfeasibleError("no extremal measurements over the receiver slots")
-    if len(family) > _PRUNE_MAX_FAMILY:
-        return family
-    a = decompose._constraint_system(len(slot_map.weights), family)
-    d = slot_map.sender.shape[-1]
-    g = np.concatenate([slot_map.weights[:, None, None] * slot_map.sender, np.eye(d)[None]])
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(len(family)), size) for size in range(1, len(family))
-    )
-    for subset in itertools.islice(subsets, _PRUNE_MAX_CANDIDATES):
-        p = np.linalg.pinv(a[:, subset])
-        if qmath.hermitian_eigenvalues(np.tensordot(p, g, 1))[:, 0].min() < -decompose.SIGN_TOL:
-            continue
-        residual = g - np.tensordot(a[:, subset] @ p, g, 1)
-        if np.abs(qmath.hermitian_eigenvalues(residual)).max() <= decompose.RESIDUAL_TOL:
-            return tuple(family[i] for i in subset)
-    return family
-
-
 def rank1_product_protocol(
     joint: Sequence[ProductRank1Effect],
     labels: Sequence[Hashable] | None = None,
@@ -265,10 +221,10 @@ def rank1_product_protocol(
     The sender decomposes the receiver-side effective measurement into a
     mixture of extremal rank-1 measurements and transmits the sampled label;
     the receiver performs the corresponding extremal measurement.  The message
-    alphabet is the extremal family, pruned to the smallest subfamily that
-    decomposes every sender state.  The slot-weight map and the
-    family's mixture system are built here, once, so the encoder does only
-    the per-state work.
+    alphabet is the extremal family, pruned by ``decompose.message_system``
+    to the smallest subfamily that decomposes every sender state.  The
+    slot-weight map and that mixture system are built here, once, so the
+    encoder does only the per-state work.
     """
     joint = tuple(joint)
     if any(e.n_parties != 2 for e in joint):
@@ -277,8 +233,8 @@ def rank1_product_protocol(
         labels = tuple(range(len(joint)))
     labels = tuple(labels)
     slot_map = decompose.slot_weight_map(joint)
-    family = _message_family(slot_map)
-    system = decompose.mixture_system(len(joint), family)
+    system = decompose.message_system(slot_map)
+    family = system.extremals
     weights = system.matrix[:-1].T
 
     def encoder(psi: np.ndarray) -> np.ndarray:
@@ -560,8 +516,8 @@ def multi_sender_protocol(
         return rank1_product_protocol(joint, labels)
 
     slot_map = decompose.slot_weight_map(_peel_pairs(joint))
-    family = _message_family(slot_map)
-    system = decompose.mixture_system(len(joint), family)
+    system = decompose.message_system(slot_map)
+    family = system.extremals
 
     branches = tuple(
         rank1_product_protocol(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -377,7 +378,14 @@ class TestMalformedInput:
             ("depolarize", {"bit_counts": 3}),
             ("depolarize", {"sweep_max_bits": "x"}),
             ("depolarize", {"bit_counts": ["x"]}),
+            ("depolarize", {"bit_counts": [1.5]}),
+            ("depolarize", {"bit_counts": [True]}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": "x"}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": True}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": math.nan}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": math.inf}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": -1}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": 0}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": 0}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": -1}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "budget": 0}),

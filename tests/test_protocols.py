@@ -13,7 +13,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import multiround, protocols, qmath
+from qchansim import decompose, multiround, protocols, qmath
 from qchansim.decompose import (
     DecompositionInfeasibleError,
     enumerate_extremals,
@@ -312,13 +312,12 @@ KIND_PAIRS = [
 def probe_rule_family(slot_map):
     """Reference copy of the former alphabet pruning, which checked probe states only.
 
-    The first subfamily, by ascending size, over which ``solve_mixture``
-    decomposes the six axis states (qubit senders) and 54 Haar states drawn
-    from a fixed seed, each subfamily with its own mixture system.
+    The first subfamily, by ascending size and among the first
+    ``decompose._VERTEX_ENUM_LIMIT``, over which ``solve_mixture`` decomposes
+    the six axis states (qubit senders) and 54 Haar states drawn from a fixed
+    seed, each subfamily with its own mixture system.
     """
     family = tuple(enumerate_extremals(slot_map.receiver))
-    if len(family) > protocols._PRUNE_MAX_FAMILY:
-        return family
     dim = slot_map.sender.shape[-1]
     rng = np.random.default_rng(0xA11CE)
     probes = [bloch_to_density(v) for v in AXIS_STATES] if dim == 2 else []
@@ -335,7 +334,7 @@ def probe_rule_family(slot_map):
     subfamilies = itertools.chain.from_iterable(
         itertools.combinations(family, size) for size in range(1, len(family))
     )
-    for subfamily in itertools.islice(subfamilies, protocols._PRUNE_MAX_CANDIDATES):
+    for subfamily in itertools.islice(subfamilies, decompose._VERTEX_ENUM_LIMIT):
         system = mixture_system(len(slot_map.weights), subfamily)
         if all(decomposes(system, t) for t in targets):
             return subfamily
@@ -357,8 +356,24 @@ class TestMessageFamily:
                 slot_maps.append(slot_weight_map(random_product_povm(np.random.default_rng(seed), kinds)))
         assert len(slot_maps) == 25
         for slot_map in slot_maps:
-            chosen = [e.support for e in protocols._message_family(slot_map)]
+            chosen = [e.support for e in decompose.message_system(slot_map).extremals]
             assert chosen == [e.support for e in probe_rule_family(slot_map)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trine_trine_family_of_27_prunes_to_three_messages(self, seed):
+        joint = random_product_povm(np.random.default_rng(seed), ("trine", "trine"))
+        assert len(enumerate_extremals([projector(e.factors[1]) for e in joint])) == 27
+        protocol = rank1_product_protocol(joint)
+        assert protocol.n_messages == 3
+        assert protocol.cost_bits == 2
+        rng = np.random.default_rng(100 + seed)
+        states = [bloch_to_density(v) for v in AXIS_STATES]
+        states += [projector(haar_ket(2, rng)) for _ in range(10)]
+        for psi in states:
+            phi = projector(haar_ket(2, rng))
+            np.testing.assert_allclose(
+                run_analytic(protocol, psi, phi), born_product_oracle(joint, psi, phi), atol=1e-10
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(

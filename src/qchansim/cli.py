@@ -179,6 +179,12 @@ def _load_measurement(spec: str, obj: dict | None = None):
     effects, labels = serialize.product_povm_from_obj(_measurement_file(spec) if obj is None else obj)
     if not effects or any(e.n_parties != 2 for e in effects):
         raise ConfigError(f"measurement {spec} needs two-party product effects")
+    dim = max(e.factors[1].shape[0] for e in effects)
+    if len(effects) > decompose._MAX_PROJECTORS or dim > decompose._MAX_DIM:
+        raise ConfigError(
+            f"measurement {spec} has {len(effects)} effects on a receiver of dimension {dim}; at most"
+            f" {decompose._MAX_PROJECTORS} effects and dimension {decompose._MAX_DIM} are supported"
+        )
     return effects, labels
 
 
@@ -286,9 +292,10 @@ def cmd_decompose(config: dict, out: str | None) -> int:
     effects, labels = _load_measurement(name)
     psi = _resolve_state(config.get("psi", "haar"), effects[0].factors[0].shape[0], rng, "psi")
     slot_map = decompose.slot_weight_map(effects)
-    family = decompose.enumerate_extremals(slot_map.receiver)
+    system = decompose.message_system(slot_map)
+    family = system.extremals
     weights = decompose.slot_weights(slot_map, psi)
-    mu = decompose.solve_mixture(decompose.mixture_system(len(effects), family), weights)
+    mu = decompose.solve_mixture(system, weights)
     # Summed pattern by pattern: a matrix product rounds differently and changes the reported bits.
     reconstructed = sum(m * ext.full_weights(len(effects)) for m, ext in zip(mu, family))
     residual = float(np.max(np.abs(reconstructed - weights)))

@@ -7,10 +7,11 @@ which case the completeness condition fixes the weights uniquely.  Over a
 finite slot list there are finitely many extremal weight patterns, and every
 valid rank-1 measurement on those slots is a convex mixture of them.
 
-``enumerate_extremals`` lists all extremal patterns.  Conditioning a
-two-party product measurement on a known sender state gives the slot weights
-of a rank-1 measurement on the receiver: ``slot_weight_map`` stacks the
-measurement once and ``slot_weights`` conditions it on each state.
+``enumerate_extremals`` lists all extremal patterns, scanning slot subsets
+level by level with one batched independence test per support size.
+Conditioning a two-party product measurement on a known sender state gives
+the slot weights of a rank-1 measurement on the receiver: ``slot_weight_map``
+stacks the measurement once and ``slot_weights`` conditions it on each state.
 ``mixture_system`` builds what depends only on a family (``message_system``
 over the smallest subfamily that provably decomposes every sender state), and
 ``solve_mixture`` decomposes each weight vector into its coefficients mu over
@@ -74,23 +75,17 @@ def _assert_rank1_projector(p: np.ndarray) -> None:
         raise ValueError("slot operator is not a rank-1 projector")
 
 
-def _real_vectorize(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack Hermitian matrices as real row vectors (real and imaginary parts)."""
-    rows = []
-    for m in matrices:
-        flat = np.asarray(m, dtype=complex).reshape(-1)
-        rows.append(np.concatenate([flat.real, flat.imag]))
-    return np.array(rows)
-
-
 def enumerate_extremals(projectors: Sequence[np.ndarray]) -> list[ExtremalPovm]:
     """All extremal weight patterns over an ordered list of rank-1 projectors.
 
     A slot subset qualifies when its projectors are linearly independent and
     the unique solution of sum_a w_a P_a = identity is strictly positive.
-    Subsets are explored depth-first in index order (a dependent subset cannot
-    become independent by adding slots), and results come back sorted
-    lexicographically by support.
+    Subsets are scanned level by level: the supports of size k extend each
+    independent support of size k - 1 by every later slot (a dependent subset
+    cannot become independent by adding slots), one batched ``svd`` decides
+    the independence of a whole level, and each independent support is then
+    solved with ``lstsq``.  Results come back sorted lexicographically by
+    support.
     """
     projs = [np.asarray(p, dtype=complex) for p in projectors]
     if not 1 <= len(projs) <= _MAX_PROJECTORS:
@@ -104,30 +99,23 @@ def enumerate_extremals(projectors: Sequence[np.ndarray]) -> list[ExtremalPovm]:
     if dim > _MAX_DIM:
         raise qmath.DimensionError(f"dimension {dim} exceeds supported maximum {_MAX_DIM}")
 
-    vectors = _real_vectorize(projs)
-    identity_vec = np.concatenate([np.eye(dim, dtype=complex).reshape(-1).real, np.zeros(dim * dim)])
-    max_support = dim * dim
+    flat = np.array(projs).reshape(len(projs), -1)
+    vectors = np.concatenate([flat.real, flat.imag], axis=1)  # Hermitian matrices as real rows
+    identity_vec = np.concatenate([np.eye(dim).reshape(-1), np.zeros(dim * dim)])
     found: list[ExtremalPovm] = []
-
-    def independent(indices: list[int]) -> bool:
-        sv = np.linalg.svd(vectors[indices], compute_uv=False)
-        return sv[-1] > INDEPENDENCE_TOL
-
-    def visit(indices: list[int], next_start: int) -> None:
-        if indices:
-            if not independent(indices):
-                return  # supersets stay dependent
-            a = vectors[indices].T
+    level = [()]
+    for _ in range(dim * dim):
+        extended = [s + (j,) for s in level for j in range(s[-1] + 1 if s else 0, len(projs))]
+        if not extended:
+            break
+        sv = np.linalg.svd(vectors[np.array(extended)], compute_uv=False)
+        level = [s for s, ok in zip(extended, sv[:, -1] > INDEPENDENCE_TOL) if ok]
+        for support in level:
+            a = vectors[list(support)].T
             w, *_ = np.linalg.lstsq(a, identity_vec, rcond=None)
             residual = np.max(np.abs(a @ w - identity_vec))
             if residual <= ATOL_MATRIX and np.min(w) > MIN_WEIGHT:
-                found.append(ExtremalPovm(support=tuple(indices), weights=tuple(w)))
-        if len(indices) >= max_support:
-            return
-        for nxt in range(next_start, len(projs)):
-            visit(indices + [nxt], nxt + 1)
-
-    visit([], 0)
+                found.append(ExtremalPovm(support=support, weights=tuple(w)))
     found.sort(key=lambda e: e.support)
     return found
 
@@ -212,17 +200,16 @@ class MixtureSystem:
     ``matrix`` is the constraint matrix A of A mu = (slot weights, 1): one
     column per extremal pattern, holding its full weights over the slots and
     a final 1.  Every vertex of {mu >= 0 : A mu = b} is supported on at most
-    ``rank`` columns.  When at most _VERTEX_ENUM_LIMIT column subsets are
+    rank(A) columns.  When at most _VERTEX_ENUM_LIMIT column subsets are
     that small, ``supports`` lists them by size and then in ``combinations``
     order, and ``submatrices`` and ``inverses`` stack their columns of A and
     the pseudo-inverses of those (cut off as ``lstsq(rcond=None)`` cuts off),
-    zero-padded to ``rank`` columns and rows, and they alone decide
+    zero-padded to rank(A) columns and rows, and they alone decide
     feasibility.  Otherwise all three are None and NNLS decides.
     """
 
     extremals: tuple[ExtremalPovm, ...]
     matrix: np.ndarray
-    rank: int
     supports: tuple[tuple[int, ...], ...] | None = None
     submatrices: np.ndarray | None = None
     inverses: np.ndarray | None = None
@@ -246,7 +233,7 @@ def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSy
     rank = int(np.linalg.matrix_rank(a, tol=1e-10))
     sizes = range(1, rank + 1)
     if sum(math.comb(len(extremals), size) for size in sizes) > _VERTEX_ENUM_LIMIT:
-        return MixtureSystem(extremals=extremals, matrix=a, rank=rank)
+        return MixtureSystem(extremals, a)
     supports = tuple(s for size in sizes for s in combinations(range(len(extremals)), size))
     submatrices = np.zeros((len(supports), a.shape[0], rank))
     inverses = np.zeros((len(supports), rank, a.shape[0]))
@@ -258,7 +245,7 @@ def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSy
         lo = hi
     for array in (submatrices, inverses):
         array.setflags(write=False)
-    return MixtureSystem(extremals, a, rank, supports, submatrices, inverses)
+    return MixtureSystem(extremals, a, supports, submatrices, inverses)
 
 
 def message_system(slot_map: SlotWeightMap) -> MixtureSystem:

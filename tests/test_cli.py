@@ -38,6 +38,27 @@ SHIFT_PRODUCT_POVM = json.dumps(
 )
 
 
+def product_povm_file(tmp_path, joint):
+    """Write a two-party product measurement as a product_povm file and return its path."""
+    path = tmp_path / "povm.json"
+    path.write_text(serialize.dumps(serialize.product_povm_to_obj(joint)))
+    return str(path)
+
+
+# Well-formed measurements beyond what the extremal enumeration takes: 18 effects
+# (each (trine, trine) term split in two halves), and a receiver of dimension 5.
+EIGHTEEN_EFFECTS = serialize.dumps(serialize.product_povm_to_obj([
+    qmath.ProductRank1Effect(weight=e.weight / 2, factors=e.factors)
+    for e in random_product_povm(np.random.default_rng(0), ("trine", "trine"))
+    for _ in range(2)
+]))
+QUBIT_BY_DIM5 = serialize.dumps(serialize.product_povm_to_obj([
+    qmath.ProductRank1Effect(weight=1.0, factors=(a, b))
+    for a in np.eye(2, dtype=complex)
+    for b in np.eye(5, dtype=complex)
+]))
+
+
 class TestSimulate:
     def test_twisted_butterfly_report(self, tmp_path):
         config = write_config(
@@ -112,6 +133,19 @@ class TestDecompose:
         assert report["cost_bits"] == 2
         mus = [entry["mu"] for entry in report["decomposition"]["mixture"]]
         np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("measurement", ["comp", ("trine", "trine")], ids=["comp", "trine-trine"])
+    def test_decompose_reports_the_alphabet_simulate_sends(self, tmp_path, measurement):
+        if not isinstance(measurement, str):
+            joint = random_product_povm(np.random.default_rng(1), measurement)
+            measurement = product_povm_file(tmp_path, joint)
+        costs = {}
+        for command in ("decompose", "simulate"):
+            config = write_config(tmp_path, f"{command}.json", {"measurement": measurement})
+            out = tmp_path / f"{command}_report.json"
+            assert run_cli([command, "--config", config, "--out", str(out)]) == 0
+            costs[command] = json.loads(out.read_text())["cost_bits"]
+        assert costs["decompose"] == costs["simulate"]
 
 
 class TestDepolarize:
@@ -351,6 +385,10 @@ class TestMalformedInput:
             ("decompose", SHIFT_PRODUCT_POVM),
             ("simulate", '{"kind": "product_povm", "effects": [], "labels": []}'),
             ("decompose", '{"kind": "product_povm", "effects": [], "labels": []}'),
+            pytest.param("simulate", EIGHTEEN_EFFECTS, id="simulate-18-effects"),
+            pytest.param("decompose", EIGHTEEN_EFFECTS, id="decompose-18-effects"),
+            pytest.param("simulate", QUBIT_BY_DIM5, id="simulate-receiver-dim-5"),
+            pytest.param("decompose", QUBIT_BY_DIM5, id="decompose-receiver-dim-5"),
         ],
     )
     def test_malformed_measurement_is_malformed_input(self, tmp_path, command, measurement_file):
@@ -521,17 +559,24 @@ class TestColdStart:
         mus = [entry["mu"] for entry in json.loads(out.read_text())["decomposition"]["mixture"]]
         np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)
 
-    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
-        # The 16-member family of a (basis, tetra) measurement has more candidate
-        # supports than the vertex search takes, so it is decided by NNLS.
+    def test_decompose_on_a_pruned_family_runs_without_scipy(self, tmp_path):
+        # The 16-member family of a (basis, tetra) measurement prunes to an alphabet
+        # small enough for the vertex search.
         joint = random_product_povm(np.random.default_rng(11), ("basis", "tetra"))
-        measurement = tmp_path / "povm.json"
-        measurement.write_text(serialize.dumps(serialize.product_povm_to_obj(joint)))
-        config = write_config(tmp_path, "dec.json", {"measurement": str(measurement)})
+        config = write_config(tmp_path, "dec.json", {"measurement": product_povm_file(tmp_path, joint)})
+        args = ["decompose", "--config", config, "--out", str(tmp_path / "out.json")]
+        assert run_fresh(args) == {"code": 0, "scipy": False}
+
+    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
+        # The 81-member family of a (trine, tetra) measurement stays whole after
+        # pruning and has more candidate supports than the vertex search takes,
+        # so it is decided by NNLS.
+        joint = random_product_povm(np.random.default_rng(11), ("trine", "tetra"))
+        config = write_config(tmp_path, "dec.json", {"measurement": product_povm_file(tmp_path, joint)})
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         assert run_fresh(["decompose", "--config", config, "--out", str(cold)]) == {
             "code": 0, "scipy": True,
         }
         assert run_cli(["decompose", "--config", config, "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
-        assert len(json.loads(cold.read_text())["family"]) == 16
+        assert len(json.loads(cold.read_text())["family"]) == 81

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import random_product_povm
+from helpers import random_local_rank1_povm, random_product_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
@@ -97,6 +97,102 @@ class TestEnumerateExtremals:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(qmath.DimensionError):
             enumerate_extremals([projector(KET0), projector(qmath.ket(1, 0, 0, 0))])
+
+
+def _real_vectorize(matrices):
+    """Stack Hermitian matrices as real row vectors (real and imaginary parts)."""
+    rows = []
+    for m in matrices:
+        flat = np.asarray(m, dtype=complex).reshape(-1)
+        rows.append(np.concatenate([flat.real, flat.imag]))
+    return np.array(rows)
+
+
+def depth_first_extremals(projectors):
+    """Reference enumeration: subsets visited depth-first, one ``svd`` and one ``lstsq`` each."""
+    projs = [np.asarray(p, dtype=complex) for p in projectors]
+    dim = projs[0].shape[0]
+
+    vectors = _real_vectorize(projs)
+    identity_vec = np.concatenate([np.eye(dim, dtype=complex).reshape(-1).real, np.zeros(dim * dim)])
+    max_support = dim * dim
+    found = []
+
+    def independent(indices):
+        sv = np.linalg.svd(vectors[indices], compute_uv=False)
+        return sv[-1] > decompose.INDEPENDENCE_TOL
+
+    def visit(indices, next_start):
+        if indices:
+            if not independent(indices):
+                return  # supersets stay dependent
+            a = vectors[indices].T
+            w, *_ = np.linalg.lstsq(a, identity_vec, rcond=None)
+            residual = np.max(np.abs(a @ w - identity_vec))
+            if residual <= qmath.ATOL_MATRIX and np.min(w) > decompose.MIN_WEIGHT:
+                found.append(decompose.ExtremalPovm(support=tuple(indices), weights=tuple(w)))
+        if len(indices) >= max_support:
+            return
+        for nxt in range(next_start, len(projs)):
+            visit(indices + [nxt], nxt + 1)
+
+    visit([], 0)
+    found.sort(key=lambda e: e.support)
+    return found
+
+
+def patterns(extremals):
+    return [(e.support, e.weights) for e in extremals]
+
+
+# Most slots per dimension: the reference visits up to 2^n subsets, so dimension 4 stays at 10.
+_MAX_SLOTS = {2: 16, 3: 11, 4: 10}
+_BLOCKS = {
+    2: ["haar", "standard", "basis", "trine", "tetra"],
+    3: ["haar", "standard", "basis"],
+    4: ["haar", "standard", "basis", "product"],
+}
+
+
+def _local_kets(rng, kind):
+    return [ket for _, ket in random_local_rank1_povm(rng, kind)]
+
+
+@st.composite
+def slot_lists(draw):
+    """Rank-1 projectors in dimension 2-4: whole bases and qubit measurements, repeats, shuffled."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = []
+    for block in draw(st.lists(st.sampled_from(_BLOCKS[dim]), min_size=1, max_size=3)):
+        if block == "haar":
+            kets.append(haar_ket(dim, rng))
+        elif block == "standard":
+            kets += list(np.eye(dim, dtype=complex))
+        elif block == "basis":
+            gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            kets += list(np.linalg.qr(gaussian)[0].T)
+        elif block == "product":
+            left = _local_kets(rng, draw(st.sampled_from(["basis", "trine", "tetra"])))
+            right = _local_kets(rng, draw(st.sampled_from(["basis", "trine"])))
+            kets += [np.kron(a, b) for a in left for b in right]
+        else:
+            kets += _local_kets(rng, block)
+    kets += [kets[i] for i in draw(st.lists(st.integers(0, len(kets) - 1), max_size=4))]
+    return [projector(k) for k in draw(st.permutations(kets))[: _MAX_SLOTS[dim]]]
+
+
+class TestLevelWiseScan:
+    @settings(max_examples=60, deadline=None)
+    @given(slot_lists())
+    def test_matches_depth_first_search_exactly(self, slots):
+        assert patterns(enumerate_extremals(slots)) == patterns(depth_first_extremals(slots))
+
+    def test_repeated_basis_in_dimension_four(self):
+        slots = [projector(np.eye(4, dtype=complex)[i]) for i in range(4) for _ in range(4)]
+        extremals = enumerate_extremals(slots)
+        assert len(extremals) == 4**4
+        assert patterns(extremals) == patterns(depth_first_extremals(slots))
 
 
 def reconstructed_weights(mu, extremals, n_slots):

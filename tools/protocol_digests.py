@@ -1,0 +1,80 @@
+"""Write one SHA-256 digest per simulation protocol into OUTDIR/protocol_digests.txt.
+
+Usage (from the repository root, or with any qchansim tree on PYTHONPATH):
+
+    PYTHONPATH=src python tools/protocol_digests.py OUTDIR
+
+Each digest covers a protocol's messages, the bytes of its effect tensor and
+``named`` mask, its ``cost_bits``, and its encoder matrix on 10 fixed Haar
+states (pairs of them for the two-sender shift protocols).  The protocols are
+the catalog measurements, ``blockbasis6``, shift A and B, every
+``tests/helpers.random_product_povm`` kind pair and ``mixed_product_povm`` at
+seeds 0-5, and the 256-member tetrahedral family.  Two trees build the same
+protocols exactly when ``diff`` of their digest files prints nothing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from helpers import TETRA_BLOCH, mixed_product_povm, random_product_povm  # noqa: E402
+
+from qchansim import protocols, qmath  # noqa: E402
+
+KINDS = [(left, right) for left in ("basis", "trine", "tetra") for right in ("basis", "trine", "tetra")]
+SEEDS = range(6)
+
+
+def build_protocols():
+    """(name, protocol, sender count) for every covered protocol, in a fixed order."""
+    for name in ("comp", "twistA", "twistB", "tb"):
+        yield name, protocols.catalog_protocol(name), 1
+    yield "blockbasis6", protocols.block_basis_protocol(protocols.demo_block_basis()), 1
+    shift, labels = qmath.catalog_product_effects("shift"), qmath.catalog_labels("shift")
+    for config in ("A", "B"):
+        yield f"shift{config}", protocols.multi_sender_protocol(shift, config, labels), 2
+    for seed in SEEDS:
+        for kinds in KINDS:
+            joint = random_product_povm(np.random.default_rng(seed), kinds)
+            yield f"{kinds[0]}-{kinds[1]}-seed{seed}", protocols.rank1_product_protocol(joint), 1
+        joint = mixed_product_povm(np.random.default_rng(seed))
+        yield f"mixed-seed{seed}", protocols.rank1_product_protocol(joint), 1
+    tetra = [qmath.bloch_to_ket(np.asarray(b) / np.sqrt(3.0)) for b in TETRA_BLOCH]
+    joint = [qmath.ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
+    yield "tetra-tetra-256", protocols.rank1_product_protocol(joint), 1
+
+
+def digest(protocol, states) -> str:
+    h = hashlib.sha256()
+    h.update(repr(protocol.messages).encode())
+    for array in (protocol.effects, protocol.named):
+        h.update(repr((array.dtype.str, array.shape)).encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(str(protocol.cost_bits).encode())
+    for psi in states:
+        h.update(np.ascontiguousarray(protocol.encoder_matrix(psi), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    rng = np.random.default_rng(2024)
+    haar = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(20)]
+    states = {1: haar[:10], 2: [[a, b] for a, b in zip(haar[:10], haar[10:])]}
+    lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_protocols()]
+    out_dir = Path(argv[0])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

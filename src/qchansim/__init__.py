@@ -16,7 +16,9 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from . import cli, decompose, depolarize, multiround, nogo, protocols, qmath, serialize
+import importlib
+
+from . import decompose, depolarize, multiround, nogo, protocols, qmath, serialize
 
 __all__ = [
     "cli",
@@ -29,3 +31,11 @@ __all__ = [
     "serialize",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``cli`` loads on first access, so ``python -m qchansim.cli`` does not find
+    # it already imported by the package.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

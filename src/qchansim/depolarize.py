@@ -10,7 +10,10 @@ prepared state is a depolarized copy of the input, with noise parameter
 
 independent of the input direction by rotational invariance.  Sampling the
 shared unitary reduces to sampling a uniform rotation, since only the adjoint
-action on Bloch vectors enters the protocol.
+action on Bloch vectors enters the protocol.  For the z input only the z row
+of R enters, z_hat . R omega_i = (R^T z_hat) . omega_i, so ``estimate_eta``
+builds that row alone and scores it against the codewords in blocks of
+codewords x samples.
 """
 
 from __future__ import annotations
@@ -30,6 +33,26 @@ class DepolarizeError(ValueError):
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
+# Entries of a score block held at once: (codewords x samples) in estimate_eta,
+# (samples x codewords x 3) in simulate_average_state, rows x codewords of the
+# codebook's Gram matrix.  8 MB of float64.
+_SCORE_ENTRIES = 4096 * 256
+
+
+def _max_pairwise_dot(v: np.ndarray) -> float:
+    """Largest dot product of two different rows of v (-2 for a single row).
+
+    The Gram matrix is built in row blocks of at most _SCORE_ENTRIES entries.
+    """
+    step = max(1, _SCORE_ENTRIES // len(v))
+    best = -2.0
+    for lo in range(0, len(v), step):
+        gram = v[lo : lo + step] @ v.T
+        gram[np.arange(len(gram)), np.arange(lo, lo + len(gram))] = -2.0
+        best = max(best, float(np.max(gram)))
+        del gram  # free this block before the next one is built
+    return best
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -45,9 +68,7 @@ class Codebook:
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise DepolarizeError("codebook vectors must be unit length")
-        gram = v @ v.T
-        np.fill_diagonal(gram, -2.0)
-        if np.max(gram) > 1.0 - 1e-12:
+        if _max_pairwise_dot(v) > 1.0 - 1e-12:
             raise DepolarizeError("codebook vectors must be pairwise distinct")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -100,6 +121,16 @@ def codebook(spec: str | int) -> Codebook:
     return Codebook(fibonacci_sphere(2**m), name=f"fibonacci-{m}")
 
 
+def _z_rows(q: np.ndarray) -> np.ndarray:
+    """Row 2 (R^T z_hat) of the rotations of unit quaternions (n, 4), as a (3, n) array."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    rows = np.empty((3, q.shape[0]))
+    rows[0] = 2 * (x * z - y * w)
+    rows[1] = 2 * (y * z + x * w)
+    rows[2] = 1 - 2 * (x * x + y * y)
+    return rows
+
+
 def _quaternions_to_rotations(q: np.ndarray) -> np.ndarray:
     """Batch conversion of unit quaternions (n, 4) to rotation matrices (n, 3, 3)."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
@@ -110,17 +141,20 @@ def _quaternions_to_rotations(q: np.ndarray) -> np.ndarray:
     out[:, 1, 0] = 2 * (x * y + z * w)
     out[:, 1, 1] = 1 - 2 * (x * x + z * z)
     out[:, 1, 2] = 2 * (y * z - x * w)
-    out[:, 2, 0] = 2 * (x * z - y * w)
-    out[:, 2, 1] = 2 * (y * z + x * w)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    out[:, 2, :] = _z_rows(q).T
     return out
+
+
+def _unit_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniformly distributed unit quaternions, as an (n, 4) array."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return q
 
 
 def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """n rotation matrices distributed uniformly (unit-quaternion construction)."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return _quaternions_to_rotations(q)
+    return _quaternions_to_rotations(_unit_quaternions(rng, n))
 
 
 def sample_rotation(seed: int) -> np.ndarray:
@@ -151,9 +185,6 @@ def _batch_seeds(seed: int, n_batches: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_batches)]
 
 
-_SCORE_ROWS = 4096  # rows of the (samples x codewords) score matrix held at once
-
-
 def simulate_average_state(
     psi: np.ndarray, c: Codebook, n: int, seed: int, batch: int = 100_000
 ) -> np.ndarray:
@@ -173,13 +204,14 @@ def simulate_average_state(
 
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
     rngs = _batch_seeds(seed, len(sizes))
+    step = max(1, _SCORE_ENTRIES // (3 * len(c)))
     total = np.zeros(3)
     for rng, size in zip(rngs, sizes):
         rotations = sample_rotations(rng, size)
-        # Score in row chunks, as estimate_eta does, and sum the batch's choices at once.
+        # Score in row chunks and sum the batch's choices at once.
         chosen = np.empty((size, 3))
-        for lo in range(0, size, _SCORE_ROWS):
-            rotated = np.einsum("nij,kj->nki", rotations[lo : lo + _SCORE_ROWS], c.vectors)
+        for lo in range(0, size, step):
+            rotated = np.einsum("nij,kj->nki", rotations[lo : lo + step], c.vectors)
             winners = np.argmax(rotated @ psi_hat, axis=1)
             chosen[lo : lo + len(rotated)] = rotated[np.arange(len(rotated)), winners]
         total += chosen.sum(axis=0)
@@ -192,22 +224,26 @@ def estimate_eta(
     """Monte Carlo estimate of the realized noise parameter, with standard error.
 
     Estimates E[max_i z_hat . R omega_i]; by rotational invariance the value
-    is the same for every input direction.
+    is the same for every input direction.  Each batch draws the same unit
+    quaternions as ``sample_rotations`` but builds only the z row R^T z_hat
+    of each rotation, and takes the maximum over codewords of blocks of the
+    (codewords x samples) score matrix, so the result equals scoring the full
+    rotations sample by sample.
     """
     if n < 1:
         raise DepolarizeError("sample count must be at least 1")
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
     rngs = _batch_seeds(seed, len(sizes))
+    step = max(1, _SCORE_ENTRIES // len(c))
     total = 0.0
     total_sq = 0.0
     for rng, size in zip(rngs, sizes):
-        # Only the z-row of each rotation enters z_hat . R omega_i.
-        z_rows = sample_rotations(rng, size)[:, 2, :]
-        # Score in row chunks so the score matrix stays small at large codebooks.
+        # Only the z row of each rotation enters z_hat . R omega_i = (R^T z_hat) . omega_i.
+        z_rows = _z_rows(_unit_quaternions(rng, size))
+        # Score codeword-major in column blocks, so the score block stays small at large codebooks.
         scores = np.empty(size)
-        for lo in range(0, size, _SCORE_ROWS):
-            chunk = z_rows[lo : lo + _SCORE_ROWS]
-            scores[lo : lo + len(chunk)] = np.max(chunk @ c.vectors.T, axis=1)
+        for lo in range(0, size, step):
+            scores[lo : lo + step] = np.max(c.vectors @ z_rows[:, lo : lo + step], axis=0)
         total += scores.sum()
         total_sq += np.square(scores).sum()
     mean = total / n
@@ -249,9 +285,7 @@ REFERENCE_CODEBOOKS = {1: "antipodal", 2: "tetrahedron", 3: "cube"}
 
 def packing_cap_eta(c: Codebook) -> float:
     """Cap-model value at half the minimum pairwise angle of the codebook."""
-    gram = c.vectors @ c.vectors.T
-    np.fill_diagonal(gram, -2.0)
-    min_angle = math.acos(min(1.0, max(-1.0, float(np.max(gram)))))
+    min_angle = math.acos(min(1.0, max(-1.0, _max_pairwise_dot(c.vectors))))
     return eta_cap(0.5 * min_angle)
 
 

@@ -371,20 +371,33 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, measurement_file",
         [
-            ("simulate", None),
-            ("simulate", "not json {"),
-            ("simulate", "[1, 2]"),
-            ("simulate", '{"kind": "product_povm"}'),
-            ("decompose", '{"kind": "product_povm"}'),
-            ("simulate", '{"kind": "one_round_protocol", "atoms": [1.0]}'),
-            ("simulate", tb_product_povm(["a", "b", "c", "d"])),
-            ("decompose", tb_product_povm(["a", "b", "c", "d"])),
-            ("simulate", tb_product_povm(["a", "b", "c", "d", "a"])),
-            ("decompose", tb_product_povm(["a", "b", "c", "d", "a"])),
-            ("simulate", SHIFT_PRODUCT_POVM),
-            ("decompose", SHIFT_PRODUCT_POVM),
-            ("simulate", '{"kind": "product_povm", "effects": [], "labels": []}'),
-            ("decompose", '{"kind": "product_povm", "effects": [], "labels": []}'),
+            pytest.param("simulate", None, id="simulate-measurement-list"),
+            pytest.param("simulate", "not json {", id="simulate-not-json"),
+            pytest.param("simulate", "[1, 2]", id="simulate-json-list"),
+            pytest.param("simulate", '{"kind": "product_povm"}', id="simulate-no-effects"),
+            pytest.param("decompose", '{"kind": "product_povm"}', id="decompose-no-effects"),
+            pytest.param(
+                "simulate", '{"kind": "one_round_protocol", "atoms": [1.0]}',
+                id="simulate-protocol-kind",
+            ),
+            pytest.param("simulate", tb_product_povm(["a", "b", "c", "d"]), id="simulate-too-few-labels"),
+            pytest.param("decompose", tb_product_povm(["a", "b", "c", "d"]), id="decompose-too-few-labels"),
+            pytest.param(
+                "simulate", tb_product_povm(["a", "b", "c", "d", "a"]), id="simulate-repeated-label"
+            ),
+            pytest.param(
+                "decompose", tb_product_povm(["a", "b", "c", "d", "a"]), id="decompose-repeated-label"
+            ),
+            pytest.param("simulate", SHIFT_PRODUCT_POVM, id="simulate-three-party"),
+            pytest.param("decompose", SHIFT_PRODUCT_POVM, id="decompose-three-party"),
+            pytest.param(
+                "simulate", '{"kind": "product_povm", "effects": [], "labels": []}',
+                id="simulate-empty-povm",
+            ),
+            pytest.param(
+                "decompose", '{"kind": "product_povm", "effects": [], "labels": []}',
+                id="decompose-empty-povm",
+            ),
             pytest.param("simulate", EIGHTEEN_EFFECTS, id="simulate-18-effects"),
             pytest.param("decompose", EIGHTEEN_EFFECTS, id="decompose-18-effects"),
             pytest.param("simulate", QUBIT_BY_DIM5, id="simulate-receiver-dim-5"),
@@ -507,6 +520,29 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["command"] == "rac"
+
+    def test_python_dash_m_qchansim_cli_starts_without_runtime_warning(self):
+        # The package loads ``cli`` lazily, so runpy does not find it imported already.
+        result = subprocess.run(
+            [sys.executable, "-m", "qchansim.cli", "--help"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stdout.startswith("usage: qchansim")
+
+    def test_cli_loads_on_first_attribute_access(self):
+        code = (
+            "import sys, qchansim\n"
+            "assert 'qchansim.cli' not in sys.modules\n"
+            "print(qchansim.cli.main.__module__, getattr(qchansim, 'cli') is sys.modules['qchansim.cli'])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["qchansim.cli", "True"]
 
 
 # Runs one CLI command in a fresh interpreter and reports its exit code and

@@ -60,6 +60,22 @@ class TestCodebooks:
         with pytest.raises(DepolarizeError):
             Codebook(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
 
+    def test_rejects_duplicates_across_row_blocks(self):
+        # 2049 vectors check in row blocks of 511: the copy of row 0 sits in the last block.
+        v = fibonacci_sphere(2048)
+        with pytest.raises(DepolarizeError, match="pairwise distinct"):
+            Codebook(np.vstack([v, v[:1]]))
+
+    def test_distinctness_check_peak_memory_at_4096_vectors(self):
+        # The full 4096 x 4096 Gram matrix peaks at about 134 MB; row blocks near 9 MB.
+        tracemalloc.start()
+        try:
+            codebook(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_fibonacci_is_deterministic(self):
         np.testing.assert_array_equal(fibonacci_sphere(16), fibonacci_sphere(16))
 
@@ -263,6 +279,32 @@ class TestEstimateEta:
     def test_noise_vanishes_with_more_bits(self):
         eta_7, _ = estimate_eta(codebook(7), 2 * 10**5, seed=59)
         assert 1.0 - eta_7 < 0.05
+
+    @pytest.mark.parametrize("spec", ["single", "antipodal", "tetrahedron", 8])
+    def test_matches_sample_major_scoring_of_full_rotations(self, spec):
+        c = Codebook(np.array([[0.0, 0.0, 1.0]])) if spec == "single" else codebook(spec)
+        n, batch, seed = 25_001, 10_000, 61
+        sizes = (batch, batch, n % batch)
+        total = total_sq = 0.0
+        for rng, size in zip(dp._batch_seeds(seed, len(sizes)), sizes):
+            rows = sample_rotations(rng, size)[:, 2, :]
+            scores = np.max(rows @ c.vectors.T, axis=1)
+            total += scores.sum()
+            total_sq += np.square(scores).sum()
+        mean = total / n
+        stderr = math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+        assert estimate_eta(c, n, seed, batch=batch) == (mean, stderr)
+
+    def test_peak_memory_stays_bounded_at_4096_codewords(self):
+        # A (samples x codewords) score block of 4096 rows peaks at about 137 MB here.
+        c = codebook(12)
+        tracemalloc.start()
+        try:
+            estimate_eta(c, 20_000, seed=67)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestEtaCap:

@@ -470,6 +470,11 @@ def cmd_nogo(config: dict, out: str | None) -> int:
         [_int_entry(case, key, None, minimum=1) for key in ("messages", "atoms", "states")]
         for case in cases
     ]
+    for m, k, n in sizes:
+        try:
+            nogo.check_sizes(m, k, n)
+        except nogo.NogoError as exc:
+            raise ConfigError(f"nogo case (messages {m}, atoms {k}, states {n}): {exc}") from exc
     seed = _int_entry(config, "seed", 0, minimum=0)
     budget = _int_entry(config, "budget", 320, minimum=1)
     starts = _int_entry(config, "starts", 8, minimum=1)

@@ -157,12 +157,6 @@ def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     return _quaternions_to_rotations(_unit_quaternions(rng, n))
 
 
-def sample_rotation(seed: int) -> np.ndarray:
-    """One uniform rotation matrix, deterministic given the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return sample_rotations(rng, 1)[0]
-
-
 def alice_index(psi_hat: Sequence[float], rotation: np.ndarray, c: Codebook) -> int:
     """Index of the rotated codeword with the largest overlap with the input state.
 

@@ -28,6 +28,8 @@ from . import qmath
 EXACTNESS_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 MASS_TOL = 1e-6
+#: Most entries one start's encoder-step table may hold (2^24 float64 entries are 128 MiB).
+MAX_TABLE_ENTRIES = 2**24
 
 
 class NogoError(ValueError):
@@ -129,9 +131,6 @@ class FiniteStrategy:
     def n_messages(self) -> int:
         return self.encoder.shape[2]
 
-    def effect_matrix(self, m: int, x: int) -> np.ndarray:
-        return self.effect_weights[m, x] * qmath.bloch_to_density(self.effect_axes[m, x])
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -148,11 +147,14 @@ class WitnessReport:
 def _effective_bloch(
     p: np.ndarray, enc: np.ndarray, weights: np.ndarray, axes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar and vector parts (t_j, v_j) of every effective effect t I + v.sigma."""
-    # c[j, m, x] = p(x) * encoder[j, x, m] * weight[m, x]
-    c = p[None, None, :] * np.transpose(enc, (0, 2, 1)) * weights[None, :, :]
-    t = 0.5 * c.sum(axis=(1, 2))
-    v = 0.5 * np.einsum("jmx,mxd->jd", c, axes)
+    """Scalar and vector parts (t_j, v_j) of every effective effect t I + v.sigma.
+
+    Leading axes, such as a start axis, are carried through.
+    """
+    # c[..., j, m, x] = p(x) * encoder[..., j, x, m] * weight[..., m, x]
+    c = p[..., None, None, :] * np.swapaxes(enc, -1, -2) * weights[..., None, :, :]
+    t = 0.5 * c.sum(axis=(-2, -1))
+    v = 0.5 * np.einsum("...jmx,...mxd->...jd", c, axes)
     return t, v
 
 
@@ -160,7 +162,7 @@ def _state_errors(
     targets: TargetFamily, p: np.ndarray, enc: np.ndarray, weights: np.ndarray, axes: np.ndarray
 ) -> np.ndarray:
     t, v = _effective_bloch(p, enc, weights, axes)
-    return np.abs(t - 0.25) + np.linalg.norm(v + 0.25 * targets.grid, axis=1)
+    return np.abs(t - 0.25) + np.linalg.norm(v + 0.25 * targets.grid, axis=-1)
 
 
 def effective_effect(s: FiniteStrategy, j: int) -> np.ndarray:
@@ -269,7 +271,7 @@ def _pad_strategy_atoms(s: FiniteStrategy, k: int) -> FiniteStrategy:
 
 def _effect_vectors(weights: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Effects as 4-vectors (e/2, e*axis/2): the (t, v) parts of e(I + n.sigma)/2."""
-    return np.concatenate([0.5 * weights[..., None], 0.5 * weights[..., None] * axes], axis=2)
+    return np.concatenate([0.5 * weights[..., None], 0.5 * weights[..., None] * axes], axis=-1)
 
 
 def _target_vectors(targets: TargetFamily) -> np.ndarray:
@@ -287,28 +289,46 @@ def _effects_step(
     onto {e * rank-1 projector, 0 <= e <= 1} keeps the top eigenvalue (clipped
     to [0, 1]) along the top eigenvector.  In 4-vector form the projection of
     (a, u) is a' = clip((a + |u|)/2, 0, 1/2) along u.
+
+    Arrays carry a leading start axis: enc (S, N, K, M), p (S, K), weights
+    (S, M, K), axes (S, M, K, 3) and state_weights (S, N).  Each start is
+    updated Gauss-Seidel over its (m, x) effects in order; starts never read
+    each other, so the S starts advance together.  A start whose effect has
+    no weight on any state (denominator at most 1e-18) keeps that effect, and
+    a zero-length optimum keeps its axis.  Arrays are updated in place.
     """
-    n, k, m_count = enc.shape
-    c = p[None, None, :] * np.transpose(enc, (0, 2, 1))  # (N, M, K)
-    g = _effect_vectors(weights, axes)                   # (M, K, 4)
-    tau = _target_vectors(targets)                       # (N, 4)
-    z = np.einsum("jmx,mxd->jd", c, g)                   # effective 4-vectors
-    for m in range(m_count):
-        for x in range(k):
-            cj = c[:, m, x]
-            denom = float((state_weights * cj * cj).sum())
-            if denom <= 1e-18:
-                continue
-            rest = z - np.outer(cj, g[m, x])
-            g_star = ((state_weights * cj)[:, None] * (tau - rest)).sum(axis=0) / denom
-            norm_u = float(np.linalg.norm(g_star[1:]))
-            a_new = min(0.5, max(0.0, 0.5 * (g_star[0] + norm_u)))
-            axis_new = g_star[1:] / norm_u if norm_u > 1e-15 else axes[m, x]
-            g[m, x, 0] = a_new
-            g[m, x, 1:] = a_new * axis_new
-            weights[m, x] = 2.0 * a_new
-            axes[m, x] = axis_new
-            z = rest + np.outer(cj, g[m, x])
+    c = p[:, None, None, :] * np.swapaxes(enc, -1, -2)   # (S, N, M, K)
+    g = _effect_vectors(weights, axes)                    # (S, M, K, 4)
+    tau = _target_vectors(targets)                        # (N, 4)
+    z = np.einsum("sjmx,smxd->sjd", c, g)                 # effective 4-vectors
+    # The encoder is fixed in this step, so every column c[s, :, m, x], its
+    # weighted form and its denominator are known up front; the grid axis is
+    # laid out last so that each denominator is summed as one contiguous row.
+    cols = np.ascontiguousarray(np.moveaxis(c, 1, -1))   # (S, M, K, N)
+    weighted = state_weights[:, None, None, :] * cols
+    denoms = (weighted * cols).sum(axis=-1)
+    live = denoms > 1e-18
+    # h holds (1, axis) per effect, so that a * h is the effect's 4-vector.
+    h = np.concatenate([np.ones_like(weights)[..., None], axes], axis=-1)
+    any_live, all_live = live.any(axis=0).tolist(), live.all(axis=0).tolist()
+    for m, x in np.ndindex(*live.shape[1:]):
+        if not any_live[m][x]:
+            continue
+        on = slice(None) if all_live[m][x] else np.flatnonzero(live[:, m, x])
+        cj = cols[on, m, x, :, None]
+        rest = z[on] - cj * g[on, m, x][:, None]
+        g_star = np.add.reduce(weighted[on, m, x, :, None] * (tau - rest), axis=1) / denoms[on, m, x, None]
+        u = g_star[:, 1:]
+        # vecdot is the dot product np.linalg.norm takes of one vector, bit for bit.
+        norm_u = np.sqrt(np.vecdot(u, u))
+        a_new = np.minimum(np.maximum(0.5 * (g_star[:, 0] + norm_u), 0.0), 0.5)
+        h_mx = h[on, m, x]
+        np.divide(u, norm_u[:, None], out=h_mx[:, 1:], where=norm_u[:, None] > 1e-15)
+        g[on, m, x] = a_new[:, None] * h_mx
+        weights[on, m, x] = 2.0 * a_new
+        h[on, m, x] = h_mx
+        z[on] = rest + cj * g[on, m, x][:, None]
+    axes[...] = h[..., 1:]
 
 
 def _encoder_step(
@@ -331,45 +351,119 @@ def _encoder_step(
     solved together, for every support at once.  Atoms stay sequential
     (Gauss-Seidel): the row for atom x is fitted against the rows already
     updated for the atoms before it, which batching across atoms would change.
+
+    With one message there is nothing to solve.  Arrays may carry a leading
+    start axis, as in ``_effects_step``, and the starts are solved together;
+    the arrays of one start (enc (N, K, M), p (K,), weights (M, K), axes
+    (M, K, 3)) are updated in place through views with a start axis of one.
     """
-    n, k, m_count = enc.shape
-    basis = p[:, None, None] * _effect_vectors(weights, axes).transpose(1, 0, 2)  # (K, M, 4)
+    if enc.ndim == 3:
+        _encoder_step(targets, enc[None], p[None], weights[None], axes[None])
+        return
+    n_starts, n, k, m_count = enc.shape
+    if m_count == 1:
+        # The simplex is the single point 1.0, which the support solve writes
+        # exactly (q / q); rows drawn from a Dirichlet may be 1 - eps before.
+        enc[...] = 1.0
+        return
+    basis = p[:, :, None, None] * np.swapaxes(_effect_vectors(weights, axes), 1, 2)  # (S, K, M, 4)
     tau = _target_vectors(targets)
-    # solve[x, c] maps the full right-hand side (2 basis[x] @ target, 1) to the
-    # candidate row of support c, zero off the support.
+    # solve[s, x, c] maps the full right-hand side (2 basis[s, x] @ target, 1)
+    # to the candidate row of support c, zero off the support.
     # Candidates are the non-empty supports, by size, each size in combinations order.
-    solve = np.zeros((k, 2**m_count - 1, m_count, m_count + 1))
+    solve = np.zeros((n_starts, k, 2**m_count - 1, m_count, m_count + 1))
     first = 0
     for size in range(1, m_count + 1):
-        sups = np.array(list(itertools.combinations(range(m_count), size)))  # (S, size)
+        sups = np.array(list(itertools.combinations(range(m_count), size)))  # (C, size)
         cand = first + np.arange(len(sups))
         first += len(sups)
-        b = basis[:, sups]  # (K, S, size, 4)
-        kkt = np.ones((k, len(sups), size + 1, size + 1))
+        b = basis[:, :, sups]  # (S, K, C, size, 4)
+        kkt = np.ones((n_starts, k, len(sups), size + 1, size + 1))
         kkt[..., :size, :size] = 2.0 * b @ b.swapaxes(-1, -2)
         kkt[..., size, size] = 0.0
         inv = np.linalg.pinv(kkt, rtol=np.finfo(float).eps * (size + 1))
         cols = np.concatenate([sups, np.full((len(sups), 1), m_count)], axis=1)
-        solve[:, cand[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :size, :]
-    contrib = np.einsum("jxm,xmd->jxd", enc, basis)  # (N, K, 4) per-atom effective parts
-    rhs = np.ones((n, m_count + 1))
+        solve[:, :, cand[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :size, :]
+    contrib = np.einsum("sjxm,sxmd->sjxd", enc, basis)  # (S, N, K, 4) per-atom effective parts
+    rhs = np.ones((n_starts, n, m_count + 1))
+    start_rows = np.arange(n_starts)[:, None]
     for x in range(k):
-        target = tau - contrib[:, np.arange(k) != x].sum(axis=1)  # (N, 4)
-        rhs[:, :m_count] = 2.0 * target @ basis[x].T
-        q = np.einsum("cmi,ji->jcm", solve[x], rhs)  # (N, candidates, M)
-        full = np.clip(q, 0.0, None)
-        total = full.sum(axis=2)
-        feasible = (q.min(axis=2) >= -1e-12) & (total > 0.0)
+        target = tau - contrib[:, :, np.arange(k) != x].sum(axis=2)  # (S, N, 4)
+        rhs[..., :m_count] = 2.0 * target @ basis[:, x].swapaxes(-1, -2)
+        q = np.einsum("scmi,sji->sjcm", solve[:, x], rhs)  # (S, N, candidates, M)
+        full = np.maximum(q, 0.0)
+        total = full.sum(axis=3)
+        feasible = (q.min(axis=3) >= -1e-12) & (total > 0.0)
         full /= np.where(feasible, total, 1.0)[..., None]
-        vals = np.square(full @ basis[x] - target[:, None, :]).sum(axis=2)
+        vals = np.square(full @ basis[:, None, x] - target[:, :, None, :]).sum(axis=3)
         vals[~feasible] = np.inf
-        best_val, choice = np.full(n, np.inf), np.full(n, -1)
-        for c in range(solve.shape[1]):
-            take = vals[:, c] < best_val - 1e-15
-            best_val, choice = np.where(take, vals[:, c], best_val), np.where(take, c, choice)
-        won = np.flatnonzero(choice >= 0)
-        enc[won, x] = full[won, choice[won]]
-        contrib[:, x] = enc[:, x] @ basis[x]
+        best_val, choice = np.full((n_starts, n), np.inf), np.full((n_starts, n), -1)
+        for c in range(solve.shape[2]):
+            take = vals[..., c] < best_val - 1e-15
+            best_val, choice = np.where(take, vals[..., c], best_val), np.where(take, c, choice)
+        won = choice >= 0
+        enc[:, :, x] = np.where(won[..., None], full[start_rows, np.arange(n), choice], enc[:, :, x])
+        contrib[:, :, x] = enc[:, :, x] @ basis[:, x]
+
+
+def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
+    """Reject sizes ``optimize`` cannot run, before anything is allocated.
+
+    Every size must be at least 1, and one start's encoder-step table,
+    K (2^M - 1) M (M + 1) entries, must hold at most ``MAX_TABLE_ENTRIES``;
+    so M <= 15 at one atom.
+    """
+    if n_messages < 1 or n_atoms < 1 or n_states < 1:
+        raise NogoError("messages, atoms and states must all be at least 1")
+    # M > 24 is over the limit at any K, and 2**M is not formed for it.
+    if n_messages > 24 or _table_entries(n_messages, n_atoms) > MAX_TABLE_ENTRIES:
+        raise NogoError(
+            f"the encoder table for {n_messages} messages and {n_atoms} atoms "
+            f"exceeds {MAX_TABLE_ENTRIES} entries"
+        )
+
+
+def _table_entries(n_messages: int, n_atoms: int) -> int:
+    return n_atoms * (2**n_messages - 1) * n_messages * (n_messages + 1)
+
+
+def _start_entries(n_messages: int, n_atoms: int, n_states: int) -> int:
+    """Entries of the largest array one start adds to a stacked encoder step.
+
+    That is its table, or the candidate rows, N (2^M - 1) M entries, that
+    the solve for each atom builds; the rows grow with the grid.
+    """
+    return max(_table_entries(n_messages, n_atoms), n_states * (2**n_messages - 1) * n_messages)
+
+
+def _replay_in_start_order(histories: list[np.ndarray]) -> tuple[float, int | None, int]:
+    """Read per-start error histories as one start after another would have run.
+
+    Returns (best error, start holding it, sweeps run).  Only a strictly lower
+    error replaces the best, and the reading stops at the first sweep that
+    brings the best below EXACTNESS_TOL / 10, as the sequential run stopped.
+    The start is None when no error compares below infinity.
+    """
+    best_error, best_start, iterations = math.inf, None, 0
+    for start, history in enumerate(histories):
+        for err in history:
+            iterations += 1
+            if err < best_error:
+                best_error, best_start = float(err), start
+            if best_error < EXACTNESS_TOL / 10.0:
+                return best_error, best_start, iterations
+    return best_error, best_start, iterations
+
+
+def _initial_strategy(
+    targets: TargetFamily, n_messages: int, n_atoms: int, start_index: int, rng: np.random.Generator
+) -> FiniteStrategy:
+    n = len(targets)
+    if start_index == 0 and n <= n_messages:
+        return _pad_strategy_atoms(exact_strategy(targets, n_messages), n_atoms)
+    if start_index == 0 or (start_index == 1 and n > n_messages):
+        return _clustered_strategy(targets, n_messages, n_atoms, rng)
+    return _random_strategy(rng, n, n_messages, n_atoms)
 
 
 def optimize(
@@ -383,63 +477,85 @@ def optimize(
     """Multi-start alternating minimization against the forced target family.
 
     Each start alternates the effects step and the encoder step for
-    budget // starts sweeps.  When the grid fits in the message alphabet the
-    first start is seeded with the exact construction, so exactness is found
-    immediately.  The report carries the best error found; no claim of global
-    optimality is made.
+    max(1, budget // starts) sweeps, from its own seed, keeping its own
+    state weights and its best-so-far iterate.  When the grid fits in the
+    message alphabet the first start is seeded with the exact construction,
+    so exactness is found immediately.
+
+    Starts advance together, in start-order groups whose stacked encoder
+    tables and candidate rows each hold at most ``MAX_TABLE_ENTRIES``
+    entries (one start per group when a start's rows alone hold more), and
+    are reported in start order: the best error, the sweep count and the
+    strategy are those of running one start after another, where only a
+    strictly lower error wins and the run stops at the first start that
+    goes exact (``_replay_in_start_order``).  The report carries the best
+    error found; no claim of global optimality is made.
     """
-    if n_messages < 1 or n_atoms < 1 or len(targets) < 1:
-        raise NogoError("messages, atoms and states must all be at least 1")
     n = len(targets)
+    check_sizes(n_messages, n_atoms, n)
     sweeps = max(1, budget // starts)
     seeds = np.random.SeedSequence(seed).spawn(starts)
-    best: FiniteStrategy | None = None
-    best_error = math.inf
-    iterations = 0
-    for start_index in range(starts):
-        rng = np.random.default_rng(seeds[start_index])
-        if start_index == 0 and n <= n_messages:
-            strategy = _pad_strategy_atoms(exact_strategy(targets, n_messages), n_atoms)
-        elif start_index == 0 or (start_index == 1 and n > n_messages):
-            strategy = _clustered_strategy(targets, n_messages, n_atoms, rng)
-        else:
-            strategy = _random_strategy(rng, n, n_messages, n_atoms)
-        enc = np.array(strategy.encoder)
-        weights = np.array(strategy.effect_weights)
-        axes = np.array(strategy.effect_axes)
-        p = np.array(strategy.atom_probs)
-        state_weights = np.ones(n)
+    group_size = max(1, MAX_TABLE_ENTRIES // _start_entries(n_messages, n_atoms, n))
+    histories: list[np.ndarray] = []
+    snapshots: list[tuple[np.ndarray, ...]] = []
+    for first in range(0, starts, group_size):
+        group = [
+            _initial_strategy(targets, n_messages, n_atoms, i, np.random.default_rng(seeds[i]))
+            for i in range(first, min(first + group_size, starts))
+        ]
+        p = np.stack([s.atom_probs for s in group])
+        enc = np.stack([s.encoder for s in group])
+        weights = np.stack([s.effect_weights for s in group])
+        axes = np.stack([s.effect_axes for s in group])
+        best_enc, best_weights, best_axes = enc.copy(), weights.copy(), axes.copy()
+        best_err = np.full(len(group), math.inf)
+        state_weights = np.ones((len(group), n))
+        history = np.empty((len(group), sweeps))
+        lengths = np.full(len(group), sweeps)
+        # Starts after the first exact one are never read, so the live starts
+        # are always a prefix of the group.
+        live, went_exact = len(group), False
         for sweep in range(sweeps):
-            _effects_step(targets, enc, p, weights, axes, state_weights)
-            _encoder_step(targets, enc, p, weights, axes)
-            iterations += 1
-            errors = _state_errors(targets, p, enc, weights, axes)
-            err = float(errors.max())
-            if err < best_error:
-                best_error = err
-                # The copy made by FiniteStrategy keeps the best apart from
-                # the working arrays that later sweeps overwrite.
-                best = FiniteStrategy(
-                    atom_probs=p, encoder=enc, effect_weights=weights, effect_axes=axes
-                )
-            if best_error < EXACTNESS_TOL / 10.0:
-                break
+            rows = slice(0, live)
+            _effects_step(targets, enc[rows], p[rows], weights[rows], axes[rows], state_weights[rows])
+            _encoder_step(targets, enc[rows], p[rows], weights[rows], axes[rows])
+            errors = _state_errors(targets, p[rows], enc[rows], weights[rows], axes[rows])
+            err = errors.max(axis=1)
+            history[rows, sweep] = err
+            improved = err < best_err[rows]
+            best_err[rows][improved] = err[improved]
+            for best, now in ((best_enc, enc), (best_weights, weights), (best_axes, axes)):
+                best[rows][improved] = now[rows][improved]
+            exact = np.flatnonzero(err < EXACTNESS_TOL / 10.0)
+            if exact.size:
+                live, went_exact = int(exact[0]), True
+                lengths[live] = sweep + 1
+                if live == 0:
+                    break
+                errors, err = errors[:live], err[:live]
             # Multiplicative re-weighting concentrates the least-squares steps
             # on the worst grid states, approximating the minimax solution.
-            state_weights = state_weights * np.exp(errors / max(errors.max(), 1e-15))
-            state_weights = np.minimum(state_weights / state_weights.mean(), 1e6)
-        if best_error < EXACTNESS_TOL / 10.0:
+            grown = state_weights[:live] * np.exp(errors / np.maximum(err, 1e-15)[:, None])
+            state_weights[:live] = np.minimum(grown / grown.mean(axis=1, keepdims=True), 1e6)
+        kept = live + 1 if went_exact else len(group)
+        histories.extend(history[i, :lengths[i]] for i in range(kept))
+        snapshots.extend((p[i], best_enc[i], best_weights[i], best_axes[i]) for i in range(kept))
+        if went_exact:
             break
-    assert best is not None
+    best_error, best_start, iterations = _replay_in_start_order(histories)
+    assert best_start is not None
+    atom_probs, encoder, effect_weights, effect_axes = snapshots[best_start]
     return WitnessReport(
         n_messages=n_messages,
         n_atoms=n_atoms,
         n_states=n,
-        best_error=float(best_error),
+        best_error=best_error,
         iterations=iterations,
         starts=starts,
         seed=seed,
-        strategy=best,
+        strategy=FiniteStrategy(
+            atom_probs=atom_probs, encoder=encoder, effect_weights=effect_weights, effect_axes=effect_axes
+        ),
     )
 
 

@@ -267,9 +267,6 @@ class Instrument:
     def __len__(self) -> int:
         return len(self.kraus)
 
-    def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(k @ rho @ dagger(k)).real for k in self.kraus])
-
 
 @dataclass(frozen=True)
 class ProductRank1Effect:

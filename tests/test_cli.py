@@ -469,6 +469,9 @@ class TestMalformedInput:
             ("collapse", {"protocol": {"kind": "random_odd_round", "alphabet": 0}}),
             ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 2}}),
             ("collapse", {"protocol": {"kind": "random_odd_round", "depth": 9}}),
+            # One atom past the encoder-table limit at M = 8, after a case that would run.
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 3},
+                                {"messages": 8, "atoms": 914, "states": 3}]}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):

@@ -14,7 +14,6 @@ from qchansim.depolarize import (
     estimate_eta,
     eta_cap,
     fibonacci_sphere,
-    sample_rotation,
     sample_rotations,
     simulate_average_state,
 )
@@ -86,9 +85,6 @@ class TestRotationSampling:
         for r in sample_rotations(rng, 200):
             np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) > 0
-
-    def test_seeded_determinism(self):
-        np.testing.assert_array_equal(sample_rotation(9), sample_rotation(9))
 
     def test_isotropy_of_rotated_pole(self):
         rng = np.random.default_rng(3)

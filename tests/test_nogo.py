@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ def brute_force_effective(s: FiniteStrategy, j: int) -> np.ndarray:
     total = np.zeros((2, 2), dtype=complex)
     for m in range(s.n_messages):
         for x in range(s.n_atoms):
-            total += s.atom_probs[x] * s.encoder[j, x, m] * s.effect_matrix(m, x)
+            effect = s.effect_weights[m, x] * qmath.bloch_to_density(s.effect_axes[m, x])
+            total += s.atom_probs[x] * s.encoder[j, x, m] * effect
     return total
 
 
@@ -227,6 +230,193 @@ class TestOptimize:
         b = optimize(fam, n_messages=2, n_atoms=2, seed=23, budget=24, starts=2)
         assert a.best_error == b.best_error
         np.testing.assert_array_equal(a.strategy.encoder, b.strategy.encoder)
+
+    def test_size_over_the_table_limit_is_rejected_before_allocating(self):
+        # K (2^M - 1) M (M + 1) at M = 8: 913 atoms fit under 2^24 entries, 914 do not.
+        assert nogo._table_entries(8, 913) <= nogo.MAX_TABLE_ENTRIES < nogo._table_entries(8, 914)
+        nogo.check_sizes(8, 913, 3)
+        fam = nested_grid(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NogoError, match="encoder table"):
+                optimize(fam, n_messages=8, n_atoms=914, seed=0, budget=8, starts=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(NogoError, match="encoder table"):
+            nogo.check_sizes(10**6, 1, 3)
+
+    @pytest.mark.parametrize("m,k,n", [(2, 3, 5), (1, 2, 3), (2, 1, 2)])
+    def test_start_groups_under_a_small_table_limit_change_nothing(self, monkeypatch, m, k, n):
+        fam = nested_grid(n)
+        whole = optimize(fam, n_messages=m, n_atoms=k, seed=41, budget=20, starts=5)
+        # Two starts per group: groups of 2, 2 and 1.
+        monkeypatch.setattr(nogo, "MAX_TABLE_ENTRIES", 2 * nogo._start_entries(m, k, n) + 1)
+        grouped = optimize(fam, n_messages=m, n_atoms=k, seed=41, budget=20, starts=5)
+        assert grouped.best_error == whole.best_error
+        assert grouped.iterations == whole.iterations
+        np.testing.assert_array_equal(grouped.strategy.encoder, whole.strategy.encoder)
+        np.testing.assert_array_equal(grouped.strategy.effect_axes, whole.strategy.effect_axes)
+
+
+def reference_effects_step(targets, enc, p, weights, axes, state_weights):
+    """One start's effects step, one (m, x) effect at a time with scalar arithmetic."""
+    n, k, m_count = enc.shape
+    c = p[None, None, :] * np.transpose(enc, (0, 2, 1))
+    g = np.concatenate([0.5 * weights[..., None], 0.5 * weights[..., None] * axes], axis=2)
+    tau = np.concatenate([np.full((n, 1), 0.25), -0.25 * targets.grid], axis=1)
+    z = np.einsum("jmx,mxd->jd", c, g)
+    for m in range(m_count):
+        for x in range(k):
+            cj = c[:, m, x]
+            denom = float((state_weights * cj * cj).sum())
+            if denom <= 1e-18:
+                continue
+            rest = z - np.outer(cj, g[m, x])
+            g_star = ((state_weights * cj)[:, None] * (tau - rest)).sum(axis=0) / denom
+            norm_u = float(np.linalg.norm(g_star[1:]))
+            a_new = min(0.5, max(0.0, 0.5 * (g_star[0] + norm_u)))
+            axis_new = g_star[1:] / norm_u if norm_u > 1e-15 else axes[m, x]
+            g[m, x, 0] = a_new
+            g[m, x, 1:] = a_new * axis_new
+            weights[m, x] = 2.0 * a_new
+            axes[m, x] = axis_new
+            z = rest + np.outer(cj, g[m, x])
+
+
+def reference_optimize(targets, n_messages, n_atoms, seed, budget, starts):
+    """One start after another, each building a FiniteStrategy on every improvement."""
+    n = len(targets)
+    sweeps = max(1, budget // starts)
+    seeds = np.random.SeedSequence(seed).spawn(starts)
+    best, best_error, iterations = None, math.inf, 0
+    for start_index in range(starts):
+        rng = np.random.default_rng(seeds[start_index])
+        strategy = nogo._initial_strategy(targets, n_messages, n_atoms, start_index, rng)
+        enc = np.array(strategy.encoder)
+        weights = np.array(strategy.effect_weights)
+        axes = np.array(strategy.effect_axes)
+        p = np.array(strategy.atom_probs)
+        state_weights = np.ones(n)
+        for _ in range(sweeps):
+            reference_effects_step(targets, enc, p, weights, axes, state_weights)
+            nogo._encoder_step(targets, enc, p, weights, axes)
+            iterations += 1
+            errors = nogo._state_errors(targets, p, enc, weights, axes)
+            err = float(errors.max())
+            if err < best_error:
+                best_error = err
+                best = FiniteStrategy(atom_probs=p, encoder=enc, effect_weights=weights, effect_axes=axes)
+            if best_error < nogo.EXACTNESS_TOL / 10.0:
+                break
+            state_weights = state_weights * np.exp(errors / max(errors.max(), 1e-15))
+            state_weights = np.minimum(state_weights / state_weights.mean(), 1e6)
+        if best_error < nogo.EXACTNESS_TOL / 10.0:
+            break
+    return best_error, iterations, best
+
+
+class TestEffectsStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        k=st.integers(1, 4),
+        n=st.integers(1, 6),
+        starts=st.integers(1, 4),
+        silent=st.floats(0.0, 0.6),
+        balanced_pair=st.booleans(),
+    )
+    def test_matches_row_by_row_reference(self, seed, m, k, n, starts, silent, balanced_pair):
+        rng = np.random.default_rng(seed)
+        if balanced_pair:
+            # One effect against an antipodal pair: with equal state weights the
+            # optimum's vector part cancels exactly, so the axis is kept.
+            m, k, targets = 1, 1, TargetFamily(grid=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        else:
+            targets = nested_grid(n)
+        n = len(targets)
+        group = [random_strategy(rng, n=n, m=m, k=k) for _ in range(starts)]
+        enc = np.stack([s.encoder for s in group])
+        # Silent (message, atom) columns carry no weight on any state: the step skips them.
+        enc = np.where(rng.uniform(size=(starts, 1, k, m)) < silent, 0.0, enc)
+        p = np.stack([s.atom_probs for s in group])
+        weights = np.stack([s.effect_weights for s in group])
+        axes = np.stack([s.effect_axes for s in group])
+        state_weights = rng.uniform(0.5, 2.0, size=(starts, n))
+        if balanced_pair:
+            state_weights[::2] = 1.0
+        stacked_weights, stacked_axes = weights.copy(), axes.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nogo._effects_step(targets, enc, p, stacked_weights, stacked_axes, state_weights)
+        for i in range(starts):
+            w, a = weights[i].copy(), axes[i].copy()
+            reference_effects_step(targets, enc[i], p[i], w, a, state_weights[i])
+            np.testing.assert_allclose(stacked_weights[i], w, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(stacked_axes[i], a, rtol=0.0, atol=1e-12)
+        if balanced_pair:
+            np.testing.assert_array_equal(stacked_axes[::2], axes[::2])
+
+
+class TestStartOrderReplay:
+    def test_a_later_start_going_exact_first_is_not_reached_early(self):
+        # Start 1 goes exact at its first sweep; start 0 still runs all its sweeps first.
+        histories = [np.array([0.3, 0.2, 0.25]), np.array([1e-12]), np.array([0.1])]
+        assert nogo._replay_in_start_order(histories) == (1e-12, 1, 4)
+
+    def test_the_first_exact_start_stops_the_reading(self):
+        histories = [np.array([0.3, 5e-11, 1e-12]), np.array([0.0])]
+        assert nogo._replay_in_start_order(histories) == (5e-11, 0, 2)
+
+    def test_only_a_strictly_lower_error_wins(self):
+        histories = [np.array([0.4, 0.2, 0.2]), np.array([0.2, 0.3]), np.array([0.5, 0.2])]
+        assert nogo._replay_in_start_order(histories) == (0.2, 0, 7)
+
+    def test_budget_below_starts_runs_one_sweep_per_start(self):
+        fam = nested_grid(5)
+        report = optimize(fam, n_messages=2, n_atoms=2, seed=3, budget=3, starts=5)
+        assert report.iterations == 5
+        histories = [np.array([0.5]), np.array([0.4]), np.array([0.45]), np.array([0.4]), np.array([0.6])]
+        assert nogo._replay_in_start_order(histories) == (0.4, 1, 5)
+
+    def test_no_comparable_error_leaves_no_start(self):
+        assert nogo._replay_in_start_order([np.array([np.nan])]) == (math.inf, None, 1)
+
+
+class TestStackedOptimize:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        k=st.integers(1, 4),
+        n=st.integers(1, 6),
+        starts=st.integers(1, 4),
+        budget=st.integers(1, 24),
+    )
+    def test_matches_one_start_after_another(self, seed, m, k, n, starts, budget):
+        fam = nested_grid(n)
+        report = optimize(fam, n_messages=m, n_atoms=k, seed=seed, budget=budget, starts=starts)
+        best_error, iterations, best = reference_optimize(fam, m, k, seed, budget, starts)
+        assert abs(report.best_error - best_error) <= 1e-12
+        assert report.iterations == iterations
+        np.testing.assert_allclose(report.strategy.encoder, best.encoder, rtol=0.0, atol=1e-9)
+
+    def test_a_later_start_going_exact_ends_the_run_where_one_at_a_time_would(self, monkeypatch):
+        # Start 2 of 4 begins at the exact construction; the others are random.
+        def third_is_exact(targets, n_messages, n_atoms, start_index, rng):
+            if start_index == 2:
+                return nogo._pad_strategy_atoms(exact_strategy(targets, n_messages), n_atoms)
+            return nogo._random_strategy(rng, len(targets), n_messages, n_atoms)
+
+        monkeypatch.setattr(nogo, "_initial_strategy", third_is_exact)
+        fam = nested_grid(4)
+        report = optimize(fam, n_messages=4, n_atoms=2, seed=7, budget=24, starts=4)
+        best_error, iterations, best = reference_optimize(fam, 4, 2, 7, 24, 4)
+        assert report.best_error == best_error < 1e-10
+        assert report.iterations == iterations == 2 * 6 + 1
+        np.testing.assert_array_equal(report.strategy.encoder, best.encoder)
 
 
 def reference_encoder_step(targets, enc, p, weights, axes):

@@ -236,12 +236,6 @@ class TestInstrument:
         with pytest.raises(qmath.QmathError):
             Instrument(kraus=(projector(qmath.KET0), 0.5 * projector(qmath.KET1)))
 
-    def test_projective_instrument_probabilities(self):
-        inst = Instrument(kraus=(projector(qmath.KET0), projector(qmath.KET1)))
-        rho = bloch_to_density((1 / RT2, 0, 1 / RT2))
-        p = inst.outcome_probabilities(rho)
-        np.testing.assert_allclose(p, [0.5 + 1 / (2 * RT2), 0.5 - 1 / (2 * RT2)], atol=1e-12)
-
 
 class TestPovmValidation:
     def test_rejects_incomplete(self):

@@ -78,34 +78,57 @@ class OddRoundProtocol:
         return len(self.sender_alphabets) + len(self.receiver_alphabets)
 
 
+def _stacked_coins(
+    p: OddRoundProtocol, t: int, psi: np.ndarray, x: int, transcripts: list
+) -> np.ndarray:
+    """The coin of round t on every transcript, as checked rows of one array."""
+    size = len(p.sender_alphabets[t])
+    coins = [p.coins[t](psi, x, tr) for tr in transcripts]
+    for coin in coins:
+        if np.shape(coin) != (size,):
+            raise ProtocolError(f"coin {t} has shape {np.shape(coin)}, expected {(size,)}")
+    return check_distributions(coins, (len(coins), size), f"coin {t}")
+
+
 def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Direct nested-summation evaluation of an odd-depth protocol."""
+    """Direct nested-summation evaluation of an odd-depth protocol.
+
+    Each atom's transcripts advance one round at a time, all live ones
+    together: one coin call per transcript and one check of the stacked
+    coins, the branches with positive probability, one stacked Kraus
+    sandwich per receiver round (dropping replies of trace at most 1e-15),
+    and at the end one stacked ``effect @ state`` with its trace.  Every
+    product and trace is the one a depth-first walk of the transcript tree
+    takes, on the same matrices, and the final contributions are added to the
+    distribution one by one in that walk's (lexicographic) order, so the
+    result is bit for bit the nested sum.  Only the protocol's own callables
+    are used, never the tables the collapse works from.
+    """
     phi = qmath.assert_density_matrix(phi, "receiver state")
     index = {label: i for i, label in enumerate(p.outcomes)}
     out = np.zeros(len(p.outcomes))
     n_receiver = len(p.receiver_alphabets)
-
-    def descend(x: int, t: int, transcript: tuple, state: np.ndarray, weight: float) -> None:
-        size = len(p.sender_alphabets[t])
-        coin = check_distributions(p.coins[t](psi, x, transcript), (size,), f"coin {t}")
-        for m_a in range(len(p.sender_alphabets[t])):
-            if coin[m_a] <= 0.0:
-                continue
-            after_a = transcript + (m_a,)
-            w_a = weight * coin[m_a]
-            if t == n_receiver:
-                povm = p.final_povm(x, after_a)
-                for label, effect in zip(povm.labels, povm.effects):
-                    out[index[label]] += w_a * np.trace(effect @ state).real
-                continue
-            for m_b, kraus in enumerate(_instrument(p, t, x, after_a).kraus):
-                updated = kraus @ state @ dagger(kraus)
-                if np.trace(updated).real <= 1e-15:
-                    continue  # zero-probability branch
-                descend(x, t + 1, after_a + (m_b,), updated, w_a)
-
     for x, p_atom in enumerate(p.randomness.probabilities):
-        descend(x, 0, (), phi, p_atom)
+        transcripts, states, weights = [()], phi[None], np.array([p_atom])
+        for t in range(n_receiver + 1):
+            coin = _stacked_coins(p, t, psi, x, transcripts)
+            # The negated tests keep what the nested sum kept, NaN included.
+            rows, messages = np.nonzero(~(coin <= 0.0))
+            transcripts = [transcripts[i] + (m,) for i, m in zip(rows.tolist(), messages.tolist())]
+            states, weights = states[rows], weights[rows] * coin[rows, messages]
+            if t == n_receiver:
+                break
+            kraus = np.array([_instrument(p, t, x, tr).kraus for tr in transcripts])
+            updated = kraus @ states[:, None] @ dagger(kraus)
+            # Replies of trace at most 1e-15 are zero-probability branches.
+            rows, replies = np.nonzero(~(np.trace(updated, axis1=-2, axis2=-1).real <= 1e-15))
+            transcripts = [transcripts[i] + (b,) for i, b in zip(rows.tolist(), replies.tolist())]
+            states, weights = updated[rows, replies], weights[rows]
+        povms = [p.final_povm(x, tr) for tr in transcripts]
+        owner = np.repeat(np.arange(len(povms)), [len(povm) for povm in povms])
+        effects = np.array([e for povm in povms for e in povm.effects])
+        terms = weights[owner] * np.trace(effects @ states[owner], axis1=-2, axis2=-1).real
+        np.add.at(out, [index[label] for povm in povms for label in povm.labels], terms)
     return out
 
 
@@ -287,24 +310,28 @@ def _random_state_coin(rng: np.random.Generator, size: int):
     axis = qmath.bloch_to_density(qmath.random_bloch(rng))
 
     def coin(psi: np.ndarray) -> np.ndarray:
-        f = float(np.clip(np.trace(axis @ psi).real, 0.0, 1.0))
+        f = min(max(float((axis @ psi).trace().real), 0.0), 1.0)
         return f * base0 + (1.0 - f) * base1
 
     return coin
 
 
-def random_instrument(rng: np.random.Generator, n_outcomes: int, dim: int) -> Instrument:
-    """Instrument built from the blocks of a Haar-random isometry."""
+def _isometry_blocks(rng: np.random.Generator, n_outcomes: int, dim: int) -> tuple[np.ndarray, ...]:
+    """The n_outcomes square blocks of a Haar-random isometry from C^dim."""
     z = rng.normal(size=(n_outcomes * dim, dim)) + 1j * rng.normal(size=(n_outcomes * dim, dim))
     q, _ = np.linalg.qr(z)
-    blocks = tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_outcomes))
-    return Instrument(kraus=blocks)
+    return tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_outcomes))
+
+
+def random_instrument(rng: np.random.Generator, n_outcomes: int, dim: int) -> Instrument:
+    """Instrument built from the blocks of a Haar-random isometry."""
+    return Instrument(kraus=_isometry_blocks(rng, n_outcomes, dim))
 
 
 def random_povm(rng: np.random.Generator, n_outcomes: int, dim: int, labels=None) -> Povm:
-    inst = random_instrument(rng, n_outcomes, dim)
+    """Measurement whose effects are K^dag K for the blocks K of a Haar-random isometry."""
     return Povm(
-        effects=tuple(dagger(k) @ k for k in inst.kraus),
+        effects=tuple(dagger(k) @ k for k in _isometry_blocks(rng, n_outcomes, dim)),
         labels=tuple(labels) if labels is not None else tuple(range(n_outcomes)),
     )
 

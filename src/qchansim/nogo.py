@@ -30,6 +30,10 @@ SUPPORT_TOL = 1e-10
 MASS_TOL = 1e-6
 #: Most entries one start's encoder-step table may hold (2^24 float64 entries are 128 MiB).
 MAX_TABLE_ENTRIES = 2**24
+#: Most grid states a case may ask for.  ``nested_grid`` rejects directions
+#: within its gap of an earlier one, so near 2,150 points its sampler stalls
+#: for good; 1,000 points take it about a second.
+MAX_STATES = 1000
 
 
 class NogoError(ValueError):
@@ -409,12 +413,14 @@ def _encoder_step(
 def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
     """Reject sizes ``optimize`` cannot run, before anything is allocated.
 
-    Every size must be at least 1, and one start's encoder-step table,
-    K (2^M - 1) M (M + 1) entries, must hold at most ``MAX_TABLE_ENTRIES``;
-    so M <= 15 at one atom.
+    Every size must be at least 1, the states at most ``MAX_STATES``, and
+    one start's encoder-step table, K (2^M - 1) M (M + 1) entries, must hold
+    at most ``MAX_TABLE_ENTRIES``; so M <= 15 at one atom.
     """
     if n_messages < 1 or n_atoms < 1 or n_states < 1:
         raise NogoError("messages, atoms and states must all be at least 1")
+    if n_states > MAX_STATES:
+        raise NogoError(f"{n_states} states exceed the grid's limit of {MAX_STATES}")
     # M > 24 is over the limit at any K, and 2**M is not formed for it.
     if n_messages > 24 or _table_entries(n_messages, n_atoms) > MAX_TABLE_ENTRIES:
         raise NogoError(

@@ -367,8 +367,102 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
     )
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(obj) -> str:
+    """``obj`` as JSON text, byte for byte ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    One recursive pass appends to one list of strings.  It follows json's
+    rules: values are tested with ``isinstance`` in json's order (str, None,
+    True, False, int, float, list or tuple, dict), tuples are written as
+    lists, floats by ``float.__repr__`` with NaN and +-Infinity, strings by
+    ``json.encoder.encode_basestring_ascii``, dict keys sorted, and empty
+    containers as ``[]`` and ``{}``.  Any other type (``np.int64``, say)
+    raises ``TypeError``.  The open, separator and close strings of each depth
+    and the ``"key": `` string of each key are built once and shared, so the
+    list holds few distinct strings; on Python 3.11 ``json.dumps`` with an
+    indent walks the object in pure-Python generators instead.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    encode_str = json.encoder.encode_basestring_ascii
+    float_repr = float.__repr__
+    int_repr = int.__repr__
+    marks: list[tuple[str, str, str, str, str]] = []   # per depth
+    key_texts: dict[str, str] = {}
+
+    def depth_marks(depth: int) -> tuple[str, str, str, str, str]:
+        """'[' + newline, '{' + newline, separator, newline + ']', newline + '}' one level in."""
+        while len(marks) <= depth:
+            inner = "\n" + "  " * (len(marks) + 1)
+            outer = "\n" + "  " * len(marks)
+            marks.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
+        return marks[depth]
+
+    def key_text(key) -> str:
+        if isinstance(key, str):
+            text = key_texts.get(key)
+            if text is None:
+                text = key_texts[key] = encode_str(key) + ": "
+            return text
+        if isinstance(key, float):
+            key = float_repr(key)
+            key = _FLOAT_SPECIALS.get(key, key)
+        elif key is True:
+            key = "true"
+        elif key is False:
+            key = "false"
+        elif key is None:
+            key = "null"
+        elif isinstance(key, int):
+            key = int_repr(key)
+        else:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        return encode_str(key) + ": "
+
+    def write(value, depth: int) -> None:
+        if isinstance(value, str):
+            append(encode_str(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int_repr(value))
+        elif isinstance(value, float):
+            text = float_repr(value)
+            append(_FLOAT_SPECIALS.get(text, text))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            lead, _, separator, close_list, _ = depth_marks(depth)
+            for item in value:
+                append(lead)
+                lead = separator
+                write(item, depth + 1)
+            append(close_list)
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            _, lead, separator, _, close_dict = depth_marks(depth)
+            for key, item in sorted(value.items()):
+                append(lead)
+                lead = separator
+                append(key_text(key))
+                write(item, depth + 1)
+            append(close_dict)
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    write(obj, 0)
+    return "".join(chunks)
 
 
 def loads(text: str) -> dict:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 
+from qchansim import qmath
+from qchansim.protocols import check_distributions
 from qchansim.qmath import (
     Povm,
     ProductRank1Effect,
     bloch_to_ket,
+    dagger,
     haar_ket,
     orthogonal_ket,
     tensor,
@@ -79,3 +82,39 @@ def born_product_oracle(effects, psi, phi) -> np.ndarray:
     """Direct Born probabilities of a two-party product measurement on psi x phi."""
     joint_state = tensor(psi, phi)
     return np.array([np.trace(joint_state @ e.matrix()).real for e in effects])
+
+
+def nested_sum_odd_round(p, psi, phi) -> np.ndarray:
+    """Odd-depth statistics by a depth-first walk of the transcript tree.
+
+    The oracle that the level-wise ``multiround.run_odd_round`` must equal
+    bit for bit: one coin check, product and trace per branch, and each
+    final contribution added as the walk reaches it.
+    """
+    phi = qmath.assert_density_matrix(phi, "receiver state")
+    index = {label: i for i, label in enumerate(p.outcomes)}
+    out = np.zeros(len(p.outcomes))
+    n_receiver = len(p.receiver_alphabets)
+
+    def descend(x, t, transcript, state, weight):
+        size = len(p.sender_alphabets[t])
+        coin = check_distributions(p.coins[t](psi, x, transcript), (size,), f"coin {t}")
+        for m_a in range(size):
+            if coin[m_a] <= 0.0:
+                continue
+            after_a = transcript + (m_a,)
+            w_a = weight * coin[m_a]
+            if t == n_receiver:
+                povm = p.final_povm(x, after_a)
+                for label, effect in zip(povm.labels, povm.effects):
+                    out[index[label]] += w_a * np.trace(effect @ state).real
+                continue
+            for m_b, kraus in enumerate(p.instruments[t](x, after_a).kraus):
+                updated = kraus @ state @ dagger(kraus)
+                if np.trace(updated).real <= 1e-15:
+                    continue  # zero-probability branch
+                descend(x, t + 1, after_a + (m_b,), updated, w_a)
+
+    for x, p_atom in enumerate(p.randomness.probabilities):
+        descend(x, 0, (), phi, p_atom)
+    return out

@@ -472,6 +472,9 @@ class TestMalformedInput:
             # One atom past the encoder-table limit at M = 8, after a case that would run.
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 3},
                                 {"messages": 8, "atoms": 914, "states": 3}]}),
+            # More states than the nested grid can place: its sampler would never return.
+            ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 3},
+                                {"messages": 1, "atoms": 1, "states": 5000}]}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import nested_sum_odd_round
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import multiround, protocols, qmath
+from qchansim import multiround, protocols, qmath, serialize
 from qchansim.multiround import (
     OddRoundProtocol,
     collapse_odd_rounds,
@@ -284,3 +287,92 @@ class TestOddRounds:
             np.testing.assert_allclose(
                 run_odd_round(padded, psi, phi), receiver_first_oracle(psi, phi), atol=1e-12
             )
+
+
+class TestLevelWiseEvaluation:
+    """``run_odd_round`` against the depth-first nested sum it replaced, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.sampled_from([3, 5, 7]),
+        n_atoms=st.integers(1, 3),
+        alphabet=st.integers(1, 3),
+        n_outcomes=st.integers(1, 3),
+    )
+    def test_equals_nested_sum_on_random_odd_rounds(self, seed, depth, n_atoms, alphabet, n_outcomes):
+        if depth == 7:
+            alphabet = min(alphabet, 2)  # 3^7 transcripts per atom take seconds to generate
+        p = random_odd_round(seed, depth, n_atoms=n_atoms, alphabet=alphabet, n_outcomes=n_outcomes)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            psi, phi = random_pair(rng)
+            assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_atoms=st.integers(1, 3),
+        alphabets=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        n_outcomes=st.integers(1, 3),
+    )
+    def test_equals_nested_sum_on_random_three_rounds(self, seed, n_atoms, alphabets, n_outcomes):
+        n1, n2, n3 = alphabets
+        p = random_three_round(
+            seed, n_atoms=n_atoms, n_m1=n1, n_m2=n2, n_m3=n3, n_outcomes=n_outcomes
+        )
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            psi, phi = random_pair(rng)
+            assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    def test_zero_probability_branches_of_the_interactive_twist(self):
+        # Basis states make coins point masses and z replies of trace 0.
+        rng = np.random.default_rng(89)
+        p = interactive_twist_protocol()
+        kets = [qmath.KET0, qmath.KET1, qmath.KET_PLUS, haar_ket(2, rng)]
+        for psi in map(projector, kets):
+            for phi in map(projector, kets):
+                assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    def test_zero_probability_branches_of_a_loaded_three_round_file(self):
+        # Point-mass coins and a z instrument, written to a protocol file and read back.
+        final = multiround.random_povm(np.random.default_rng(97), 2, 2)
+        p = OddRoundProtocol(
+            randomness=SharedRandomness(probabilities=(0.25, 0.75)),
+            sender_alphabets=((0, 1), (0, 1)),
+            receiver_alphabets=((0, 1),),
+            outcomes=final.labels,
+            coins=(
+                lambda psi, x, tr: np.array([1.0 - x, float(x)]),
+                lambda psi, x, tr: np.array([1.0, 0.0]) if tr[1] == 0 else np.array([0.3, 0.7]),
+            ),
+            instruments=(
+                lambda x, tr: Instrument(kraus=(projector(qmath.KET0), projector(qmath.KET1))),
+            ),
+            final_povm=lambda x, tr: final,
+        )
+        rng = np.random.default_rng(101)
+        grid = [projector(haar_ket(2, rng)) for _ in range(3)]
+        text = serialize.dumps(serialize.three_round_protocol_to_obj(p, grid))
+        loaded = serialize.three_round_protocol_from_obj(serialize.loads(text))
+        for psi in grid:
+            for phi in map(projector, (qmath.KET0, qmath.KET1, haar_ket(2, rng))):
+                direct = run_odd_round(loaded, psi, phi)
+                assert np.array_equal(direct, nested_sum_odd_round(loaded, psi, phi))
+                assert np.array_equal(direct, nested_sum_odd_round(p, psi, phi))
+
+    def test_coin_of_the_wrong_length_is_a_protocol_error(self):
+        # Only one transcript's coin is too long, so the coins cannot be stacked.
+        p = random_three_round(seed=103)
+        good = p.coins[1]
+        bad = dataclasses.replace(
+            p,
+            coins=(
+                p.coins[0],
+                lambda psi, x, tr: np.full(3, 1.0 / 3.0) if tuple(tr) == (1, 0) else good(psi, x, tr),
+            ),
+        )
+        psi, phi = random_pair(np.random.default_rng(107))
+        with pytest.raises(ProtocolError, match="coin 1 has shape"):
+            run_odd_round(bad, psi, phi)

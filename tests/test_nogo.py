@@ -247,6 +247,11 @@ class TestOptimize:
         with pytest.raises(NogoError, match="encoder table"):
             nogo.check_sizes(10**6, 1, 3)
 
+    def test_states_over_the_grid_limit_are_rejected(self):
+        nogo.check_sizes(1, 1, nogo.MAX_STATES)
+        with pytest.raises(NogoError, match="states exceed"):
+            nogo.check_sizes(1, 1, nogo.MAX_STATES + 1)
+
     @pytest.mark.parametrize("m,k,n", [(2, 3, 5), (1, 2, 3), (2, 1, 2)])
     def test_start_groups_under_a_small_table_limit_change_nothing(self, monkeypatch, m, k, n):
         fam = nested_grid(n)

@@ -1,5 +1,11 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchansim import decompose, multiround, protocols, qmath, serialize
 from qchansim.protocols import run_analytic
@@ -210,3 +216,75 @@ class TestErrors:
     def test_malformed_complex_pair(self):
         with pytest.raises(serialize.SerializationError):
             serialize.matrix_from_obj({"kind": "matrix", "dim": 1, "entries": [[1.0]]})
+
+
+def json_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, -math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "tab\tline\n\"quoted\" \\", "é ü ∑ \u2028 \U0001f600", "\ud800"]),
+)
+# Number keys are written as their JSON text; one dict never mixes them with strings,
+# since sorting would then fail for both writers alike.
+_NUMBER_KEYS = st.one_of(st.integers(), st.floats(), st.booleans())
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(_NUMBER_KEYS, children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    @settings(max_examples=150, deadline=None)
+    @given(obj=_TREES)
+    def test_matches_json_dumps(self, obj):
+        assert serialize.dumps(obj) == json_reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[], {}, (), [[], {}, ()], {"a": {}, "b": []}, {None: 1}, {True: 0, 2.5: 1}, "x", 3, None],
+        ids=repr,
+    )
+    def test_edge_cases_match_json_dumps(self, obj):
+        assert serialize.dumps(obj) == json_reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [np.int64(3), [1, np.int64(3)], {"k": np.int64(3)}, {np.int64(3): 1}, {(1, 2): 0}, {1, 2}],
+        ids=["int64", "int64-in-list", "int64-value", "int64-key", "tuple-key", "set"],
+    )
+    def test_unsupported_types_raise_type_error_like_json(self, obj):
+        with pytest.raises(TypeError):
+            json_reference(obj)
+        with pytest.raises(TypeError):
+            serialize.dumps(obj)
+
+    def test_collapsed_file_peak_memory_is_at_most_json_dumps(self):
+        rng = np.random.default_rng(3)
+        collapsed = multiround.collapse_odd_rounds(multiround.random_odd_round(seed=5, depth=5))
+        grid = [projector(haar_ket(2, rng)) for _ in range(10)]
+        obj = serialize.one_round_protocol_to_obj(collapsed, grid)
+        peaks = {}
+        for name, write in (("json", json_reference), ("writer", serialize.dumps)):
+            tracemalloc.start()
+            try:
+                text = write(obj)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert text == json_reference(obj)
+        assert peaks["writer"] <= peaks["json"]

@@ -9,7 +9,13 @@ Each digest covers a protocol's messages, the bytes of its effect tensor and
 states (pairs of them for the two-sender shift protocols).  The protocols are
 the catalog measurements, ``blockbasis6``, shift A and B, every
 ``tests/helpers.random_product_povm`` kind pair and ``mixed_product_povm`` at
-seeds 0-5, and the 256-member tetrahedral family.  Two trees build the same
+seeds 0-5, and the 256-member tetrahedral family.
+
+The seeded multi-round generators are covered too: ``random_three_round``
+(two alphabet shapes) and ``random_odd_round`` at depths 3, 5 and 7, at
+seeds 0-2.  Their digests cover the tabulated protocol (``tabulate``): the
+atom probabilities, the bytes of every Kraus table and of the final
+measurements, and the coins on the same 10 states.  Two trees build the same
 protocols exactly when ``diff`` of their digest files prints nothing.
 """
 
@@ -25,10 +31,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from helpers import TETRA_BLOCH, mixed_product_povm, random_product_povm  # noqa: E402
 
-from qchansim import protocols, qmath  # noqa: E402
+from qchansim import multiround, protocols, qmath  # noqa: E402
 
 KINDS = [(left, right) for left in ("basis", "trine", "tetra") for right in ("basis", "trine", "tetra")]
 SEEDS = range(6)
+ROUND_SEEDS = range(3)
 
 
 def build_protocols():
@@ -50,12 +57,40 @@ def build_protocols():
     yield "tetra-tetra-256", protocols.rank1_product_protocol(joint), 1
 
 
+def build_round_protocols():
+    """(name, protocol) for every covered multi-round protocol, in a fixed order."""
+    for seed in ROUND_SEEDS:
+        yield f"three-round-seed{seed}", multiround.random_three_round(seed)
+        yield f"three-round-2x3x3-3atoms-seed{seed}", multiround.random_three_round(
+            seed, n_atoms=3, n_m1=2, n_m2=3, n_m3=3, n_outcomes=3
+        )
+        for depth in (3, 5, 7):
+            yield f"odd-round-depth{depth}-seed{seed}", multiround.random_odd_round(seed, depth)
+
+
+def _update_array(h, array) -> None:
+    array = np.asarray(array)
+    h.update(repr((array.dtype.str, array.shape)).encode())
+    h.update(np.ascontiguousarray(array).tobytes())
+
+
+def round_digest(protocol, states) -> str:
+    tables = multiround.tabulate(protocol)
+    h = hashlib.sha256()
+    _update_array(h, np.asarray(tables.randomness.probabilities, dtype=float))
+    for array in (*tables.kraus, tables.final):
+        _update_array(h, array)
+    for psi in states:
+        for coin in tables.coins(psi):
+            _update_array(h, coin)
+    return h.hexdigest()
+
+
 def digest(protocol, states) -> str:
     h = hashlib.sha256()
     h.update(repr(protocol.messages).encode())
     for array in (protocol.effects, protocol.named):
-        h.update(repr((array.dtype.str, array.shape)).encode())
-        h.update(np.ascontiguousarray(array).tobytes())
+        _update_array(h, array)
     h.update(str(protocol.cost_bits).encode())
     for psi in states:
         h.update(np.ascontiguousarray(protocol.encoder_matrix(psi), dtype=float).tobytes())
@@ -70,6 +105,7 @@ def main(argv: list[str]) -> int:
     haar = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(20)]
     states = {1: haar[:10], 2: [[a, b] for a, b in zip(haar[:10], haar[10:])]}
     lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_protocols()]
+    lines += [f"{name} {round_digest(protocol, states[1])}" for name, protocol in build_round_protocols()]
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")

@@ -12,8 +12,15 @@ independent of the input direction by rotational invariance.  Sampling the
 shared unitary reduces to sampling a uniform rotation, since only the adjoint
 action on Bloch vectors enters the protocol.  For the z input only the z row
 of R enters, z_hat . R omega_i = (R^T z_hat) . omega_i, so ``estimate_eta``
-builds that row alone and scores it against the codewords in blocks of
-codewords x samples.
+builds that row alone.
+
+Both Monte Carlo paths draw each batch's rotations in blocks of at most
+``_SAMPLE_BLOCK`` samples (``_quaternion_blocks``).  ``estimate_eta`` scores
+each block against the codewords in cache-sized (codewords x samples) blocks
+(``_batch_scores``) and keeps only the batch's score vector;
+``simulate_average_state`` rotates every codeword of a block of at most
+``_SCORE_ENTRIES`` / (3 x codewords) samples at once and keeps only the
+batch's chosen Bloch vectors.
 """
 
 from __future__ import annotations
@@ -33,10 +40,28 @@ class DepolarizeError(ValueError):
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-# Entries of a score block held at once: (codewords x samples) in estimate_eta,
-# (samples x codewords x 3) in simulate_average_state, rows x codewords of the
-# codebook's Gram matrix.  8 MB of float64.
+# Entries of a block held at once: (samples x codewords x 3) rotated codewords
+# in simulate_average_state, rows x codewords of the codebook's Gram matrix.
+# 8 MB of float64.
 _SCORE_ENTRIES = 4096 * 256
+# Samples drawn and rotated at once by both Monte Carlo paths: a (block, 4)
+# array of quaternions is 128 KB.
+_SAMPLE_BLOCK = 4096
+# estimate_eta scores (codewords x samples) blocks of at most _SCORE_ROWS
+# codewords and _CACHE_SCORE_ENTRIES entries (512 KB), so a block stays in
+# cache; a larger codebook is scored in chunks of codewords.
+_CACHE_SCORE_ENTRIES = 2**16
+_SCORE_ROWS = 256
+# OpenBLAS's larger gemm calls round the columns of a part-filled last panel of
+# 8 differently, so a sample's score would depend on its place in its block;
+# estimate_eta pads every block with zero columns to whole panels.
+_PANEL = 8
+
+
+def _score_columns(rows: int) -> int:
+    """Samples per score block of ``rows`` codewords in estimate_eta, whole panels."""
+    columns = min(_SAMPLE_BLOCK, _CACHE_SCORE_ENTRIES // rows)
+    return columns - columns % _PANEL
 
 
 def _max_pairwise_dot(v: np.ndarray) -> float:
@@ -121,13 +146,18 @@ def codebook(spec: str | int) -> Codebook:
     return Codebook(fibonacci_sphere(2**m), name=f"fibonacci-{m}")
 
 
-def _z_rows(q: np.ndarray) -> np.ndarray:
-    """Row 2 (R^T z_hat) of the rotations of unit quaternions (n, 4), as a (3, n) array."""
+def _z_rows(q: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """Row 2 (R^T z_hat) of the rotations of unit quaternions (n, 4), as a (3, columns) array.
+
+    ``columns`` defaults to n; columns past n are zero.
+    """
+    n = q.shape[0]
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rows = np.empty((3, q.shape[0]))
-    rows[0] = 2 * (x * z - y * w)
-    rows[1] = 2 * (y * z + x * w)
-    rows[2] = 1 - 2 * (x * x + y * y)
+    rows = np.empty((3, n if columns is None else columns))
+    rows[:, n:] = 0.0
+    rows[0, :n] = 2 * (x * z - y * w)
+    rows[1, :n] = 2 * (y * z + x * w)
+    rows[2, :n] = 1 - 2 * (x * x + y * y)
     return rows
 
 
@@ -147,9 +177,20 @@ def _quaternions_to_rotations(q: np.ndarray) -> np.ndarray:
 
 def _unit_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniformly distributed unit quaternions, as an (n, 4) array."""
-    q = rng.normal(size=(n, 4))
+    q = rng.standard_normal((n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     return q
+
+
+def _quaternion_blocks(rng: np.random.Generator, size: int, block: int):
+    """Yield (lo, q): the unit quaternions of one batch of ``size``, drawn block by block.
+
+    Each q holds rows lo..lo + len(q) of the batch, equal to those of
+    ``_unit_quaternions(rng, size)``, since the generator's normal stream does
+    not depend on how it is split.
+    """
+    for lo in range(0, size, block):
+        yield lo, _unit_quaternions(rng, min(block, size - lo))
 
 
 def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -198,18 +239,48 @@ def simulate_average_state(
 
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
     rngs = _batch_seeds(seed, len(sizes))
-    step = max(1, _SCORE_ENTRIES // (3 * len(c)))
+    block = min(_SAMPLE_BLOCK, max(1, _SCORE_ENTRIES // (3 * len(c))))
     total = np.zeros(3)
     for rng, size in zip(rngs, sizes):
-        rotations = sample_rotations(rng, size)
-        # Score in row chunks and sum the batch's choices at once.
+        # Rotate and score block by block, and sum the batch's choices at once.
         chosen = np.empty((size, 3))
-        for lo in range(0, size, step):
-            rotated = np.einsum("nij,kj->nki", rotations[lo : lo + step], c.vectors)
+        for lo, q in _quaternion_blocks(rng, size, block):
+            rotated = np.einsum("nij,kj->nki", _quaternions_to_rotations(q), c.vectors)
             winners = np.argmax(rotated @ psi_hat, axis=1)
-            chosen[lo : lo + len(rotated)] = rotated[np.arange(len(rotated)), winners]
+            chosen[lo : lo + len(q)] = rotated[np.arange(len(q)), winners]
         total += chosen.sum(axis=0)
     return qmath.bloch_to_density(total / n)
+
+
+def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarray:
+    """max_i z_hat . R omega_i for each of one batch's ``size`` rotations.
+
+    Draws the same unit quaternions as ``sample_rotations(rng, size)``, block
+    by block (``_quaternion_blocks``).  Of each block it builds only the z
+    rows R^T z_hat, since z_hat . R omega_i = (R^T z_hat) . omega_i, and
+    takes the maximum over codewords of (codewords x samples) score blocks:
+    ``_score_columns`` samples, padded to whole panels, against near-equal
+    chunks of at most ``_SCORE_ROWS`` codewords.  No chunk is one codeword
+    (gemv) unless the codebook is, and a maximum does not round, so every
+    score equals that of the full rotation scored sample by sample.
+    """
+    chunks = np.array_split(c.vectors, -(-len(c) // _SCORE_ROWS))
+    columns = _score_columns(len(chunks[0]))
+    scores = np.empty(size)
+    products = np.empty((len(chunks[0]), columns))  # every score block is written here
+    for lo, q in _quaternion_blocks(rng, size, _SAMPLE_BLOCK):
+        n_q = len(q)
+        # A one-sample batch stays one column (gemv), as sample-major scoring has it.
+        z_rows = _z_rows(q, n_q if size == 1 else -(-n_q // _PANEL) * _PANEL)
+        for a in range(0, n_q, columns):
+            width = min(columns, z_rows.shape[1] - a)
+            best = scores[lo + a : lo + min(a + columns, n_q)]
+            best.fill(-np.inf)
+            for chunk in chunks:
+                out = products[: len(chunk), :width]
+                block = np.matmul(chunk, z_rows[:, a : a + width], out=out)
+                np.maximum(best, np.max(block[:, : len(best)], axis=0), out=best)
+    return scores
 
 
 def estimate_eta(
@@ -218,26 +289,17 @@ def estimate_eta(
     """Monte Carlo estimate of the realized noise parameter, with standard error.
 
     Estimates E[max_i z_hat . R omega_i]; by rotational invariance the value
-    is the same for every input direction.  Each batch draws the same unit
-    quaternions as ``sample_rotations`` but builds only the z row R^T z_hat
-    of each rotation, and takes the maximum over codewords of blocks of the
-    (codewords x samples) score matrix, so the result equals scoring the full
-    rotations sample by sample.
+    is the same for every input direction.  Each batch's scores come from
+    ``_batch_scores``; the sum and the sum of squares are taken over the
+    batch's whole score vector.
     """
     if n < 1:
         raise DepolarizeError("sample count must be at least 1")
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
-    rngs = _batch_seeds(seed, len(sizes))
-    step = max(1, _SCORE_ENTRIES // len(c))
     total = 0.0
     total_sq = 0.0
-    for rng, size in zip(rngs, sizes):
-        # Only the z row of each rotation enters z_hat . R omega_i = (R^T z_hat) . omega_i.
-        z_rows = _z_rows(_unit_quaternions(rng, size))
-        # Score codeword-major in column blocks, so the score block stays small at large codebooks.
-        scores = np.empty(size)
-        for lo in range(0, size, step):
-            scores[lo : lo + step] = np.max(c.vectors @ z_rows[:, lo : lo + step], axis=0)
+    for rng, size in zip(_batch_seeds(seed, len(sizes)), sizes):
+        scores = _batch_scores(c, rng, size)
         total += scores.sum()
         total_sq += np.square(scores).sum()
     mean = total / n

@@ -414,8 +414,9 @@ def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
     """Reject sizes ``optimize`` cannot run, before anything is allocated.
 
     Every size must be at least 1, the states at most ``MAX_STATES``, and
-    one start's encoder-step table, K (2^M - 1) M (M + 1) entries, must hold
-    at most ``MAX_TABLE_ENTRIES``; so M <= 15 at one atom.
+    one start's encoder-step table, K (2^M - 1) M (M + 1) entries, and its
+    candidate rows, N (2^M - 1) M entries, must each hold at most
+    ``MAX_TABLE_ENTRIES``; so M <= 15 at one atom, and M <= 10 at 1,000 states.
     """
     if n_messages < 1 or n_atoms < 1 or n_states < 1:
         raise NogoError("messages, atoms and states must all be at least 1")
@@ -426,6 +427,11 @@ def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
         raise NogoError(
             f"the encoder table for {n_messages} messages and {n_atoms} atoms "
             f"exceeds {MAX_TABLE_ENTRIES} entries"
+        )
+    if _start_entries(n_messages, n_atoms, n_states) > MAX_TABLE_ENTRIES:
+        raise NogoError(
+            f"the candidate rows for {n_messages} messages and {n_states} states "
+            f"exceed {MAX_TABLE_ENTRIES} entries"
         )
 
 
@@ -490,7 +496,7 @@ def optimize(
 
     Starts advance together, in start-order groups whose stacked encoder
     tables and candidate rows each hold at most ``MAX_TABLE_ENTRIES``
-    entries (one start per group when a start's rows alone hold more), and
+    entries (``check_sizes`` rejects a start that alone holds more), and
     are reported in start order: the best error, the sweep count and the
     strategy are those of running one start after another, where only a
     strictly lower error wins and the run stops at the first start that
@@ -501,7 +507,7 @@ def optimize(
     check_sizes(n_messages, n_atoms, n)
     sweeps = max(1, budget // starts)
     seeds = np.random.SeedSequence(seed).spawn(starts)
-    group_size = max(1, MAX_TABLE_ENTRIES // _start_entries(n_messages, n_atoms, n))
+    group_size = MAX_TABLE_ENTRIES // _start_entries(n_messages, n_atoms, n)
     histories: list[np.ndarray] = []
     snapshots: list[tuple[np.ndarray, ...]] = []
     for first in range(0, starts, group_size):

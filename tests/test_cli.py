@@ -475,6 +475,8 @@ class TestMalformedInput:
             # More states than the nested grid can place: its sampler would never return.
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 3},
                                 {"messages": 1, "atoms": 1, "states": 5000}]}),
+            # The table fits, but the candidate rows would hold 491,505,000 entries (3.9 GB).
+            ("nogo", {"cases": [{"messages": 15, "atoms": 1, "states": 1000}]}),
         ],
     )
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):

@@ -303,6 +303,102 @@ class TestEstimateEta:
         assert peak < 30e6
 
 
+def sample_major_scores(c, rng, size, rows_per_product=512):
+    """Scores of whole rotations, each z row against every codeword.
+
+    The (samples x codewords) products take near-equal parts of at most
+    ``rows_per_product`` rotations, so a 4096-word codebook stays near 16 MB
+    and no part is a single row (gemv) unless the batch is.
+    """
+    rows = sample_rotations(rng, size)[:, 2, :]
+    parts = np.array_split(rows, -(-size // rows_per_product))
+    return np.concatenate([np.max(part @ c.vectors.T, axis=1) for part in parts])
+
+
+BLOCK = dp._SAMPLE_BLOCK
+
+
+class TestBlockedEstimator:
+    """estimate_eta draws, rotates and scores in blocks; none of it may move a bit."""
+
+    CODEBOOKS = {
+        1: lambda: Codebook(np.array([[0.0, 0.0, 1.0]])),
+        2: lambda: codebook("antipodal"),
+        4: lambda: codebook("tetrahedron"),
+        256: lambda: codebook(8),
+        257: lambda: Codebook(fibonacci_sphere(257)),  # codeword chunks of 129 and 128
+        4096: lambda: codebook(12),
+    }
+
+    @pytest.mark.parametrize("words", sorted(CODEBOOKS))
+    @pytest.mark.parametrize(
+        "n, batch",
+        [
+            (BLOCK - 1, 200_000),
+            (BLOCK, 200_000),
+            (BLOCK + 1, 200_000),
+            (2 * BLOCK + 1, 200_000),  # a one-sample last block
+            (25_013, 10_007),  # batches that are not a multiple of the block
+            (10_008, 10_007),  # a one-sample last batch
+        ],
+    )
+    def test_matches_sample_major_scoring(self, words, n, batch):
+        c = self.CODEBOOKS[words]()
+        sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
+        total = total_sq = 0.0
+        for seq, size in zip(np.random.SeedSequence(71).spawn(len(sizes)), sizes):
+            expected = sample_major_scores(c, np.random.default_rng(seq), size)
+            np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(seq), size), expected)
+            total += expected.sum()
+            total_sq += np.square(expected).sum()
+        mean = total / n
+        stderr = math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+        assert estimate_eta(c, n, 71, batch=batch) == (mean, stderr)
+
+    @pytest.mark.parametrize("spec", ["tetrahedron", "cube", 8, 12])
+    def test_one_sample_batches_match_sample_major_scoring(self, spec):
+        # A one-sample batch is one column, scored through gemv as sample-major scoring is.
+        c = codebook(spec)
+        for seq in np.random.SeedSequence(89).spawn(200):
+            expected = sample_major_scores(c, np.random.default_rng(seq), 1)
+            np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(seq), 1), expected)
+
+    @pytest.mark.parametrize("m", [3, 8, 11])
+    @pytest.mark.parametrize("block", [8, 1000, 4093])
+    def test_sample_block_size_changes_nothing(self, monkeypatch, m, block):
+        c, n = codebook(m), 9_001
+        whole = dp._batch_scores(c, np.random.default_rng(73), n)
+        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", block)
+        np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(73), n), whole)
+
+    def test_score_blocks_are_whole_panels(self):
+        for rows in [1, 2, 3, 8, 100, 129, dp._SCORE_ROWS]:
+            columns = dp._score_columns(rows)
+            assert columns % dp._PANEL == 0
+            assert dp._PANEL <= columns <= BLOCK
+            assert rows * columns <= dp._CACHE_SCORE_ENTRIES
+
+    def test_peak_memory_at_256_codewords(self):
+        # Scoring whole batches peaked at 16 MB: 2e5 quaternions, z rows and 2^20-entry blocks.
+        c = codebook(8)
+        tracemalloc.start()
+        try:
+            estimate_eta(c, 200_000, seed=79)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_one_row_last_block_of_simulate_average_state(self):
+        psi_hat = qmath.random_bloch(np.random.default_rng(83))
+        c, n = codebook(3), BLOCK + 1
+        rotated = np.einsum("nij,kj->nki", sample_rotations(dp._batch_seeds(83, 1)[0], n), c.vectors)
+        winners = np.argmax(rotated @ psi_hat, axis=1)
+        expected = qmath.bloch_to_density(rotated[np.arange(n), winners].sum(axis=0) / n)
+        rho = simulate_average_state(qmath.bloch_to_density(psi_hat), c, n, 83)
+        np.testing.assert_array_equal(rho, expected)
+
+
 class TestEtaCap:
     def test_reference_points(self):
         assert abs(eta_cap(math.pi / 2) - 0.5) <= 1e-14

@@ -252,6 +252,16 @@ class TestOptimize:
         with pytest.raises(NogoError, match="states exceed"):
             nogo.check_sizes(1, 1, nogo.MAX_STATES + 1)
 
+    def test_candidate_rows_over_the_limit_are_rejected(self):
+        # N (2^M - 1) M at 1,000 states: M = 10 fits under 2^24 entries, M = 11 does not,
+        # and M = 15 asks for 491,505,000 entries while its encoder table fits.
+        assert nogo._table_entries(15, 1) <= nogo.MAX_TABLE_ENTRIES
+        assert nogo._start_entries(15, 1, 1000) == 491_505_000
+        nogo.check_sizes(10, 1, nogo.MAX_STATES)
+        for m in (11, 15):
+            with pytest.raises(NogoError, match="candidate rows"):
+                nogo.check_sizes(m, 1, nogo.MAX_STATES)
+
     @pytest.mark.parametrize("m,k,n", [(2, 3, 5), (1, 2, 3), (2, 1, 2)])
     def test_start_groups_under_a_small_table_limit_change_nothing(self, monkeypatch, m, k, n):
         fam = nested_grid(n)

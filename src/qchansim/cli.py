@@ -41,8 +41,12 @@ def _load_config(path: str | None) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def reject_constant(name: str):
+        raise ConfigError(f"config {path} holds {name}, which is not a JSON number")
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -419,11 +423,12 @@ def cmd_collapse(config: dict, out: str | None) -> int:
 
     # One encoder evaluation per grid state serves both the check and the file.
     tables = [collapsed.encoder_matrix(psi) for psi in grid]
-    deviation = 0.0
+    gaps = []
     for psi, table, phi in zip(grid, tables, probes):
         direct = multiround.run_odd_round(protocol, psi, phi)
-        gap = np.max(np.abs(protocols.analytic_distribution(collapsed, table, phi) - direct))
-        deviation = max(deviation, float(gap))
+        gaps.append(np.max(np.abs(protocols.analytic_distribution(collapsed, table, phi) - direct)))
+    # np.max keeps a NaN gap, where max() would drop it, and a NaN fails the check below.
+    deviation = float(np.max(gaps))
 
     resolved = {
         "protocol": spec,

@@ -87,6 +87,11 @@ class OneRoundProtocol:
     It is checked once, at construction, and stored read-only.  A decoder
     that names only some outcomes has zero effects for the rest, and
     ``named[x, m, o]`` records which outcomes it names (default: all).
+
+    ``encoder_matrix`` keeps the checked table of the last sender state it
+    evaluated, read-only, so the runners called one after the other on the
+    same state run the encoder once.  An encoder that raises leaves nothing
+    kept.
     """
 
     randomness: SharedRandomness
@@ -97,6 +102,7 @@ class OneRoundProtocol:
     cost_bits: int
     meta: dict = field(default_factory=dict)
     named: np.ndarray | None = None
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         effects = np.array(self.effects, dtype=complex)
@@ -120,8 +126,32 @@ class OneRoundProtocol:
         return len(self.randomness), self.n_messages, len(self.outcomes)
 
     def encoder_matrix(self, psi) -> np.ndarray:
-        """The checked (atoms, messages) matrix of message distributions, negatives clipped."""
-        return check_distributions(self.encoder(psi), self.shape[:2], "encoder output")
+        """The checked (atoms, messages) matrix of message distributions, negatives clipped.
+
+        The table of the last sender state is kept and returned, read-only,
+        when the same state comes again: an array with the same dtype, shape
+        and bytes, or a list or tuple of such arrays.  Any other ``psi`` runs
+        the encoder on every call.  An encoder that raises keeps nothing.
+        """
+        key = _state_key(psi)
+        last = self._last
+        if key is not None and last is not None and last[0] == key:
+            return last[1]
+        table = check_distributions(self.encoder(psi), self.shape[:2], "encoder output")
+        if key is not None:
+            table.setflags(write=False)
+            object.__setattr__(self, "_last", (key, table))
+        return table
+
+
+def _state_key(psi) -> tuple | None:
+    """The memo key of a sender state or a list of them, or None when it has none."""
+    if isinstance(psi, np.ndarray):
+        return None if psi.dtype.hasobject else (psi.dtype.str, psi.shape, psi.tobytes())
+    if isinstance(psi, (list, tuple)) and all(isinstance(s, np.ndarray) for s in psi):
+        keys = tuple(_state_key(s) for s in psi)
+        return None if None in keys else keys
+    return None
 
 
 def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -129,7 +159,10 @@ def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.shape != shape:
         raise ProtocolError(f"{what} has shape {dist.shape}, expected {shape}")
-    if np.max(np.abs(dist.sum(axis=-1) - 1.0)) > ATOL_SCALAR or dist.min() < -ATOL_SCALAR:
+    # Every comparison with NaN is false, so NaN and +-inf entries fail this test too.
+    if not (np.max(np.abs(dist.sum(axis=-1) - 1.0)) <= ATOL_SCALAR and dist.min() >= -ATOL_SCALAR):
+        if not np.isfinite(dist).all():
+            raise ProtocolError(f"{what} holds a non-finite entry")
         raise ProtocolError(f"{what} is not a probability distribution")
     return np.clip(dist, 0.0, None)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from qchansim import qmath
+from qchansim import decompose, qmath
 from qchansim.protocols import check_distributions
 from qchansim.qmath import (
     Povm,
@@ -118,3 +118,16 @@ def nested_sum_odd_round(p, psi, phi) -> np.ndarray:
     for x, p_atom in enumerate(p.randomness.probabilities):
         descend(x, 0, (), phi, p_atom)
     return out
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every ``decompose.solve_mixture`` call from here on; returns the list of calls."""
+    calls = []
+    solve = decompose.solve_mixture
+
+    def counting(system, weights):
+        calls.append(weights)
+        return solve(system, weights)
+
+    monkeypatch.setattr(decompose, "solve_mixture", counting)
+    return calls

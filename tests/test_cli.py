@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_product_povm
+from helpers import count_solves, random_product_povm
 
 import qchansim
-from qchansim import cli, qmath, serialize
+from qchansim import cli, multiround, qmath, serialize
 
 
 def run_cli(args):
@@ -36,6 +37,13 @@ SHIFT_PRODUCT_POVM = json.dumps(
         qmath.catalog_product_effects("shift"), qmath.catalog_labels("shift")
     )
 )
+
+
+def poison_first_number(nested: list, value: float) -> None:
+    """Replace the first number of a nested list with ``value``."""
+    while isinstance(nested[0], list):
+        nested = nested[0]
+    nested[0] = value
 
 
 def product_povm_file(tmp_path, joint):
@@ -110,6 +118,12 @@ class TestSimulate:
     def test_singlet_is_rejected(self, tmp_path):
         config = write_config(tmp_path, "sim.json", {"measurement": "singlet"})
         assert run_cli(["simulate", "--config", config]) == 3
+
+    def test_analytic_and_sampled_runs_share_one_mixture_solve(self, tmp_path, monkeypatch):
+        calls = count_solves(monkeypatch)
+        config = write_config(tmp_path, "sim.json", {"measurement": "tb", "seed": 2, "samples": 1000})
+        assert run_cli(["simulate", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         config = write_config(
@@ -314,6 +328,38 @@ class TestCollapse:
         )
         assert run_cli(["collapse", "--config", config2]) == 3
 
+    def test_nan_gap_fails_the_check(self, tmp_path, monkeypatch, capsys):
+        direct = multiround.run_odd_round
+        seen = []
+
+        def first_state_nan(protocol, psi, phi):
+            seen.append(psi)
+            out = direct(protocol, psi, phi)
+            return np.full_like(out, np.nan) if len(seen) == 1 else out
+
+        monkeypatch.setattr(multiround, "run_odd_round", first_state_nan)
+        config = write_config(
+            tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}}
+        )
+        assert run_cli(["collapse", "--config", config]) == 2
+        assert math.isnan(json.loads(capsys.readouterr().out)["max_deviation"])
+
+    def test_nan_encoder_output_is_an_invariant_violation(self, tmp_path, monkeypatch, capsys):
+        collapse = multiround.collapse_odd_rounds
+
+        def nan_encoder(protocol):
+            collapsed = collapse(protocol)
+            return dataclasses.replace(
+                collapsed, encoder=lambda psi: np.full(collapsed.shape[:2], np.nan)
+            )
+
+        monkeypatch.setattr(multiround, "collapse_odd_rounds", nan_encoder)
+        config = write_config(
+            tmp_path, "col.json", {"protocol": {"kind": "random_odd_round", "depth": 3}}
+        )
+        assert run_cli(["collapse", "--config", config]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestNogo:
     def test_exactness_exit_code(self, tmp_path):
@@ -356,6 +402,11 @@ class TestRac:
         assert report["one_bit_bound"]["fraction"] == "3/4"
         assert report["two_bit_simulator"]["cost_bits"] == 2
         assert abs(report["two_bit_simulator"]["success"] - (2 + 2**0.5) / 4) < 1e-10
+
+    def test_one_mixture_solve_per_preparation(self, tmp_path, monkeypatch):
+        calls = count_solves(monkeypatch)
+        assert run_cli(["rac", "--out", str(tmp_path / "rac.json")]) == 0
+        assert len(calls) == 4
 
     def test_artifact_mode_follows_umask(self, tmp_path):
         out = tmp_path / "rac.json"
@@ -495,6 +546,24 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run_cli([command, "--config", write_config(tmp_path, "run.json", entries)]) == 3
         assert "runs only on its own grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("command", ["simulate", "collapse"])
+    def test_non_finite_number_in_a_protocol_file_is_malformed_input(self, tmp_path, capsys, command, value):
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 29}})
+        assert run_cli(["collapse", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
+        if command == "simulate":
+            path = tmp_path / "r.collapsed.json"
+            entries = {"measurement": str(path), "samples": 1000}
+        else:
+            path = tmp_path / "r.original.json"
+            entries = {"protocol": {"kind": "file", "path": str(path)}}
+        obj = json.loads(path.read_text())
+        poison_first_number(obj["encoder"]["table"] if command == "simulate" else obj["coin1"], value)
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli([command, "--config", write_config(tmp_path, "run.json", entries)]) == 3
+        assert "not a JSON number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "rac"])
     def test_negative_seed_override_is_malformed_input(self, tmp_path, command):

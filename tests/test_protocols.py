@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    TETRA_BLOCH,
     born_product_oracle,
+    count_solves,
     mixed_product_povm,
     random_product_povm,
 )
@@ -33,6 +35,7 @@ from qchansim.protocols import (
     block_branch_table,
     blocks_from_product_basis,
     catalog_protocol,
+    check_distributions,
     constant_protocol,
     demo_block_basis,
     multi_sender_protocol,
@@ -426,6 +429,173 @@ class TestRunSampled:
         freqs, stderr = run_sampled(p, qmath.I2 / 2, projector(KET0), 1000, seed=1)
         np.testing.assert_array_equal(freqs, born(projector(KET0), m))
         np.testing.assert_array_equal(stderr, [0.0, 0.0])
+
+
+def counting_protocol(encoder=None):
+    """A two-message protocol on a qubit sender, and the list of states its encoder saw."""
+    seen = []
+
+    def default(psi):
+        p0 = float(np.real(np.ravel(psi)[0]))
+        return np.array([[p0, 1.0 - p0]])
+
+    def counting(psi):
+        seen.append(psi)
+        return (encoder or default)(psi)
+
+    comp = catalog_measurement("comp")
+    protocol = OneRoundProtocol(
+        randomness=SharedRandomness.trivial(),
+        messages=(0, 1),
+        encoder=counting,
+        effects=np.array([[comp.effects, comp.effects]]),
+        outcomes=comp.labels,
+        cost_bits=1,
+    )
+    return protocol, seen
+
+
+def tetra_product_protocol():
+    tetra = [qmath.bloch_to_ket(np.asarray(b) / math.sqrt(3.0)) for b in TETRA_BLOCH]
+    joint = [ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
+    return rank1_product_protocol(joint)
+
+
+def shift_protocol(config="A"):
+    return multi_sender_protocol(catalog_product_effects("shift"), config, catalog_labels("shift"))
+
+
+class TestEncoderMemo:
+    def test_runners_on_one_state_evaluate_once(self):
+        p, seen = counting_protocol()
+        rng = np.random.default_rng(3)
+        psi, phi = projector(haar_ket(2, rng)), projector(haar_ket(4, rng))
+        analytic = run_analytic(p, psi, phi)
+        run_sampled(p, psi, phi, 500, seed=1)
+        # An equal array, not the same object, is the same state.
+        np.testing.assert_array_equal(run_analytic(p, psi.copy(), phi), analytic)
+        assert len(seen) == 1
+
+    def test_changed_state_evaluates_again(self):
+        p, seen = counting_protocol()
+        psi = projector(ket(1, 1))
+        p.encoder_matrix(psi)
+        psi[0, 0] = 0.25  # in place: same object, new bytes
+        p.encoder_matrix(psi)
+        p.encoder_matrix(psi.astype(np.complex64))
+        p.encoder_matrix(psi.reshape(4))
+        p.encoder_matrix([psi])
+        assert len(seen) == 5
+        np.testing.assert_array_equal(p.encoder_matrix(psi), [[0.25, 0.75]])
+        assert len(seen) == 6
+
+    def test_only_the_last_state_is_kept(self):
+        p, seen = counting_protocol()
+        a, b = projector(KET0), projector(ket(1, 1))
+        for psi in (a, a, b, b, a):
+            p.encoder_matrix(psi)
+        assert len(seen) == 3
+
+    def test_raising_encoder_raises_on_every_call_and_keeps_nothing(self):
+        def encoder(psi):
+            if np.real(psi[0, 0]) < 0.5:
+                raise ProtocolError("no table for this state")
+            return np.array([[1.0, 0.0]])
+
+        p, seen = counting_protocol(encoder)
+        good, bad = projector(KET0), projector(qmath.KET1)
+        p.encoder_matrix(good)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="no table"):
+                p.encoder_matrix(bad)
+        p.encoder_matrix(good)
+        assert len(seen) == 3
+
+    def test_unchecked_encoder_output_is_rejected_on_every_call(self):
+        p, seen = counting_protocol(lambda psi: np.array([[0.7, 0.7]]))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="not a probability distribution"):
+                p.encoder_matrix(projector(KET0))
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_encoder_output_is_rejected_on_every_call(self, bad):
+        p, seen = counting_protocol(lambda psi: np.array([[bad, 1.0]]))
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="non-finite"):
+                p.encoder_matrix(projector(KET0))
+        assert len(seen) == 2
+
+    def test_non_finite_distributions_are_rejected(self):
+        # NaN passes both the normalisation and the sign comparison.
+        for dist in ([[math.nan, 0.5, 0.5]], [[math.inf, -math.inf, 1.0]]):
+            with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
+                check_distributions(dist, (1, 3), "table")
+
+    def test_table_is_read_only(self):
+        p, _ = counting_protocol()
+        psi = projector(KET0)
+        table = p.encoder_matrix(psi)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+        assert p.encoder_matrix(psi) is table
+
+    def test_state_without_a_key_runs_the_encoder_every_time(self):
+        p = constant_protocol(catalog_measurement("comp"))
+        for _ in range(2):
+            np.testing.assert_array_equal(p.encoder_matrix(None), [[1.0]])
+        counted, seen = counting_protocol()
+        for _ in range(2):
+            counted.encoder_matrix([[1.0, 0.0], [0.0, 0.0]])
+        assert len(seen) == 2
+
+    def test_vertex_search_protocol_solves_once_per_state(self, monkeypatch):
+        p = catalog_protocol("tb")
+        calls = count_solves(monkeypatch)
+        rng = np.random.default_rng(5)
+        psi, phi = projector(haar_ket(2, rng)), projector(haar_ket(2, rng))
+        run_analytic(p, psi, phi)
+        run_sampled(p, psi, phi, 1000, seed=2)
+        assert len(calls) == 1
+        psi[1, 1] += 0.0  # no change of bytes
+        run_analytic(p, psi, phi)
+        assert len(calls) == 1
+
+    def test_multi_sender_protocol_solves_once_per_state_pair(self, monkeypatch):
+        p = shift_protocol("A")
+        calls = count_solves(monkeypatch)
+        rng = np.random.default_rng(9)
+        states = [projector(haar_ket(2, rng)) for _ in range(2)]
+        phi = projector(haar_ket(2, rng))
+        p.run_analytic(states, phi)
+        first = len(calls)
+        assert first >= 2  # the first sender, then every branch it weights
+        p.run_sampled(list(states), phi, 1000, seed=3)
+        p.run_analytic(tuple(states), phi)
+        assert len(calls) == first
+        states[1][...] = projector(haar_ket(2, rng))  # in place: same list, new bytes
+        p.run_analytic(states, phi)
+        assert len(calls) > first
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+    )
+    def test_interleaved_states_match_fresh_encoder_bit_for_bit(self, seed, order):
+        rng = np.random.default_rng(seed)
+        kets = [haar_ket(2, rng) for _ in range(6)]
+        singles = [projector(k) for k in kets[:3]]
+        pairs = [[projector(a), projector(b)] for a, b in zip(kets[:3], kets[3:])]
+        for p, oracle, states in (
+            (catalog_protocol("tb"), catalog_protocol("tb"), singles),
+            (shift_protocol("A"), shift_protocol("A"), pairs),
+            (tetra_product_protocol(), tetra_product_protocol(), singles),
+        ):
+            expected = [check_distributions(oracle.encoder(s), p.shape[:2], "oracle") for s in states]
+            for i in order:
+                np.testing.assert_array_equal(p.encoder_matrix(states[i]), expected[i])
 
 
 class TestBlockBasisProtocol:

@@ -6,7 +6,12 @@ Usage (from the repository root, or with any qchansim tree on PYTHONPATH):
 
 Each digest covers a protocol's messages, the bytes of its effect tensor and
 ``named`` mask, its ``cost_bits``, and its encoder matrix on 10 fixed Haar
-states (pairs of them for the two-sender shift protocols).  The protocols are
+states (pairs of them for the two-sender shift protocols).  It then covers
+the runners as ``simulate`` calls them: ``run_analytic`` and then
+``run_sampled`` (seed 11, 2,000 samples) on each of the 10 states with a
+fixed Haar receiver state, and once more on the first state.  Since
+``encoder_matrix`` keeps the last state's table, a table kept for the wrong
+state, or kept too long, changes the digest.  The protocols are
 the catalog measurements, ``blockbasis6``, shift A and B, every
 ``tests/helpers.random_product_povm`` kind pair and ``mixed_product_povm`` at
 seeds 0-5, and the 256-member tetrahedral family.
@@ -36,6 +41,8 @@ from qchansim import multiround, protocols, qmath  # noqa: E402
 KINDS = [(left, right) for left in ("basis", "trine", "tetra") for right in ("basis", "trine", "tetra")]
 SEEDS = range(6)
 ROUND_SEEDS = range(3)
+SAMPLE_SEED = 11
+SAMPLES = 2000
 
 
 def build_protocols():
@@ -86,6 +93,12 @@ def round_digest(protocol, states) -> str:
     return h.hexdigest()
 
 
+def receiver_states(dim: int) -> list[np.ndarray]:
+    """10 fixed Haar receiver states of the given dimension."""
+    rng = np.random.default_rng([2024, dim])
+    return [qmath.projector(qmath.haar_ket(dim, rng)) for _ in range(10)]
+
+
 def digest(protocol, states) -> str:
     h = hashlib.sha256()
     h.update(repr(protocol.messages).encode())
@@ -94,6 +107,11 @@ def digest(protocol, states) -> str:
     h.update(str(protocol.cost_bits).encode())
     for psi in states:
         h.update(np.ascontiguousarray(protocol.encoder_matrix(psi), dtype=float).tobytes())
+    phis = receiver_states(protocol.effects.shape[-1])
+    for psi, phi in [*zip(states, phis), (states[0], phis[0])]:
+        _update_array(h, protocols.run_analytic(protocol, psi, phi))
+        for array in protocols.run_sampled(protocol, psi, phi, SAMPLES, SAMPLE_SEED):
+            _update_array(h, array)
     return h.hexdigest()
 
 

@@ -197,8 +197,9 @@ def _simulation(name: str, config: dict):
 
     Returns the protocol; the sender states as {config key: (dimension,
     default spec)}, in the order they are drawn; the receiver dimension; the
-    joint effects in outcome order, or None for a protocol file, which has no
-    Born reference; and the resolved config keys the measurement adds.  A
+    joint effects with their labels, which ``cmd_simulate`` sums per label
+    for the Born reference, or None for a protocol file, which has none; and
+    the resolved config keys the measurement adds.  A
     protocol file runs only on its declared grid: its sender state defaults
     to the first grid point, and ``cmd_simulate`` rejects one off the grid.
     """
@@ -206,26 +207,26 @@ def _simulation(name: str, config: dict):
         blocks = protocols.demo_block_basis()
         protocol = protocols.block_basis_protocol(blocks)
         effects = [qmath.projector(v) for v in protocols.block_basis_vectors(blocks)]
-        return protocol, {"psi": (2, "haar")}, 6, effects, {}
-    if name == "shift":
-        sender_config = config.get("sender_config", "A")
-        if sender_config not in ("A", "B"):
-            raise ConfigError(f"sender_config must be 'A' or 'B', got {sender_config!r}")
-        effects, labels = _load_measurement(name)
-        protocol = protocols.multi_sender_protocol(effects, sender_config, labels)
-        senders = {"psi": (2, "haar"), "psi2": (2, "haar")}
-        return protocol, senders, 2, [e.matrix() for e in effects], {"sender_config": sender_config}
+        return protocol, {"psi": (2, "haar")}, 6, (effects, protocol.outcomes), {}
     obj = None
-    if name not in _TWO_PARTY_CATALOG and name != "singlet":
+    if name not in _TWO_PARTY_CATALOG and name not in ("shift", "singlet"):
         obj = _measurement_file(name)
         if obj.get("kind") == "one_round_protocol":
             protocol = serialize.one_round_protocol_from_obj(obj)
             grid = obj["encoder"]["psi_grid"]
             return protocol, {"psi": (2, grid[0])}, protocol.effects.shape[-1], None, {}
     effects, labels = _load_measurement(name, obj)
+    reference = ([e.matrix() for e in effects], labels)
+    if name == "shift":
+        sender_config = config.get("sender_config", "A")
+        if sender_config not in ("A", "B"):
+            raise ConfigError(f"sender_config must be 'A' or 'B', got {sender_config!r}")
+        protocol = protocols.multi_sender_protocol(effects, sender_config, labels)
+        senders = {"psi": (2, "haar"), "psi2": (2, "haar")}
+        return protocol, senders, 2, reference, {"sender_config": sender_config}
     protocol = protocols.rank1_product_protocol(effects, labels)
     senders = {"psi": (effects[0].factors[0].shape[0], "haar")}
-    return protocol, senders, effects[0].factors[1].shape[0], [e.matrix() for e in effects], {}
+    return protocol, senders, effects[0].factors[1].shape[0], reference, {}
 
 
 def _check_on_grid(grid_bloch, states, path: str) -> None:
@@ -242,7 +243,7 @@ def cmd_simulate(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0, minimum=0)
     samples = _int_entry(config, "samples", 0, minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    protocol, senders, dim_b, effects, extra = _simulation(name, config)
+    protocol, senders, dim_b, reference, extra = _simulation(name, config)
     states = {}
     for key, (dim, default) in senders.items():
         spec = config.get(key)
@@ -266,9 +267,12 @@ def cmd_simulate(config: dict, out: str | None) -> int:
         sampled, stderr = protocols.run_sampled(protocol, psi, phi, samples, seed)
         body["sampled"] = [float(p) for p in sampled]
         body["stderr"] = [float(s) for s in stderr]
-    if effects is not None:
+    if reference is not None:
+        effects, labels = reference
         joint_state = qmath.tensor(*states.values())
-        born_ref = np.array([np.trace(joint_state @ e).real for e in effects])
+        slot_born = np.array([np.trace(joint_state @ e).real for e in effects])
+        _, order, starts = protocols.label_groups(labels, len(effects))
+        born_ref = np.add.reduceat(slot_born[order], starts)
         body["born"] = [float(p) for p in born_ref]
         body["max_abs_deviation"] = float(np.max(np.abs(analytic - born_ref)))
         if samples > 0:

@@ -345,38 +345,3 @@ def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray
         )
     return mu
 
-
-def refine_separable(
-    effects: Sequence[Sequence[ProductRank1Effect]],
-) -> tuple[tuple[ProductRank1Effect, ...], tuple[int, ...]]:
-    """Flatten grouped product terms into a rank-1 product measurement.
-
-    Each input group is one original outcome given as an explicit sum of
-    weighted product rank-1 terms.  Returns the flattened term list together
-    with the coarse-graining map sending each refined outcome back to the
-    index of its original group.  Statistics of the original measurement are
-    recovered by summing refined outcome probabilities within each group.
-    """
-    refined: list[ProductRank1Effect] = []
-    coarse_map: list[int] = []
-    for original_index, group in enumerate(effects):
-        if not group:
-            raise ValueError(f"outcome {original_index} has no product terms")
-        for term in group:
-            refined.append(term)
-            coarse_map.append(original_index)
-    total = qmath.product_effects_matrix_sum(refined)
-    dim = total.shape[0]
-    if np.max(np.abs(total - np.eye(dim))) > ATOL_MATRIX:
-        raise ValueError("refined terms do not sum to identity")
-    return tuple(refined), tuple(coarse_map)
-
-
-def coarse_grain(probabilities: np.ndarray, coarse_map: Sequence[int]) -> np.ndarray:
-    """Sum refined-outcome probabilities back onto the original outcome labels."""
-    probabilities = np.asarray(probabilities, dtype=float)
-    n_groups = max(coarse_map) + 1
-    out = np.zeros(n_groups)
-    for p, g in zip(probabilities, coarse_map):
-        out[g] += p
-    return out

@@ -55,6 +55,7 @@ class OddRoundProtocol:
     of the running transcript: ``coins[t](psi, x, transcript)`` where the
     transcript holds all earlier messages, ``instruments[t](x, transcript)``
     for receiver rounds, and ``final_povm(x, transcript)`` closing the run.
+    The ``outcomes`` labels must be distinct.
     """
 
     randomness: SharedRandomness
@@ -72,6 +73,8 @@ class OddRoundProtocol:
             raise ProtocolError("one instrument per receiver round is required")
         if len(self.sender_alphabets) != len(self.receiver_alphabets) + 1:
             raise ProtocolError("odd depth requires one more sender round than receiver rounds")
+        if len(set(self.outcomes)) != len(self.outcomes):
+            raise ProtocolError(f"outcome labels repeat: {self.outcomes!r}")
 
     @property
     def depth(self) -> int:

@@ -12,7 +12,8 @@ Constructors provided here:
 * ``rank1_product_protocol`` simulates any rank-1 product measurement on a
   known state times an unknown state, by decomposing the induced receiver-side
   measurement into extremal rank-1 measurements and sending the sampled label;
-  ``decompose.message_system`` picks the alphabet.
+  ``decompose.message_system`` picks the alphabet.  Terms that share a label
+  are one outcome, so a separable measurement runs as its product terms.
 * ``block_basis_protocol`` simulates a product von Neumann measurement on
   C^2 x C^d given in block form, using one classical bit per block.
 * ``multi_sender_protocol`` extends the product construction to two senders
@@ -84,9 +85,10 @@ class OneRoundProtocol:
     message distribution under shared atom x.  ``effects`` stacks every
     decoder, shape (atoms, messages, outcomes, d, d): ``effects[x, m, o]`` is
     the receiver's effect for ``outcomes[o]`` after message m under atom x.
-    It is checked once, at construction, and stored read-only.  A decoder
-    that names only some outcomes has zero effects for the rest, and
-    ``named[x, m, o]`` records which outcomes it names (default: all).
+    It is checked once, at construction, and stored read-only; ``outcomes``
+    must be distinct.  A decoder that names only some outcomes has zero
+    effects for the rest, and ``named[x, m, o]`` records which outcomes it
+    names (default: all).
 
     ``encoder_matrix`` keeps the checked table of the last sender state it
     evaluated, read-only, so the runners called one after the other on the
@@ -108,6 +110,8 @@ class OneRoundProtocol:
         effects = np.array(self.effects, dtype=complex)
         if effects.ndim != 5 or effects.shape[:3] != self.shape:
             raise ProtocolError(f"decoder effects have shape {effects.shape}, not {self.shape}")
+        if len(set(self.outcomes)) != len(self.outcomes):
+            raise ProtocolError(f"outcome labels repeat: {self.outcomes!r}")
         qmath.assert_measurements(effects)
         named = np.array(np.ones(self.shape) if self.named is None else self.named, dtype=bool)
         if named.shape != self.shape:
@@ -169,6 +173,19 @@ def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def bit_cost(alphabet_size: int) -> int:
     return 0 if alphabet_size <= 1 else math.ceil(math.log2(alphabet_size))
+
+
+def label_groups(labels: Sequence[Hashable], n_slots: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The distinct labels in first-seen order, with the slot ``order`` and segment ``starts``.
+
+    ``np.add.reduceat(values[order], starts)`` sums per-slot values per label, in slot order.
+    """
+    if len(labels) != n_slots:
+        raise ProtocolError(f"{len(labels)} labels for {n_slots} product terms")
+    index: dict = {}
+    outcome_of_slot = np.array([index.setdefault(label, len(index)) for label in labels], dtype=int)
+    order = np.argsort(outcome_of_slot, kind="stable")
+    return tuple(index), order, np.searchsorted(outcome_of_slot[order], np.arange(len(index)))
 
 
 def constant_protocol(povm: Povm) -> OneRoundProtocol:
@@ -258,17 +275,23 @@ def rank1_product_protocol(
     to the smallest subfamily that decomposes every sender state.  The
     slot-weight map and that mixture system are built here, once, so the
     encoder does only the per-state work.
+
+    ``labels`` names each product term (default: its index); terms that
+    share a label are one outcome, whose effect is their sum.  ``outcomes``
+    are the distinct labels in first-seen order.
     """
     joint = tuple(joint)
     if any(e.n_parties != 2 for e in joint):
         raise ProtocolError("rank1_product_protocol expects two-party effects")
-    if labels is None:
-        labels = tuple(range(len(joint)))
-    labels = tuple(labels)
+    labels = tuple(range(len(joint)) if labels is None else labels)
+    outcomes, order, starts = label_groups(labels, len(joint))
     slot_map = decompose.slot_weight_map(joint)
     system = decompose.message_system(slot_map)
     family = system.extremals
-    weights = system.matrix[:-1].T
+    slot_effects = system.matrix[:-1].T[None, :, :, None, None] * slot_map.receiver
+    # The runners' einsum sums in stride order, so the summed effects keep the slot effects' layout.
+    effects = np.empty_like(slot_effects[:, :, : len(outcomes)])
+    np.add.reduceat(slot_effects[:, :, order], starts, axis=2, out=effects)
 
     def encoder(psi: np.ndarray) -> np.ndarray:
         return decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi))[None, :]
@@ -277,8 +300,8 @@ def rank1_product_protocol(
         randomness=SharedRandomness.trivial(),
         messages=tuple(ext.support for ext in family),
         encoder=encoder,
-        effects=weights[None, :, :, None, None] * slot_map.receiver,
-        outcomes=labels,
+        effects=effects,
+        outcomes=outcomes,
         cost_bits=bit_cost(len(family)),
         meta={
             "construction": "rank1_product",
@@ -531,7 +554,8 @@ def multi_sender_protocol(
     it peels the first sender: enumerate extremal measurements of the induced
     measurement on the remaining parties, and build one two-party branch
     protocol per label.  More parties leave a residual of dimension above
-    ``enumerate_extremals``' maximum, which rejects them.
+    ``enumerate_extremals``' maximum, which rejects them.  As there, terms
+    that share a label are one outcome, and branches map outcomes by label.
     """
     if config not in ("A", "B"):
         raise ProtocolError(f"config must be 'A' or 'B', got {config!r}")
@@ -542,11 +566,10 @@ def multi_sender_protocol(
     n_parties = parties.pop()
     if n_parties < 2:
         raise ProtocolError("need at least one sender and one receiver")
-    if labels is None:
-        labels = tuple(range(len(joint)))
-    labels = tuple(labels)
     if n_parties == 2:
         return rank1_product_protocol(joint, labels)
+    labels = tuple(range(len(joint)) if labels is None else labels)
+    outcomes = label_groups(labels, len(joint))[0]
 
     slot_map = decompose.slot_weight_map(_peel_pairs(joint))
     system = decompose.message_system(slot_map)
@@ -563,11 +586,12 @@ def multi_sender_protocol(
     messages = tuple((ext.support, m) for ext, b in zip(family, branches) for m in b.messages)
     offsets = np.cumsum([0] + [b.n_messages for b in branches])
     d = branches[0].effects.shape[-1]
-    effects = np.zeros((1, len(messages), len(labels), d, d), dtype=complex)
+    effects = np.zeros((1, len(messages), len(outcomes), d, d), dtype=complex)
     named = np.zeros(effects.shape[:3], dtype=bool)
-    for ext, branch, lo, hi in zip(family, branches, offsets, offsets[1:]):
-        effects[0][lo:hi, list(ext.support)] = branch.effects[0]
-        named[0][lo:hi, list(ext.support)] = True
+    for branch, lo, hi in zip(branches, offsets, offsets[1:]):
+        columns = [outcomes.index(label) for label in branch.outcomes]
+        effects[0][lo:hi, columns] = branch.effects[0]
+        named[0][lo:hi, columns] = True
 
     def encoder(states: Sequence[np.ndarray]) -> np.ndarray:
         if len(states) != 2:
@@ -586,7 +610,7 @@ def multi_sender_protocol(
         messages=messages,
         encoder=encoder,
         effects=effects,
-        outcomes=labels,
+        outcomes=outcomes,
         cost_bits=first_bits + (max(branch_bits) if config == "A" else sum(branch_bits)),
         meta={"construction": "multi_sender"},
         named=named,

@@ -167,8 +167,7 @@ def product_povm_from_obj(obj: dict) -> tuple[tuple[ProductRank1Effect, ...], tu
         labels = tuple(_label_from_obj(l) for l in obj["labels"])
         if len(labels) != len(effects):
             raise SerializationError(f"{len(labels)} labels for {len(effects)} effects")
-        if len(set(labels)) != len(labels):
-            raise SerializationError("labels are not distinct")
+        hash(labels)  # a label keys its outcome, so every label must be hashable
     return effects, labels
 
 
@@ -260,6 +259,8 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
         randomness = SharedRandomness(probabilities=tuple(obj["atoms"]))
         messages = tuple(_label_from_obj(m) for m in obj["messages"])
         outcomes = tuple(_label_from_obj(o) for o in obj["outcomes"])
+        if len(set(outcomes)) != len(outcomes):
+            raise SerializationError("one_round_protocol outcomes repeat a label")
         cost_bits = int(obj["cost_bits"])
         if (
             grid_bloch.shape[1:] != (3,)
@@ -326,6 +327,8 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
         n1, n2, n3 = map(len, alphabets)
         k = len(randomness)
         outcomes = tuple(_label_from_obj(o) for o in obj["outcomes"])
+        if len(set(outcomes)) != len(outcomes):
+            raise SerializationError("three_round_protocol outcomes repeat a label")
         grid_bloch = np.asarray(obj["psi_grid"], dtype=float)
         coin1 = np.asarray(obj["coin1"], dtype=float)
         coin2 = np.asarray(obj["coin2"], dtype=float)

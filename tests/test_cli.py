@@ -32,6 +32,8 @@ def tb_product_povm(labels):
     return json.dumps(obj)
 
 
+# Twisted butterfly as a separable measurement: terms {0}, {1, 2} and {3, 4} are three outcomes.
+TB_GROUPED_POVM = tb_product_povm(["1", "2", "2", "3", "3"])
 SHIFT_PRODUCT_POVM = json.dumps(
     serialize.product_povm_to_obj(
         qmath.catalog_product_effects("shift"), qmath.catalog_labels("shift")
@@ -111,6 +113,21 @@ class TestSimulate:
             costs[sender_config] = report["cost_bits"]
         assert costs["B"] >= costs["A"]
 
+    def test_separable_measurement_sums_its_terms_per_label(self, tmp_path):
+        measurement = tmp_path / "tb-grouped.json"
+        measurement.write_text(TB_GROUPED_POVM)
+        config = write_config(tmp_path, "sim.json", {"measurement": str(measurement), "samples": 1000})
+        out = tmp_path / "report.json"
+        assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["outcomes"] == ["1", "2", "3"]
+        assert len(report["analytic"]) == len(report["sampled"]) == 3
+        state = qmath.tensor(*(serialize.matrix_from_obj(report["states"][k]) for k in ("psi", "phi")))
+        terms = [np.trace(state @ e.matrix()).real for e in qmath.catalog_product_effects("tb")]
+        per_label = [terms[0], terms[1] + terms[2], terms[3] + terms[4]]
+        np.testing.assert_allclose(report["born"], per_label, rtol=0, atol=1e-12)
+        assert report["max_abs_deviation"] < cli.SIMULATION_TOL
+
     def test_unknown_measurement_is_malformed_input(self, tmp_path):
         config = write_config(tmp_path, "sim.json", {"measurement": "nope"})
         assert run_cli(["simulate", "--config", config]) == 3
@@ -147,6 +164,16 @@ class TestDecompose:
         assert report["cost_bits"] == 2
         mus = [entry["mu"] for entry in report["decomposition"]["mixture"]]
         np.testing.assert_allclose(mus, [0.5, 0.5, 0.0, 0.0], atol=1e-9)
+
+    def test_separable_measurement_reports_one_label_per_term(self, tmp_path):
+        measurement = tmp_path / "tb-grouped.json"
+        measurement.write_text(TB_GROUPED_POVM)
+        config = write_config(tmp_path, "dec.json", {"measurement": str(measurement), "psi": [0, 0, 1]})
+        out = tmp_path / "dec_report.json"
+        assert run_cli(["decompose", "--config", config, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["labels"] == ["1", "2", "2", "3", "3"]
+        assert len(report["target_weights"]) == 5
 
     @pytest.mark.parametrize("measurement", ["comp", ("trine", "trine")], ids=["comp", "trine-trine"])
     def test_decompose_reports_the_alphabet_simulate_sends(self, tmp_path, measurement):
@@ -434,10 +461,10 @@ class TestMalformedInput:
             pytest.param("simulate", tb_product_povm(["a", "b", "c", "d"]), id="simulate-too-few-labels"),
             pytest.param("decompose", tb_product_povm(["a", "b", "c", "d"]), id="decompose-too-few-labels"),
             pytest.param(
-                "simulate", tb_product_povm(["a", "b", "c", "d", "a"]), id="simulate-repeated-label"
+                "simulate", tb_product_povm([[1], "b", "c", "d", "e"]), id="simulate-unhashable-label"
             ),
             pytest.param(
-                "decompose", tb_product_povm(["a", "b", "c", "d", "a"]), id="decompose-repeated-label"
+                "decompose", tb_product_povm([[1], "b", "c", "d", "e"]), id="decompose-unhashable-label"
             ),
             pytest.param("simulate", SHIFT_PRODUCT_POVM, id="simulate-three-party"),
             pytest.param("decompose", SHIFT_PRODUCT_POVM, id="decompose-three-party"),
@@ -564,6 +591,23 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run_cli([command, "--config", write_config(tmp_path, "run.json", entries)]) == 3
         assert "not a JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "collapse"])
+    def test_repeated_outcome_in_a_protocol_file_is_malformed_input(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
+        assert run_cli(["collapse", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
+        if command == "simulate":
+            path = tmp_path / "r.collapsed.json"
+            entries = {"measurement": str(path)}
+        else:
+            path = tmp_path / "r.original.json"
+            entries = {"protocol": {"kind": "file", "path": str(path)}}
+        obj = json.loads(path.read_text())
+        obj["outcomes"].append(obj["outcomes"][0])
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli([command, "--config", write_config(tmp_path, "run.json", entries)]) == 3
+        assert "outcomes repeat a label" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "rac"])
     def test_negative_seed_override_is_malformed_input(self, tmp_path, command):

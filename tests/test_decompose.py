@@ -11,10 +11,8 @@ from scipy.optimize import nnls
 from qchansim import decompose, protocols, qmath
 from qchansim.decompose import (
     DecompositionInfeasibleError,
-    coarse_grain,
     enumerate_extremals,
     mixture_system,
-    refine_separable,
     slot_weight_map,
     slot_weights,
     solve_mixture,
@@ -430,37 +428,3 @@ class TestOneFeasibilityRule:
             for _ in range(8):
                 protocol.encoder_matrix([projector(haar_ket(2, rng)) for _ in range(2)])
 
-
-class TestRefineSeparable:
-    def test_twisted_butterfly_grouping(self):
-        joint = catalog_product_effects("tb")
-        groups = [[joint[0]], [joint[1], joint[2]], [joint[3], joint[4]]]
-        refined, coarse_map = refine_separable(groups)
-        assert len(refined) == 5
-        assert coarse_map == (0, 1, 1, 2, 2)
-
-    def test_identity_refinement(self):
-        joint = catalog_product_effects("comp")
-        refined, coarse_map = refine_separable([[e] for e in joint])
-        assert refined == tuple(joint)
-        assert coarse_map == (0, 1, 2, 3)
-
-    def test_born_equality_under_coarse_graining(self):
-        rng = np.random.default_rng(23)
-        joint = catalog_product_effects("shift")
-        grouping = [[joint[0], joint[3], joint[6]], [joint[1], joint[4]],
-                    [joint[2], joint[5], joint[7]]]
-        refined, coarse_map = refine_separable(grouping)
-        group_povm = Povm.from_effects(
-            [sum(t.matrix() for t in g) for g in grouping]
-        )
-        refined_povm = Povm.from_effects([t.matrix() for t in refined])
-        for _ in range(50):
-            state = tensor(*[projector(haar_ket(2, rng)) for _ in range(3)])
-            coarse = coarse_grain(born(state, refined_povm), coarse_map)
-            np.testing.assert_allclose(coarse, born(state, group_povm), atol=1e-12)
-
-    def test_rejects_incomplete_refinement(self):
-        joint = catalog_product_effects("comp")
-        with pytest.raises(ValueError):
-            refine_separable([[e] for e in joint[:-1]])

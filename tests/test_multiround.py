@@ -248,6 +248,11 @@ class TestOddRounds:
         with pytest.raises(ProtocolError):
             random_odd_round(seed=1, depth=9)
 
+    def test_repeated_outcome_labels_are_rejected(self):
+        p = random_three_round(seed=5)
+        with pytest.raises(ProtocolError, match="repeat"):
+            dataclasses.replace(p, outcomes=p.outcomes + p.outcomes[:1])
+
     def test_receiver_first_padding_preserves_statistics(self):
         # A protocol that opens with the receiver's z measurement, normalized
         # by a trivial first message, must reproduce the receiver-first

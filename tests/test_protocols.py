@@ -199,6 +199,11 @@ class TestConstructionChecks:
         with pytest.raises(ProtocolError):
             self._protocol(effects[:, :, :1])
 
+    def test_repeated_outcome_labels_are_rejected(self):
+        effects = np.array([[[projector(KET0), projector(qmath.KET1)]]])
+        with pytest.raises(ProtocolError, match="repeat"):
+            self._protocol(effects, outcomes=("a", "a"))
+
 
 class TestRankOneProductProtocol:
     def test_twisted_butterfly_matches_born(self):
@@ -684,6 +689,101 @@ class TestBlockBasisProtocol:
         )
         with pytest.raises(ProtocolError):
             block_basis_protocol([bad])
+
+
+def per_label_sums(values, labels) -> list[float]:
+    """Per-slot values summed per label, labels in first-seen order."""
+    sums: dict = {}
+    for value, label in zip(values, labels):
+        sums[label] = sums.get(label, 0.0) + value
+    return list(sums.values())
+
+
+class TestSeparableOutcomes:
+    """Product terms that share a label are one outcome of the one product path."""
+
+    def test_twisted_butterfly_grouping(self):
+        rng = np.random.default_rng(29)
+        joint = catalog_product_effects("tb")
+        labels = [label[0] for label in catalog_labels("tb")]  # {1}, {21, 22}, {31, 32}
+        grouped, per_term = rank1_product_protocol(joint, labels), rank1_product_protocol(joint)
+        assert grouped.outcomes == ("1", "2", "3")
+        assert grouped.messages == per_term.messages
+        assert grouped.cost_bits == per_term.cost_bits == 2
+        np.testing.assert_allclose(
+            grouped.effects[:, :, 1], per_term.effects[:, :, 1] + per_term.effects[:, :, 2], atol=1e-15
+        )
+        for _ in range(20):
+            psi, phi = projector(haar_ket(2, rng)), projector(haar_ket(2, rng))
+            np.testing.assert_allclose(
+                run_analytic(grouped, psi, phi),
+                per_label_sums(born_product_oracle(joint, psi, phi), labels),
+                atol=1e-10,
+            )
+
+    def test_one_label_per_term_is_the_product_protocol(self):
+        labelled, default = catalog_protocol("comp"), rank1_product_protocol(catalog_product_effects("comp"))
+        assert labelled.outcomes == catalog_labels("comp")
+        assert default.outcomes == (0, 1, 2, 3)
+        np.testing.assert_array_equal(labelled.effects, default.effects)
+        assert labelled.effects.strides == default.effects.strides
+
+    @pytest.mark.parametrize("config", ["A", "B"])
+    def test_shift_grouped_in_three_matches_born(self, config):
+        rng = np.random.default_rng(23)
+        joint = catalog_product_effects("shift")
+        labels = [0, 1, 2, 0, 1, 2, 0, 2]  # terms {0, 3, 6}, {1, 4} and {2, 5, 7}
+        protocol = multi_sender_protocol(joint, config, labels)
+        assert protocol.outcomes == (0, 1, 2)
+        groups = [[e.matrix() for e, label in zip(joint, labels) if label == g] for g in range(3)]
+        povm = qmath.Povm.from_effects([sum(g) for g in groups])
+        for _ in range(20):
+            states = [projector(haar_ket(2, rng)) for _ in range(3)]
+            np.testing.assert_allclose(
+                protocol.run_analytic(states[:2], states[2]), born(tensor(*states), povm), atol=1e-10
+            )
+
+    def test_incomplete_term_list_is_rejected(self):
+        joint = catalog_product_effects("comp")
+        with pytest.raises(qmath.QmathError):
+            rank1_product_protocol(joint[:-1], [0, 1, 1])
+        with pytest.raises(ProtocolError, match="labels"):
+            rank1_product_protocol(joint, [0, 1, 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.sampled_from(KIND_PAIRS),
+        slot_labels=st.lists(st.integers(0, 3), min_size=12, max_size=12),
+        distinct=st.permutations(range(12)),
+    )
+    def test_grouped_outcomes_are_per_label_born_sums(self, seed, kinds, slot_labels, distinct):
+        rng = np.random.default_rng(seed)
+        joint = random_product_povm(rng, kinds)
+        labels = slot_labels[: len(joint)]
+        grouped = rank1_product_protocol(joint, labels)
+        assert grouped.outcomes == tuple(dict.fromkeys(labels))
+        for _ in range(3):
+            psi, phi = projector(haar_ket(2, rng)), projector(haar_ket(2, rng))
+            np.testing.assert_allclose(
+                run_analytic(grouped, psi, phi),
+                per_label_sums(born_product_oracle(joint, psi, phi), labels),
+                rtol=0,
+                atol=1e-10,
+            )
+        relabelled = rank1_product_protocol(joint, distinct[: len(joint)])
+        default = rank1_product_protocol(joint)
+        for name in ("effects", "named"):
+            mine, theirs = getattr(relabelled, name), getattr(default, name)
+            np.testing.assert_array_equal(mine, theirs)
+            assert mine.strides == theirs.strides
+        # The runners' einsum sums in stride order, so one term per outcome keeps the
+        # per-term tensor's values and its memory layout, which is not C order.
+        slot_map = slot_weight_map(joint)
+        system = decompose.message_system(slot_map)
+        per_term = np.array(system.matrix[:-1].T[None, :, :, None, None] * slot_map.receiver, dtype=complex)
+        np.testing.assert_array_equal(default.effects, per_term)
+        assert default.effects.strides == per_term.strides
 
 
 class TestMultiSender:

@@ -20,8 +20,14 @@ The seeded multi-round generators are covered too: ``random_three_round``
 (two alphabet shapes) and ``random_odd_round`` at depths 3, 5 and 7, at
 seeds 0-2.  Their digests cover the tabulated protocol (``tabulate``): the
 atom probabilities, the bytes of every Kraus table and of the final
-measurements, and the coins on the same 10 states.  Two trees build the same
-protocols exactly when ``diff`` of their digest files prints nothing.
+measurements, and the coins on the same 10 states.
+
+Three separable measurements come last, digested like the first group:
+``tb`` with its terms grouped as {0}, {1, 2}, {3, 4} and shift, through
+configurations A and B, with its eight terms grouped in three outcomes.
+They are the file's last three lines, so the lines above them compare with
+files written before they were added.  Two trees build the same protocols
+exactly when ``diff`` of their digest files prints nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +68,18 @@ def build_protocols():
     tetra = [qmath.bloch_to_ket(np.asarray(b) / np.sqrt(3.0)) for b in TETRA_BLOCH]
     joint = [qmath.ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
     yield "tetra-tetra-256", protocols.rank1_product_protocol(joint), 1
+
+
+TB_GROUPS = ("1", "2", "2", "3", "3")
+SHIFT_GROUPS = (0, 1, 2, 0, 1, 2, 0, 2)
+
+
+def build_grouped_protocols():
+    """(name, protocol, sender count) for the separable measurements, terms grouped by label."""
+    yield "tb-grouped", protocols.rank1_product_protocol(qmath.catalog_product_effects("tb"), TB_GROUPS), 1
+    shift = qmath.catalog_product_effects("shift")
+    for config in ("A", "B"):
+        yield f"shift{config}-grouped", protocols.multi_sender_protocol(shift, config, SHIFT_GROUPS), 2
 
 
 def build_round_protocols():
@@ -124,6 +142,7 @@ def main(argv: list[str]) -> int:
     states = {1: haar[:10], 2: [[a, b] for a, b in zip(haar[:10], haar[10:])]}
     lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_protocols()]
     lines += [f"{name} {round_digest(protocol, states[1])}" for name, protocol in build_round_protocols()]
+    lines += [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_grouped_protocols()]
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")

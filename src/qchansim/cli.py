@@ -444,7 +444,8 @@ def cmd_collapse(config: dict, out: str | None) -> int:
         "flavor": flavor,
         "collapsed_messages": collapsed.n_messages,
         "collapsed_cost_bits": collapsed.cost_bits,
-        "max_deviation": deviation,
+        # JSON has no NaN or Infinity: a non-finite deviation is written as null (and fails the check).
+        "max_deviation": deviation if math.isfinite(deviation) else None,
         **sizes,
     }
     if out:

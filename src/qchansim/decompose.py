@@ -12,15 +12,21 @@ level by level with one batched independence test per support size.
 Conditioning a two-party product measurement on a known sender state gives
 the slot weights of a rank-1 measurement on the receiver: ``slot_weight_map``
 stacks the measurement once and ``slot_weights`` conditions it on each state.
-``mixture_system`` builds what depends only on a family (``message_system``
-over the smallest subfamily that provably decomposes every sender state), and
-``solve_mixture`` decomposes each weight vector into its coefficients mu over
-the family.  The mixture is generally not unique, so the lexicographically
-smallest feasible mu (in enumeration order) is returned, computed exactly by
-vertex enumeration when the family has at most _VERTEX_ENUM_LIMIT candidate
+``mixture_system`` builds what depends only on a family, and ``solve_mixture``
+decomposes each weight vector into its coefficients mu over the family.
+``message_system`` builds it over a subfamily that provably decomposes every
+sender state: the smallest among the first _VERTEX_ENUM_LIMIT proper
+subfamilies, else the members whose support stays inside one group of slots
+with the same sender projector (for a product of two local measurements, the
+sender's outcome), else the whole family.
+The mixture is generally not unique, so the lexicographically smallest
+feasible mu (in enumeration order) is returned, computed exactly by vertex
+enumeration when the family has at most _VERTEX_ENUM_LIMIT candidate
 supports (the subfamily search's cap too) and by deterministic non-negative
 least squares otherwise.  Only the NNLS solves need scipy, and ``_nnls``
-imports it on first use.
+imports it on first use.  Every product of two local basis, trine or
+tetrahedral measurements prunes to at most 4 members and so is decided by
+vertex enumeration alone.
 """
 
 from __future__ import annotations
@@ -248,12 +254,42 @@ def mixture_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> MixtureSy
     return MixtureSystem(extremals, a, supports, submatrices, inverses)
 
 
+def _certified(g: np.ndarray, subs: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """Which stacked candidates (columns ``subs`` of A, pseudo-inverses ``invs``) decompose every state.
+
+    A candidate passes when lambda_min(Q_j) >= -SIGN_TOL and ||R_k|| <=
+    RESIDUAL_TOL, with Q = P G and R = (1 - A_S P) G (see ``message_system``).
+    """
+    # |tr(R_k 1/d)| <= ||R_k||, so the maximally mixed state's residual rules most candidates out.
+    mixed = np.trace(g, axis1=1, axis2=2).real / g.shape[-1]  # b(1/d)
+    mixed_residual = mixed - np.einsum("krs,ks->kr", subs, invs @ mixed)
+    near = np.flatnonzero(np.abs(mixed_residual).max(axis=1) <= RESIDUAL_TOL)
+    q = np.tensordot(invs[near], g, 1)
+    r = g - np.einsum("krs,ksij->krij", subs[near], q)
+    certified = np.zeros(len(subs), dtype=bool)
+    certified[near] = qmath.hermitian_eigenvalues(q)[..., 0].min(axis=1) >= -SIGN_TOL
+    certified[near] &= np.abs(qmath.hermitian_eigenvalues(r)).max(axis=(1, 2)) <= RESIDUAL_TOL
+    return certified
+
+
+def _sender_groups(sender: np.ndarray) -> list[int]:
+    """Per slot, its group: slot j joins the first earlier slot whose projector is within ATOL_MATRIX."""
+    groups: list[int] = []
+    for j, u in enumerate(sender):
+        near = np.flatnonzero(np.max(np.abs(sender[:j] - u), axis=(1, 2)) <= ATOL_MATRIX)
+        groups.append(groups[near[0]] if len(near) else j)
+    return groups
+
+
 def message_system(slot_map: SlotWeightMap) -> MixtureSystem:
     """The mixture system over the smallest extremal subfamily that decomposes every sender state.
 
     Proper subfamilies are tried by ascending size, in ``combinations`` order,
-    the first _VERTEX_ENUM_LIMIT of them; the full family (always feasible)
-    is the fallback.  The slot weights and tr(psi) = 1 are linear in psi,
+    the first _VERTEX_ENUM_LIMIT of them.  When none passes, one more
+    candidate is tried: the members whose support lies inside one group of
+    slots with the same sender projector (the sender measures the first
+    factor and announces the group).  The full family (always feasible) is
+    the fallback.  The slot weights and tr(psi) = 1 are linear in psi,
     b(psi)_k = tr(G_k psi) with G stacking the w_i U_i and the identity.  For
     columns A_S and P = pinv(A_S), the mixture P b(psi) is tr(Q_j psi) and
     its residual tr(R_k psi), with Q = P G and R = (1 - A_S P) G.  Over all
@@ -261,26 +297,25 @@ def message_system(slot_map: SlotWeightMap) -> MixtureSystem:
     max |tr(R_k psi)| = ||R_k||, so lambda_min(Q_j) >= -SIGN_TOL and
     ||R_k|| <= RESIDUAL_TOL (the vertex scan's sign and residual tests)
     certify every state; the converse holds when A_S has independent
-    columns, as P b(psi) is then the only mixture.
+    columns, as P b(psi) is then the only mixture.  ``_certified`` decides
+    both kinds of candidate.
     """
     family = tuple(enumerate_extremals(slot_map.receiver))
     n_slots = len(slot_map.weights)
     a = _constraint_system(n_slots, family)
     d = slot_map.sender.shape[-1]
     g = np.concatenate([slot_map.weights[:, None, None] * slot_map.sender, np.eye(d)[None]])
-    mixed = np.trace(g, axis1=1, axis2=2).real / d  # b(1/d)
     subsets = chain.from_iterable(combinations(range(len(family)), k) for k in range(1, len(family)))
     for group, subs, invs in _stacked_subsets(a, islice(subsets, _VERTEX_ENUM_LIMIT)):
-        # |tr(R_k 1/d)| <= ||R_k||, so the maximally mixed state's residual rules most candidates out.
-        mixed_residual = mixed - np.einsum("krs,ks->kr", subs, invs @ mixed)
-        near = np.flatnonzero(np.abs(mixed_residual).max(axis=1) <= RESIDUAL_TOL)
-        q = np.tensordot(invs[near], g, 1)
-        r = g - np.einsum("krs,ksij->krij", subs[near], q)
-        certified = qmath.hermitian_eigenvalues(q)[..., 0].min(axis=1) >= -SIGN_TOL
-        certified &= np.abs(qmath.hermitian_eigenvalues(r)).max(axis=(1, 2)) <= RESIDUAL_TOL
+        certified = _certified(g, subs, invs)
         if certified.any():
-            family = tuple(family[i] for i in group[near[np.argmax(certified)]])
-            break
+            return mixture_system(n_slots, [family[i] for i in group[np.argmax(certified)]])
+    groups = _sender_groups(slot_map.sender)
+    sender_first = tuple(k for k, e in enumerate(family) if len({groups[i] for i in e.support}) == 1)
+    if 0 < len(sender_first) < len(family):
+        (_, subs, invs), = _stacked_subsets(a, [sender_first])
+        if _certified(g, subs, invs)[0]:
+            return mixture_system(n_slots, [family[i] for i in sender_first])
     return mixture_system(n_slots, family)
 
 

@@ -369,7 +369,10 @@ class TestCollapse:
             tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}}
         )
         assert run_cli(["collapse", "--config", config]) == 2
-        assert math.isnan(json.loads(capsys.readouterr().out)["max_deviation"])
+        report = json.loads(
+            capsys.readouterr().out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON")
+        )
+        assert report["max_deviation"] is None
 
     def test_nan_encoder_output_is_an_invariant_violation(self, tmp_path, monkeypatch, capsys):
         collapse = multiround.collapse_odd_rounds
@@ -675,6 +678,20 @@ code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
 """
 
+# Builds the unpruned mixture system of a product_povm file in a fresh interpreter,
+# solves it at |0><0|, and reports whether scipy was imported before and after.
+_FRESH_NNLS = """
+import json, sys
+import numpy as np
+from qchansim import decompose, serialize
+effects, _ = serialize.product_povm_from_obj(serialize.loads(open(sys.argv[1]).read()))
+slot_map = decompose.slot_weight_map(effects)
+system = decompose.mixture_system(len(effects), decompose.enumerate_extremals(slot_map.receiver))
+before = "scipy" in sys.modules
+decompose.solve_mixture(system, decompose.slot_weights(slot_map, np.diag([1.0, 0.0])))
+print(json.dumps({"family": len(system.extremals), "before": before, "after": "scipy" in sys.modules}))
+"""
+
 
 def run_fresh(args):
     result = subprocess.run(
@@ -686,7 +703,7 @@ def run_fresh(args):
 
 
 class TestColdStart:
-    """Only families too large for the vertex search import scipy, on their first NNLS solve."""
+    """Only NNLS solves, on families too large for the vertex search, import scipy, on the first one."""
 
     @pytest.mark.parametrize(
         "command, config, expected",
@@ -724,16 +741,30 @@ class TestColdStart:
         args = ["decompose", "--config", config, "--out", str(tmp_path / "out.json")]
         assert run_fresh(args) == {"code": 0, "scipy": False}
 
-    def test_decompose_loads_scipy_on_its_first_solve(self, tmp_path):
-        # The 81-member family of a (trine, tetra) measurement stays whole after
-        # pruning and has more candidate supports than the vertex search takes,
-        # so it is decided by NNLS.
+    def test_decompose_on_a_sender_first_family_runs_without_scipy(self, tmp_path):
+        # The 81-member family of a (trine, tetra) measurement has no certified subfamily
+        # among the first 3,000 the scan tries, but its 3 sender-first members certify.
         joint = random_product_povm(np.random.default_rng(11), ("trine", "tetra"))
         config = write_config(tmp_path, "dec.json", {"measurement": product_povm_file(tmp_path, joint)})
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         assert run_fresh(["decompose", "--config", config, "--out", str(cold)]) == {
-            "code": 0, "scipy": True,
+            "code": 0, "scipy": False,
         }
         assert run_cli(["decompose", "--config", config, "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
-        assert len(json.loads(cold.read_text())["family"]) == 81
+        report = json.loads(cold.read_text())
+        assert len(report["family"]) == 3
+        assert report["cost_bits"] == 2
+
+    def test_nnls_loads_scipy_on_its_first_solve(self, tmp_path):
+        # The unpruned 256-member (tetra, tetra) family has more candidate supports
+        # than the vertex search takes, so it is decided by NNLS.
+        joint = random_product_povm(np.random.default_rng(11), ("tetra", "tetra"))
+        result = subprocess.run(
+            [sys.executable, "-c", _FRESH_NNLS, product_povm_file(tmp_path, joint)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.strip().splitlines()[-1]) == {
+            "family": 256, "before": False, "after": True,
+        }

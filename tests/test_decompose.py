@@ -335,8 +335,11 @@ def reference_coefficients(weights, extremals):
     return mu / mu.sum()
 
 
-# Local measurement pairs of helpers.random_product_povm; ("tetra", "tetra") is left out,
-# because its 256-member family takes the NNLS path that ("basis", "tetra") already covers.
+# Local measurement pairs of helpers.random_product_povm; ("tetra", "tetra") is left out for
+# time.  These strategies build whole families (or subsets of them), not message_system's
+# pruned alphabets, so the NNLS path still runs here: the whole families of ("basis", "tetra"),
+# ("trine", "tetra") and ("tetra", "trine") have too many candidate supports for the vertex
+# search, as the 256-member one does.
 _KINDS = [
     (left, right)
     for left in ("basis", "trine", "tetra")

@@ -292,10 +292,11 @@ class TestRankOneProductProtocol:
         with pytest.raises(qmath.DimensionError):
             protocol.encoder(np.eye(4) / 4)
 
-    def test_large_family_without_pruning(self):
+    def test_large_family_matches_born_on_its_sender_first_alphabet(self):
         rng = np.random.default_rng(13)
         joint = random_product_povm(rng, ("tetra", "tetra"))
         protocol = rank1_product_protocol(joint)
+        assert protocol.n_messages == 4
         psi = projector(haar_ket(2, rng))
         phi = projector(haar_ket(2, rng))
         np.testing.assert_allclose(
@@ -307,14 +308,39 @@ class TestRankOneProductProtocol:
 
 AXIS_STATES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
 
-# Local measurement pairs of helpers.random_product_povm; the (tetra, tetra) family has 256
-# members and is never pruned.
+# Local measurement pairs of helpers.random_product_povm; the (tetra, tetra) pair is left
+# out to keep the probe-rule and property tests short;
+# TestMessageFamily.test_product_family_prunes_to_the_sender_outcomes covers it.
 KIND_PAIRS = [
     (left, right)
     for left in ("basis", "trine", "tetra")
     for right in ("basis", "trine", "tetra")
     if (left, right) != ("tetra", "tetra")
 ]
+
+
+def probe_states(dim):
+    """The probe rule's states: the six axis states (qubit senders) and 54 Haar states from a fixed seed."""
+    rng = np.random.default_rng(0xA11CE)
+    probes = [bloch_to_density(v) for v in AXIS_STATES] if dim == 2 else []
+    return probes + [projector(haar_ket(dim, rng)) for _ in range(54)]
+
+
+def sender_first_supports(joint, kinds):
+    """Supports of the family members that stay inside one sender outcome of ``random_product_povm``.
+
+    Its slots run over the receiver's outcomes within each sender outcome,
+    so slot i belongs to sender outcome i // (the receiver's outcome count).
+    """
+    n_receiver = {"basis": 2, "trine": 3, "tetra": 4}[kinds[1]]
+    family = enumerate_extremals([projector(e.factors[1]) for e in joint])
+    return [e.support for e in family if len({i // n_receiver for i in e.support}) == 1]
+
+
+# Pairs whose families have no certified subfamily among the first
+# decompose._VERTEX_ENUM_LIMIT, so the probe rule kept them whole and
+# message_system falls through to the sender-first candidate.
+SENDER_FIRST_PAIRS = {("trine", "tetra"), ("tetra", "trine")}
 
 
 def probe_rule_family(slot_map):
@@ -326,11 +352,7 @@ def probe_rule_family(slot_map):
     seed, each subfamily with its own mixture system.
     """
     family = tuple(enumerate_extremals(slot_map.receiver))
-    dim = slot_map.sender.shape[-1]
-    rng = np.random.default_rng(0xA11CE)
-    probes = [bloch_to_density(v) for v in AXIS_STATES] if dim == 2 else []
-    probes += [projector(haar_ket(dim, rng)) for _ in range(54)]
-    targets = [slot_weights(slot_map, psi) for psi in probes]
+    targets = [slot_weights(slot_map, psi) for psi in probe_states(slot_map.sender.shape[-1])]
 
     def decomposes(system, weights):
         try:
@@ -359,21 +381,47 @@ class TestMessageFamily:
             branch = [ProductRank1Effect(weight=w, factors=shift[i].factors[1:])
                       for i, w in zip(ext.support, ext.weights)]
             slot_maps.append(slot_weight_map(branch))
+        moved = []
         for seed in (0, 1):
             for kinds in KIND_PAIRS:
-                slot_maps.append(slot_weight_map(random_product_povm(np.random.default_rng(seed), kinds)))
-        assert len(slot_maps) == 25
+                joint = random_product_povm(np.random.default_rng(seed), kinds)
+                if kinds in SENDER_FIRST_PAIRS:
+                    moved.append((joint, kinds))
+                else:
+                    slot_maps.append(slot_weight_map(joint))
+        assert len(slot_maps) == 21 and len(moved) == 4
         for slot_map in slot_maps:
             chosen = [e.support for e in decompose.message_system(slot_map).extremals]
             assert chosen == [e.support for e in probe_rule_family(slot_map)]
+        for joint, kinds in moved:
+            slot_map = slot_weight_map(joint)
+            system = decompose.message_system(slot_map)
+            assert [e.support for e in system.extremals] == sender_first_supports(joint, kinds)
+            for psi in probe_states(2):
+                solve_mixture(system, slot_weights(slot_map, psi))
 
+    @pytest.mark.parametrize(
+        "kinds, n_family, n_messages",
+        [
+            (("trine", "trine"), 27, 3),
+            (("tetra", "tetra"), 256, 4),
+            (("trine", "tetra"), 81, 3),
+            (("tetra", "trine"), 64, 4),
+        ],
+        ids=["trine-trine", "tetra-tetra", "trine-tetra", "tetra-trine"],
+    )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_trine_trine_family_of_27_prunes_to_three_messages(self, seed):
-        joint = random_product_povm(np.random.default_rng(seed), ("trine", "trine"))
-        assert len(enumerate_extremals([projector(e.factors[1]) for e in joint])) == 27
+    def test_product_family_prunes_to_the_sender_outcomes(self, kinds, n_family, n_messages, seed):
+        # The scan certifies the (trine, trine) alphabet; the other three families have no
+        # certified subfamily among the scan's first 3,000 and take the sender-first candidate.
+        joint = random_product_povm(np.random.default_rng(seed), kinds)
+        assert len(enumerate_extremals([projector(e.factors[1]) for e in joint])) == n_family
         protocol = rank1_product_protocol(joint)
-        assert protocol.n_messages == 3
+        assert protocol.n_messages == n_messages
         assert protocol.cost_bits == 2
+        assert list(protocol.messages) == sender_first_supports(joint, kinds)
+        # Few enough candidate supports for the exact vertex search: no NNLS solve.
+        assert decompose.message_system(slot_weight_map(joint)).supports is not None
         rng = np.random.default_rng(100 + seed)
         states = [bloch_to_density(v) for v in AXIS_STATES]
         states += [projector(haar_ket(2, rng)) for _ in range(10)]

@@ -22,12 +22,15 @@ seeds 0-2.  Their digests cover the tabulated protocol (``tabulate``): the
 atom probabilities, the bytes of every Kraus table and of the final
 measurements, and the coins on the same 10 states.
 
-Three separable measurements come last, digested like the first group:
+Three separable measurements follow, digested like the first group:
 ``tb`` with its terms grouped as {0}, {1, 2}, {3, 4} and shift, through
 configurations A and B, with its eight terms grouped in three outcomes.
-They are the file's last three lines, so the lines above them compare with
-files written before they were added.  Two trees build the same protocols
-exactly when ``diff`` of their digest files prints nothing.
+After them comes one line for the non-negative least-squares path, which no
+protocol above takes since the sender-first alphabet prunes the 256-member
+tetrahedral family: the bytes of ``solve_mixture`` over that family, unpruned,
+on each of the 10 states.  New lines go at the end, so the lines above them
+compare with files written before they were added.  Two trees build the same
+protocols exactly when ``diff`` of their digest files prints nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from helpers import TETRA_BLOCH, mixed_product_povm, random_product_povm  # noqa: E402
 
-from qchansim import multiround, protocols, qmath  # noqa: E402
+from qchansim import decompose, multiround, protocols, qmath  # noqa: E402
 
 KINDS = [(left, right) for left in ("basis", "trine", "tetra") for right in ("basis", "trine", "tetra")]
 SEEDS = range(6)
@@ -65,9 +68,13 @@ def build_protocols():
             yield f"{kinds[0]}-{kinds[1]}-seed{seed}", protocols.rank1_product_protocol(joint), 1
         joint = mixed_product_povm(np.random.default_rng(seed))
         yield f"mixed-seed{seed}", protocols.rank1_product_protocol(joint), 1
+    yield "tetra-tetra-256", protocols.rank1_product_protocol(tetra_tetra()), 1
+
+
+def tetra_tetra() -> list[qmath.ProductRank1Effect]:
+    """The tetrahedral measurement on both qubits, whose receiver family has 256 members."""
     tetra = [qmath.bloch_to_ket(np.asarray(b) / np.sqrt(3.0)) for b in TETRA_BLOCH]
-    joint = [qmath.ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
-    yield "tetra-tetra-256", protocols.rank1_product_protocol(joint), 1
+    return [qmath.ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
 
 
 TB_GROUPS = ("1", "2", "2", "3", "3")
@@ -133,6 +140,18 @@ def digest(protocol, states) -> str:
     return h.hexdigest()
 
 
+def nnls_digest(states) -> str:
+    """``solve_mixture`` over the unpruned 256-member family, which has no candidate supports."""
+    slot_map = decompose.slot_weight_map(tetra_tetra())
+    family = decompose.enumerate_extremals(slot_map.receiver)
+    system = decompose.mixture_system(len(slot_map.weights), family)
+    assert system.supports is None
+    h = hashlib.sha256()
+    for psi in states:
+        _update_array(h, decompose.solve_mixture(system, decompose.slot_weights(slot_map, psi)))
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -143,6 +162,7 @@ def main(argv: list[str]) -> int:
     lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_protocols()]
     lines += [f"{name} {round_digest(protocol, states[1])}" for name, protocol in build_round_protocols()]
     lines += [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_grouped_protocols()]
+    lines.append(f"tetra-tetra-256-nnls {nnls_digest(states[1])}")
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")

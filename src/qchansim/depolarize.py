@@ -290,8 +290,8 @@ def estimate_eta(
 
     Estimates E[max_i z_hat . R omega_i]; by rotational invariance the value
     is the same for every input direction.  Each batch's scores come from
-    ``_batch_scores``; the sum and the sum of squares are taken over the
-    batch's whole score vector.
+    ``_batch_scores``; the sum and then the sum of squares are taken over the
+    batch's whole score vector, squared in place.
     """
     if n < 1:
         raise DepolarizeError("sample count must be at least 1")
@@ -301,7 +301,7 @@ def estimate_eta(
     for rng, size in zip(_batch_seeds(seed, len(sizes)), sizes):
         scores = _batch_scores(c, rng, size)
         total += scores.sum()
-        total_sq += np.square(scores).sum()
+        total_sq += np.square(scores, out=scores).sum()
     mean = total / n
     variance = max(total_sq / n - mean * mean, 0.0)
     stderr = math.sqrt(variance / n)

@@ -137,7 +137,7 @@ class OneRoundProtocol:
         and bytes, or a list or tuple of such arrays.  Any other ``psi`` runs
         the encoder on every call.  An encoder that raises keeps nothing.
         """
-        key = _state_key(psi)
+        key = qmath.state_key(psi)
         last = self._last
         if key is not None and last is not None and last[0] == key:
             return last[1]
@@ -146,16 +146,6 @@ class OneRoundProtocol:
             table.setflags(write=False)
             object.__setattr__(self, "_last", (key, table))
         return table
-
-
-def _state_key(psi) -> tuple | None:
-    """The memo key of a sender state or a list of them, or None when it has none."""
-    if isinstance(psi, np.ndarray):
-        return None if psi.dtype.hasobject else (psi.dtype.str, psi.shape, psi.tobytes())
-    if isinstance(psi, (list, tuple)) and all(isinstance(s, np.ndarray) for s in psi):
-        keys = tuple(_state_key(s) for s in psi)
-        return None if None in keys else keys
-    return None
 
 
 def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -6,11 +6,21 @@ measurements are POVMs (lists of effects summing to identity), and qubit
 states are freely converted to and from Bloch vectors.  Pure states are kept
 as normalized kets with a canonical global phase so that equality tests are
 bit-stable; projectors are built on demand.
+
+``assert_density_matrix`` remembers the states that passed it.  Each ndarray
+input is keyed by ``state_key``: its dtype, shape and bytes.  A key that
+passed before returns at once, so the runners and encoders of many protocols
+check each distinct state once.  The memo holds at most
+``CHECKED_STATES_MAX`` keys, dropping the oldest first, and never keys an
+input above ``CHECKED_STATE_MAX_BYTES``.  Only passes are stored, so a state
+that fails raises on every call, and a state changed in place has new bytes
+and is checked again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -80,7 +90,51 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
+def state_key(psi) -> tuple | None:
+    """The memo key of a state or a list of them, or None when it has none.
+
+    An array's key is its dtype, shape and bytes, so equal arrays share a key
+    and an array changed in place gets a new one; a list or tuple of arrays
+    is keyed by the tuple of their keys.  Object arrays and anything else
+    have no key.
+    """
+    if isinstance(psi, np.ndarray):
+        return None if psi.dtype.hasobject else (psi.dtype.str, psi.shape, psi.tobytes())
+    if isinstance(psi, (list, tuple)) and all(isinstance(s, np.ndarray) for s in psi):
+        keys = tuple(state_key(s) for s in psi)
+        return None if None in keys else keys
+    return None
+
+
+# The memo of states that passed assert_density_matrix: the largest space used
+# anywhere is 12-dimensional (2,304 bytes as complex128), and one
+# simulate-protocols op checks 32 distinct states.
+CHECKED_STATES_MAX = 64
+CHECKED_STATE_MAX_BYTES = 4096
+_checked_states: OrderedDict = OrderedDict()
+
+
 def assert_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
+    """``rho`` as a complex matrix, checked to be Hermitian with unit trace and no negative eigenvalue.
+
+    An ndarray of at most ``CHECKED_STATE_MAX_BYTES`` whose ``state_key``
+    passed before is not checked again; failures are never remembered.
+    """
+    key = state_key(rho) if isinstance(rho, np.ndarray) and rho.nbytes <= CHECKED_STATE_MAX_BYTES else None
+    if key is not None and key in _checked_states:
+        return np.asarray(rho, dtype=complex)
+    rho = _check_density_matrix(rho, name)
+    if key is not None:
+        _checked_states[key] = None
+        while len(_checked_states) > CHECKED_STATES_MAX:
+            try:
+                _checked_states.popitem(last=False)
+            except KeyError:  # another thread emptied it first
+                break
+    return rho
+
+
+def _check_density_matrix(rho, name: str) -> np.ndarray:
     rho = _as_matrix(rho)
     if not is_hermitian(rho):
         raise QmathError(f"{name} is not Hermitian")

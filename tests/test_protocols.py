@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -518,6 +519,20 @@ def shift_protocol(config="A"):
     return multi_sender_protocol(catalog_product_effects("shift"), config, catalog_labels("shift"))
 
 
+@functools.cache
+def memo_protocols():
+    """(protocol, oracle, two senders?) for tb, shift A and the tetrahedral family, built once.
+
+    Each protocol keeps its memo from one Hypothesis example to the next; the
+    oracle's raw ``encoder`` has no memo.
+    """
+    return (
+        (catalog_protocol("tb"), catalog_protocol("tb"), False),
+        (shift_protocol("A"), shift_protocol("A"), True),
+        (tetra_product_protocol(), tetra_product_protocol(), False),
+    )
+
+
 class TestEncoderMemo:
     def test_runners_on_one_state_evaluate_once(self):
         p, seen = counting_protocol()
@@ -641,11 +656,8 @@ class TestEncoderMemo:
         kets = [haar_ket(2, rng) for _ in range(6)]
         singles = [projector(k) for k in kets[:3]]
         pairs = [[projector(a), projector(b)] for a, b in zip(kets[:3], kets[3:])]
-        for p, oracle, states in (
-            (catalog_protocol("tb"), catalog_protocol("tb"), singles),
-            (shift_protocol("A"), shift_protocol("A"), pairs),
-            (tetra_product_protocol(), tetra_product_protocol(), singles),
-        ):
+        for p, oracle, two_senders in memo_protocols():
+            states = pairs if two_senders else singles
             expected = [check_distributions(oracle.encoder(s), p.shape[:2], "oracle") for s in states]
             for i in order:
                 np.testing.assert_array_equal(p.encoder_matrix(states[i]), expected[i])

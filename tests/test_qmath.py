@@ -1,11 +1,15 @@
+import json
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from helpers import TETRA_BLOCH
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import qmath
+from qchansim import cli, protocols, qmath
 from qchansim.qmath import (
     I2,
     I4,
@@ -250,3 +254,149 @@ class TestPovmValidation:
         m = catalog_measurement("comp")
         with pytest.raises(ValueError):
             m.effects[0][0, 0] = 5.0
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """An empty checked-state memo, and the list of states the underlying check is called on."""
+    monkeypatch.setattr(qmath, "_checked_states", OrderedDict())
+    seen = []
+    check = qmath._check_density_matrix
+
+    def counting(rho, name):
+        seen.append(rho)
+        return check(rho, name)
+
+    monkeypatch.setattr(qmath, "_check_density_matrix", counting)
+    return seen
+
+
+def mixed_qubit(p0: float) -> np.ndarray:
+    return np.diag([p0, 1.0 - p0]).astype(complex)
+
+
+class TestCheckedStateMemo:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+            (2.0 * projector(qmath.KET0), "has trace"),
+            (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue"),
+        ],
+        ids=["non-hermitian", "trace-2", "negative-eigenvalue"],
+    )
+    def test_bad_state_raises_every_time(self, checks, bad, message):
+        good = projector(qmath.KET_PLUS)
+        qmath.assert_density_matrix(good)
+        for _ in range(3):
+            with pytest.raises(qmath.QmathError, match=message):
+                qmath.assert_density_matrix(bad.copy(), "receiver state")
+        assert len(checks) == 4
+        assert len(qmath._checked_states) == 1
+
+    def test_equal_state_is_checked_once(self, checks):
+        rho = projector(qmath.ket(1, 1j))
+        first = qmath.assert_density_matrix(rho)
+        again = qmath.assert_density_matrix(rho.copy())
+        np.testing.assert_array_equal(again, first)
+        assert again.dtype == complex
+        assert len(checks) == 1
+
+    def test_state_changed_in_place_is_checked_again(self, checks):
+        rho = projector(qmath.KET_PLUS)
+        qmath.assert_density_matrix(rho)
+        rho[0, 0] = 0.75  # in place: same object, new bytes, trace 1.25
+        with pytest.raises(qmath.QmathError, match="has trace"):
+            qmath.assert_density_matrix(rho)
+        assert len(checks) == 2
+
+    def test_other_dtype_or_shape_is_checked_anew(self, checks):
+        rho = mixed_qubit(0.25)
+        qmath.assert_density_matrix(rho)
+        converted = qmath.assert_density_matrix(rho.astype(np.complex64))
+        assert converted.dtype == complex
+        real = qmath.assert_density_matrix(rho.real.copy())
+        np.testing.assert_array_equal(real, rho)
+        with pytest.raises(qmath.DimensionError):
+            qmath.assert_density_matrix(rho.reshape(1, 4))
+        with pytest.raises(qmath.QmathError):  # the same shape and bytes as ``real``, as integers
+            qmath.assert_density_matrix(rho.real.copy().view(np.int64))
+        assert len(checks) == 5
+        qmath.assert_density_matrix(rho.astype(np.complex64))
+        assert len(checks) == 5
+
+    def test_memo_never_holds_more_than_its_bound(self, checks):
+        bound = qmath.CHECKED_STATES_MAX
+        states = [mixed_qubit(p) for p in np.linspace(0.0, 1.0, bound + 10)]
+        for rho in states:
+            qmath.assert_density_matrix(rho)
+            assert len(qmath._checked_states) <= bound
+        assert len(qmath._checked_states) == bound
+        qmath.assert_density_matrix(states[-1])
+        assert len(checks) == bound + 10
+        qmath.assert_density_matrix(states[0])  # the oldest went first
+        assert len(checks) == bound + 11
+
+    def test_large_state_is_checked_every_time(self, checks):
+        dim = 24
+        rho = np.eye(dim, dtype=complex) / dim
+        assert rho.nbytes > qmath.CHECKED_STATE_MAX_BYTES
+        for _ in range(2):
+            qmath.assert_density_matrix(rho)
+        assert len(checks) == 2
+        assert not qmath._checked_states
+
+    def test_threads_sharing_the_memo_never_raise(self, checks):
+        bound = qmath.CHECKED_STATES_MAX
+        states = [mixed_qubit(p) for p in np.linspace(0.0, 1.0, 3 * bound)]
+        errors = []
+
+        def work():
+            try:
+                for rho in states:
+                    qmath.assert_density_matrix(rho)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert len(qmath._checked_states) <= bound
+
+    def test_protocol_loop_checks_each_distinct_state_once(self, checks):
+        """The benchmark's eight protocols, each with both runners, on one (psi, psi2, phi, phi6) set."""
+        shift, shift_labels = qmath.catalog_product_effects("shift"), qmath.catalog_labels("shift")
+        tetra = [qmath.bloch_to_ket(np.asarray(b) / math.sqrt(3.0)) for b in TETRA_BLOCH]
+        cases = [(protocols.catalog_protocol(name), "two") for name in ("comp", "twistA", "twistB", "tb")]
+        cases.append((protocols.block_basis_protocol(protocols.demo_block_basis()), "block"))
+        cases += [(protocols.multi_sender_protocol(shift, c, shift_labels), "three") for c in ("A", "B")]
+        joint = [qmath.ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
+        cases.append((protocols.rank1_product_protocol(joint), "two"))
+        rng = np.random.default_rng(17)
+        psi, psi2, phi = (projector(qmath.haar_ket(2, rng)) for _ in range(3))
+        phi6 = projector(qmath.haar_ket(6, rng))
+        args = {"two": (psi, phi), "block": (psi, phi6), "three": ([psi, psi2], phi)}
+        checks.clear()
+        for protocol, kind in cases:
+            sender, receiver = args[kind]
+            protocols.run_analytic(protocol, sender, receiver)
+            protocols.run_sampled(protocol, sender, receiver, 500, seed=3)
+        keys = [qmath.state_key(rho) for rho in checks]
+        assert len(keys) == len(set(keys)) == 4
+        assert set(keys) == {qmath.state_key(rho) for rho in (psi, psi2, phi, phi6)}
+
+    def test_simulate_with_invalid_receiver_state_is_an_invariant_violation(self, checks, tmp_path, monkeypatch):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"measurement": "tb", "samples": 100, "phi": [0, 0, 1]}))
+        args = ["simulate", "--config", str(config), "--out", str(tmp_path / "r.json")]
+        assert cli.main(args) == cli.EXIT_OK
+        resolve = cli._resolve_state
+        bad = 2.0 * projector(qmath.KET0)  # the shape of the valid phi, trace 2
+        monkeypatch.setattr(
+            cli, "_resolve_state", lambda spec, dim, rng, what: bad if what == "phi" else resolve(spec, dim, rng, what)
+        )
+        for _ in range(2):
+            assert cli.main(args) == cli.EXIT_INVARIANT

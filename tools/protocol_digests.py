@@ -28,9 +28,14 @@ configurations A and B, with its eight terms grouped in three outcomes.
 After them comes one line for the non-negative least-squares path, which no
 protocol above takes since the sender-first alphabet prunes the 256-member
 tetrahedral family: the bytes of ``solve_mixture`` over that family, unpruned,
-on each of the 10 states.  New lines go at the end, so the lines above them
-compare with files written before they were added.  Two trees build the same
-protocols exactly when ``diff`` of their digest files prints nothing.
+on each of the 10 states.  The last line covers the runners as the
+``simulate-protocols`` benchmark calls them: state by state, every protocol
+of the first and third groups in turn runs ``run_analytic`` and then
+``run_sampled`` on the same shared states, so a check or a table that one
+protocol's call remembers is reused by the next.  New lines go at the end,
+so the lines above them compare with files written before they were added.
+Two trees build the same protocols exactly when ``diff`` of their digest
+files prints nothing.
 """
 
 from __future__ import annotations
@@ -152,6 +157,19 @@ def nnls_digest(states) -> str:
     return h.hexdigest()
 
 
+def interleaved_digest(built, states) -> str:
+    """``digest``'s runner calls, state by state, every protocol of ``built`` in turn on shared states."""
+    phis = {dim: receiver_states(dim) for dim in {protocol.effects.shape[-1] for _, protocol, _ in built}}
+    h = hashlib.sha256()
+    for i in range(len(states[1])):
+        for _, protocol, n in built:
+            phi = phis[protocol.effects.shape[-1]][i]
+            _update_array(h, protocols.run_analytic(protocol, states[n][i], phi))
+            for array in protocols.run_sampled(protocol, states[n][i], phi, SAMPLES, SAMPLE_SEED):
+                _update_array(h, array)
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -159,10 +177,12 @@ def main(argv: list[str]) -> int:
     rng = np.random.default_rng(2024)
     haar = [qmath.projector(qmath.haar_ket(2, rng)) for _ in range(20)]
     states = {1: haar[:10], 2: [[a, b] for a, b in zip(haar[:10], haar[10:])]}
-    lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_protocols()]
+    built, grouped = list(build_protocols()), list(build_grouped_protocols())
+    lines = [f"{name} {digest(protocol, states[n])}" for name, protocol, n in built]
     lines += [f"{name} {round_digest(protocol, states[1])}" for name, protocol in build_round_protocols()]
-    lines += [f"{name} {digest(protocol, states[n])}" for name, protocol, n in build_grouped_protocols()]
+    lines += [f"{name} {digest(protocol, states[n])}" for name, protocol, n in grouped]
     lines.append(f"tetra-tetra-256-nnls {nnls_digest(states[1])}")
+    lines.append(f"interleaved-runners {interleaved_digest(built + grouped, states)}")
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")

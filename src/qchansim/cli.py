@@ -54,7 +54,8 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write an iterable of strings, in turn, to a temporary file and then move it onto ``path``."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
@@ -64,7 +65,7 @@ def _write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -73,7 +74,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _emit(path: str | None, text: str) -> None:
     if path:
-        _write_text(path, text)
+        _write_text(path, [text])
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -404,6 +405,12 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0, minimum=0)
     n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
+    try:
+        multiround.collapsed_message_count(
+            [len(a) for a in protocol.sender_alphabets], [len(a) for a in protocol.receiver_alphabets]
+        )
+    except protocols.ProtocolError as exc:
+        raise ConfigError(str(exc)) from exc
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     raw_tolerance = config.get("check_tolerance", default_tolerance)
     tolerance = _number(raw_tolerance, float, "check_tolerance")
@@ -451,18 +458,17 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     if out:
         stem = Path(out)
         collapsed_path = stem.with_suffix(".collapsed.json")
-        serializable = serialize.one_round_protocol_to_obj(collapsed, grid, tables)
-        _write_text(str(collapsed_path), serialize.dumps(serializable))
+        _write_text(str(collapsed_path), serialize.one_round_protocol_chunks(collapsed, grid, tables))
         body["collapsed_file"] = collapsed_path.name
         original_path = stem.with_suffix(".original.json")
         if flavor == "three_round":
             _write_text(
                 str(original_path),
-                serialize.dumps(serialize.three_round_protocol_to_obj(protocol, grid)),
+                [serialize.dumps(serialize.three_round_protocol_to_obj(protocol, grid))],
             )
         else:
             # Deep protocols are regenerated from their descriptor.
-            _write_text(str(original_path), serialize.dumps(source))
+            _write_text(str(original_path), [serialize.dumps(source)])
         body["original_file"] = original_path.name
     _emit(out, _json_report("collapse", resolved, body))
     return EXIT_OK if deviation < tolerance else EXIT_INVARIANT
@@ -534,7 +540,7 @@ def cmd_nogo(config: dict, out: str | None) -> int:
         strategy_path = Path(out).with_suffix(".strategies.json")
         _write_text(
             str(strategy_path),
-            _json_report("nogo-strategies", resolved, {"strategies": strategies}),
+            [_json_report("nogo-strategies", resolved, {"strategies": strategies})],
         )
     return EXIT_OK if all_exact else EXIT_FLOOR
 

@@ -36,6 +36,37 @@ from .protocols import (
 from .qmath import Instrument, Povm, dagger
 
 
+#: The most messages a collapse may build.  Depth 5 over ternary alphabets
+#: (1,594,323) and depth 7 over binary ones (32,768) stay below it.
+MAX_COLLAPSED_MESSAGES = 2**21
+
+
+def collapsed_message_count(sender_sizes: Sequence[int], receiver_sizes: Sequence[int]) -> int:
+    """The size of the alphabet that ``collapse_odd_rounds`` builds, from the round sizes alone.
+
+    Folded from the last round back, as the collapse folds: a sender round
+    of a messages, L replies to it and a later alphabet of n messages become
+    one round of a * n**L messages.  The count never falls as rounds are
+    folded in, so the fold stops as soon as it passes
+    ``MAX_COLLAPSED_MESSAGES`` and raises a ProtocolError, before any power
+    can grow without bound.
+    """
+    count = sender_sizes[-1]
+    for size, replies in zip(sender_sizes[-2::-1], receiver_sizes[::-1]):
+        if count > MAX_COLLAPSED_MESSAGES:
+            break
+        # From 2 messages up, n**L is at least 2**L: past the limit once L reaches its bit length.
+        if count > 1 and replies >= MAX_COLLAPSED_MESSAGES.bit_length():
+            count = MAX_COLLAPSED_MESSAGES + 1
+        else:
+            count = size * count**replies
+    if count > MAX_COLLAPSED_MESSAGES:
+        raise ProtocolError(
+            f"the collapsed protocol would have more than {MAX_COLLAPSED_MESSAGES} messages"
+        )
+    return count
+
+
 def _instrument(p: "OddRoundProtocol", t: int, x: int, transcript: tuple) -> Instrument:
     inst = p.instruments[t](x, transcript)
     if len(inst) != len(p.receiver_alphabets[t]):
@@ -249,8 +280,13 @@ def collapse_odd_rounds(p: OddRoundProtocol) -> OneRoundProtocol:
     The receiver side is tabulated once and collapsed as arrays; the coins
     are tabulated and merged for each sender state the encoder is given.
     ``meta["stage_alphabet_sizes"]`` lists the sender alphabet sizes before
-    each collapse step.
+    each collapse step.  A protocol whose collapse would pass
+    ``MAX_COLLAPSED_MESSAGES`` raises a ProtocolError before anything is
+    tabulated.
     """
+    collapsed_message_count(
+        [len(a) for a in p.sender_alphabets], [len(a) for a in p.receiver_alphabets]
+    )
     tables = tabulate(p)
     stages = []
     while tables.receiver_alphabets:
@@ -355,7 +391,10 @@ def _random_rounds(
     length L is a coin (L even), an instrument (L odd) or the final
     measurement (L the depth).  Tables are drawn in ``table_order``, and
     within a table atom by atom (``atom_major``) or transcript by transcript.
+    Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES`` raise a
+    ProtocolError before any table is drawn.
     """
+    collapsed_message_count(rounds[0::2], rounds[1::2])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     atom_probs = _random_simplex(rng, n_atoms)
     atom_probs = atom_probs / atom_probs.sum()

@@ -17,14 +17,14 @@ from __future__ import annotations
 import contextlib
 import json
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import qmath
 from .decompose import ExtremalPovm
 from .multiround import OddRoundProtocol, tabulate
-from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness
+from .protocols import OneRoundProtocol, ProtocolError, SharedRandomness, bit_cost
 from .qmath import Instrument, Povm, ProductRank1Effect
 
 
@@ -203,45 +203,88 @@ def _grid_lookup(grid_bloch: np.ndarray, psi: np.ndarray) -> int:
     return idx
 
 
-def one_round_protocol_to_obj(
+def one_round_protocol_chunks(
     p: OneRoundProtocol,
     psi_grid: Sequence[np.ndarray],
     tables: Sequence[np.ndarray] | None = None,
-) -> dict:
-    """Tabulate a one-round protocol on a declared grid of sender states.
+) -> Iterator[str]:
+    """A one-round protocol tabulated on a declared grid of sender states, as JSON text in chunks.
 
-    Decoder measurements are state-independent and serialize exactly; the
-    encoder serializes as its table of distributions over the grid.  A caller
-    that has already evaluated ``p.encoder_matrix`` on every grid state passes
-    those matrices as ``tables``.
+    Decoder measurements are state-independent and serialize exactly, one
+    per atom and message, naming the outcomes of ``p.named``; the encoder
+    serializes as its table of distributions over the grid, nested as
+    [atom][grid state][message].  A caller that has already evaluated
+    ``p.encoder_matrix`` on every grid state passes those matrices as
+    ``tables``.  The chunks join to ``dumps`` of the object with those
+    fields, but the encoder table and the decoder effects are written
+    straight from their arrays, one block of at most ``_BLOCK_FLOATS``
+    floats at a time, so no block's text grows with the alphabet.
     """
     if tables is None:
         tables = [p.encoder_matrix(psi) for psi in psi_grid]
     if len(tables) != len(psi_grid):
         raise SerializationError(f"{len(tables)} encoder tables for {len(psi_grid)} grid states")
-    encoder_table = np.stack(tables, axis=1).tolist()
+    table = np.stack(tables, axis=1)
     outcome_objs = [_label_to_obj(o) for o in p.outcomes]
-    decoders = [
-        [
-            _measurement_to_obj(list(compress(outcome_objs, named)), list(compress(effects, named)))
-            for effects, named in zip(effects_x, p.named[x])
-        ]
-        for x, effects_x in enumerate(_matrix_objs(p.effects))
-    ]
-    return {
-        "kind": "one_round_protocol",
-        "atoms": [float(q) for q in p.randomness.probabilities],
-        "messages": [_label_to_obj(m) for m in p.messages],
-        "outcomes": [_label_to_obj(o) for o in p.outcomes],
-        "cost_bits": int(p.cost_bits),
-        "construction": str(p.meta.get("construction", "table")),
-        "encoder": {
-            "kind": "table",
-            "psi_grid": _bloch_list(psi_grid),
-            "table": encoder_table,
-        },
-        "decoders": decoders,
+    encoder = {
+        "kind": [dumps("table", 2)],
+        "psi_grid": [dumps(_bloch_list(psi_grid), 2)],
+        "table": _array_chunks(table, 2),
     }
+    return _dict_chunks(
+        {
+            "atoms": [dumps([float(q) for q in p.randomness.probabilities], 1)],
+            "construction": [dumps(str(p.meta.get("construction", "table")), 1)],
+            "cost_bits": [dumps(int(p.cost_bits), 1)],
+            "decoders": _decoder_chunks(p, outcome_objs),
+            "encoder": _dict_chunks(encoder, 1),
+            "kind": [dumps("one_round_protocol", 1)],
+            "messages": [dumps([_label_to_obj(m) for m in p.messages], 1)],
+            "outcomes": [dumps(outcome_objs, 1)],
+        },
+        0,
+    )
+
+
+def _decoder_chunks(p: OneRoundProtocol, outcome_objs: list) -> Iterator[str]:
+    """The ``decoders`` field at depth 1: per atom, one measurement per message.
+
+    Each block of messages is one template, with a ``%s`` per float, filled
+    from the effects of the outcomes that ``p.named`` keeps, in (message,
+    outcome, row, column, real/imaginary) order.
+    """
+    d = p.effects.shape[-1]
+    pair = _list_text(["%s", "%s"], 7)
+    matrix = "".join(_dict_chunks(
+        {"dim": [dumps(d)], "entries": [_list_text([pair] * (d * d), 6)], "kind": [dumps("matrix")]}, 5
+    ))
+    povms: dict[bytes, str] = {}   # per named mask: the template of one measurement
+
+    def povm(named: np.ndarray) -> str:
+        key = named.tobytes()
+        if key not in povms:
+            labels = dumps(list(compress(outcome_objs, named)), 4).replace("%", "%%")
+            povms[key] = "".join(_dict_chunks(
+                {
+                    "dim": [dumps(d)],
+                    "effects": [_list_text([matrix] * int(np.count_nonzero(named)), 4)],
+                    "kind": [dumps("povm")],
+                    "labels": [labels],
+                },
+                3,
+            ))
+        return povms[key]
+
+    separator = _depth_marks(2)[2]
+    step = max(1, _BLOCK_FLOATS // (2 * int(np.prod(p.effects.shape[2:]))))   # messages per block
+
+    def atom(x: int) -> Iterator[list[str]]:
+        for start in range(0, p.n_messages, step):
+            named = p.named[x, start : start + step]
+            template = separator.join([povm(row) for row in named])
+            yield [template % _float_texts(p.effects[x, start : start + step][named].view(float))]
+
+    return _list_chunks((_list_chunks(atom(x), 2) for x in range(len(p.effects))), 1)
 
 
 def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
@@ -261,7 +304,12 @@ def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
         outcomes = tuple(_label_from_obj(o) for o in obj["outcomes"])
         if len(set(outcomes)) != len(outcomes):
             raise SerializationError("one_round_protocol outcomes repeat a label")
-        cost_bits = int(obj["cost_bits"])
+        cost_bits = obj["cost_bits"]
+        if type(cost_bits) is not int or cost_bits != bit_cost(len(messages)):
+            raise SerializationError(
+                f"one_round_protocol cost_bits is {cost_bits!r}, not ceil(log2(|messages|))"
+                f" = {bit_cost(len(messages))}"
+            )
         if (
             grid_bloch.shape[1:] != (3,)
             or table.shape != (len(randomness), len(grid_bloch), len(messages))
@@ -372,9 +420,23 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: The most floats that the array writers format in one block.
+_BLOCK_FLOATS = 2**14
 
-def dumps(obj) -> str:
+
+def _depth_marks(depth: int) -> tuple[str, str, str, str, str]:
+    """'[' + newline, '{' + newline, separator, newline + ']', newline + '}' of a container ``depth`` levels in."""
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
+
+
+def dumps(obj, depth: int = 0) -> str:
     """``obj`` as JSON text, byte for byte ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    With ``depth`` above 0 the text is the one that json would write for
+    ``obj`` nested ``depth`` containers deep, whose lines below the first
+    are indented ``depth`` levels further.
 
     One recursive pass appends to one list of strings.  It follows json's
     rules: values are tested with ``isinstance`` in json's order (str, None,
@@ -396,11 +458,8 @@ def dumps(obj) -> str:
     key_texts: dict[str, str] = {}
 
     def depth_marks(depth: int) -> tuple[str, str, str, str, str]:
-        """'[' + newline, '{' + newline, separator, newline + ']', newline + '}' one level in."""
         while len(marks) <= depth:
-            inner = "\n" + "  " * (len(marks) + 1)
-            outer = "\n" + "  " * len(marks)
-            marks.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
+            marks.append(_depth_marks(len(marks)))
         return marks[depth]
 
     def key_text(key) -> str:
@@ -464,8 +523,64 @@ def dumps(obj) -> str:
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
-    write(obj, 0)
+    write(obj, depth)
     return "".join(chunks)
+
+
+def _float_texts(values: np.ndarray) -> tuple[str, ...]:
+    """Every entry of a float array, in C order, as ``dumps`` writes a float."""
+    texts = tuple(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        texts = tuple(_FLOAT_SPECIALS.get(text, text) for text in texts)
+    return texts
+
+
+def _list_chunks(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
+    """A list ``depth`` levels in, from the chunks of each of its items, as ``dumps`` writes it.
+
+    An item may also be a run of several items already joined by this
+    depth's separator; the text is the same.
+    """
+    lead, _, separator, close, _ = _depth_marks(depth)
+    for item in items:
+        yield lead
+        lead = separator
+        yield from item
+    yield close if lead == separator else "[]"
+
+
+def _list_text(texts: Sequence[str], depth: int) -> str:
+    """A list ``depth`` levels in from the text of each item."""
+    return "".join(_list_chunks(([text] for text in texts), depth))
+
+
+def _dict_chunks(fields: dict[str, Iterable[str]], depth: int) -> Iterator[str]:
+    """A non-empty dict ``depth`` levels in, from the chunks of each value, as ``dumps`` writes it."""
+    _, lead, separator, _, close = _depth_marks(depth)
+    for key in sorted(fields):
+        yield lead
+        lead = separator
+        yield json.encoder.encode_basestring_ascii(key) + ": "
+        yield from fields[key]
+    yield close
+
+
+def _array_chunks(values: np.ndarray, depth: int) -> Iterator[str]:
+    """A float array as nested lists ``depth`` levels in, as ``dumps(values.tolist(), depth)``.
+
+    Each row along the last axis is written in blocks of at most
+    ``_BLOCK_FLOATS`` entries, each from one ``_float_texts`` call.
+    """
+    values = np.asarray(values, dtype=float)
+    separator = _depth_marks(depth + values.ndim - 1)[2]
+
+    def chunks(block: np.ndarray, depth: int) -> Iterator[str]:
+        if block.ndim == 1:
+            runs = (block[start : start + _BLOCK_FLOATS] for start in range(0, len(block), _BLOCK_FLOATS))
+            return _list_chunks(([separator.join(_float_texts(run))] for run in runs), depth)
+        return _list_chunks((chunks(item, depth + 1) for item in block), depth)
+
+    return chunks(values, depth)
 
 
 def loads(text: str) -> dict:

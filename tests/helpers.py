@@ -1,10 +1,11 @@
 """Shared test utilities: random measurement generators and Born-rule oracles."""
 
 import math
+from itertools import compress
 
 import numpy as np
 
-from qchansim import decompose, qmath
+from qchansim import decompose, qmath, serialize
 from qchansim.protocols import check_distributions
 from qchansim.qmath import (
     Povm,
@@ -118,6 +119,42 @@ def nested_sum_odd_round(p, psi, phi) -> np.ndarray:
     for x, p_atom in enumerate(p.randomness.probabilities):
         descend(x, 0, (), phi, p_atom)
     return out
+
+
+def one_round_protocol_to_obj(p, psi_grid, tables=None) -> dict:
+    """A one-round protocol on a grid of sender states, built as one tree of lists and dicts.
+
+    The oracle that ``serialize.one_round_protocol_chunks`` must equal: its
+    text is byte for byte ``json.dumps`` of this object with sorted keys and
+    an indent of 2.  Complex entries are [re, im] pairs.
+    """
+    if tables is None:
+        tables = [p.encoder_matrix(psi) for psi in psi_grid]
+    if len(tables) != len(psi_grid):
+        raise serialize.SerializationError(f"{len(tables)} encoder tables for {len(psi_grid)} grid states")
+    encoder_table = np.stack(tables, axis=1).tolist()
+    outcome_objs = [serialize._label_to_obj(o) for o in p.outcomes]
+    decoders = [
+        [
+            serialize._measurement_to_obj(list(compress(outcome_objs, named)), list(compress(effects, named)))
+            for effects, named in zip(effects_x, p.named[x])
+        ]
+        for x, effects_x in enumerate(serialize._matrix_objs(p.effects))
+    ]
+    return {
+        "kind": "one_round_protocol",
+        "atoms": [float(q) for q in p.randomness.probabilities],
+        "messages": [serialize._label_to_obj(m) for m in p.messages],
+        "outcomes": outcome_objs,
+        "cost_bits": int(p.cost_bits),
+        "construction": str(p.meta.get("construction", "table")),
+        "encoder": {
+            "kind": "table",
+            "psi_grid": serialize._bloch_list(psi_grid),
+            "table": encoder_table,
+        },
+        "decoders": decoders,
+    }
 
 
 def count_solves(monkeypatch) -> list:

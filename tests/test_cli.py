@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from helpers import count_solves, random_product_povm
 
 import qchansim
-from qchansim import cli, multiround, qmath, serialize
+from qchansim import cli, multiround, protocols, qmath, serialize
 
 
 def run_cli(args):
@@ -354,6 +355,58 @@ class TestCollapse:
             tmp_path, "col2.json", {"protocol": {"kind": "file", "path": str(original)}}
         )
         assert run_cli(["collapse", "--config", config2]) == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "random_three_round", "n_m2": 40},
+            {"kind": "random_odd_round", "depth": 3, "alphabet": 1000},
+            {"kind": "file"},
+        ],
+        ids=["three-round-40-replies", "odd-round-alphabet-1000", "three-round-file-40-replies"],
+    )
+    def test_oversized_collapse_is_malformed_input_before_any_table(self, tmp_path, capsys, spec):
+        if spec["kind"] == "file":
+            rng = np.random.default_rng(0)
+            instrument = multiround.random_instrument(rng, 40, 2)
+            povm = multiround.random_povm(rng, 2, 2)
+            wide = multiround.OddRoundProtocol(
+                randomness=protocols.SharedRandomness.trivial(),
+                sender_alphabets=((0, 1), (0, 1)),
+                receiver_alphabets=(tuple(range(40)),),
+                outcomes=(0, 1),
+                coins=(lambda psi, x, tr: np.array([0.5, 0.5]),) * 2,
+                instruments=(lambda x, tr: instrument,),
+                final_povm=lambda x, tr: povm,
+            )
+            path = tmp_path / "wide.json"
+            path.write_text(serialize.dumps(serialize.three_round_protocol_to_obj(wide, [qmath.I2 / 2])))
+            spec = {"kind": "file", "path": str(path)}
+        config = write_config(tmp_path, "col.json", {"protocol": spec})
+        tracemalloc.start()
+        try:
+            code = run_cli(["collapse", "--config", config, "--out", str(tmp_path / "r.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 16 * 2**20
+        assert f"more than {multiround.MAX_COLLAPSED_MESSAGES} messages" in capsys.readouterr().err
+        assert not (tmp_path / "r.collapsed.json").exists()
+
+    @pytest.mark.parametrize("cost", [-3, 0, 2.7, True, 99])
+    def test_wrong_cost_bits_in_a_collapsed_file_is_malformed_input(self, tmp_path, capsys, cost):
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
+        assert run_cli(["collapse", "--config", config, "--out", str(tmp_path / "r.json")]) == 0
+        path = tmp_path / "r.collapsed.json"
+        obj = json.loads(path.read_text())
+        assert (len(obj["messages"]), obj["cost_bits"]) == (8, 3)
+        obj["cost_bits"] = cost
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        entries = {"measurement": str(path), "samples": 1000}
+        assert run_cli(["simulate", "--config", write_config(tmp_path, "run.json", entries)]) == 3
+        assert "cost_bits" in capsys.readouterr().err
 
     def test_nan_gap_fails_the_check(self, tmp_path, monkeypatch, capsys):
         direct = multiround.run_odd_round

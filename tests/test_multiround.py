@@ -138,6 +138,55 @@ class TestCollapse:
         assert collapsed.n_messages == 3 * 3**2
         assert collapsed.cost_bits == 5  # ceil(log2 27)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        senders=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        replies=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    )
+    def test_closed_form_count_matches_the_fold(self, senders, replies):
+        replies = replies[: len(senders) - 1]
+        count = senders[-1]
+        for size, reply in zip(senders[-2::-1], replies[::-1]):
+            count = size * count**reply
+        if count <= multiround.MAX_COLLAPSED_MESSAGES:
+            assert multiround.collapsed_message_count(senders, replies) == count
+        else:
+            with pytest.raises(ProtocolError, match="more than 2097152 messages"):
+                multiround.collapsed_message_count(senders, replies)
+
+    @pytest.mark.parametrize(
+        "senders, replies, count",
+        [
+            ((3, 3, 3), (3, 3), 1_594_323),
+            ((2, 2, 2, 2), (2, 2, 2), 32_768),
+            ((1, 2), (21,), 2**21),
+            ((1, 1), (10**12,), 1),
+            ((2, 1, 10**6), (1, 1), 2 * 10**6),
+        ],
+        ids=["depth5-ternary", "depth7-binary", "at-the-limit", "unit-alphabets", "large-last-round"],
+    )
+    def test_counts_within_the_limit(self, senders, replies, count):
+        assert multiround.collapsed_message_count(senders, replies) == count
+
+    @pytest.mark.parametrize(
+        "senders, replies",
+        [((2, 2), (40,)), ((2, 2), (10**12,)), ((2,) * 5, (2,) * 4), ((3,) * 4, (3,) * 3), ((2, 2**21), (1,))],
+        ids=["40-replies", "huge-reply-count", "depth9-binary", "depth7-ternary", "one-past-the-limit"],
+    )
+    def test_counts_past_the_limit_raise(self, senders, replies):
+        with pytest.raises(ProtocolError, match="more than 2097152 messages"):
+            multiround.collapsed_message_count(senders, replies)
+
+    def test_oversized_protocols_are_refused_before_any_table(self, monkeypatch):
+        with pytest.raises(ProtocolError, match="more than"):
+            random_three_round(seed=0, n_m2=40)
+        with pytest.raises(ProtocolError, match="more than"):
+            random_odd_round(seed=0, depth=3, alphabet=1000)
+        wide = dataclasses.replace(random_three_round(seed=0), receiver_alphabets=(tuple(range(40)),))
+        monkeypatch.setattr(multiround, "tabulate", lambda p: pytest.fail("tabulated"))
+        with pytest.raises(ProtocolError, match="more than"):
+            collapse_odd_rounds(wide)
+
     def test_collapse_preserves_atom_count(self):
         p = random_three_round(seed=99, n_atoms=3)
         collapsed = collapse_odd_rounds(p)

@@ -2,12 +2,13 @@ import json
 import math
 import tracemalloc
 
+import helpers
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import decompose, multiround, protocols, qmath, serialize
+from qchansim import cli, decompose, multiround, protocols, qmath, serialize
 from qchansim.protocols import run_analytic
 from qchansim.qmath import haar_ket, projector
 
@@ -80,13 +81,16 @@ class TestProductPovmRoundTrip:
                 np.testing.assert_allclose(fa, fb, atol=0)
 
 
+def one_round_text(protocol, grid, tables=None) -> str:
+    return "".join(serialize.one_round_protocol_chunks(protocol, grid, tables))
+
+
 class TestOneRoundProtocolRoundTrip:
     def test_tabulated_protocol_reproduces_statistics(self):
         rng = np.random.default_rng(5)
         protocol = protocols.catalog_protocol("tb")
         grid = [projector(haar_ket(2, rng)) for _ in range(6)]
-        obj = serialize.one_round_protocol_to_obj(protocol, grid)
-        loaded = serialize.one_round_protocol_from_obj(serialize.loads(serialize.dumps(obj)))
+        loaded = serialize.one_round_protocol_from_obj(serialize.loads(one_round_text(protocol, grid)))
         assert loaded.cost_bits == protocol.cost_bits
         assert loaded.outcomes == protocol.outcomes
         for psi in grid:
@@ -99,9 +103,7 @@ class TestOneRoundProtocolRoundTrip:
         rng = np.random.default_rng(7)
         protocol = protocols.catalog_protocol("comp")
         grid = [projector(haar_ket(2, rng))]
-        loaded = serialize.one_round_protocol_from_obj(
-            serialize.one_round_protocol_to_obj(protocol, grid)
-        )
+        loaded = serialize.one_round_protocol_from_obj(serialize.loads(one_round_text(protocol, grid)))
         with pytest.raises(protocols.ProtocolError):
             run_analytic(loaded, projector(haar_ket(2, rng)), projector(haar_ket(2, rng)))
 
@@ -123,7 +125,7 @@ class TestOneRoundProtocolRoundTrip:
                 named=[[[True, True, False], [False, True, True]]],
             )
         grid = [projector(haar_ket(2, np.random.default_rng(s))) for s in range(3)]
-        obj = serialize.one_round_protocol_to_obj(protocol, grid)
+        obj = serialize.loads(one_round_text(protocol, grid))
 
         def matrix(m):
             entries = [[float(np.real(v)), float(np.imag(v))] for v in m.reshape(-1)]
@@ -151,10 +153,10 @@ class TestOneRoundProtocolRoundTrip:
         protocol = protocols.catalog_protocol("tb")
         grid = [projector(haar_ket(2, rng)) for _ in range(3)]
         tables = [protocol.encoder_matrix(psi) for psi in grid]
-        text = serialize.dumps(serialize.one_round_protocol_to_obj(protocol, grid))
-        assert serialize.dumps(serialize.one_round_protocol_to_obj(protocol, grid, tables)) == text
+        text = one_round_text(protocol, grid)
+        assert one_round_text(protocol, grid, tables) == text
         with pytest.raises(serialize.SerializationError):
-            serialize.one_round_protocol_to_obj(protocol, grid, tables[:2])
+            serialize.one_round_protocol_chunks(protocol, grid, tables[:2])
 
     @pytest.mark.parametrize(
         "damage",
@@ -165,16 +167,32 @@ class TestOneRoundProtocolRoundTrip:
             lambda obj: obj["outcomes"].pop(),
             lambda obj: obj.pop("cost_bits"),
             lambda obj: obj.update(messages=7),
+            *(lambda obj, cost=cost: obj.update(cost_bits=cost) for cost in (-3, 0, 2.7, True, 99, 2.0)),
         ],
-        ids=["short-table", "flat-grid", "missing-decoder", "unknown-label", "no-cost", "bad-messages"],
+        ids=[
+            "short-table", "flat-grid", "missing-decoder", "unknown-label", "no-cost", "bad-messages",
+            "cost-negative", "cost-zero", "cost-fraction", "cost-bool", "cost-too-high", "cost-float",
+        ],
     )
     def test_inconsistent_file_is_rejected(self, damage):
         rng = np.random.default_rng(9)
         grid = [projector(haar_ket(2, rng)) for _ in range(2)]
-        obj = serialize.one_round_protocol_to_obj(protocols.catalog_protocol("tb"), grid)
+        obj = helpers.one_round_protocol_to_obj(protocols.catalog_protocol("tb"), grid)
+        assert obj["cost_bits"] == 2 and len(obj["messages"]) == 4
+        serialize.one_round_protocol_from_obj(obj)
         damage(obj)
         with pytest.raises(serialize.SerializationError):
             serialize.one_round_protocol_from_obj(obj)
+
+    def test_cost_bits_must_be_an_integer_not_a_bool(self):
+        """``true`` equals 1 in Python, the cost of a two-message protocol, and is still refused."""
+        grid = [projector(qmath.KET0)]
+        obj = serialize.loads(one_round_text(protocols.catalog_protocol("comp"), grid))
+        assert obj["cost_bits"] == 1
+        obj["cost_bits"] = True
+        with pytest.raises(serialize.SerializationError, match="cost_bits"):
+            serialize.one_round_protocol_from_obj(obj)
+
 
 class TestThreeRoundProtocolRoundTrip:
     def test_statistics_match_on_grid(self):
@@ -277,7 +295,7 @@ class TestDumps:
         rng = np.random.default_rng(3)
         collapsed = multiround.collapse_odd_rounds(multiround.random_odd_round(seed=5, depth=5))
         grid = [projector(haar_ket(2, rng)) for _ in range(10)]
-        obj = serialize.one_round_protocol_to_obj(collapsed, grid)
+        obj = helpers.one_round_protocol_to_obj(collapsed, grid)
         peaks = {}
         for name, write in (("json", json_reference), ("writer", serialize.dumps)):
             tracemalloc.start()
@@ -288,3 +306,109 @@ class TestDumps:
                 tracemalloc.stop()
             assert text == json_reference(obj)
         assert peaks["writer"] <= peaks["json"]
+
+
+def nested_text(value, depth: int) -> str:
+    """``json_reference`` of ``value`` wrapped in ``depth`` one-item lists, with the wrapping cut off.
+
+    What is left is the text json writes for ``value`` ``depth`` containers deep.
+    """
+    prefix = "".join("[\n" + "  " * (level + 1) for level in range(depth))
+    suffix = "".join("\n" + "  " * level + "]" for level in reversed(range(depth)))
+    for _ in range(depth):
+        value = [value]
+    text = json_reference(value)
+    assert text.startswith(prefix) and text.endswith(suffix)
+    return text[len(prefix) : len(text) - len(suffix)]
+
+
+_TABLE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.1]),
+)
+_LABELS = st.recursive(
+    st.one_of(st.none(), st.integers(-5, 300), st.text(max_size=3), st.sampled_from(["%s", "%%", "%"])),
+    lambda children: st.lists(children, min_size=1, max_size=3).map(tuple),
+    max_leaves=5,
+)
+
+
+@st.composite
+def tabulated_protocols(draw):
+    """A one-round protocol with partial ``named`` masks, its grid and drawn encoder tables."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_atoms, n_messages = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    outcomes = tuple(draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True)))
+    messages = tuple(draw(st.lists(_LABELS, min_size=n_messages, max_size=n_messages)))
+    shape = (n_atoms, n_messages, len(outcomes))
+    named = np.zeros(shape, dtype=bool)
+    # Unnamed effects are zeros of either sign; named ones split a random measurement.
+    effects = np.full(shape + (2, 2), draw(st.sampled_from([0j, complex(-0.0, -0.0)])))
+    for index in np.ndindex(shape[:2]):
+        keep = draw(st.lists(st.booleans(), min_size=len(outcomes), max_size=len(outcomes)))
+        keep[draw(st.integers(0, len(outcomes) - 1))] = True
+        named[index] = keep
+        effects[index][named[index]] = multiround.random_povm(rng, sum(keep), 2).effects
+    effects[..., 0, 0] += draw(st.sampled_from([0.0, 5e-324, -5e-324]))
+    n_grid = draw(st.integers(1, 3))
+    grid = [projector(haar_ket(2, rng)) for _ in range(n_grid)]
+    tables = [
+        np.array(draw(st.lists(_TABLE_FLOATS, min_size=n_atoms * n_messages, max_size=n_atoms * n_messages)))
+        .reshape(n_atoms, n_messages)
+        for _ in range(n_grid)
+    ]
+    protocol = protocols.OneRoundProtocol(
+        randomness=protocols.SharedRandomness(probabilities=tuple(rng.dirichlet(np.ones(n_atoms)))),
+        messages=messages,
+        encoder=lambda psi: np.full((n_atoms, n_messages), 1.0 / n_messages),
+        effects=effects,
+        outcomes=outcomes,
+        cost_bits=protocols.bit_cost(n_messages),
+        meta=draw(st.sampled_from([{}, {"construction": "drawn %s"}])),
+        named=named,
+    )
+    return protocol, grid, tables
+
+
+class TestStreamedOneRoundProtocol:
+    """``one_round_protocol_chunks`` against ``json.dumps`` of the list-built object."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(drawn=tabulated_protocols())
+    def test_equals_json_dumps_of_the_list_built_object(self, drawn):
+        protocol, grid, tables = drawn
+        expected = json_reference(helpers.one_round_protocol_to_obj(protocol, grid, tables))
+        assert one_round_text(protocol, grid, tables) == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1, 3), (1, 2, 2, 2), (2, 0)])
+    def test_array_chunks_equal_json_dumps_of_the_list(self, shape, depth):
+        rng = np.random.default_rng(depth)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+        values.reshape(-1)[: len(specials)] = specials[: values.size]
+        text = "".join(serialize._array_chunks(values, depth))
+        assert text == nested_text(values.tolist(), depth)
+        assert serialize.dumps(values.tolist(), depth) == text
+
+    def test_writing_a_depth5_file_peaks_well_below_the_list_built_path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        collapsed = multiround.collapse_odd_rounds(multiround.random_odd_round(seed=5, depth=5))
+        grid = [projector(haar_ket(2, rng)) for _ in range(10)]
+        tables = [collapsed.encoder_matrix(psi) for psi in grid]
+        writers = {
+            "list": lambda: [serialize.dumps(helpers.one_round_protocol_to_obj(collapsed, grid, tables))],
+            "streamed": lambda: serialize.one_round_protocol_chunks(collapsed, grid, tables),
+        }
+        peaks, texts = {}, {}
+        for name, chunks in writers.items():
+            path = tmp_path / f"{name}.json"
+            tracemalloc.start()
+            try:
+                cli._write_text(str(path), chunks())
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            texts[name] = path.read_text()
+        assert texts["streamed"] == texts["list"]
+        assert peaks["streamed"] < peaks["list"] / 2

@@ -32,7 +32,11 @@ on each of the 10 states.  The last line covers the runners as the
 ``simulate-protocols`` benchmark calls them: state by state, every protocol
 of the first and third groups in turn runs ``run_analytic`` and then
 ``run_sampled`` on the same shared states, so a check or a table that one
-protocol's call remembers is reused by the next.  New lines go at the end,
+protocol's call remembers is reused by the next.  The four lines after it
+cover the serialized collapse: each is the SHA-256 of the ``.collapsed.json``
+text that ``qchansim collapse --out`` writes, with 10 check states and the
+default seed, for ``random_odd_round`` at depths 3, 5 and 7 (protocol seed
+3) and for ``random_three_round`` (protocol seed 21).  New lines go at the end,
 so the lines above them compare with files written before they were added.
 Two trees build the same protocols exactly when ``diff`` of their digest
 files prints nothing.
@@ -41,7 +45,9 @@ files prints nothing.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from helpers import TETRA_BLOCH, mixed_product_povm, random_product_povm  # noqa: E402
 
-from qchansim import decompose, multiround, protocols, qmath  # noqa: E402
+from qchansim import cli, decompose, multiround, protocols, qmath  # noqa: E402
 
 KINDS = [(left, right) for left in ("basis", "trine", "tetra") for right in ("basis", "trine", "tetra")]
 SEEDS = range(6)
@@ -170,6 +176,25 @@ def interleaved_digest(built, states) -> str:
     return h.hexdigest()
 
 
+COLLAPSE_SPECS = (
+    *((f"collapsed-odd-round-depth{depth}-seed3", {"kind": "random_odd_round", "depth": depth, "seed": 3})
+      for depth in (3, 5, 7)),
+    ("collapsed-three-round-seed21", {"kind": "random_three_round", "seed": 21}),
+)
+
+
+def collapsed_file_digest(spec: dict) -> str:
+    """SHA-256 of the ``.collapsed.json`` that ``collapse --out`` writes for a generator spec."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "collapse.json", Path(tmp) / "run.json"
+        config.write_text(json.dumps({"protocol": spec, "check_states": 10}))
+        code = cli.main(["collapse", "--config", str(config), "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"collapse of {spec} exited {code}")
+        with open(out.with_suffix(".collapsed.json"), "rb") as handle:
+            return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -183,6 +208,7 @@ def main(argv: list[str]) -> int:
     lines += [f"{name} {digest(protocol, states[n])}" for name, protocol, n in grouped]
     lines.append(f"tetra-tetra-256-nnls {nnls_digest(states[1])}")
     lines.append(f"interleaved-runners {interleaved_digest(built + grouped, states)}")
+    lines += [f"{name} {collapsed_file_digest(spec)}" for name, spec in COLLAPSE_SPECS]
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "protocol_digests.txt").write_text("\n".join(lines) + "\n")

@@ -333,7 +333,9 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0, minimum=0)
     samples = _int_entry(config, "samples", 10**6, minimum=1)
     if "sweep_max_bits" in config:
-        bit_counts = list(range(1, _int_entry(config, "sweep_max_bits", 0) + 1))
+        top = _int_entry(config, "sweep_max_bits", 0)
+        # A top above MAX_BITS is refused below, before a list of its length is built.
+        bit_counts = list(range(1, top + 1)) if top <= depolarize.MAX_BITS else [top]
     else:
         bit_counts = config.get("bit_counts", [1, 2, 3])
         if not isinstance(bit_counts, list):
@@ -341,6 +343,8 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
         bit_counts = [_integer(m, "bit_counts entry") for m in bit_counts]
     if not bit_counts or min(bit_counts) < 1:
         raise ConfigError("bit counts must be positive")
+    if max(bit_counts) > depolarize.MAX_BITS:
+        raise ConfigError(f"bit counts above {depolarize.MAX_BITS} are not supported, got {max(bit_counts)}")
     resolved = {"seed": seed, "samples": samples, "bit_counts": bit_counts}
     rows = []
     child_seeds = np.random.SeedSequence(seed).spawn(len(bit_counts))
@@ -391,7 +395,14 @@ def _build_protocol(spec: dict):
         obj = _load_config(str(spec.get("path")))
         loaded = obj.get("kind")
         if loaded == "three_round_protocol":
-            return serialize.three_round_protocol_from_obj(obj), "three_round", obj
+            protocol = serialize.three_round_protocol_from_obj(obj)
+            try:
+                multiround.collapsed_message_count(
+                    [len(a) for a in protocol.sender_alphabets], [len(a) for a in protocol.receiver_alphabets]
+                )
+            except protocols.ProtocolError as exc:
+                raise ConfigError(str(exc)) from exc
+            return protocol, "three_round", obj
         if loaded in _GENERATORS:
             return _build_protocol(obj)
         raise ConfigError(f"protocol file {spec['path']} holds kind {loaded!r}, not a protocol")
@@ -405,12 +416,6 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0, minimum=0)
     n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
-    try:
-        multiround.collapsed_message_count(
-            [len(a) for a in protocol.sender_alphabets], [len(a) for a in protocol.receiver_alphabets]
-        )
-    except protocols.ProtocolError as exc:
-        raise ConfigError(str(exc)) from exc
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     raw_tolerance = config.get("check_tolerance", default_tolerance)
     tolerance = _number(raw_tolerance, float, "check_tolerance")
@@ -432,12 +437,13 @@ def cmd_collapse(config: dict, out: str | None) -> int:
             "stage_alphabet_sizes": [list(s) for s in collapsed.meta["stage_alphabet_sizes"]]
         }
 
-    # One encoder evaluation per grid state serves both the check and the file.
-    tables = [collapsed.encoder_matrix(psi) for psi in grid]
-    gaps = []
-    for psi, table, phi in zip(grid, tables, probes):
+    # One encoder evaluation per grid state serves both the file and the check:
+    # run_analytic reuses the table that encoder_matrix keeps for the last state.
+    tables, gaps = [], []
+    for psi, phi in zip(grid, probes):
+        tables.append(collapsed.encoder_matrix(psi))
         direct = multiround.run_odd_round(protocol, psi, phi)
-        gaps.append(np.max(np.abs(protocols.analytic_distribution(collapsed, table, phi) - direct)))
+        gaps.append(np.max(np.abs(protocols.run_analytic(collapsed, psi, phi) - direct)))
     # np.max keeps a NaN gap, where max() would drop it, and a NaN fails the check below.
     deviation = float(np.max(gaps))
 

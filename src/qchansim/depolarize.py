@@ -40,6 +40,10 @@ class DepolarizeError(ValueError):
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
+#: The most bits a spiral codebook may have.  Building one checks every pair
+#: of its 2^m codewords, so the time grows as 4^m (about 4 s at m = 16).
+MAX_BITS = 16
+
 # Entries of a block held at once: (samples x codewords x 3) rotated codewords
 # in simulate_average_state, rows x codewords of the codebook's Gram matrix.
 # 8 MB of float64.
@@ -141,8 +145,8 @@ def codebook(spec: str | int) -> Codebook:
             return Codebook(s * verts, name="cube")
         raise DepolarizeError(f"unknown codebook {spec!r}")
     m = int(spec)
-    if m < 1:
-        raise DepolarizeError("bit count must be at least 1")
+    if not 1 <= m <= MAX_BITS:
+        raise DepolarizeError(f"bit count must be between 1 and {MAX_BITS}, got {m}")
     return Codebook(fibonacci_sphere(2**m), name=f"fibonacci-{m}")
 
 

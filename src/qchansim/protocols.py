@@ -200,17 +200,10 @@ def _weights_and_state(protocol: OneRoundProtocol, encoder_matrix: np.ndarray, p
     return atoms[:, None] * encoder_matrix, phi
 
 
-def analytic_distribution(
-    protocol: OneRoundProtocol, encoder_matrix: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """``run_analytic`` for a sender state whose ``protocol.encoder_matrix`` is already evaluated."""
-    weights, phi = _weights_and_state(protocol, encoder_matrix, phi)
-    return np.einsum("xm,xmoij,ji->o", weights, protocol.effects, phi).real
-
-
 def run_analytic(protocol: OneRoundProtocol, psi, phi: np.ndarray) -> np.ndarray:
     """Exact outcome distribution sum_x sum_m p(x) p(m|x,psi) tr(phi effects[x, m, o])."""
-    return analytic_distribution(protocol, protocol.encoder_matrix(psi), phi)
+    weights, phi = _weights_and_state(protocol, protocol.encoder_matrix(psi), phi)
+    return np.einsum("xm,xmoij,ji->o", weights, protocol.effects, phi).real
 
 
 def run_sampled(

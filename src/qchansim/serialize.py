@@ -6,10 +6,17 @@ Conventions, shared by every schema here:
 * matrices are row-major flat lists of complex scalars with an explicit
   ``dim`` field;
 * kets are flat lists of complex scalars;
-* outcome labels and message labels round-trip with tuples encoded as lists
-  (and decoded back to tuples);
-* encoders, which are functions of the sender state, serialize either as
-  tables over a declared grid of Bloch vectors or as a named construction tag.
+* outcome labels and message labels round-trip with a tuple encoded as
+  ``{"tuple": [...]}`` (and decoded back to a tuple);
+* encoders, which are functions of the sender state, serialize as tables
+  over a declared grid of Bloch vectors, next to the protocol's
+  construction tag.
+
+All text is written by one chunk generator, ``_chunks``, byte for byte as
+``json.dumps(obj, sort_keys=True, indent=2)`` writes it: ``dumps`` joins its
+chunks, and ``one_round_protocol_chunks`` streams them, with the encoder
+table and the decoder effects written from their arrays in blocks and passed
+in as text already written for their place (``_Written``).
 """
 
 from __future__ import annotations
@@ -204,87 +211,68 @@ def _grid_lookup(grid_bloch: np.ndarray, psi: np.ndarray) -> int:
 
 
 def one_round_protocol_chunks(
-    p: OneRoundProtocol,
-    psi_grid: Sequence[np.ndarray],
-    tables: Sequence[np.ndarray] | None = None,
-) -> Iterator[str]:
+    p: OneRoundProtocol, psi_grid: Sequence[np.ndarray], tables: Sequence[np.ndarray]
+) -> Iterable[str]:
     """A one-round protocol tabulated on a declared grid of sender states, as JSON text in chunks.
 
-    Decoder measurements are state-independent and serialize exactly, one
-    per atom and message, naming the outcomes of ``p.named``; the encoder
-    serializes as its table of distributions over the grid, nested as
-    [atom][grid state][message].  A caller that has already evaluated
-    ``p.encoder_matrix`` on every grid state passes those matrices as
-    ``tables``.  The chunks join to ``dumps`` of the object with those
-    fields, but the encoder table and the decoder effects are written
-    straight from their arrays, one block of at most ``_BLOCK_FLOATS``
-    floats at a time, so no block's text grows with the alphabet.
+    ``tables`` holds ``p.encoder_matrix`` of every grid state; the encoder
+    serializes as that table, nested as [atom][grid state][message].
+    Decoder measurements serialize exactly, one per atom and message, naming
+    the outcomes of ``p.named``.  The table and the decoder effects are
+    written from their arrays, one block of at most ``_BLOCK_FLOATS`` floats
+    at a time, so no block's text grows with the alphabet.
     """
-    if tables is None:
-        tables = [p.encoder_matrix(psi) for psi in psi_grid]
     if len(tables) != len(psi_grid):
         raise SerializationError(f"{len(tables)} encoder tables for {len(psi_grid)} grid states")
-    table = np.stack(tables, axis=1)
     outcome_objs = [_label_to_obj(o) for o in p.outcomes]
-    encoder = {
-        "kind": [dumps("table", 2)],
-        "psi_grid": [dumps(_bloch_list(psi_grid), 2)],
-        "table": _array_chunks(table, 2),
-    }
-    return _dict_chunks(
-        {
-            "atoms": [dumps([float(q) for q in p.randomness.probabilities], 1)],
-            "construction": [dumps(str(p.meta.get("construction", "table")), 1)],
-            "cost_bits": [dumps(int(p.cost_bits), 1)],
-            "decoders": _decoder_chunks(p, outcome_objs),
-            "encoder": _dict_chunks(encoder, 1),
-            "kind": [dumps("one_round_protocol", 1)],
-            "messages": [dumps([_label_to_obj(m) for m in p.messages], 1)],
-            "outcomes": [dumps(outcome_objs, 1)],
+    obj = {
+        "atoms": [float(q) for q in p.randomness.probabilities],
+        "construction": str(p.meta.get("construction", "table")),
+        "cost_bits": int(p.cost_bits),
+        "decoders": _decoders(p, outcome_objs),
+        "encoder": {
+            "kind": "table",
+            "psi_grid": _bloch_list(psi_grid),
+            "table": _Written(_array_chunks(np.stack(tables, axis=1), 2)),
         },
-        0,
-    )
+        "kind": "one_round_protocol",
+        "messages": [_label_to_obj(m) for m in p.messages],
+        "outcomes": outcome_objs,
+    }
+    return _chunks(obj, 0)
 
 
-def _decoder_chunks(p: OneRoundProtocol, outcome_objs: list) -> Iterator[str]:
-    """The ``decoders`` field at depth 1: per atom, one measurement per message.
+def _decoders(p: OneRoundProtocol, outcome_objs: list) -> list[list[_Written]]:
+    """The ``decoders`` field at depth 1: per atom, one measurement per message, in blocks of messages.
 
-    Each block of messages is one template, with a ``%s`` per float, filled
-    from the effects of the outcomes that ``p.named`` keeps, in (message,
-    outcome, row, column, real/imaginary) order.
+    Each block is one template, with a ``%s`` per float, filled from the
+    effects of the outcomes that ``p.named`` keeps, in (message, outcome,
+    row, column, real/imaginary) order, when its turn comes.
     """
     d = p.effects.shape[-1]
-    pair = _list_text(["%s", "%s"], 7)
-    matrix = "".join(_dict_chunks(
-        {"dim": [dumps(d)], "entries": [_list_text([pair] * (d * d), 6)], "kind": [dumps("matrix")]}, 5
-    ))
+    pair = [_Written(["%s"])] * 2
+    matrix = _Written(["".join(_chunks({"dim": d, "entries": [pair] * (d * d), "kind": "matrix"}, 5))])
     povms: dict[bytes, str] = {}   # per named mask: the template of one measurement
 
     def povm(named: np.ndarray) -> str:
         key = named.tobytes()
         if key not in povms:
-            labels = dumps(list(compress(outcome_objs, named)), 4).replace("%", "%%")
-            povms[key] = "".join(_dict_chunks(
-                {
-                    "dim": [dumps(d)],
-                    "effects": [_list_text([matrix] * int(np.count_nonzero(named)), 4)],
-                    "kind": [dumps("povm")],
-                    "labels": [labels],
-                },
-                3,
-            ))
+            labels = "".join(_chunks(list(compress(outcome_objs, named)), 4)).replace("%", "%%")
+            effects = [matrix] * int(np.count_nonzero(named))
+            fields = {"dim": d, "effects": effects, "kind": "povm", "labels": _Written([labels])}
+            povms[key] = "".join(_chunks(fields, 3))
         return povms[key]
 
-    separator = _depth_marks(2)[2]
+    separator = _marks(2)[1]
     step = max(1, _BLOCK_FLOATS // (2 * int(np.prod(p.effects.shape[2:]))))   # messages per block
 
-    def atom(x: int) -> Iterator[list[str]]:
-        for start in range(0, p.n_messages, step):
-            named = p.named[x, start : start + step]
-            template = separator.join([povm(row) for row in named])
-            yield [template % _float_texts(p.effects[x, start : start + step][named].view(float))]
+    def block(x: int, start: int) -> Iterator[str]:
+        named = p.named[x, start : start + step]
+        template = separator.join([povm(row) for row in named])
+        yield template % _float_texts(p.effects[x, start : start + step][named].view(float))
 
-    return _list_chunks((_list_chunks(atom(x), 2) for x in range(len(p.effects))), 1)
+    starts = range(0, p.n_messages, step)
+    return [[_Written(block(x, start)) for start in starts] for x in range(len(p.effects))]
 
 
 def one_round_protocol_from_obj(obj: dict) -> OneRoundProtocol:
@@ -419,75 +407,65 @@ def three_round_protocol_from_obj(obj: dict) -> OddRoundProtocol:
 
 
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_encode_str = json.encoder.encode_basestring_ascii
 
 #: The most floats that the array writers format in one block.
 _BLOCK_FLOATS = 2**14
+#: About the most chunks that ``_chunks`` holds before it joins them.
+_RUN_CHUNKS = 2**12
+#: ``_marks`` of each depth and pair of brackets asked for so far.
+_MARKS: dict[tuple[int, str], tuple[str, str, str]] = {}
 
 
-def _depth_marks(depth: int) -> tuple[str, str, str, str, str]:
-    """'[' + newline, '{' + newline, separator, newline + ']', newline + '}' of a container ``depth`` levels in."""
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
+def _marks(depth: int, brackets: str = "[]") -> tuple[str, str, str]:
+    """The opening, separator and closing text of a list ("[]") or dict ("{}") ``depth`` levels in."""
+    marks = _MARKS.get((depth, brackets))
+    if marks is None:
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        marks = _MARKS[depth, brackets] = brackets[0] + inner, "," + inner, outer + brackets[1]
+    return marks
 
 
-def dumps(obj, depth: int = 0) -> str:
-    """``obj`` as JSON text, byte for byte ``json.dumps(obj, sort_keys=True, indent=2)``.
+class _Written:
+    """Chunks of text already written for their place in ``_chunks``'s output."""
 
-    With ``depth`` above 0 the text is the one that json would write for
-    ``obj`` nested ``depth`` containers deep, whose lines below the first
-    are indented ``depth`` levels further.
+    def __init__(self, chunks: Iterable[str]):
+        self.chunks = chunks
 
-    One recursive pass appends to one list of strings.  It follows json's
-    rules: values are tested with ``isinstance`` in json's order (str, None,
-    True, False, int, float, list or tuple, dict), tuples are written as
-    lists, floats by ``float.__repr__`` with NaN and +-Infinity, strings by
-    ``json.encoder.encode_basestring_ascii``, dict keys sorted, and empty
-    containers as ``[]`` and ``{}``.  Any other type (``np.int64``, say)
-    raises ``TypeError``.  The open, separator and close strings of each depth
-    and the ``"key": `` string of each key are built once and shared, so the
-    list holds few distinct strings; on Python 3.11 ``json.dumps`` with an
-    indent walks the object in pure-Python generators instead.
+
+def _key_text(key) -> str:
+    """A dict key and its separator; json writes a number, bool or None key as a string of its text."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _encode_str(key if isinstance(key, str) else "".join(_chunks(key, 0))) + ": "
+
+
+def _chunks(value, depth: int) -> Iterator[str]:
+    """``value`` as json writes it ``depth`` containers deep (lines below the first indented more), in chunks.
+
+    The rules are those of ``json.dumps(value, sort_keys=True, indent=2)``.
+    Values are tested with ``isinstance`` in json's order (str, None, True,
+    False, int, float, list or tuple, dict); tuples are written as lists,
+    floats by ``float.__repr__`` with NaN and +-Infinity, strings by
+    ``json.encoder.encode_basestring_ascii``, dict keys sorted and converted
+    as json converts them, and empty containers as ``[]`` and ``{}``.  Any
+    other type (``np.int64``, say) raises ``TypeError``, except ``_Written``,
+    whose chunks (one item's text, or a run of items joined by the list's
+    separator) are made only when their turn comes.  The text between them
+    is written in one recursive pass and joined every ``_RUN_CHUNKS`` chunks.
     """
-    chunks: list[str] = []
-    append = chunks.append
-    encode_str = json.encoder.encode_basestring_ascii
-    float_repr = float.__repr__
-    int_repr = int.__repr__
-    marks: list[tuple[str, str, str, str, str]] = []   # per depth
-    key_texts: dict[str, str] = {}
+    texts: list = []   # joined runs of chunks, with each _Written value in its place
+    run: list[str] = []
+    append = run.append
 
-    def depth_marks(depth: int) -> tuple[str, str, str, str, str]:
-        while len(marks) <= depth:
-            marks.append(_depth_marks(len(marks)))
-        return marks[depth]
-
-    def key_text(key) -> str:
-        if isinstance(key, str):
-            text = key_texts.get(key)
-            if text is None:
-                text = key_texts[key] = encode_str(key) + ": "
-            return text
-        if isinstance(key, float):
-            key = float_repr(key)
-            key = _FLOAT_SPECIALS.get(key, key)
-        elif key is True:
-            key = "true"
-        elif key is False:
-            key = "false"
-        elif key is None:
-            key = "null"
-        elif isinstance(key, int):
-            key = int_repr(key)
-        else:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        return encode_str(key) + ": "
+    def flush() -> None:
+        texts.append("".join(run))
+        run.clear()
 
     def write(value, depth: int) -> None:
         if isinstance(value, str):
-            append(encode_str(value))
+            append(_encode_str(value))
         elif value is None:
             append("null")
         elif value is True:
@@ -495,92 +473,79 @@ def dumps(obj, depth: int = 0) -> str:
         elif value is False:
             append("false")
         elif isinstance(value, int):
-            append(int_repr(value))
+            append(int.__repr__(value))
         elif isinstance(value, float):
-            text = float_repr(value)
+            text = float.__repr__(value)
             append(_FLOAT_SPECIALS.get(text, text))
         elif isinstance(value, (list, tuple)):
             if not value:
                 append("[]")
                 return
-            lead, _, separator, close_list, _ = depth_marks(depth)
+            lead, separator, close = _marks(depth, "[]")
             for item in value:
                 append(lead)
                 lead = separator
                 write(item, depth + 1)
-            append(close_list)
+            append(close)
         elif isinstance(value, dict):
             if not value:
                 append("{}")
                 return
-            _, lead, separator, _, close_dict = depth_marks(depth)
+            lead, separator, close = _marks(depth, "{}")
             for key, item in sorted(value.items()):
                 append(lead)
                 lead = separator
-                append(key_text(key))
+                append(_key_text(key))
                 write(item, depth + 1)
-            append(close_dict)
+            append(close)
+        elif isinstance(value, _Written):
+            flush()
+            texts.append(value)
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        if len(run) >= _RUN_CHUNKS:
+            flush()
 
-    write(obj, depth)
-    return "".join(chunks)
+    write(value, depth)
+    flush()
+    for text in texts:
+        if type(text) is str:
+            yield text
+        else:
+            yield from text.chunks
+
+
+def dumps(obj) -> str:
+    """``obj`` as JSON text, byte for byte ``json.dumps(obj, sort_keys=True, indent=2)``."""
+    return "".join(_chunks(obj, 0))
 
 
 def _float_texts(values: np.ndarray) -> tuple[str, ...]:
-    """Every entry of a float array, in C order, as ``dumps`` writes a float."""
+    """Every entry of a float array, in C order, as json writes a float."""
     texts = tuple(map(float.__repr__, values.ravel().tolist()))
     if not np.isfinite(values).all():
         texts = tuple(_FLOAT_SPECIALS.get(text, text) for text in texts)
     return texts
 
 
-def _list_chunks(items: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
-    """A list ``depth`` levels in, from the chunks of each of its items, as ``dumps`` writes it.
-
-    An item may also be a run of several items already joined by this
-    depth's separator; the text is the same.
-    """
-    lead, _, separator, close, _ = _depth_marks(depth)
-    for item in items:
-        yield lead
-        lead = separator
-        yield from item
-    yield close if lead == separator else "[]"
-
-
-def _list_text(texts: Sequence[str], depth: int) -> str:
-    """A list ``depth`` levels in from the text of each item."""
-    return "".join(_list_chunks(([text] for text in texts), depth))
-
-
-def _dict_chunks(fields: dict[str, Iterable[str]], depth: int) -> Iterator[str]:
-    """A non-empty dict ``depth`` levels in, from the chunks of each value, as ``dumps`` writes it."""
-    _, lead, separator, _, close = _depth_marks(depth)
-    for key in sorted(fields):
-        yield lead
-        lead = separator
-        yield json.encoder.encode_basestring_ascii(key) + ": "
-        yield from fields[key]
-    yield close
-
-
 def _array_chunks(values: np.ndarray, depth: int) -> Iterator[str]:
-    """A float array as nested lists ``depth`` levels in, as ``dumps(values.tolist(), depth)``.
+    """A float array as nested lists ``depth`` levels in, as ``_chunks(values.tolist(), depth)``.
 
     Each row along the last axis is written in blocks of at most
-    ``_BLOCK_FLOATS`` entries, each from one ``_float_texts`` call.
+    ``_BLOCK_FLOATS`` entries, each formatted by one ``_float_texts`` call
+    when its turn comes.
     """
     values = np.asarray(values, dtype=float)
-    separator = _depth_marks(depth + values.ndim - 1)[2]
+    separator = _marks(depth + values.ndim - 1)[1]
 
-    def chunks(block: np.ndarray, depth: int) -> Iterator[str]:
-        if block.ndim == 1:
-            runs = (block[start : start + _BLOCK_FLOATS] for start in range(0, len(block), _BLOCK_FLOATS))
-            return _list_chunks(([separator.join(_float_texts(run))] for run in runs), depth)
-        return _list_chunks((chunks(item, depth + 1) for item in block), depth)
+    def block(run: np.ndarray) -> Iterator[str]:
+        yield separator.join(_float_texts(run))
 
-    return chunks(values, depth)
+    def row(values: np.ndarray) -> list[_Written]:
+        starts = range(0, len(values), _BLOCK_FLOATS)
+        return [_Written(block(values[start : start + _BLOCK_FLOATS])) for start in starts]
+
+    return _chunks(_nested(row, values, values.ndim - 1), depth)
 
 
 def loads(text: str) -> dict:

@@ -565,6 +565,8 @@ class TestMalformedInput:
             ("depolarize", {"bit_counts": ["x"]}),
             ("depolarize", {"bit_counts": [1.5]}),
             ("depolarize", {"bit_counts": [True]}),
+            ("depolarize", {"bit_counts": [17]}),
+            ("depolarize", {"sweep_max_bits": 17}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": "x"}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": True}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": math.nan}),

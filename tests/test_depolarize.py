@@ -55,6 +55,11 @@ class TestCodebooks:
         with pytest.raises(DepolarizeError):
             codebook("octahedron")
 
+    @pytest.mark.parametrize("m", [0, dp.MAX_BITS + 1, 10**6])
+    def test_bit_count_outside_the_cap_is_refused_before_any_point(self, m):
+        with pytest.raises(DepolarizeError, match=f"between 1 and {dp.MAX_BITS}"):
+            codebook(m)
+
     def test_rejects_duplicates(self):
         with pytest.raises(DepolarizeError):
             Codebook(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))

@@ -82,6 +82,9 @@ class TestProductPovmRoundTrip:
 
 
 def one_round_text(protocol, grid, tables=None) -> str:
+    """The streamed file, with the encoder evaluated on every grid state unless ``tables`` are given."""
+    if tables is None:
+        tables = [protocol.encoder_matrix(psi) for psi in grid]
     return "".join(serialize.one_round_protocol_chunks(protocol, grid, tables))
 
 
@@ -148,13 +151,11 @@ class TestOneRoundProtocolRoundTrip:
         assert serialize.dumps(obj["encoder"]["table"]) == serialize.dumps(expected_table)
         assert serialize.dumps(obj["decoders"]) == serialize.dumps(expected_decoders)
 
-    def test_precomputed_encoder_tables(self):
+    def test_table_count_must_match_the_grid(self):
         rng = np.random.default_rng(3)
         protocol = protocols.catalog_protocol("tb")
         grid = [projector(haar_ket(2, rng)) for _ in range(3)]
         tables = [protocol.encoder_matrix(psi) for psi in grid]
-        text = one_round_text(protocol, grid)
-        assert one_round_text(protocol, grid, tables) == text
         with pytest.raises(serialize.SerializationError):
             serialize.one_round_protocol_chunks(protocol, grid, tables[:2])
 
@@ -322,6 +323,24 @@ def nested_text(value, depth: int) -> str:
     return text[len(prefix) : len(text) - len(suffix)]
 
 
+class TestChunks:
+    """``serialize._chunks``, the one writer behind ``dumps`` and the streamed file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_TREES, other=_TREES, depth=st.integers(0, 3), cut=st.integers(0, 8))
+    def test_equals_json_at_each_depth_with_pre_written_text(self, value, other, depth, cut):
+        assert "".join(serialize._chunks(value, depth)) == nested_text(value, depth)
+        text = nested_text(other, depth + 1)
+
+        def written():
+            return serialize._Written(iter([text[:cut], text[cut:]]))
+
+        assert "".join(serialize._chunks([value, written()], depth)) == nested_text([value, other], depth)
+        assert "".join(serialize._chunks({"a": value, "b": written()}, depth)) == nested_text(
+            {"a": value, "b": other}, depth
+        )
+
+
 _TABLE_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.1]),
@@ -389,7 +408,7 @@ class TestStreamedOneRoundProtocol:
         values.reshape(-1)[: len(specials)] = specials[: values.size]
         text = "".join(serialize._array_chunks(values, depth))
         assert text == nested_text(values.tolist(), depth)
-        assert serialize.dumps(values.tolist(), depth) == text
+        assert "".join(serialize._chunks(values.tolist(), depth)) == text
 
     def test_writing_a_depth5_file_peaks_well_below_the_list_built_path(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -23,10 +23,13 @@ The mixture is generally not unique, so the lexicographically smallest
 feasible mu (in enumeration order) is returned, computed exactly by vertex
 enumeration when the family has at most _VERTEX_ENUM_LIMIT candidate
 supports (the subfamily search's cap too) and by deterministic non-negative
-least squares otherwise.  Only the NNLS solves need scipy, and ``_nnls``
-imports it on first use.  Every product of two local basis, trine or
-tetrahedral measurements prunes to at most 4 members and so is decided by
-vertex enumeration alone.
+least squares otherwise.  Per sender state, ``slot_weights`` is one product
+for the overlaps and one for its identity check, and the vertex search is
+one batched product with the stored pseudo-inverses and a scan whose winner
+is returned as solved there, without a second ``lstsq``.  Only the NNLS
+solves need scipy, and ``_nnls`` imports it on first use.  Every product of
+two local basis, trine or tetrahedral measurements prunes to at most 4
+members and so is decided by vertex enumeration alone.
 """
 
 from __future__ import annotations
@@ -133,12 +136,18 @@ class SlotWeightMap:
     Stacks the sender projectors U_i, the term weights w_i and the receiver
     projectors V_i of the terms w_i U_i (x) V_i.  ``slot_weight_map`` checks
     once that the terms sum to the identity; ``slot_weights`` then conditions
-    on each sender state.
+    on each sender state.  The flat copies serve ``slot_weights``: row i of
+    ``sender_rows`` is U_i transposed and flattened, so that
+    ``sender_rows @ psi.ravel()`` stacks tr(U_i psi), and ``receiver_rows``
+    and ``identity`` flatten the V_i and the receiver's identity.
     """
 
     sender: np.ndarray
     weights: np.ndarray
     receiver: np.ndarray
+    sender_rows: np.ndarray
+    receiver_rows: np.ndarray
+    identity: np.ndarray
 
 
 def slot_weight_map(joint: Sequence[ProductRank1Effect]) -> SlotWeightMap:
@@ -146,13 +155,19 @@ def slot_weight_map(joint: Sequence[ProductRank1Effect]) -> SlotWeightMap:
     if any(e.n_parties != 2 for e in joint):
         raise ValueError("slot weights need two-party product effects")
     qmath.assert_product_povm(joint)
-    arrays = (
-        np.array([projector(e.factors[0]) for e in joint]),
-        np.array([e.weight for e in joint]),
-        np.array([projector(e.factors[1]) for e in joint]),
-    )
-    for p in arrays[2]:
+    sender = np.array([projector(e.factors[0]) for e in joint])
+    receiver = np.array([projector(e.factors[1]) for e in joint])
+    for p in receiver:
         _assert_rank1_projector(p)
+    d = receiver.shape[-1]
+    arrays = (
+        sender,
+        np.array([e.weight for e in joint]),
+        receiver,
+        sender.transpose(0, 2, 1).reshape(len(joint), -1),
+        receiver.reshape(len(joint), d * d),
+        np.eye(d).reshape(-1),
+    )
     for a in arrays:
         a.setflags(write=False)
     return SlotWeightMap(*arrays)
@@ -162,16 +177,16 @@ def slot_weights(slot_map: SlotWeightMap, psi: np.ndarray) -> np.ndarray:
     """The slot weights w_i tr(U_i psi) induced on the receiver projectors by a known sender state.
 
     Negative overlaps (rounding) count as zero, and the weighted receiver
-    projectors must sum to the identity within ATOL_MATRIX.
+    projectors must sum to the identity within ATOL_MATRIX.  The overlaps
+    are one product with the map's flat sender rows, and the identity check
+    one product with its flat receiver rows.
     """
     psi = qmath.assert_density_matrix(psi)
     if psi.shape[0] != slot_map.sender.shape[-1]:
         raise qmath.DimensionError("state dimension does not match the first factor")
-    overlaps = np.trace(slot_map.sender @ psi, axis1=-2, axis2=-1).real
+    overlaps = (slot_map.sender_rows @ psi.ravel()).real
     weights = slot_map.weights * np.where(overlaps < 0.0, 0.0, overlaps)
-    d = slot_map.receiver.shape[-1]
-    total = weights @ slot_map.receiver.reshape(len(weights), d * d)
-    if np.max(np.abs(total - np.eye(d).reshape(-1))) > ATOL_MATRIX:
+    if np.max(np.abs(weights @ slot_map.receiver_rows - slot_map.identity)) > ATOL_MATRIX:
         raise ValueError("weighted projectors do not sum to identity")
     return weights
 
@@ -183,7 +198,7 @@ def _constraint_system(n_slots: int, extremals: Sequence[ExtremalPovm]) -> np.nd
     return a
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> bool:
+def _lex_less(a: Sequence[float], b: Sequence[float], tol: float = 1e-11) -> bool:
     for x, y in zip(a, b):
         if x < y - tol:
             return True
@@ -322,26 +337,23 @@ def message_system(slot_map: SlotWeightMap) -> MixtureSystem:
 def _lex_min_vertex(system: MixtureSystem, b: np.ndarray) -> np.ndarray | None:
     """The lexicographically smallest basic feasible solution of A mu = b, mu >= 0, or None.
 
-    Every candidate support is solved at once from its stored pseudo-inverse;
-    the feasible ones are scanned in enumeration order with ``_lex_less``, and
-    the winning support is solved again with ``lstsq``.
+    Every candidate support is solved at once from its stored pseudo-inverse
+    (cut off as ``lstsq(rcond=None)`` cuts off), and those solves are the
+    mixtures: the feasible ones are scanned in enumeration order with
+    ``_lex_less``, as Python floats, and the winner's solve is returned.
     """
     w = system.inverses @ b
-    residual = np.max(np.abs((system.submatrices @ w[:, :, None])[:, :, 0] - b), axis=1)
-    feasible = ~(np.min(w, axis=1) < -SIGN_TOL) & ~(residual > RESIDUAL_TOL)
-    best = best_support = None
-    for k in np.flatnonzero(feasible):
-        support = system.supports[k]
-        mu = np.zeros(system.matrix.shape[1])
-        mu[list(support)] = np.clip(w[k, :len(support)], 0.0, None)
+    residual = np.max(np.abs(np.einsum("krs,ks->kr", system.submatrices, w) - b), axis=1)
+    feasible = np.flatnonzero(~(np.min(w, axis=1) < -SIGN_TOL) & ~(residual > RESIDUAL_TOL))
+    n_family = system.matrix.shape[1]
+    best = None
+    for k, values in zip(feasible.tolist(), w[feasible].tolist()):
+        mu = [0.0] * n_family
+        for i, x in zip(system.supports[k], values):
+            mu[i] = max(x, 0.0)
         if best is None or _lex_less(mu, best):
-            best, best_support = mu, support
-    if best_support is None:
-        return None
-    w, *_ = np.linalg.lstsq(system.matrix[:, best_support], b, rcond=None)
-    mu = np.zeros(system.matrix.shape[1])
-    mu[list(best_support)] = np.clip(w, 0.0, None)
-    return mu
+            best = mu
+    return None if best is None else np.array(best)
 
 
 def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray:
@@ -351,9 +363,11 @@ def solve_mixture(system: MixtureSystem, weights: Sequence[float]) -> np.ndarray
     RESIDUAL_TOL.  It is found by the system's one feasibility rule:
     ``_lex_min_vertex`` (the lexicographically smallest vertex, in enumeration
     order) when the system holds candidate supports, and deterministic NNLS
-    when it does not.  DecompositionInfeasibleError is raised when the rule
-    finds no mixture or the mixture misses the weights, which signals that
-    the weights are not a valid measurement over this family.
+    when it does not.  Coefficients below MIN_WEIGHT are then zeroed, and the
+    sum and the slot residual are checked on the result.
+    DecompositionInfeasibleError is raised when the rule finds no mixture or
+    the mixture misses the weights, which signals that the weights are not a
+    valid measurement over this family.
     """
     a = system.matrix
     b = np.concatenate([np.asarray(weights, dtype=float), [1.0]])

@@ -385,9 +385,11 @@ def block_basis_protocol(blocks: Sequence[BasisBlock]) -> OneRoundProtocol:
                 family = blocks[i].bob_bit0 if a == 0 else blocks[i].bob_bit1
                 effects[0, k, o] = projector(family[j])
 
+    alice = [projector(b.alice) for b in blocks]
+
     def encoder(psi: np.ndarray) -> np.ndarray:
         psi = qmath.assert_density_matrix(psi, "sender state")
-        p0 = np.array([np.trace(projector(b.alice) @ psi).real for b in blocks])
+        p0 = np.array([np.trace(a @ psi).real for a in alice])
         bit_probs = np.maximum(np.stack([p0, 1.0 - p0], axis=1), 0.0)
         # Row k multiplies block i's probability of the bit message k sends, block by block.
         return np.prod(bit_probs[np.arange(n_blocks), np.array(messages)], axis=1)[None, :]

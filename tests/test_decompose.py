@@ -377,7 +377,9 @@ def measurements_and_states(draw):
 class TestBatchedSolve:
     @settings(max_examples=80, deadline=None)
     @given(measurements_and_states())
-    def test_matches_per_support_lstsq_scan_exactly(self, case):
+    def test_matches_per_support_lstsq_scan_below_1e_15(self, case):
+        # The winner's mu is its stored pseudo-inverse solve, whose last bits may differ
+        # from lstsq's; feasibility and the zero pattern may not.
         joint, family, psi = case
         weights = slot_weights(slot_weight_map(joint), psi)
         expected = reference_coefficients(weights, family)
@@ -386,7 +388,9 @@ class TestBatchedSolve:
             with pytest.raises(DecompositionInfeasibleError):
                 solve_mixture(system, weights)
         else:
-            np.testing.assert_array_equal(solve_mixture(system, weights), expected)
+            mu = solve_mixture(system, weights)
+            np.testing.assert_array_equal(mu == 0.0, expected == 0.0)
+            assert np.max(np.abs(mu - expected)) <= 1e-15
 
     def test_weights_of_the_wrong_length_are_rejected(self):
         system = decompose.mixture_system(5, enumerate_extremals(tb_bob_slots()))

@@ -455,6 +455,59 @@ class TestMessageFamily:
         )
 
 
+def tetra_product_effects():
+    """The 256-member tetrahedral product family: both parties measure the same tetrahedron."""
+    tetra = [qmath.bloch_to_ket(np.asarray(b) / math.sqrt(3.0)) for b in TETRA_BLOCH]
+    return [ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
+
+
+# Every alphabet that message_system certifies with independent columns.  tb and twistA are
+# left out: they keep their whole 4-member family, of rank 3, so their mixtures are not
+# unique and pinv(A) G has negative eigenvalues (about -0.13 and -0.10), which is no sender
+# measurement.
+INDEPENDENT_ALPHABETS = [
+    pytest.param(catalog_product_effects(name), catalog_labels(name), id=name) for name in ("comp", "twistB")
+] + [pytest.param(tetra_product_effects(), None, id="tetra256")] + [
+    pytest.param(random_product_povm(np.random.default_rng(seed), (left, right)), None,
+                 id=f"{left}-{right}-{seed}")
+    for left in ("basis", "trine", "tetra")
+    for right in ("basis", "trine", "tetra")
+    for seed in range(6)
+]
+
+
+def identity_deviation(q, effects, joint, labels, outcomes):
+    """The largest entry of sum_j Q_j (x) effects[0, j, o] minus outcome o's summed target effect."""
+    deviation = 0.0
+    for o, label in enumerate(outcomes):
+        target = sum(e.matrix() for e, term_label in zip(joint, labels) if term_label == label)
+        simulated = sum(np.kron(q_j, effects[0, j, o]) for j, q_j in enumerate(q))
+        deviation = max(deviation, np.max(np.abs(simulated - target)))
+    return deviation
+
+
+class TestSenderOperators:
+    @pytest.mark.parametrize("joint, labels", INDEPENDENT_ALPHABETS)
+    def test_certified_alphabet_reproduces_every_target_effect(self, joint, labels):
+        # With independent columns the mixture is unique: mu_j = tr(Q_j psi), Q = pinv(A) G, and
+        # the sender in effect measures {Q_j}.  So sum_j Q_j (x) F_{j,o} = E_o proves equal
+        # statistics for every sender state and every receiver state, entangled ones included.
+        protocol = rank1_product_protocol(joint, labels)
+        slot_map = slot_weight_map(joint)
+        system = decompose.message_system(slot_map)
+        assert list(protocol.messages) == [e.support for e in system.extremals]
+        assert np.linalg.matrix_rank(system.matrix) == system.matrix.shape[1]
+        d = slot_map.sender.shape[-1]
+        g = np.concatenate([slot_map.weights[:, None, None] * slot_map.sender, np.eye(d)[None]])
+        q = np.tensordot(np.linalg.pinv(system.matrix), g, 1)
+        assert np.linalg.eigvalsh(q).min() >= -decompose.SIGN_TOL
+        labels = range(len(joint)) if labels is None else labels
+        assert identity_deviation(q, protocol.effects, joint, labels, protocol.outcomes) <= 1e-12
+        perturbed = protocol.effects.copy()
+        perturbed[0, 0, 0] += 1e-6 * qmath.SIGMA_X
+        assert identity_deviation(q, perturbed, joint, labels, protocol.outcomes) > 1e-12
+
+
 class TestRunSampled:
     def test_same_seed_is_reproducible(self):
         protocol = catalog_protocol("tb")
@@ -510,9 +563,7 @@ def counting_protocol(encoder=None):
 
 
 def tetra_product_protocol():
-    tetra = [qmath.bloch_to_ket(np.asarray(b) / math.sqrt(3.0)) for b in TETRA_BLOCH]
-    joint = [ProductRank1Effect(weight=0.25, factors=(a, b)) for a in tetra for b in tetra]
-    return rank1_product_protocol(joint)
+    return rank1_product_protocol(tetra_product_effects())
 
 
 def shift_protocol(config="A"):
@@ -661,6 +712,23 @@ class TestEncoderMemo:
             expected = [check_distributions(oracle.encoder(s), p.shape[:2], "oracle") for s in states]
             for i in order:
                 np.testing.assert_array_equal(p.encoder_matrix(states[i]), expected[i])
+
+
+class TestPerStateWork:
+    def test_encoders_run_no_lstsq_per_state(self, monkeypatch):
+        # Built first: enumerate_extremals still runs lstsq while a protocol is built.
+        singles, shift = [catalog_protocol(name) for name in ("tb", "twistA", "comp")], shift_protocol("A")
+
+        def lstsq_forbidden(*args, **kwargs):
+            raise AssertionError("an encoder ran lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_forbidden)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            psi = projector(haar_ket(2, rng))
+            for protocol in singles:
+                protocol.encoder(psi)
+            shift.encoder([psi, projector(haar_ket(2, rng))])
 
 
 class TestBlockBasisProtocol:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -179,6 +182,12 @@ class TestAverageState:
         with pytest.raises(DepolarizeError):
             simulate_average_state(qmath.I2 / 2, codebook("cube"), 10, seed=1)
 
+    @pytest.mark.parametrize("n, batch", [(0, 100), (10, 0), (10, -5)])
+    def test_rejects_sample_count_or_batch_below_one(self, n, batch):
+        psi = qmath.bloch_to_density((0, 0, 1))
+        with pytest.raises(DepolarizeError):
+            simulate_average_state(psi, codebook("cube"), n, seed=1, batch=batch)
+
     @pytest.mark.parametrize("m, seed", [(1, 3), (3, 4), (6, 5)])
     def test_row_chunks_match_the_whole_batch_average(self, m, seed):
         psi_hat = qmath.random_bloch(np.random.default_rng(seed))
@@ -201,12 +210,29 @@ class TestAverageState:
             tracemalloc.stop()
         assert peak < 80e6
 
+    def test_peak_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
+        # Every worker rotates a block of its own: blocks of the one-worker size
+        # peaked at 74.6 MB on 8 workers, against 12.5 MB on one.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: 8)
+        tracemalloc.start()
+        try:
+            simulate_average_state(qmath.bloch_to_density((0, 0, 1)), codebook(8), 20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
 
 class TestEstimateEta:
     def test_antipodal_half(self):
         eta, se = estimate_eta(codebook("antipodal"), 10**6, seed=29)
         assert abs(eta - 0.5) <= 3.0 * se
         assert se < 0.001
+
+    @pytest.mark.parametrize("n, batch", [(0, 100), (10, 0), (10, -5)])
+    def test_rejects_sample_count_or_batch_below_one(self, n, batch):
+        with pytest.raises(DepolarizeError):
+            estimate_eta(codebook("cube"), n, 0, batch=batch)
 
     def test_single_vector_codebook_averages_to_zero(self):
         eta, se = estimate_eta(Codebook(np.array([[0.0, 0.0, 1.0]])), 10**5, seed=31)
@@ -394,6 +420,18 @@ class TestBlockedEstimator:
             tracemalloc.stop()
         assert peak < 5e6
 
+    def test_peak_memory_at_256_codewords_on_two_workers(self, monkeypatch):
+        # Each worker holds one block's scratch: quaternions, squares, norms, z rows and a score block.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: 2)
+        c = codebook(8)
+        tracemalloc.start()
+        try:
+            estimate_eta(c, 200_000, seed=79)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_one_row_last_block_of_simulate_average_state(self):
         psi_hat = qmath.random_bloch(np.random.default_rng(83))
         c, n = codebook(3), BLOCK + 1
@@ -402,6 +440,109 @@ class TestBlockedEstimator:
         expected = qmath.bloch_to_density(rotated[np.arange(n), winners].sum(axis=0) / n)
         rho = simulate_average_state(qmath.bloch_to_density(psi_hat), c, n, 83)
         np.testing.assert_array_equal(rho, expected)
+
+
+class TestBlockWorkers:
+    """Blocks run on up to min(CPUs, blocks) threads; no result may depend on how many."""
+
+    SMALL_BLOCK = 8
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", self.SMALL_BLOCK)
+
+    @staticmethod
+    def record_threads(monkeypatch):
+        """Wrap _z_rows, which every block calls, to record the live thread count."""
+        seen = []
+        z_rows = dp._z_rows
+
+        def recording(q, rows):
+            seen.append(threading.active_count())
+            return z_rows(q, rows)
+
+        monkeypatch.setattr(dp, "_z_rows", recording)
+        return seen
+
+    @pytest.mark.parametrize("spec", ["tetrahedron", 8])
+    @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1, 9_001])
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, spec, n):
+        c = codebook(spec)
+        psi = qmath.bloch_to_density(qmath.random_bloch(np.random.default_rng(n)))
+        expected_scores = sample_major_scores(c, np.random.default_rng(97), n)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
+            before = threading.active_count()
+            scores = dp._batch_scores(c, np.random.default_rng(97), n)
+            assert threading.active_count() == before
+            eta = estimate_eta(c, n, 101, batch=n // 2 + 1)
+            assert threading.active_count() == before
+            rho = simulate_average_state(psi, c, n, 103)
+            assert threading.active_count() == before
+            np.testing.assert_array_equal(scores, expected_scores)
+            results.append((eta, rho))
+        for eta, rho in results[1:]:
+            assert eta == results[0][0]
+            np.testing.assert_array_equal(rho, results[0][1])
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
+        # A block drawn out of turn or taken twice would move a score.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: 8)
+        c, n = codebook(8), 9_001
+        expected = sample_major_scores(c, np.random.default_rng(113), n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(113), n), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "cpus, n, extra", [(1, 9_001, 0), (3, SMALL_BLOCK, 0), (3, SMALL_BLOCK + 1, 1), (3, 9_001, 2)]
+    )
+    def test_starts_one_thread_fewer_than_min_of_cpus_and_blocks(self, monkeypatch, cpus, n, extra):
+        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
+        seen = self.record_threads(monkeypatch)
+        before = threading.active_count()
+        dp._batch_scores(codebook("cube"), np.random.default_rng(107), n)
+        assert max(seen) <= before + extra
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "started"])
+    def test_a_failing_block_raises_in_the_caller_and_ends_every_thread(self, monkeypatch, failing):
+        # The failing kind of thread raises on its third block; the other kind
+        # sleeps on each block, so the failing one is sure to reach its third.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: 2)
+        caller = threading.current_thread()
+        blocks_run = {}
+        z_rows = dp._z_rows
+
+        def failing_z_rows(q, rows):
+            thread = threading.current_thread()
+            blocks_run[thread] = blocks_run.get(thread, 0) + 1
+            if (thread is caller) == (failing == "caller"):
+                if blocks_run[thread] == 3:
+                    raise RuntimeError("block failed")
+            else:
+                time.sleep(0.001)
+            return z_rows(q, rows)
+
+        monkeypatch.setattr(dp, "_z_rows", failing_z_rows)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="block failed"):
+            dp._batch_scores(codebook("cube"), np.random.default_rng(109), 9_001)
+        assert set(threading.enumerate()) == before
+        assert sum(blocks_run.values()) < -(-9_001 // self.SMALL_BLOCK)
+
+    def test_cpu_count_falls_back_to_the_machine_count(self, monkeypatch):
+        assert dp._cpu_count() >= 1
+        monkeypatch.delattr(dp.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dp.os, "cpu_count", lambda: 5)
+        assert dp._cpu_count() == 5
+        monkeypatch.setattr(dp.os, "cpu_count", lambda: None)
+        assert dp._cpu_count() == 1
 
 
 class TestEtaCap:

@@ -1,11 +1,11 @@
-"""Write one line per noise-parameter estimate into OUTDIR/eta_digests.txt.
+"""Write one line per Monte Carlo result of ``depolarize`` into OUTDIR/eta_digests.txt.
 
 Usage (from the repository root, or with any qchansim tree on PYTHONPATH):
 
     PYTHONPATH=src python tools/eta_digests.py OUTDIR [--against DIR]
 
-Each line holds a case name, ``repr(float(eta))`` and ``repr(float(stderr))`` of
-``depolarize.estimate_eta``.  The cases cover:
+An ``estimate_eta`` line holds a case name, ``repr(float(eta))`` and
+``repr(float(stderr))`` of ``depolarize.estimate_eta``.  Its cases cover:
 
 - the named codebooks (antipodal, tetrahedron, cube) and the golden-angle
   spirals of 2^m words for m = 1..12;
@@ -15,6 +15,13 @@ Each line holds a case name, ``repr(float(eta))`` and ``repr(float(stderr))`` of
 - the default batch (200000) and a batch of 10007, which is not a multiple
   of any block;
 - seeds 0-2.
+
+An ``average`` line holds a case name, the realized eta (the Bloch vector of
+``depolarize.simulate_average_state`` along the input) and ``repr`` of the
+real parameters rho00, Re rho01, Im rho01 and rho11 of the returned state.  Its
+cases take the pure input along (1, 2, 2)/3 through the golden-angle spirals
+of m = 1..8 bits, sample counts 1, 4097 and 25005, the default batch
+(100000) and a batch of 10007, and seeds 0-2.
 
 With ``--against DIR`` the tool also reads DIR/eta_digests.txt, prints every
 case that differs and the largest |delta eta|, and exits 1 when a case is
@@ -26,13 +33,19 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from qchansim import depolarize
+import numpy as np
+
+from qchansim import depolarize, qmath
 
 DIGEST_FILE = "eta_digests.txt"
 CODEBOOKS = ["antipodal", "tetrahedron", "cube", *range(1, 13)]
 SAMPLES = [1, 2, 4095, 4096, 4097, 8193, 25_005, 200_000]
 BATCHES = [200_000, 10_007]
 SEEDS = [0, 1, 2]
+AVERAGE_BITS = range(1, 9)
+AVERAGE_SAMPLES = [1, 4097, 25_005]
+AVERAGE_BATCHES = [100_000, 10_007]
+AVERAGE_INPUT = np.array([1.0, 2.0, 2.0]) / 3.0
 
 
 def digest_lines() -> list[str]:
@@ -44,6 +57,17 @@ def digest_lines() -> list[str]:
                 for seed in SEEDS:
                     eta, stderr = depolarize.estimate_eta(c, n, seed, batch=batch)
                     lines.append(f"{c.name}-n{n}-batch{batch}-seed{seed} {float(eta)!r} {float(stderr)!r}")
+    psi = qmath.bloch_to_density(AVERAGE_INPUT)
+    for m in AVERAGE_BITS:
+        c = depolarize.codebook(m)
+        for n in AVERAGE_SAMPLES:
+            for batch in AVERAGE_BATCHES:
+                for seed in SEEDS:
+                    rho = depolarize.simulate_average_state(psi, c, n, seed, batch=batch)
+                    eta = qmath.density_to_bloch(rho) @ AVERAGE_INPUT
+                    entries = (rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag, rho[1, 1].real)
+                    values = " ".join(repr(float(v)) for v in (eta, *entries))
+                    lines.append(f"average-{c.name}-n{n}-batch{batch}-seed{seed} {values}")
     return lines
 
 

@@ -14,19 +14,20 @@ action on Bloch vectors enters the protocol.  For the z input only the z row
 of R enters, z_hat . R omega_i = (R^T z_hat) . omega_i, so ``estimate_eta``
 builds that row alone.
 
-Both Monte Carlo paths split each batch into blocks of at most
-``_SAMPLE_BLOCK`` samples and run them with ``_run_blocks`` on up to one
-thread per CPU the process may use.  A worker draws its next block's
-quaternions from the batch's generator under one lock, so block k holds the
-k-th draw whichever thread runs it, then normalises and scores the block in
-its own scratch, outside the lock, into the block's own rows of the batch's
-result.  Results therefore do not depend on the number of threads.
-``estimate_eta`` scores each block against the codewords in cache-sized
-(codewords x samples) blocks (``_batch_scores``) and keeps only the batch's
-score vector; ``simulate_average_state`` rotates every codeword of a block of
-at most ``_SCORE_ENTRIES`` / (3 x codewords x CPUs) samples at once, so its
-workers together hold about as much as one did, and keeps only the batch's
-chosen Bloch vectors.
+Both Monte Carlo paths split each batch into blocks and run them with
+``_run_blocks``.  A worker draws its next block's quaternions from the
+batch's generator under one lock, so block k holds the k-th draw whichever
+thread runs it, then normalises and scores the block in its own scratch,
+outside the lock, into the block's own rows of the batch's result.  Results
+therefore do not depend on the number of threads.  ``estimate_eta`` runs its
+blocks of ``_SAMPLE_BLOCK`` samples on up to one thread per CPU the process
+may use, as many as fit their scratch in ``_SCRATCH_BYTES``
+(``_worker_count``), and scores each against the codewords in cache-sized
+(codewords x samples) blocks (``_batch_scores``), keeping only the batch's
+score vector.  ``simulate_average_state`` runs on one worker, rotates every
+codeword of a block of at most ``_SAMPLE_BLOCK`` and ``_SCORE_ENTRIES`` /
+(3 x codewords) samples at once and keeps only the batch's chosen Bloch
+vectors.
 """
 
 from __future__ import annotations
@@ -53,9 +54,13 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 MAX_BITS = 16
 
 # Entries of a block held at once: (samples x codewords x 3) rotated codewords
-# in simulate_average_state, summed over its workers, and rows x codewords of
-# the codebook's Gram matrix.  8 MB of float64.
+# in simulate_average_state and rows x codewords of the codebook's Gram
+# matrix.  8 MB of float64.
 _SCORE_ENTRIES = 4096 * 256
+# Bytes of scratch the workers of one estimate_eta batch may hold together,
+# so peak memory does not grow with the CPU count: two workers at 256
+# codewords (0.92 MB each) fit, four at 2 codewords (0.49 MB each).
+_SCRATCH_BYTES = 2**21
 # Samples drawn and rotated at once by both Monte Carlo paths: a (block, 4)
 # array of quaternions is 128 KB.
 _SAMPLE_BLOCK = 4096
@@ -206,8 +211,20 @@ def _cpu_count() -> int:
     """CPUs this process may run on (all of the machine's where affinity is unknown)."""
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:
+    except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def _worker_count(size: int, block: int, work_bytes: int) -> int:
+    """Workers for a batch of ``size`` samples in blocks of ``block``.
+
+    At most one per CPU and one per block, and only as many as fit their
+    scratch in ``_SCRATCH_BYTES``: ``work_bytes`` each, plus the quaternion,
+    square and norm buffers of ``_run_blocks``.  Always at least one.
+    """
+    rows = min(block, size)
+    fit = _SCRATCH_BYTES // (work_bytes + 8 * 9 * rows)
+    return max(1, min(_cpu_count(), -(-size // block), fit))
 
 
 def _run_blocks(
@@ -215,18 +232,19 @@ def _run_blocks(
     size: int,
     block: int,
     make_work: Callable[[], Callable[[int, np.ndarray], None]],
+    workers: int,
 ) -> None:
     """Draw one batch of ``size`` unit quaternions block by block and hand each block to a worker.
 
-    Up to min(``_cpu_count()``, blocks) workers run, one of them in the
-    caller's thread, so a one-block batch starts no thread.  ``make_work()``
-    is called once per worker and returns ``work(lo, q)``, which owns that
-    worker's scratch and may write only rows lo..lo + len(q) of the batch's
-    result.  All scratch is allocated in the caller's thread, since glibc
-    gives each started thread a malloc arena of its own that keeps freed
-    blocks resident: over estimate_eta calls at m = 1, 2, 3, 6 and 8, a
-    second worker that allocated its own scratch added 2.3 MB of peak RSS,
-    and one whose scratch is allocated here adds 1.0 MB.
+    ``workers`` workers run, one of them in the caller's thread, so one
+    worker starts no thread.  ``make_work()`` is called once per worker and
+    returns ``work(lo, q)``, which owns that worker's scratch and may write
+    only rows lo..lo + len(q) of the batch's result.  All scratch is
+    allocated in the caller's thread, since glibc gives each started thread a
+    malloc arena of its own that keeps freed blocks resident: over
+    estimate_eta calls at m = 1, 2, 3, 6 and 8, a second worker that
+    allocated its own scratch added 2.3 MB of peak RSS, and one whose scratch
+    is allocated here adds 1.0 MB.
 
     Under one lock a worker takes the next block start and draws the block's
     normals into its own buffer, so q holds rows lo..lo + len(q) of
@@ -239,9 +257,9 @@ def _run_blocks(
     starts = iter(range(0, size, block))
     lock = threading.Lock()
     failures: list[BaseException] = []
+    rows = min(block, size)
 
     def scratch():
-        rows = min(block, size)
         return make_work(), np.empty((rows, 4)), np.empty((rows, 4)), np.empty((rows, 1))
 
     def worker(work, draws, squares, norms):
@@ -264,7 +282,7 @@ def _run_blocks(
 
     threads = []
     try:
-        for _ in range(min(_cpu_count(), -(-size // block)) - 1):
+        for _ in range(workers - 1):
             thread = threading.Thread(target=worker, args=scratch())
             thread.start()
             threads.append(thread)
@@ -329,8 +347,7 @@ def simulate_average_state(
 
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
     rngs = _batch_seeds(seed, len(sizes))
-    # Every worker rotates a block of its own, so they share _SCORE_ENTRIES.
-    block = min(_SAMPLE_BLOCK, max(1, _SCORE_ENTRIES // (3 * len(c) * _cpu_count())))
+    block = min(_SAMPLE_BLOCK, max(1, _SCORE_ENTRIES // (3 * len(c))))
     total = np.zeros(3)
     for rng, size in zip(rngs, sizes):
         # Rotate and score block by block, and sum the batch's choices at once.
@@ -341,7 +358,9 @@ def simulate_average_state(
             winners = np.argmax(rotated @ psi_hat, axis=1)
             chosen[lo : lo + len(q)] = rotated[np.arange(len(q)), winners]
 
-        _run_blocks(rng, size, block, lambda: choose)
+        # One worker: np.einsum holds the GIL, and a second worker made a
+        # 2·10^5-sample call slower (118 -> 123 ms at 2 codewords, 2 CPUs).
+        _run_blocks(rng, size, block, lambda: choose, 1)
         total += chosen.sum(axis=0)
     return qmath.bloch_to_density(total / n)
 
@@ -367,6 +386,8 @@ def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarra
         # A one-sample batch stays one column (gemv), as sample-major scoring has it.
         return n if size == 1 else -(-n // _PANEL) * _PANEL
 
+    work_bytes = 8 * (3 * panels(min(block, size)) + (len(chunks[0]) + 1) * columns)
+
     def make_work():
         z_buffer = np.empty((3, panels(min(block, size))))
         products = np.empty((len(chunks[0]), columns))  # every score block is written here
@@ -387,7 +408,7 @@ def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarra
 
         return work
 
-    _run_blocks(rng, size, block, make_work)
+    _run_blocks(rng, size, block, make_work, _worker_count(size, block, work_bytes))
     return scores
 
 

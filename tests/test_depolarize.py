@@ -210,10 +210,11 @@ class TestAverageState:
             tracemalloc.stop()
         assert peak < 80e6
 
-    def test_peak_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
-        # Every worker rotates a block of its own: blocks of the one-worker size
-        # peaked at 74.6 MB on 8 workers, against 12.5 MB on one.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: 8)
+    @pytest.mark.parametrize("cpus", [8, 64])
+    def test_peak_memory_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
+        # Every worker would rotate a block of its own: 8 workers peaked at 74.6 MB,
+        # against 12.5 MB on one.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         tracemalloc.start()
         try:
             simulate_average_state(qmath.bloch_to_density((0, 0, 1)), codebook(8), 20_000, seed=3)
@@ -420,9 +421,11 @@ class TestBlockedEstimator:
             tracemalloc.stop()
         assert peak < 5e6
 
-    def test_peak_memory_at_256_codewords_on_two_workers(self, monkeypatch):
-        # Each worker holds one block's scratch: quaternions, squares, norms, z rows and a score block.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: 2)
+    @pytest.mark.parametrize("cpus", [2, 16, 64])
+    def test_peak_memory_at_256_codewords_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
+        # Each worker holds one block's scratch (quaternions, squares, norms, z rows
+        # and a score block, 0.92 MB); a worker per CPU would reach 5.3 MB at 4 CPUs.
+        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         c = codebook(8)
         tracemalloc.start()
         try:
@@ -443,7 +446,7 @@ class TestBlockedEstimator:
 
 
 class TestBlockWorkers:
-    """Blocks run on up to min(CPUs, blocks) threads; no result may depend on how many."""
+    """estimate_eta blocks run on up to min(CPUs, blocks) threads; no result may depend on how many."""
 
     SMALL_BLOCK = 8
 
@@ -510,6 +513,25 @@ class TestBlockWorkers:
         assert max(seen) <= before + extra
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize(
+        "path, spec, extra",
+        [("eta", "antipodal", 3), ("eta", 8, 1), ("average", "antipodal", 0), ("average", 8, 0)],
+    )
+    def test_scratch_budget_caps_the_threads_on_many_cpus(self, monkeypatch, path, spec, extra):
+        # At full-size blocks an estimate_eta worker's scratch is 0.49 MB at 2
+        # codewords and 0.92 MB at 256; simulate_average_state runs on one worker.
+        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", BLOCK)
+        monkeypatch.setattr(dp, "_cpu_count", lambda: 64)
+        seen = self.record_threads(monkeypatch)
+        c = codebook(spec)
+        before = threading.active_count()
+        if path == "eta":
+            estimate_eta(c, 9 * BLOCK, 127)
+        else:
+            simulate_average_state(qmath.bloch_to_density((0, 0, 1)), c, 9 * BLOCK, 127)
+        assert max(seen) <= before + extra
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("failing", ["caller", "started"])
     def test_a_failing_block_raises_in_the_caller_and_ends_every_thread(self, monkeypatch, failing):
         # The failing kind of thread raises on its third block; the other kind
@@ -543,6 +565,13 @@ class TestBlockWorkers:
         assert dp._cpu_count() == 5
         monkeypatch.setattr(dp.os, "cpu_count", lambda: None)
         assert dp._cpu_count() == 1
+
+        def unavailable(pid):
+            raise OSError("affinity unavailable")
+
+        monkeypatch.setattr(dp.os, "sched_getaffinity", unavailable, raising=False)
+        monkeypatch.setattr(dp.os, "cpu_count", lambda: 5)
+        assert dp._cpu_count() == 5
 
 
 class TestEtaCap:

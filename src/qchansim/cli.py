@@ -109,16 +109,16 @@ def _csv_document(command: str, config: dict, header: list[str], rows: list[list
 
 
 def _number(value, kind: type, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+    # A JSON string such as "7" is not a number, and a bool is not one either.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
         article = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {article}, got {value!r}") from exc
+        raise ConfigError(f"{what} must be {article}, got {value!r}")
+    return kind(value)
 
 
 def _integer(value, what: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
     value = _number(value, int, what)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {value}")
@@ -419,7 +419,7 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     raw_tolerance = config.get("check_tolerance", default_tolerance)
     tolerance = _number(raw_tolerance, float, "check_tolerance")
-    if isinstance(raw_tolerance, bool) or not 0.0 < tolerance < math.inf:
+    if not 0.0 < tolerance < math.inf:
         raise ConfigError(f"check_tolerance must be a finite number above 0, got {raw_tolerance!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -619,14 +619,7 @@ def main(argv=None) -> int:
     except (ConfigError, serialize.SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (
-        qmath.QmathError,
-        protocols.ProtocolError,
-        decompose.DecompositionInfeasibleError,
-        depolarize.DepolarizeError,
-        nogo.NogoError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every qchansim invariant error subclasses ValueError
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

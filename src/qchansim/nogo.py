@@ -356,14 +356,9 @@ def _encoder_step(
     (Gauss-Seidel): the row for atom x is fitted against the rows already
     updated for the atoms before it, which batching across atoms would change.
 
-    With one message there is nothing to solve.  Arrays may carry a leading
-    start axis, as in ``_effects_step``, and the starts are solved together;
-    the arrays of one start (enc (N, K, M), p (K,), weights (M, K), axes
-    (M, K, 3)) are updated in place through views with a start axis of one.
+    With one message there is nothing to solve.  Arrays carry a leading start
+    axis, as in ``_effects_step``, and the starts are solved together.
     """
-    if enc.ndim == 3:
-        _encoder_step(targets, enc[None], p[None], weights[None], axes[None])
-        return
     n_starts, n, k, m_count = enc.shape
     if m_count == 1:
         # The simplex is the single point 1.0, which the support solve writes

@@ -573,6 +573,13 @@ class TestMalformedInput:
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": math.inf}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": -1}),
             ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": 0}),
+            # JSON strings are not numbers, even when they spell one.
+            ("depolarize", {"seed": "7", "samples": "1000", "bit_counts": ["1"]}),
+            ("depolarize", {"bit_counts": ["1"]}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "seed": "3"}, "check_tolerance": "1e-3"}),
+            ("collapse", {"protocol": {"kind": "random_three_round", "seed": "3"}}),
+            ("collapse", {"protocol": {"kind": "random_three_round"}, "check_tolerance": "1e-3"}),
+            ("nogo", {"cases": [{"messages": "2", "atoms": 1, "states": 1}], "budget": 8, "starts": 1}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": 0}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "starts": -1}),
             ("nogo", {"cases": [{"messages": 1, "atoms": 1, "states": 1}], "budget": 0}),

@@ -316,7 +316,7 @@ def reference_optimize(targets, n_messages, n_atoms, seed, budget, starts):
         state_weights = np.ones(n)
         for _ in range(sweeps):
             reference_effects_step(targets, enc, p, weights, axes, state_weights)
-            nogo._encoder_step(targets, enc, p, weights, axes)
+            nogo._encoder_step(targets, enc[None], p[None], weights[None], axes[None])
             iterations += 1
             errors = nogo._state_errors(targets, p, enc, weights, axes)
             err = float(errors.max())
@@ -499,7 +499,7 @@ class TestEncoderStep:
             axes[:] = axes[:1]
         batched = np.array(s.encoder)
         reference = np.array(s.encoder)
-        nogo._encoder_step(targets, batched, s.atom_probs, weights, axes)
+        nogo._encoder_step(targets, batched[None], s.atom_probs[None], weights[None], axes[None])
         reference_encoder_step(targets, reference, s.atom_probs, weights, axes)
         np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-10)
         assert batched.min() >= 0.0

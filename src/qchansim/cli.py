@@ -139,7 +139,7 @@ def _resolve_state(spec, dim: int, rng: np.random.Generator, what: str) -> np.nd
         if _is_amplitude_list(spec):
             return qmath.projector(qmath.ket(*serialize.ket_from_obj(spec)))
         if dim == 2 and np.shape(spec) == (3,):
-            return qmath.bloch_to_density(spec)
+            return qmath.bloch_to_density([_number(v, float, f"{what} entry") for v in spec])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} is not a valid state: {exc}") from exc
     raise ConfigError(f"{what} must be 'haar', a Bloch triple, or [re, im] amplitudes")

@@ -17,6 +17,7 @@ operator, which makes the error metric exact and cheap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -237,8 +238,12 @@ def _clustered_strategy(targets: TargetFamily, m: int, k: int, rng: np.random.Ge
     """
     n = len(targets)
     centers = np.array(targets.grid[rng.choice(n, size=m, replace=n < m)])
+    previous = None
     for _ in range(10):
         assign = np.argmax(targets.grid @ centers.T, axis=1)
+        if previous is not None and np.array_equal(assign, previous):
+            break  # the same clusters give the same centers, so nothing moves again
+        previous = assign
         for c in range(m):
             members = targets.grid[assign == c]
             if len(members):
@@ -300,39 +305,124 @@ def _effects_step(
     each other, so the S starts advance together.  A start whose effect has
     no weight on any state (denominator at most 1e-18) keeps that effect, and
     a zero-length optimum keeps its axis.  Arrays are updated in place.
+
+    The effects are held effect-major, row e = m K + x holding effect (m, x)
+    of every start, and the update of one effect is a fixed chain of ufuncs
+    into buffers allocated once per call.  Every start is computed; a start
+    whose effect is dead divides by 1, not by its denominator, and is not
+    written.  So each value is the one the per-start update gives.
     """
+    n_starts, n, k, m_count = enc.shape
+    n_effects = m_count * k
     c = p[:, None, None, :] * np.swapaxes(enc, -1, -2)   # (S, N, M, K)
     g = _effect_vectors(weights, axes)                    # (S, M, K, 4)
     tau = _target_vectors(targets)                        # (N, 4)
     z = np.einsum("sjmx,smxd->sjd", c, g)                 # effective 4-vectors
     # The encoder is fixed in this step, so every column c[s, :, m, x], its
     # weighted form and its denominator are known up front; the grid axis is
-    # laid out last so that each denominator is summed as one contiguous row.
+    # laid out last so that each denominator is summed as one contiguous row
+    # (the layout of that sum decides its rounding).
     cols = np.ascontiguousarray(np.moveaxis(c, 1, -1))   # (S, M, K, N)
     weighted = state_weights[:, None, None, :] * cols
     denoms = (weighted * cols).sum(axis=-1)
-    live = denoms > 1e-18
-    # h holds (1, axis) per effect, so that a * h is the effect's 4-vector.
-    h = np.concatenate([np.ones_like(weights)[..., None], axes], axis=-1)
-    any_live, all_live = live.any(axis=0).tolist(), live.all(axis=0).tolist()
-    for m, x in np.ndindex(*live.shape[1:]):
-        if not any_live[m][x]:
+
+    def effect_major(a: np.ndarray) -> np.ndarray:
+        return np.swapaxes(a.reshape(n_starts, n_effects, *a.shape[3:]), 0, 1)
+
+    live = effect_major(denoms > 1e-18)                              # (E, S)
+    cols, weighted = effect_major(cols)[..., None], effect_major(weighted)[..., None]  # (E, S, N, 1)
+    denoms = np.where(live, effect_major(denoms), 1.0)[..., None]    # (E, S, 1)
+    g = np.ascontiguousarray(effect_major(g))[:, :, None, :]         # (E, S, 1, 4)
+    # h holds (1, axis) per effect, so that a * h is the effect's 4-vector;
+    # the new weights are 2 a, written for the live starts at the end.
+    h = np.ones((n_effects, n_starts, 4))
+    h[..., 1:] = effect_major(axes)
+    a = np.zeros((n_effects, n_starts))
+    live_rows = live.tolist()
+    rest, scratch = np.empty_like(z), np.empty_like(z)
+    g_star, norm = np.empty((n_starts, 4)), np.empty(n_starts)
+    u, norm_col = g_star[:, 1:], norm[:, None]
+    for e in range(n_effects):
+        if not any(live_rows[e]):
             continue
-        on = slice(None) if all_live[m][x] else np.flatnonzero(live[:, m, x])
-        cj = cols[on, m, x, :, None]
-        rest = z[on] - cj * g[on, m, x][:, None]
-        g_star = np.add.reduce(weighted[on, m, x, :, None] * (tau - rest), axis=1) / denoms[on, m, x, None]
-        u = g_star[:, 1:]
+        np.multiply(cols[e], g[e], out=scratch)
+        np.subtract(z, scratch, out=rest)
+        np.subtract(tau, rest, out=scratch)
+        np.multiply(weighted[e], scratch, out=scratch)
+        np.add.reduce(scratch, axis=1, out=g_star)
+        np.divide(g_star, denoms[e], out=g_star)
         # vecdot is the dot product np.linalg.norm takes of one vector, bit for bit.
-        norm_u = np.sqrt(np.vecdot(u, u))
-        a_new = np.minimum(np.maximum(0.5 * (g_star[:, 0] + norm_u), 0.0), 0.5)
-        h_mx = h[on, m, x]
-        np.divide(u, norm_u[:, None], out=h_mx[:, 1:], where=norm_u[:, None] > 1e-15)
-        g[on, m, x] = a_new[:, None] * h_mx
-        weights[on, m, x] = 2.0 * a_new
-        h[on, m, x] = h_mx
-        z[on] = rest + cj * g[on, m, x][:, None]
-    axes[...] = h[..., 1:]
+        np.vecdot(u, u, out=norm)
+        np.sqrt(norm, out=norm)
+        a_e = a[e]
+        np.add(g_star[:, 0], norm, out=a_e)
+        np.multiply(0.5, a_e, out=a_e)
+        np.maximum(a_e, 0.0, out=a_e)
+        np.minimum(a_e, 0.5, out=a_e)
+        # Where every start is live with a nonzero optimum, nothing is masked.
+        turn = on = True
+        if not (all(live_rows[e]) and all(v > 1e-15 for v in norm.tolist())):
+            on = live[e, :, None, None]
+            turn = (norm_col > 1e-15) & on[:, 0]
+        np.divide(u, norm_col, out=h[e, :, 1:], where=turn)
+        np.multiply(a_e[:, None], h[e], out=g[e, :, 0])
+        np.multiply(cols[e], g[e], out=scratch)
+        np.add(rest, scratch, out=z, where=on)
+    weights[...] = np.where(live, 2.0 * a, effect_major(weights)).T.reshape(weights.shape)
+    axes[...] = h[..., 1:].swapaxes(0, 1).reshape(axes.shape)
+
+
+@functools.cache
+def _support_tables(m_count: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index tables of the supports of two or more of m_count messages, one per size.
+
+    Candidates are the non-empty supports, by size, each size in combinations
+    order; the first m_count are the one-message supports.  For each size
+    from 2 up, the entry holds the supports (C, size), their indices among
+    the solved candidates (counted from the first two-message support), and
+    the columns of the full right-hand side that each row reads (its
+    messages, then the constraint).  The arrays are read-only and made once
+    per M.
+    """
+    tables = []
+    first = 0
+    for size in range(2, m_count + 1):
+        sups = np.array(list(itertools.combinations(range(m_count), size)))
+        cand = first + np.arange(len(sups))
+        first += len(sups)
+        cols = np.concatenate([sups, np.full((len(sups), 1), m_count)], axis=1)
+        for table in (sups, cand, cols):
+            table.setflags(write=False)
+        tables.append((sups, cand, cols))
+    return tuple(tables)
+
+
+def _record_scan(vals: np.ndarray) -> np.ndarray:
+    """Winning candidate per row of vals (..., C), or -1 where none wins.
+
+    The rule is a record scan in candidate order: the best starts at
+    infinity, and a candidate replaces it only when its value is lower by
+    more than 1e-15, so NaN and infinity never win.  When a row's smallest
+    value is finite and every other value is at least 1e-12 above it, the
+    rule picks the first index of that minimum (any margin above 2e-15 would
+    do); so only rows with a near-tie, a NaN or no finite value run the scan
+    itself, and when there is none the answer is one ``argmin``.
+    """
+    flat = vals.reshape(-1, vals.shape[-1])
+    best = flat.min(axis=1)
+    choice = flat.argmin(axis=1)
+    bound = best + 1e-12
+    below = flat < bound[:, None]
+    # Every row has one value below its bound exactly when the counts sum to
+    # the rows and each row's own minimum is below it.
+    if not np.count_nonzero(below) == len(flat) == np.count_nonzero(best < bound):
+        rows = np.flatnonzero(np.count_nonzero(below, axis=1) != 1)
+        best_val, pick = np.full(len(rows), np.inf), np.full(len(rows), -1)
+        for c, column in enumerate(flat[rows].T):
+            take = column < best_val - 1e-15
+            best_val, pick = np.where(take, column, best_val), np.where(take, c, pick)
+        choice[rows] = pick
+    return choice.reshape(vals.shape[:-1])
 
 
 def _encoder_step(
@@ -345,10 +435,14 @@ def _encoder_step(
     quadratic over the simplex; with few messages the optimum is found by
     enumerating supports and solving the equality-constrained normal
     equations, keeping the best feasible candidate (in support order, a later
-    candidate wins only when it is lower by more than 1e-15).
+    candidate wins only when it is lower by more than 1e-15; ``_record_scan``).
 
-    The KKT matrix of an (atom, support) pair depends only on the effects, so
-    all of them are inverted once per step with one stacked pseudo-inverse per
+    A one-message support needs no solve: its only point on the simplex is
+    e_m, which the solve of its KKT matrix [[2|b|^2, 1], [1, 0]] also gives,
+    since q_m = 1 +- 1e-15 there and the row is normalised to q_m / q_m = 1.
+    So those candidate rows are written as e_m.  The KKT matrix of an (atom,
+    support) pair of two or more messages depends only on the effects, so all
+    of them are inverted once per step with one stacked pseudo-inverse per
     support size; its cut-off eps * (s + 1) is that of ``lstsq(rcond=None)``,
     so singular systems from zero-weight effects get the same minimum-norm
     solution.  Rows of different grid states never read each other and are
@@ -367,41 +461,41 @@ def _encoder_step(
         return
     basis = p[:, :, None, None] * np.swapaxes(_effect_vectors(weights, axes), 1, 2)  # (S, K, M, 4)
     tau = _target_vectors(targets)
+    n_solved = 2**m_count - 1 - m_count
     # solve[s, x, c] maps the full right-hand side (2 basis[s, x] @ target, 1)
-    # to the candidate row of support c, zero off the support.
-    # Candidates are the non-empty supports, by size, each size in combinations order.
-    solve = np.zeros((n_starts, k, 2**m_count - 1, m_count, m_count + 1))
-    first = 0
-    for size in range(1, m_count + 1):
-        sups = np.array(list(itertools.combinations(range(m_count), size)))  # (C, size)
-        cand = first + np.arange(len(sups))
-        first += len(sups)
+    # to the candidate row of the c-th support of two or more messages, zero
+    # off the support.
+    solve = np.zeros((n_starts, k, n_solved, m_count, m_count + 1))
+    for sups, cand, cols in _support_tables(m_count):
+        size = sups.shape[1]
         b = basis[:, :, sups]  # (S, K, C, size, 4)
         kkt = np.ones((n_starts, k, len(sups), size + 1, size + 1))
         kkt[..., :size, :size] = 2.0 * b @ b.swapaxes(-1, -2)
         kkt[..., size, size] = 0.0
         inv = np.linalg.pinv(kkt, rtol=np.finfo(float).eps * (size + 1))
-        cols = np.concatenate([sups, np.full((len(sups), 1), m_count)], axis=1)
         solve[:, :, cand[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :size, :]
     contrib = np.einsum("sjxm,sxmd->sjxd", enc, basis)  # (S, N, K, 4) per-atom effective parts
     rhs = np.ones((n_starts, n, m_count + 1))
-    start_rows = np.arange(n_starts)[:, None]
+    # Candidate rows: the one-message rows e_m first, then the solved ones.
+    full = np.zeros((n_starts, n, 2**m_count - 1, m_count))
+    full[:, :, np.arange(m_count), np.arange(m_count)] = 1.0
+    solved = full[:, :, m_count:]
+    atoms, start_rows, state_rows = np.arange(k), np.arange(n_starts)[:, None], np.arange(n)
     for x in range(k):
-        target = tau - contrib[:, :, np.arange(k) != x].sum(axis=2)  # (S, N, 4)
+        target = tau - contrib[:, :, atoms != x].sum(axis=2)  # (S, N, 4)
         rhs[..., :m_count] = 2.0 * target @ basis[:, x].swapaxes(-1, -2)
-        q = np.einsum("scmi,sji->sjcm", solve[:, x], rhs)  # (S, N, candidates, M)
-        full = np.maximum(q, 0.0)
-        total = full.sum(axis=3)
+        q = np.einsum("scmi,sji->sjcm", solve[:, x], rhs)  # (S, N, solved candidates, M)
+        np.maximum(q, 0.0, out=solved)
+        total = solved.sum(axis=3)
         feasible = (q.min(axis=3) >= -1e-12) & (total > 0.0)
-        full /= np.where(feasible, total, 1.0)[..., None]
+        solved /= np.where(feasible, total, 1.0)[..., None]
         vals = np.square(full @ basis[:, None, x] - target[:, :, None, :]).sum(axis=3)
-        vals[~feasible] = np.inf
-        best_val, choice = np.full((n_starts, n), np.inf), np.full((n_starts, n), -1)
-        for c in range(solve.shape[2]):
-            take = vals[..., c] < best_val - 1e-15
-            best_val, choice = np.where(take, vals[..., c], best_val), np.where(take, c, choice)
-        won = choice >= 0
-        enc[:, :, x] = np.where(won[..., None], full[start_rows, np.arange(n), choice], enc[:, :, x])
+        vals[:, :, m_count:][~feasible] = np.inf
+        choice = _record_scan(vals)
+        picked = full[start_rows, state_rows, choice]
+        if choice.min() < 0:  # a row with no feasible candidate keeps its old value
+            picked = np.where((choice >= 0)[..., None], picked, enc[:, :, x])
+        enc[:, :, x] = picked
         contrib[:, :, x] = enc[:, :, x] @ basis[:, x]
 
 

@@ -74,9 +74,14 @@ def _matrix_objs(matrices: np.ndarray):
 
 
 def _pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise SerializationError(f"complex entries must be [re, im], got {pair!r}")
+    # A JSON string such as "0.5" is not a number, and a bool is not one either.
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(_is_real, pair)):
+        raise SerializationError(f"complex entries must be [re, im] numbers, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:

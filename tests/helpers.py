@@ -1,5 +1,6 @@
 """Shared test utilities: random measurement generators and Born-rule oracles."""
 
+import itertools
 import math
 from itertools import compress
 
@@ -156,6 +157,127 @@ def one_round_protocol_to_obj(p, psi_grid, tables=None) -> dict:
         "decoders": decoders,
     }
 
+
+def _oracle_effect_vectors(weights, axes):
+    return np.concatenate([0.5 * weights[..., None], 0.5 * weights[..., None] * axes], axis=-1)
+
+
+def _oracle_target_vectors(targets):
+    return np.concatenate([np.full((len(targets), 1), 0.25), -0.25 * targets.grid], axis=1)
+
+
+def nogo_effects_step_oracle(
+    targets, enc: np.ndarray, p: np.ndarray,
+    weights: np.ndarray, axes: np.ndarray, state_weights: np.ndarray,
+) -> None:
+    """The no-go effects step with one fancy-indexed update per (m, x) effect.
+
+    The oracle that ``nogo._effects_step`` must equal bit for bit: Gauss-Seidel
+    over the (m, x) effects, the starts batched, arrays updated in place.
+    """
+    c = p[:, None, None, :] * np.swapaxes(enc, -1, -2)   # (S, N, M, K)
+    g = _oracle_effect_vectors(weights, axes)             # (S, M, K, 4)
+    tau = _oracle_target_vectors(targets)                 # (N, 4)
+    z = np.einsum("sjmx,smxd->sjd", c, g)                 # effective 4-vectors
+    # The encoder is fixed in this step, so every column c[s, :, m, x], its
+    # weighted form and its denominator are known up front; the grid axis is
+    # laid out last so that each denominator is summed as one contiguous row.
+    cols = np.ascontiguousarray(np.moveaxis(c, 1, -1))   # (S, M, K, N)
+    weighted = state_weights[:, None, None, :] * cols
+    denoms = (weighted * cols).sum(axis=-1)
+    live = denoms > 1e-18
+    # h holds (1, axis) per effect, so that a * h is the effect's 4-vector.
+    h = np.concatenate([np.ones_like(weights)[..., None], axes], axis=-1)
+    any_live, all_live = live.any(axis=0).tolist(), live.all(axis=0).tolist()
+    for m, x in np.ndindex(*live.shape[1:]):
+        if not any_live[m][x]:
+            continue
+        on = slice(None) if all_live[m][x] else np.flatnonzero(live[:, m, x])
+        cj = cols[on, m, x, :, None]
+        rest = z[on] - cj * g[on, m, x][:, None]
+        g_star = np.add.reduce(weighted[on, m, x, :, None] * (tau - rest), axis=1) / denoms[on, m, x, None]
+        u = g_star[:, 1:]
+        # vecdot is the dot product np.linalg.norm takes of one vector, bit for bit.
+        norm_u = np.sqrt(np.vecdot(u, u))
+        a_new = np.minimum(np.maximum(0.5 * (g_star[:, 0] + norm_u), 0.0), 0.5)
+        h_mx = h[on, m, x]
+        np.divide(u, norm_u[:, None], out=h_mx[:, 1:], where=norm_u[:, None] > 1e-15)
+        g[on, m, x] = a_new[:, None] * h_mx
+        weights[on, m, x] = 2.0 * a_new
+        h[on, m, x] = h_mx
+        z[on] = rest + cj * g[on, m, x][:, None]
+    axes[...] = h[..., 1:]
+
+
+def nogo_encoder_step_oracle(
+    targets, enc: np.ndarray, p: np.ndarray,
+    weights: np.ndarray, axes: np.ndarray,
+) -> None:
+    """The no-go encoder step that solves every support, one-message ones included.
+
+    The oracle that ``nogo._encoder_step`` must equal bit for bit: one stacked
+    pseudo-inverse per support size, every support included, and a sequential
+    record scan in which a later candidate wins only when it is lower by more
+    than 1e-15.
+    """
+    n_starts, n, k, m_count = enc.shape
+    if m_count == 1:
+        # The simplex is the single point 1.0, which the support solve writes
+        # exactly (q / q); rows drawn from a Dirichlet may be 1 - eps before.
+        enc[...] = 1.0
+        return
+    basis = p[:, :, None, None] * np.swapaxes(_oracle_effect_vectors(weights, axes), 1, 2)  # (S, K, M, 4)
+    tau = _oracle_target_vectors(targets)
+    # solve[s, x, c] maps the full right-hand side (2 basis[s, x] @ target, 1)
+    # to the candidate row of support c, zero off the support.
+    # Candidates are the non-empty supports, by size, each size in combinations order.
+    solve = np.zeros((n_starts, k, 2**m_count - 1, m_count, m_count + 1))
+    first = 0
+    for size in range(1, m_count + 1):
+        sups = np.array(list(itertools.combinations(range(m_count), size)))  # (C, size)
+        cand = first + np.arange(len(sups))
+        first += len(sups)
+        b = basis[:, :, sups]  # (S, K, C, size, 4)
+        kkt = np.ones((n_starts, k, len(sups), size + 1, size + 1))
+        kkt[..., :size, :size] = 2.0 * b @ b.swapaxes(-1, -2)
+        kkt[..., size, size] = 0.0
+        inv = np.linalg.pinv(kkt, rtol=np.finfo(float).eps * (size + 1))
+        cols = np.concatenate([sups, np.full((len(sups), 1), m_count)], axis=1)
+        solve[:, :, cand[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :size, :]
+    contrib = np.einsum("sjxm,sxmd->sjxd", enc, basis)  # (S, N, K, 4) per-atom effective parts
+    rhs = np.ones((n_starts, n, m_count + 1))
+    start_rows = np.arange(n_starts)[:, None]
+    for x in range(k):
+        target = tau - contrib[:, :, np.arange(k) != x].sum(axis=2)  # (S, N, 4)
+        rhs[..., :m_count] = 2.0 * target @ basis[:, x].swapaxes(-1, -2)
+        q = np.einsum("scmi,sji->sjcm", solve[:, x], rhs)  # (S, N, candidates, M)
+        full = np.maximum(q, 0.0)
+        total = full.sum(axis=3)
+        feasible = (q.min(axis=3) >= -1e-12) & (total > 0.0)
+        full /= np.where(feasible, total, 1.0)[..., None]
+        vals = np.square(full @ basis[:, None, x] - target[:, :, None, :]).sum(axis=3)
+        vals[~feasible] = np.inf
+        best_val, choice = np.full((n_starts, n), np.inf), np.full((n_starts, n), -1)
+        for c in range(solve.shape[2]):
+            take = vals[..., c] < best_val - 1e-15
+            best_val, choice = np.where(take, vals[..., c], best_val), np.where(take, c, choice)
+        won = choice >= 0
+        enc[:, :, x] = np.where(won[..., None], full[start_rows, np.arange(n), choice], enc[:, :, x])
+        contrib[:, :, x] = enc[:, :, x] @ basis[:, x]
+
+
+def sequential_record_scan(vals):
+    """The encoder step's tie-break as a loop over candidates: the oracle of ``nogo._record_scan``.
+
+    In candidate order, a value replaces the best so far only when it is lower
+    by more than 1e-15; rows where nothing is taken get -1.
+    """
+    vals = np.asarray(vals)
+    best_val, choice = np.full(vals.shape[:-1], np.inf), np.full(vals.shape[:-1], -1)
+    for c in range(vals.shape[-1]):
+        take = vals[..., c] < best_val - 1e-15
+        best_val, choice = np.where(take, vals[..., c], best_val), np.where(take, c, choice)
+    return choice
 
 def count_solves(monkeypatch) -> list:
     """Record every ``decompose.solve_mixture`` call from here on; returns the list of calls."""

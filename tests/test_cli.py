@@ -558,6 +558,14 @@ class TestMalformedInput:
             ("rac", {"seed": "abc"}),
             ("simulate", {"measurement": "tb", "psi": ["a", 1, 2]}),
             ("simulate", {"measurement": "tb", "psi": [2, 0, 0]}),
+            # A Bloch triple or an amplitude of JSON strings or bools is not a state.
+            ("simulate", {"measurement": "tb", "psi": ["0", "0", "1"]}),
+            ("simulate", {"measurement": "tb", "psi": [True, False, False]}),
+            ("simulate", {"measurement": "tb", "phi": [0, 0, True]}),
+            ("simulate", {"measurement": "tb", "psi": [["1", "0"], ["0", "0"]]}),
+            ("decompose", {"measurement": "tb", "psi": ["0", "0", "1"]}),
+            ("decompose", {"measurement": "tb", "psi": [["1", "0"], ["0", "0"]]}),
+            ("decompose", {"measurement": "tb", "psi": [[True, 0], [0, 0]]}),
             ("simulate", {"measurement": "shift", "sender_config": "C"}),
             ("simulate", {"measurement": "tb", "samples": -3}),
             ("depolarize", {"bit_counts": 3}),
@@ -625,6 +633,21 @@ class TestMalformedInput:
     def test_malformed_config_value_is_malformed_input(self, tmp_path, command, entries):
         config = write_config(tmp_path, "config.json", entries)
         assert run_cli([command, "--config", config]) == 3
+
+    @pytest.mark.parametrize("entry", [["0.5", "0"], [0.5, "0"], [False, 0.0]])
+    def test_string_or_bool_entry_in_a_protocol_file_is_malformed_input(self, tmp_path, capsys, entry):
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
+        assert run_cli(["collapse", "--config", config, "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+        path = tmp_path / "r.collapsed.json"
+        obj = json.loads(path.read_text())
+        entries = {"measurement": str(path), "psi": obj["encoder"]["psi_grid"][0]}
+        run = write_config(tmp_path, "run.json", entries)
+        assert run_cli(["simulate", "--config", run]) == 0
+        obj["decoders"][0][0]["effects"][0]["entries"][0] = entry
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli(["simulate", "--config", run]) == 3
+        assert "numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["collapse", "simulate"])
     def test_sender_state_off_a_protocol_files_grid_is_malformed_input(self, tmp_path, capsys, command):

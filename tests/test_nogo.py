@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import helpers
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -504,6 +505,213 @@ class TestEncoderStep:
         np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-10)
         assert batched.min() >= 0.0
         np.testing.assert_allclose(batched.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+
+
+def assert_same_bits(ours, oracle):
+    np.testing.assert_array_equal(ours, oracle)
+    assert ours.tobytes() == oracle.tobytes()  # signed zeros too
+
+
+def stacked_step_inputs(rng, m, k, n, starts, zero_weights, repeat_axes, silent, one_hot):
+    """Stacked step inputs with zero-weight effects, shared axes, silent or faint columns and one-hot rows."""
+    targets = nested_grid(n)
+    group = [random_strategy(rng, n=n, m=m, k=k) for _ in range(starts)]
+    enc = np.stack([s.encoder for s in group])
+    if one_hot:
+        # Deterministic rows, as the exact and clustered starts begin: full of exact ties.
+        enc = np.eye(m)[rng.integers(0, m, size=(starts, n, k))]
+    # Silent (message, atom) columns, drawn per start, leave an effect live in some starts only;
+    # a faint column is dead too (denominator below 1e-18) but still moves the sums if written.
+    draw = rng.uniform(size=(starts, 1, k, m))
+    enc = np.where(draw < silent, 0.0, np.where(draw < 1.5 * silent, 1e-10 * enc, enc))
+    p = np.stack([s.atom_probs for s in group])
+    weights = np.stack([s.effect_weights for s in group])
+    weights = np.where(rng.uniform(size=weights.shape) < zero_weights, 0.0, weights)
+    axes = np.stack([s.effect_axes for s in group])
+    if repeat_axes:
+        axes[:] = axes[:, :1]
+    state_weights = rng.uniform(0.5, 2.0, size=(starts, n))
+    return targets, enc, p, weights, axes, state_weights
+
+
+_STEP_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    k=st.integers(1, 4),
+    # 8 and more states put the grid sums past numpy's unrolled pairwise block.
+    n=st.sampled_from([1, 2, 3, 5, 8, 9, 17]),
+    starts=st.integers(1, 4),
+    zero_weights=st.floats(0.0, 0.6),
+    repeat_axes=st.booleans(),
+    silent=st.floats(0.0, 0.5),
+    one_hot=st.booleans(),
+)
+
+
+class TestStepsMatchFrozenOracles:
+    """Both steps equal the oracle steps kept in ``helpers``, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_STEP_CASES)
+    def test_effects_step(self, seed, m, k, n, starts, zero_weights, repeat_axes, silent, one_hot):
+        rng = np.random.default_rng(seed)
+        targets, enc, p, weights, axes, state_weights = stacked_step_inputs(
+            rng, m, k, n, starts, zero_weights, repeat_axes, silent, one_hot
+        )
+        ours_w, ours_a = weights.copy(), axes.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nogo._effects_step(targets, enc, p, ours_w, ours_a, state_weights)
+        helpers.nogo_effects_step_oracle(targets, enc, p, weights, axes, state_weights)
+        assert_same_bits(ours_w, weights)
+        assert_same_bits(ours_a, axes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_STEP_CASES)
+    def test_encoder_step(self, seed, m, k, n, starts, zero_weights, repeat_axes, silent, one_hot):
+        rng = np.random.default_rng(seed)
+        targets, enc, p, weights, axes, _ = stacked_step_inputs(
+            rng, m, k, n, starts, zero_weights, repeat_axes, silent, one_hot
+        )
+        ours = enc.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nogo._encoder_step(targets, ours, p, weights, axes)
+        helpers.nogo_encoder_step_oracle(targets, enc, p, weights, axes)
+        assert_same_bits(ours, enc)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), k=st.integers(1, 3),
+           n=st.sampled_from([2, 5, 9]), starts=st.integers(1, 3))
+    def test_sweeps_from_a_start_stay_equal(self, seed, m, k, n, starts):
+        """Several alternating sweeps, each step fed what the other wrote, as ``optimize`` runs them."""
+        rng = np.random.default_rng(seed)
+        targets, enc, p, weights, axes, state_weights = stacked_step_inputs(
+            rng, m, k, n, starts, 0.2, False, 0.2, False
+        )
+        ours = [a.copy() for a in (enc, weights, axes)]
+        for _ in range(4):
+            nogo._effects_step(targets, ours[0], p, ours[1], ours[2], state_weights)
+            nogo._encoder_step(targets, ours[0], p, ours[1], ours[2])
+            helpers.nogo_effects_step_oracle(targets, enc, p, weights, axes, state_weights)
+            helpers.nogo_encoder_step_oracle(targets, enc, p, weights, axes)
+        for mine, oracle in zip(ours, (enc, weights, axes)):
+            assert_same_bits(mine, oracle)
+
+
+def planted_scan_values(rng, rows, candidates):
+    """Candidate values with exact ties, near-ties 0.3e-15 to 3e-15 apart, infinities and NaN."""
+    # Magnitudes from 1e-3 to 3, so that steps of 1e-15 are resolved at some and not at others.
+    vals = rng.uniform(0.0, 1.0, size=(rows, candidates)) * 10.0 ** rng.uniform(-3.0, 0.5, size=(rows, 1))
+    for row in vals:
+        kind = rng.integers(0, 6)
+        picks = rng.random(candidates) < 0.5
+        if kind == 1:    # exact ties at the row's minimum
+            row[picks] = row.min()
+        elif kind == 2:  # a ladder of near-ties around one value
+            row[picks] = row[0] + rng.integers(-3, 4, size=picks.sum()) * rng.uniform(0.3e-15, 3e-15)
+        elif kind == 3:  # infeasible candidates
+            row[picks] = np.inf
+        elif kind == 4:  # nothing feasible: the row keeps its old value
+            row[:] = np.inf
+        elif kind == 5:
+            row[picks] = np.nan
+    return vals
+
+
+class TestRecordScan:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), candidates=st.integers(1, 33),
+           lead=st.sampled_from([(), (2,), (3, 1)]))
+    def test_matches_the_sequential_loop(self, seed, rows, candidates, lead):
+        vals = planted_scan_values(np.random.default_rng(seed), math.prod(lead) * rows, candidates)
+        vals = vals.reshape(*lead, rows, candidates)
+        np.testing.assert_array_equal(nogo._record_scan(vals.copy()), helpers.sequential_record_scan(vals))
+
+    @pytest.mark.parametrize(
+        "row, winner",
+        [
+            ([1.0, 1.0, 2.0], 0),                        # an exact tie keeps the first
+            ([1.0 + 0.5e-15, 1.0, 2.0], 0),              # lower by less than 1e-15: kept
+            ([1.0 + 2.5e-15, 1.0, 2.0], 1),              # lower by more than 1e-15: replaced
+            ([1.0 + 2.5e-15, 1.0 + 0.5e-15, 1.0], 1),    # a record, then one too close to it
+            ([np.inf, 0.5, np.inf], 1),
+            ([np.inf, np.inf, np.inf], -1),              # no feasible candidate
+            ([np.nan, np.nan], -1),
+            ([np.nan, 0.25, 0.5], 1),                    # NaN never wins
+            ([3.0, 2.0, 1.0], 2),
+        ],
+    )
+    def test_hand_made_rows(self, row, winner):
+        vals = np.array([row])
+        assert helpers.sequential_record_scan(vals)[0] == winner
+        assert nogo._record_scan(vals)[0] == winner
+
+
+class TestOneMessageRows:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), k=st.integers(1, 4),
+           n=st.integers(1, 6), zero_weights=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 1e-8, 0.0]))
+    def test_the_support_solve_gives_e_m(self, seed, m, k, n, zero_weights, scale):
+        """The stacked solve of each one-message support, as the oracle step runs it, is exactly e_m.
+
+        That is why ``nogo._encoder_step`` writes those candidate rows as e_m without a solve:
+        the KKT matrix [[2|b|^2, 1], [1, 0]] gives q_m = 1 +- 1e-15 and q_m / q_m = 1, also
+        for an effect of zero weight (b = 0) and for a vanishing atom probability.
+        """
+        rng = np.random.default_rng(seed)
+        weights = np.where(rng.uniform(size=(1, m, k)) < zero_weights, 0.0, rng.uniform(0, 1, (1, m, k)))
+        axes = rng.normal(size=(1, m, k, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        p = scale * rng.dirichlet(np.ones(k), size=1)
+        basis = p[:, :, None, None] * np.swapaxes(nogo._effect_vectors(weights, axes), 1, 2)
+        sups = np.arange(m)[:, None]
+        b = basis[:, :, sups]
+        kkt = np.ones((1, k, m, 2, 2))
+        kkt[..., :1, :1] = 2.0 * b @ b.swapaxes(-1, -2)
+        kkt[..., 1, 1] = 0.0
+        inv = np.linalg.pinv(kkt, rtol=np.finfo(float).eps * 2)
+        solve = np.zeros((1, k, m, m, m + 1))
+        cols = np.concatenate([sups, np.full((m, 1), m)], axis=1)
+        solve[:, :, np.arange(m)[:, None, None], sups[:, :, None], cols[:, None, :]] = inv[..., :1, :]
+        # Targets as the step forms them: a forced effect less the other atoms' parts.
+        target = nogo._target_vectors(nested_grid(n))[None] - rng.uniform(-0.5, 0.5, size=(1, n, 4))
+        rhs = np.ones((1, n, m + 1))
+        for x in range(k):
+            rhs[..., :m] = 2.0 * target @ basis[:, x].swapaxes(-1, -2)
+            q = np.einsum("scmi,sji->sjcm", solve[:, x], rhs)
+            full = np.maximum(q, 0.0)
+            total = full.sum(axis=3)
+            assert (q.min(axis=3) >= -1e-12).all() and (total > 0.0).all()
+            full /= total[..., None]
+            assert_same_bits(full, np.broadcast_to(np.eye(m), full.shape))
+
+
+def ten_lloyd_iterations(targets, m, rng):
+    """Cluster centers and assignment after all ten Lloyd iterations of the clustered seed."""
+    n = len(targets)
+    centers = np.array(targets.grid[rng.choice(n, size=m, replace=n < m)])
+    for _ in range(10):
+        assign = np.argmax(targets.grid @ centers.T, axis=1)
+        for c in range(m):
+            members = targets.grid[assign == c]
+            if len(members):
+                mean = members.sum(axis=0)
+                norm = np.linalg.norm(mean)
+                if norm > 1e-12:
+                    centers[c] = mean / norm
+    return centers, np.argmax(targets.grid @ centers.T, axis=1)
+
+
+class TestClusteredStrategy:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 40))
+    def test_stopping_at_a_repeated_assignment_changes_nothing(self, seed, m, n):
+        targets = nested_grid(n)
+        s = nogo._clustered_strategy(targets, m, 1, np.random.default_rng(seed))
+        centers, assign = ten_lloyd_iterations(targets, m, np.random.default_rng(seed))
+        assert_same_bits(s.effect_axes, -centers[:, None, :])
+        assert_same_bits(s.encoder[:, 0, :], np.eye(m)[assign])
 
 
 class TestCountingBound:

@@ -169,10 +169,14 @@ class TestOneRoundProtocolRoundTrip:
             lambda obj: obj.pop("cost_bits"),
             lambda obj: obj.update(messages=7),
             *(lambda obj, cost=cost: obj.update(cost_bits=cost) for cost in (-3, 0, 2.7, True, 99, 2.0)),
+            # A JSON string that spells a number is not one, and neither is a bool.
+            lambda obj: obj["decoders"][0][0]["effects"][0]["entries"].__setitem__(0, ["0.5", "0"]),
+            lambda obj: obj["decoders"][0][0]["effects"][0]["entries"].__setitem__(3, [True, 0.0]),
         ],
         ids=[
             "short-table", "flat-grid", "missing-decoder", "unknown-label", "no-cost", "bad-messages",
             "cost-negative", "cost-zero", "cost-fraction", "cost-bool", "cost-too-high", "cost-float",
+            "decoder-entry-string", "decoder-entry-bool",
         ],
     )
     def test_inconsistent_file_is_rejected(self, damage):
@@ -235,6 +239,17 @@ class TestErrors:
     def test_malformed_complex_pair(self):
         with pytest.raises(serialize.SerializationError):
             serialize.matrix_from_obj({"kind": "matrix", "dim": 1, "entries": [[1.0]]})
+
+    @pytest.mark.parametrize("pair", [["0.5", "0"], ["1", 0.0], [True, 0.0], [1.0, False], [None, 0.0]])
+    def test_complex_entries_must_be_numbers(self, pair):
+        with pytest.raises(serialize.SerializationError, match="numbers"):
+            serialize.matrix_from_obj({"kind": "matrix", "dim": 1, "entries": [pair]})
+        with pytest.raises(serialize.SerializationError, match="numbers"):
+            serialize.ket_from_obj([pair, [0.0, 0.0]])
+
+    def test_integer_and_float_entries_are_numbers(self):
+        m = serialize.matrix_from_obj({"kind": "matrix", "dim": 1, "entries": [[1, -0.5]]})
+        np.testing.assert_array_equal(m, [[1.0 - 0.5j]])
 
 
 def json_reference(obj) -> str:

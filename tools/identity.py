@@ -52,7 +52,11 @@ on the nested grid of seed 0xF00D:
   0-4, budget 32, 2 starts;
 - the README ``nogo`` config, with the case seeds ``qchansim nogo`` derives
   from its seed 5;
-- (4, 16, 9) and (8, 32, 17) at seed 0, budget 64, 8 starts.
+- (4, 16, 9) and (8, 32, 17) at seed 0, budget 64, 8 starts;
+- (3, 2, 2) at seed 0, budget 32, 2 starts: an exact case with two atoms,
+  whose encoder steps are full of exact ties;
+- (5, 3, 11) at seed 0, budget 40, 4 starts: a floor case with 31 candidate
+  supports per encoder row.
 
 Eta lines, in ``eta_digests.txt``: an ``estimate_eta`` line holds a case name,
 ``repr(float(eta))`` and ``repr(float(stderr))`` of ``depolarize.estimate_eta``
@@ -306,6 +310,8 @@ def nogo_specs():
         yield f"readme-m{m}-k{k}-n{n}", (m, k, n), seed, 320, 8
     for m, k, n in [(4, 16, 9), (8, 32, 17)]:
         yield f"large-m{m}-k{k}-n{n}", (m, k, n), 0, 64, 8
+    yield "exact-ties-m3-k2-n2", (3, 2, 2), 0, 32, 2
+    yield "floor-m5-k3-n11", (5, 3, 11), 0, 40, 4
 
 
 def nogo_cases(out: Path):

@@ -338,45 +338,83 @@ def _random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
 
 
-def _random_state_coin(rng: np.random.Generator, size: int):
-    """A coin whose distribution depends smoothly on the known state.
+class _CoinRound:
+    """The state coins of one sender round, held as one table over their keys.
 
-    Mixes two flat-simplex draws with the overlap of the state on a random
-    direction, so collapse tests exercise genuinely state-dependent coins.
+    Row i of ``base0``, ``base1`` and ``axes`` belongs to the (atom,
+    transcript) key whose ``rows`` entry is i.  On a sender state psi every
+    row is evaluated at once: with f the overlap tr(axis psi) clipped to
+    [0, 1], the coin is f base0 + (1 - f) base1, so the distribution depends
+    smoothly on the known state.  The table of the last state with a
+    ``qmath.state_key`` is kept, as ``OneRoundProtocol.encoder_matrix`` keeps
+    its own, unless it holds a non-finite entry; calling the round with the
+    same state again reads that table.
     """
-    base0 = _random_simplex(rng, size)
-    base1 = _random_simplex(rng, size)
-    axis = qmath.bloch_to_density(qmath.random_bloch(rng))
 
-    def coin(psi: np.ndarray) -> np.ndarray:
-        f = min(max(float((axis @ psi).trace().real), 0.0), 1.0)
-        return f * base0 + (1.0 - f) * base1
+    def __init__(self, rows: dict, base0: np.ndarray, base1: np.ndarray, axes: np.ndarray):
+        self.rows, self.base0, self.base1, self.axes = rows, base0, base1, axes
+        self._last = None
 
-    return coin
+    @classmethod
+    def draw(cls, rng: np.random.Generator, keys: list, size: int) -> "_CoinRound":
+        """Per key in order: two flat-simplex draws of ``size`` entries and a random Bloch axis."""
+        base0, base1, axes = [], [], []
+        for _ in keys:
+            base0.append(_random_simplex(rng, size))
+            base1.append(_random_simplex(rng, size))
+            axes.append(qmath.bloch_to_density(qmath.random_bloch(rng)))
+        rows = {key: i for i, key in enumerate(keys)}
+        return cls(rows, np.array(base0), np.array(base1), np.array(axes))
+
+    def table(self, psi) -> np.ndarray:
+        """Every key's coin on ``psi``, one row per key."""
+        key = qmath.state_key(psi)
+        last = self._last
+        if key is not None and last is not None and last[0] == key:
+            return last[1]
+        table = self._evaluate(psi)
+        if key is not None and np.isfinite(table).all():
+            table.setflags(write=False)
+            self._last = (key, table)
+        return table
+
+    def _evaluate(self, psi) -> np.ndarray:
+        f = np.clip(np.trace(self.axes @ psi, axis1=-2, axis2=-1).real, 0.0, 1.0)[:, None]
+        return f * self.base0 + (1.0 - f) * self.base1
+
+    def __call__(self, psi, x: int, transcript) -> np.ndarray:
+        row = self.rows[(x, tuple(transcript))]
+        return self.table(psi)[row].copy()
 
 
-def _isometry_blocks(rng: np.random.Generator, n_outcomes: int, dim: int) -> tuple[np.ndarray, ...]:
-    """The n_outcomes square blocks of a Haar-random isometry from C^dim."""
-    z = rng.normal(size=(n_outcomes * dim, dim)) + 1j * rng.normal(size=(n_outcomes * dim, dim))
-    q, _ = np.linalg.qr(z)
-    return tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_outcomes))
+def _isometry_blocks(rng: np.random.Generator, count: int, n_outcomes: int, dim: int) -> np.ndarray:
+    """The square blocks of ``count`` Haar-random isometries from C^dim.
+
+    The shape is (count, n_outcomes, dim, dim).  One normal draw holds the
+    real and then the imaginary part of each isometry in turn, the stream
+    that one draw per isometry takes, and one stacked QR factors them all.
+    """
+    normals = rng.normal(size=(count, 2, n_outcomes * dim, dim))
+    q, _ = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    return q.reshape(count, n_outcomes, dim, dim)
 
 
 def random_instrument(rng: np.random.Generator, n_outcomes: int, dim: int) -> Instrument:
     """Instrument built from the blocks of a Haar-random isometry."""
-    return Instrument(kraus=_isometry_blocks(rng, n_outcomes, dim))
+    return Instrument(kraus=tuple(_isometry_blocks(rng, 1, n_outcomes, dim)[0]))
 
 
 def random_povm(rng: np.random.Generator, n_outcomes: int, dim: int, labels=None) -> Povm:
     """Measurement whose effects are K^dag K for the blocks K of a Haar-random isometry."""
+    blocks = _isometry_blocks(rng, 1, n_outcomes, dim)
     return Povm(
-        effects=tuple(dagger(k) @ k for k in _isometry_blocks(rng, n_outcomes, dim)),
+        effects=tuple((dagger(blocks) @ blocks)[0]),
         labels=tuple(labels) if labels is not None else tuple(range(n_outcomes)),
     )
 
 
 def _random_rounds(
-    seed: int,
+    rng: np.random.Generator,
     rounds: tuple[int, ...],
     n_atoms: int,
     n_outcomes: int,
@@ -385,36 +423,43 @@ def _random_rounds(
     table_order: Sequence[int],
     atom_major: bool,
 ) -> OddRoundProtocol:
-    """Seeded random protocol over round alphabets of the given sizes.
+    """Random protocol over round alphabets of the given sizes, drawn from ``rng``.
 
-    Each table is keyed by (atom, transcript); the table for transcripts of
-    length L is a coin (L even), an instrument (L odd) or the final
-    measurement (L the depth).  Tables are drawn in ``table_order``, and
-    within a table atom by atom (``atom_major``) or transcript by transcript.
-    Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES`` raise a
-    ProtocolError before any table is drawn.
+    Each round is one table keyed by (atom, transcript): the round for
+    transcripts of length L holds coins (L even), instruments (L odd) or the
+    final measurements (L the depth).  Tables are drawn in ``table_order``,
+    and within a table atom by atom (``atom_major``) or transcript by
+    transcript.  A coin round is a ``_CoinRound``, its per-key draws (two
+    Dirichlet draws, then a normal 3-vector) stacked in key order; it
+    evaluates every key's coin at once and keeps the table of the last
+    sender state.  An instrument or measurement round draws the normals of
+    all its isometries in one call and factors them in one stacked QR; each
+    Instrument and Povm still runs its own check.  The stream is consumed
+    as drawing each entry alone consumed it, so a seed gives the protocol it
+    always gave.  Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES``
+    raise a ProtocolError before any table is drawn.
     """
     collapsed_message_count(rounds[0::2], rounds[1::2])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     atom_probs = _random_simplex(rng, n_atoms)
     atom_probs = atom_probs / atom_probs.sum()
     depth = len(rounds)
     tables = {}
     for length in table_order:
-        if length == depth:
-            make = lambda: random_povm(rng, n_outcomes, dim)
-        elif length % 2 == 0:
-            make = lambda: _random_state_coin(rng, rounds[length])
-        else:
-            make = lambda: random_instrument(rng, rounds[length], dim)
         transcripts = list(np.ndindex(*rounds[:length]))
-        keys = itertools.product(range(n_atoms), transcripts) if atom_major else (
+        keys = list(itertools.product(range(n_atoms), transcripts)) if atom_major else [
             (x, tr) for tr in transcripts for x in range(n_atoms)
-        )
-        tables[length] = {key: make() for key in keys}
-
-    def coin(table):
-        return lambda psi, x, tr: table[(x, tuple(tr))](psi)
+        ]
+        if length % 2 == 0 and length < depth:
+            tables[length] = _CoinRound.draw(rng, keys, rounds[length])
+            continue
+        n = n_outcomes if length == depth else rounds[length]
+        blocks = _isometry_blocks(rng, len(keys), n, dim)
+        if length == depth:
+            labels = tuple(range(n_outcomes))
+            made = [Povm(effects=tuple(e), labels=labels) for e in dagger(blocks) @ blocks]
+        else:
+            made = [Instrument(kraus=tuple(k)) for k in blocks]
+        tables[length] = dict(zip(keys, made))
 
     def instrument(table):
         return lambda x, tr: table[(x, tuple(tr))]
@@ -424,7 +469,7 @@ def _random_rounds(
         sender_alphabets=tuple(tuple(range(n)) for n in rounds[0::2]),
         receiver_alphabets=tuple(tuple(range(n)) for n in rounds[1::2]),
         outcomes=tuple(range(n_outcomes)),
-        coins=tuple(coin(tables[length]) for length in range(0, depth, 2)),
+        coins=tuple(tables[length] for length in range(0, depth, 2)),
         instruments=tuple(instrument(tables[length]) for length in range(1, depth, 2)),
         final_povm=lambda x, tr: tables[depth][(x, tuple(tr))],
     )
@@ -441,10 +486,9 @@ def random_three_round(
     dim: int = 2,
 ) -> OddRoundProtocol:
     """Seeded random three-round protocol with state-dependent coins."""
-    return _random_rounds(
-        seed, (n_m1, n_m2, n_m3), n_atoms, n_outcomes, dim,
-        table_order=(0, 1, 2, 3), atom_major=False,
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rounds = (n_m1, n_m2, n_m3)
+    return _random_rounds(rng, rounds, n_atoms, n_outcomes, dim, table_order=(0, 1, 2, 3), atom_major=False)
 
 
 def random_odd_round(
@@ -462,8 +506,9 @@ def random_odd_round(
     if depth > 7:
         raise ProtocolError("depths beyond 7 are outside the supported desk scale")
     order = (*range(0, depth, 2), *range(1, depth, 2), depth)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _random_rounds(
-        seed, (alphabet,) * depth, n_atoms, n_outcomes, dim, table_order=order, atom_major=True
+        rng, (alphabet,) * depth, n_atoms, n_outcomes, dim, table_order=order, atom_major=True
     )
 
 

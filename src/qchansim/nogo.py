@@ -503,9 +503,10 @@ def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
     """Reject sizes ``optimize`` cannot run, before anything is allocated.
 
     Every size must be at least 1, the states at most ``MAX_STATES``, and
-    one start's encoder-step table, K (2^M - 1) M (M + 1) entries, and its
-    candidate rows, N (2^M - 1) M entries, must each hold at most
-    ``MAX_TABLE_ENTRIES``; so M <= 15 at one atom, and M <= 10 at 1,000 states.
+    one start's encoder-step table, K (2^M - 1) M (M + 1) entries, its
+    candidate rows, N (2^M - 1) M entries, and its effects-step columns,
+    N M K entries, must each hold at most ``MAX_TABLE_ENTRIES``; so M <= 15
+    at one atom, M <= 10 at 1,000 states, and M K <= 16,777 at 1,000 states.
     """
     if n_messages < 1 or n_atoms < 1 or n_states < 1:
         raise NogoError("messages, atoms and states must all be at least 1")
@@ -517,10 +518,15 @@ def check_sizes(n_messages: int, n_atoms: int, n_states: int) -> None:
             f"the encoder table for {n_messages} messages and {n_atoms} atoms "
             f"exceeds {MAX_TABLE_ENTRIES} entries"
         )
-    if _start_entries(n_messages, n_atoms, n_states) > MAX_TABLE_ENTRIES:
+    if _row_entries(n_messages, n_states) > MAX_TABLE_ENTRIES:
         raise NogoError(
             f"the candidate rows for {n_messages} messages and {n_states} states "
             f"exceed {MAX_TABLE_ENTRIES} entries"
+        )
+    if _column_entries(n_messages, n_atoms, n_states) > MAX_TABLE_ENTRIES:
+        raise NogoError(
+            f"the effects-step columns for {n_messages} messages, {n_atoms} atoms and "
+            f"{n_states} states exceed {MAX_TABLE_ENTRIES} entries"
         )
 
 
@@ -528,13 +534,27 @@ def _table_entries(n_messages: int, n_atoms: int) -> int:
     return n_atoms * (2**n_messages - 1) * n_messages * (n_messages + 1)
 
 
-def _start_entries(n_messages: int, n_atoms: int, n_states: int) -> int:
-    """Entries of the largest array one start adds to a stacked encoder step.
+def _row_entries(n_messages: int, n_states: int) -> int:
+    return n_states * (2**n_messages - 1) * n_messages
 
-    That is its table, or the candidate rows, N (2^M - 1) M entries, that
-    the solve for each atom builds; the rows grow with the grid.
+
+def _column_entries(n_messages: int, n_atoms: int, n_states: int) -> int:
+    return n_states * n_messages * n_atoms
+
+
+def _start_entries(n_messages: int, n_atoms: int, n_states: int) -> int:
+    """Entries of the largest array one start adds to a stacked sweep.
+
+    That is its encoder-step table, the candidate rows, N (2^M - 1) M
+    entries, that the encoder step's solve for each atom builds, or the
+    effects step's columns, N M K entries in each of its column arrays; the
+    rows and columns grow with the grid.
     """
-    return max(_table_entries(n_messages, n_atoms), n_states * (2**n_messages - 1) * n_messages)
+    return max(
+        _table_entries(n_messages, n_atoms),
+        _row_entries(n_messages, n_states),
+        _column_entries(n_messages, n_atoms, n_states),
+    )
 
 
 def _replay_in_start_order(histories: list[np.ndarray]) -> tuple[float, int | None, int]:
@@ -584,11 +604,11 @@ def optimize(
     so exactness is found immediately.
 
     Starts advance together, in start-order groups whose stacked encoder
-    tables and candidate rows each hold at most ``MAX_TABLE_ENTRIES``
-    entries (``check_sizes`` rejects a start that alone holds more), and
-    are reported in start order: the best error, the sweep count and the
-    strategy are those of running one start after another, where only a
-    strictly lower error wins and the run stops at the first start that
+    tables, candidate rows and effects-step columns each hold at most
+    ``MAX_TABLE_ENTRIES`` entries (``check_sizes`` rejects a start that alone
+    holds more), and are reported in start order: the best error, the sweep
+    count and the strategy are those of running one start after another, where
+    only a strictly lower error wins and the run stops at the first start that
     goes exact (``_replay_in_start_order``).  The report carries the best
     error found; no claim of global optimality is made.
     """

@@ -6,9 +6,11 @@ from itertools import compress
 
 import numpy as np
 
-from qchansim import decompose, qmath, serialize
-from qchansim.protocols import check_distributions
+from qchansim import decompose, multiround, qmath, serialize
+from qchansim.multiround import OddRoundProtocol, collapsed_message_count
+from qchansim.protocols import SharedRandomness, check_distributions
 from qchansim.qmath import (
+    Instrument,
     Povm,
     ProductRank1Effect,
     bloch_to_ket,
@@ -120,6 +122,78 @@ def nested_sum_odd_round(p, psi, phi) -> np.ndarray:
     for x, p_atom in enumerate(p.randomness.probabilities):
         descend(x, 0, (), phi, p_atom)
     return out
+
+
+def oracle_state_coin(rng: np.random.Generator, size: int):
+    """One state coin drawn and evaluated on its own: the oracle of the generator's coin rounds.
+
+    Two flat-simplex draws and a random Bloch axis, in that order; the coin
+    mixes the draws by the clipped overlap of the state with the axis.
+    """
+    base0 = rng.dirichlet(np.ones(size))
+    base1 = rng.dirichlet(np.ones(size))
+    axis = qmath.bloch_to_density(qmath.random_bloch(rng))
+
+    def coin(psi: np.ndarray) -> np.ndarray:
+        f = min(max(float((axis @ psi).trace().real), 0.0), 1.0)
+        return f * base0 + (1.0 - f) * base1
+
+    return coin
+
+
+def oracle_isometry_blocks(rng: np.random.Generator, n_outcomes: int, dim: int) -> tuple[np.ndarray, ...]:
+    """The n_outcomes square blocks of one Haar-random isometry from C^dim, drawn and factored alone."""
+    z = rng.normal(size=(n_outcomes * dim, dim)) + 1j * rng.normal(size=(n_outcomes * dim, dim))
+    q, _ = np.linalg.qr(z)
+    return tuple(q[i * dim : (i + 1) * dim, :] for i in range(n_outcomes))
+
+
+def oracle_random_rounds(seed, rounds, n_atoms, n_outcomes, dim, *, table_order, atom_major):
+    """The seeded random protocol with every table drawn one key at a time.
+
+    The oracle that ``multiround._random_rounds`` must equal bit for bit, and
+    whose random stream it must leave in the same state: each coin, instrument
+    and measurement drawn alone, in ``table_order``, atom by atom
+    (``atom_major``) or transcript by transcript within a table.
+    """
+    collapsed_message_count(rounds[0::2], rounds[1::2])
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    atom_probs = rng.dirichlet(np.ones(n_atoms))
+    atom_probs = atom_probs / atom_probs.sum()
+    depth = len(rounds)
+    tables = {}
+    for length in table_order:
+        if length == depth:
+            def make():
+                blocks = oracle_isometry_blocks(rng, n_outcomes, dim)
+                return Povm(effects=tuple(dagger(k) @ k for k in blocks), labels=tuple(range(n_outcomes)))
+        elif length % 2 == 0:
+            def make():
+                return oracle_state_coin(rng, rounds[length])
+        else:
+            def make():
+                return Instrument(kraus=oracle_isometry_blocks(rng, rounds[length], dim))
+        transcripts = list(np.ndindex(*rounds[:length]))
+        keys = itertools.product(range(n_atoms), transcripts) if atom_major else (
+            (x, tr) for tr in transcripts for x in range(n_atoms)
+        )
+        tables[length] = {key: make() for key in keys}
+
+    def coin(table):
+        return lambda psi, x, tr: table[(x, tuple(tr))](psi)
+
+    def instrument(table):
+        return lambda x, tr: table[(x, tuple(tr))]
+
+    return rng, OddRoundProtocol(
+        randomness=SharedRandomness(probabilities=tuple(atom_probs)),
+        sender_alphabets=tuple(tuple(range(n)) for n in rounds[0::2]),
+        receiver_alphabets=tuple(tuple(range(n)) for n in rounds[1::2]),
+        outcomes=tuple(range(n_outcomes)),
+        coins=tuple(coin(tables[length]) for length in range(0, depth, 2)),
+        instruments=tuple(instrument(tables[length]) for length in range(1, depth, 2)),
+        final_povm=lambda x, tr: tables[depth][(x, tuple(tr))],
+    )
 
 
 def one_round_protocol_to_obj(p, psi_grid, tables=None) -> dict:
@@ -289,4 +363,17 @@ def count_solves(monkeypatch) -> list:
         return solve(system, weights)
 
     monkeypatch.setattr(decompose, "solve_mixture", counting)
+    return calls
+
+
+def count_coin_evaluations(monkeypatch) -> list:
+    """Record (coin round, state) for every coin table a seeded generator evaluates from here on."""
+    calls = []
+    evaluate = multiround._CoinRound._evaluate
+
+    def counting(coin_round, psi):
+        calls.append((coin_round, psi))
+        return evaluate(coin_round, psi)
+
+    monkeypatch.setattr(multiround._CoinRound, "_evaluate", counting)
     return calls

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import count_solves, random_product_povm
+from helpers import count_coin_evaluations, count_solves, random_product_povm
 
 import qchansim
 from qchansim import cli, multiround, protocols, qmath, serialize
@@ -248,6 +248,19 @@ class TestCollapse:
         assert report["max_deviation"] < 1e-10
         assert report["stage_alphabet_sizes"] == [[2, 2, 2], [2, 8]]
 
+    def test_each_coin_table_is_evaluated_once_per_check_state(self, tmp_path, monkeypatch):
+        # The collapsed encoder tabulates every coin on a check state, and the
+        # direct run that follows reads the tables each coin round kept.
+        calls = count_coin_evaluations(monkeypatch)
+        config = write_config(
+            tmp_path,
+            "col.json",
+            {"protocol": {"kind": "random_odd_round", "seed": 23, "depth": 5}, "check_states": 4},
+        )
+        assert run_cli(["collapse", "--config", config, "--out", str(tmp_path / "c.json")]) == 0
+        assert len(calls) == 3 * 4
+        assert len({(id(coin_round), psi.tobytes()) for coin_round, psi in calls}) == len(calls)
+
     def test_seven_round_report_on_stdout(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -473,6 +486,23 @@ class TestNogo:
         row = out.read_text().strip().splitlines()[2].split(",")
         assert float(row[3]) > 1e-8
         assert row[6] == "floor"
+
+    def test_effects_columns_over_the_limit_exit_3_before_allocating(self, tmp_path, capsys):
+        # The encoder table (16,000,000 entries) and candidate rows fit, but the
+        # effects step's columns would hold 8e9 entries (64 GB) per array.
+        cases = [{"messages": 1, "atoms": 1, "states": 3},
+                 {"messages": 1, "atoms": 8_000_000, "states": 1000}]
+        config = write_config(tmp_path, "nogo.json", {"cases": cases, "budget": 8, "starts": 2})
+        tracemalloc.start()
+        try:
+            code = run_cli(["nogo", "--config", config, "--out", str(tmp_path / "nogo.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**20
+        assert "effects-step columns" in capsys.readouterr().err
+        assert not (tmp_path / "nogo.csv").exists()
 
 
 class TestRac:

@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from helpers import nested_sum_odd_round
+from helpers import count_coin_evaluations, nested_sum_odd_round, oracle_random_rounds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -430,3 +431,165 @@ class TestLevelWiseEvaluation:
         psi, phi = random_pair(np.random.default_rng(107))
         with pytest.raises(ProtocolError, match="coin 1 has shape"):
             run_odd_round(bad, psi, phi)
+
+
+def odd_round_order(depth):
+    """The table order of ``random_odd_round``: coins, then instruments, then the final measurement."""
+    return (*range(0, depth, 2), *range(1, depth, 2), depth)
+
+
+def oracle_states(seed):
+    """Sender states in every form a coin takes: complex arrays, a real-dtype array and a nested list."""
+    rng = np.random.default_rng(seed)
+    complex_states = [projector(haar_ket(2, rng)) for _ in range(3)]
+    real = np.array([[0.75, 0.25], [0.25, 0.25]])
+    return [*complex_states, real, complex_states[0].tolist(), real.tolist()]
+
+
+def assert_same_rounds(new, old, rounds, states):
+    """Atom probabilities, every Kraus operator, final effect and coin equal bit for bit."""
+    assert new.randomness.probabilities == old.randomness.probabilities
+    assert (new.sender_alphabets, new.receiver_alphabets, new.outcomes) == (
+        old.sender_alphabets, old.receiver_alphabets, old.outcomes
+    )
+    n_atoms = len(new.randomness)
+    for length in range(len(rounds) + 1):
+        for x, tr in itertools.product(range(n_atoms), np.ndindex(*rounds[:length])):
+            if length == len(rounds):
+                a, b = new.final_povm(x, tr), old.final_povm(x, tr)
+                assert a.labels == b.labels
+                assert all(np.array_equal(e, f) for e, f in zip(a.effects, b.effects, strict=True))
+            elif length % 2:
+                a, b = new.instruments[length // 2](x, tr), old.instruments[length // 2](x, tr)
+                assert all(np.array_equal(k, q) for k, q in zip(a.kraus, b.kraus, strict=True))
+            else:
+                t = length // 2
+                assert all(np.array_equal(new.coins[t](psi, x, tr), old.coins[t](psi, x, tr)) for psi in states)
+
+
+class TestGeneratorAgainstOracle:
+    """``_random_rounds`` against the generator that drew every table entry alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "rounds, n_atoms, n_outcomes, dim, order, atom_major",
+        [
+            pytest.param((2, 2, 2), 2, 2, 2, odd_round_order(3), True, id="odd-depth3"),
+            pytest.param((2,) * 5, 2, 2, 2, odd_round_order(5), True, id="odd-depth5"),
+            pytest.param((2,) * 7, 2, 2, 2, odd_round_order(7), True, id="odd-depth7"),
+            pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), False, id="three-round-transcript-major"),
+            pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), True, id="three-round-atom-major"),
+            pytest.param((3, 3, 3), 3, 3, 2, odd_round_order(3), True, id="ternary-3atoms-3outcomes"),
+            pytest.param((2, 2, 2), 2, 2, 3, odd_round_order(3), True, id="receiver-dim3"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_one_at_a_time_draws(self, seed, rounds, n_atoms, n_outcomes, dim, order, atom_major):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        new = multiround._random_rounds(
+            rng, rounds, n_atoms, n_outcomes, dim, table_order=order, atom_major=atom_major
+        )
+        oracle_rng, old = oracle_random_rounds(
+            seed, rounds, n_atoms, n_outcomes, dim, table_order=order, atom_major=atom_major
+        )
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert_same_rounds(new, old, rounds, oracle_states(seed))
+
+    def test_public_generators_draw_the_oracle_protocols(self):
+        states = oracle_states(3)
+        for depth in (3, 5):
+            _, old = oracle_random_rounds(11, (3,) * depth, 3, 3, 2, table_order=odd_round_order(depth),
+                                          atom_major=True)
+            new = random_odd_round(11, depth, n_atoms=3, alphabet=3, n_outcomes=3)
+            assert_same_rounds(new, old, (3,) * depth, states)
+        _, old = oracle_random_rounds(13, (2, 3, 3), 3, 3, 3, table_order=(0, 1, 2, 3), atom_major=False)
+        new = random_three_round(13, n_atoms=3, n_m1=2, n_m2=3, n_m3=3, n_outcomes=3, dim=3)
+        assert_same_rounds(new, old, (2, 3, 3), states)
+
+    def test_single_instruments_and_measurements_equal_the_stacked_draws(self):
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        stacked = multiround._isometry_blocks(a, 5, 3, 2)
+        singles = [multiround.random_instrument(b, 3, 2).kraus for _ in range(5)]
+        assert np.array_equal(stacked, np.array(singles))
+        povm = multiround.random_povm(a, 2, 3, labels="xy")
+        blocks = multiround._isometry_blocks(b, 1, 2, 3)[0]
+        assert povm.labels == ("x", "y")
+        assert all(np.array_equal(e, qmath.dagger(k) @ k) for e, k in zip(povm.effects, blocks))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestCoinMemo:
+    """A coin round keeps the table of the last sender state it evaluated."""
+
+    @staticmethod
+    def pair(seed=5, depth=5):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        new = multiround._random_rounds(
+            rng, (2,) * depth, 2, 2, 2, table_order=odd_round_order(depth), atom_major=True
+        )
+        _, old = oracle_random_rounds(seed, (2,) * depth, 2, 2, 2, table_order=odd_round_order(depth),
+                                      atom_major=True)
+        return new, old
+
+    def test_a_returned_coin_is_a_fresh_writable_copy(self):
+        new, old = self.pair()
+        psi = projector(haar_ket(2, np.random.default_rng(1)))
+        coin = new.coins[1](psi, 1, (0, 1))
+        assert coin.flags.writeable
+        expected = old.coins[1](psi, 1, (0, 1))
+        coin[:] = 7.0
+        assert np.array_equal(new.coins[1](psi, 1, (0, 1)), expected)
+        assert new.coins[1](psi, 1, (0, 1)) is not new.coins[1](psi, 1, (0, 1))
+
+    def test_state_changed_in_place_gets_new_rows(self, monkeypatch):
+        new, old = self.pair()
+        seen = count_coin_evaluations(monkeypatch)
+        rng = np.random.default_rng(2)
+        psi = projector(haar_ket(2, rng))
+        before = new.coins[2](psi, 0, (1, 0, 1, 1))
+        psi[...] = projector(haar_ket(2, rng))  # same object, new bytes
+        after = new.coins[2](psi, 0, (1, 0, 1, 1))
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, old.coins[2](psi, 0, (1, 0, 1, 1)))
+        assert len(seen) == 2
+
+    def test_alternating_states_give_their_own_rows(self, monkeypatch):
+        new, old = self.pair()
+        seen = count_coin_evaluations(monkeypatch)
+        rng = np.random.default_rng(3)
+        a, b = projector(haar_ket(2, rng)), projector(haar_ket(2, rng))
+        for psi in (a, b, a, a, b):
+            for x, tr in itertools.product(range(2), np.ndindex(2, 2)):
+                assert np.array_equal(new.coins[1](psi, x, tr), old.coins[1](psi, x, tr))
+        assert len(seen) == 4  # a, b, a, b: the second a in a row reads the kept table
+
+    def test_nan_state_raises_and_leaves_no_entry(self, monkeypatch):
+        new, _ = self.pair(depth=3)
+        seen = count_coin_evaluations(monkeypatch)
+        rng = np.random.default_rng(4)
+        psi, phi = random_pair(rng)
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        for _ in range(2):
+            with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
+                run_odd_round(new, nan, phi)
+        assert new.coins[0]._last is None
+        run_odd_round(new, psi, phi)
+        kept = new.coins[0]._last
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
+            multiround.tabulate(new).coins(nan)
+        assert new.coins[0]._last is kept
+        # Nothing is kept for NaN, so each coin call on it evaluates again: once
+        # per direct run (its first atom raises) and once per atom in tabulate.
+        nan_calls = [state for round_, state in seen if round_ is new.coins[0] and state is nan]
+        assert len(nan_calls) == 2 + 2
+
+    def test_tabulate_and_direct_run_share_one_evaluation_per_state(self, monkeypatch):
+        new, old = self.pair()
+        seen = count_coin_evaluations(monkeypatch)
+        tables = multiround.tabulate(new)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            psi, phi = random_pair(rng)
+            coins = tables.coins(psi)
+            assert np.array_equal(run_odd_round(new, psi, phi), nested_sum_odd_round(old, psi, phi))
+            assert all(np.array_equal(c, o) for c, o in zip(coins, multiround.tabulate(old).coins(psi)))
+        assert len(seen) == 3 * len(new.coins)

@@ -263,6 +263,21 @@ class TestOptimize:
             with pytest.raises(NogoError, match="candidate rows"):
                 nogo.check_sizes(m, 1, nogo.MAX_STATES)
 
+    @pytest.mark.parametrize("m,k,n", [(1, 8_000_000, 1000), (2, 900_000, 1000)])
+    def test_effects_columns_over_the_limit_are_rejected(self, m, k, n):
+        # Both encoder tables and candidate rows fit, but N M K is 8e9 and 1.8e9 entries.
+        assert nogo._table_entries(m, k) <= nogo.MAX_TABLE_ENTRIES
+        assert n * (2**m - 1) * m <= nogo.MAX_TABLE_ENTRIES
+        assert nogo._start_entries(m, k, n) == n * m * k
+        with pytest.raises(NogoError, match="effects-step columns"):
+            nogo.check_sizes(m, k, n)
+
+    def test_effects_columns_at_the_limit_pass(self):
+        # N M K at 1,000 states and one message: 16,777 atoms fit under 2^24 entries, 16,778 do not.
+        nogo.check_sizes(1, 16_777, nogo.MAX_STATES)
+        with pytest.raises(NogoError, match="effects-step columns"):
+            nogo.check_sizes(1, 16_778, nogo.MAX_STATES)
+
     @pytest.mark.parametrize("m,k,n", [(2, 3, 5), (1, 2, 3), (2, 1, 2)])
     def test_start_groups_under_a_small_table_limit_change_nothing(self, monkeypatch, m, k, n):
         fam = nested_grid(n)

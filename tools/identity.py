@@ -19,8 +19,10 @@ the wrong state, or kept too long, changes the digest.  The protocols are the
 catalog measurements, ``blockbasis6``, shift A and B, every
 ``tests/helpers.random_product_povm`` kind pair and ``mixed_product_povm`` at
 seeds 0-5, and the 256-member tetrahedral family.  The seeded multi-round
-generators follow: ``random_three_round`` (two alphabet shapes) and
-``random_odd_round`` at depths 3, 5 and 7, at seeds 0-2, over their tabulated
+generators follow: ``random_three_round`` (two alphabet shapes),
+``random_odd_round`` at depths 3, 5 and 7, and at depth 3 over ternary
+alphabets with 3 atoms and 3 outcomes and over a qutrit receiver
+(``dim=3``), at seeds 0-2, over their tabulated
 protocol (``tabulate``): the atom probabilities, the bytes of every Kraus table
 and of the final measurements, and the coins on the same 10 states.  Then three
 separable measurements, digested like the first group: ``tb`` with its terms
@@ -193,6 +195,12 @@ def build_round_protocols():
         )
         for depth in (3, 5, 7):
             yield f"odd-round-depth{depth}-seed{seed}", multiround.random_odd_round(seed, depth)
+    # Blocks of n·d × d isometries with n or d other than 2.
+    for seed in ROUND_SEEDS:
+        yield f"odd-round-depth3-ternary-3atoms-seed{seed}", multiround.random_odd_round(
+            seed, 3, n_atoms=3, alphabet=3, n_outcomes=3
+        )
+        yield f"odd-round-depth3-dim3-seed{seed}", multiround.random_odd_round(seed, 3, dim=3)
 
 
 def round_digest(d: Digest, protocol, states) -> None:

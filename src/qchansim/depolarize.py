@@ -250,7 +250,8 @@ def _run_blocks(
     normals into its own buffer, so q holds rows lo..lo + len(q) of
     ``_unit_quaternions(rng, size)`` whichever thread runs it (the normal
     stream does not depend on how it is split).  Outside the lock it
-    normalises q in place with the ufuncs ``np.linalg.norm`` uses and calls
+    normalises q in place, adding each row's squares as column adds in the
+    order ``np.linalg.norm``'s 4-wide row reduce adds them, and calls
     ``work``.  An exception in any worker stops the others from taking
     blocks and is raised here once every thread has ended.
     """
@@ -273,7 +274,11 @@ def _run_blocks(
                     q = draws[:n]
                     rng.standard_normal(out=q)
                 np.multiply(q, q, out=squares[:n])
-                np.add.reduce(squares[:n], axis=1, keepdims=True, out=norms[:n])
+                # (s0 + s1) + s2 + s3, the order the 4-wide row reduce adds in.
+                total = norms[:n, 0]
+                np.add(squares[:n, 0], squares[:n, 1], out=total)
+                np.add(total, squares[:n, 2], out=total)
+                np.add(total, squares[:n, 3], out=total)
                 np.sqrt(norms[:n], out=norms[:n])
                 q /= norms[:n]
                 work(lo, q)

@@ -433,8 +433,9 @@ def _random_rounds(
     Dirichlet draws, then a normal 3-vector) stacked in key order; it
     evaluates every key's coin at once and keeps the table of the last
     sender state.  An instrument or measurement round draws the normals of
-    all its isometries in one call and factors them in one stacked QR; each
-    Instrument and Povm still runs its own check.  The stream is consumed
+    all its isometries in one call and factors them in one stacked QR, and
+    its instruments or measurements are checked once, as one stack
+    (``Instrument.stack``, ``Povm.stack``).  The stream is consumed
     as drawing each entry alone consumed it, so a seed gives the protocol it
     always gave.  Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES``
     raise a ProtocolError before any table is drawn.
@@ -455,10 +456,9 @@ def _random_rounds(
         n = n_outcomes if length == depth else rounds[length]
         blocks = _isometry_blocks(rng, len(keys), n, dim)
         if length == depth:
-            labels = tuple(range(n_outcomes))
-            made = [Povm(effects=tuple(e), labels=labels) for e in dagger(blocks) @ blocks]
+            made = Povm.stack(dagger(blocks) @ blocks, range(n_outcomes))
         else:
-            made = [Instrument(kraus=tuple(k)) for k in blocks]
+            made = Instrument.stack(blocks)
         tables[length] = dict(zip(keys, made))
 
     def instrument(table):
@@ -531,6 +531,8 @@ def interactive_twist_protocol() -> OddRoundProtocol:
         p0 = float(np.clip(np.trace(qmath.projector(ket) @ psi).real, 0.0, 1.0))
         return np.array([p0, 1.0 - p0])
 
+    finals = {tr: Povm(effects=(qmath.I2,), labels=(label,)) for tr, label in outcome_of.items()}
+
     reply = OddRoundProtocol(
         randomness=SharedRandomness.trivial(),
         sender_alphabets=((0, 1),),
@@ -538,6 +540,6 @@ def interactive_twist_protocol() -> OddRoundProtocol:
         outcomes=labels,
         coins=(coin,),
         instruments=(),
-        final_povm=lambda x, tr: Povm(effects=(qmath.I2,), labels=(outcome_of[tr],)),
+        final_povm=lambda x, tr: finals[tr],
     )
     return pad_leading_sender_round(lambda x: z_instrument, (0, 1), reply)

@@ -252,6 +252,25 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
     return out
 
 
+def _same_shapes(matrices, what: str) -> None:
+    dims = {np.shape(m) for m in matrices}
+    if len(dims) != 1:
+        raise DimensionError(f"{what} have mixed shapes: {dims}")
+
+
+def _stack_of(a: np.ndarray, what: str) -> None:
+    if a.ndim != 4 or 0 in a.shape[:2]:
+        raise DimensionError(f"expected a (count, outcomes, d, d) stack of {what}, got shape {a.shape}")
+
+
+def _rows_of(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, without running ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Povm:
     """A measurement: effects summing to identity, with one label per outcome."""
@@ -260,17 +279,32 @@ class Povm:
     labels: tuple[Hashable, ...]
 
     def __post_init__(self):
-        if len(self.effects) != len(self.labels):
+        _same_shapes(self.effects, "effects")
+        (checked,) = Povm.stack([self.effects], self.labels)
+        object.__setattr__(self, "effects", checked.effects)
+        object.__setattr__(self, "labels", checked.labels)
+
+    @classmethod
+    def stack(cls, effects, labels) -> tuple["Povm", ...]:
+        """One checked measurement per row of a (count, outcomes, d, d) array, all with ``labels``.
+
+        The conditions of the one-object constructor run once over the whole
+        stack: one ``assert_measurements`` call, and the labels checked once
+        for length and uniqueness.  A stack with any bad member raises what
+        that member alone would raise.  The effects are copied into one
+        read-only array, and measurement i holds the rows of its entry i as its
+        effects, so no measurement checks itself again.
+        """
+        e = np.array(effects, dtype=complex)
+        _stack_of(e, "effects")
+        labels = tuple(labels)
+        if len(labels) != e.shape[1]:
             raise QmathError("labels and effects must have the same length")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise QmathError("outcome labels must be unique")
-        dims = {np.shape(e) for e in self.effects}
-        if len(dims) != 1:
-            raise DimensionError(f"effects have mixed shapes: {dims}")
-        frozen = assert_measurements(np.array(self.effects, dtype=complex))
-        frozen.setflags(write=False)
-        object.__setattr__(self, "effects", tuple(frozen))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        e = assert_measurements(e)
+        e.setflags(write=False)
+        return tuple(_rows_of(cls, effects=tuple(rows), labels=labels) for rows in e)
 
     @property
     def dim(self) -> int:
@@ -305,14 +339,30 @@ class Instrument:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        frozen = tuple(np.array(_as_matrix(k), dtype=complex) for k in self.kraus)
-        dim = frozen[0].shape[0]
-        total = sum(dagger(k) @ k for k in frozen)
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_MATRIX:
+        _same_shapes(self.kraus, "Kraus operators")
+        (checked,) = Instrument.stack([self.kraus])
+        object.__setattr__(self, "kraus", checked.kraus)
+
+    @classmethod
+    def stack(cls, kraus) -> tuple["Instrument", ...]:
+        """One checked instrument per row of a (count, outcomes, d, d) array of Kraus operators.
+
+        The conditions of the one-object constructor run once over the whole
+        stack: finite square blocks, and sum_k K_k^dag K_k equal to the
+        identity within ``ATOL_MATRIX`` for each instrument.  A stack with any
+        bad member raises what that member alone would raise.  The operators
+        are copied into one read-only array, and instrument i holds the rows
+        of its entry i as its Kraus operators, so no instrument checks itself
+        again.
+        """
+        k = np.array(kraus, dtype=complex)
+        _stack_of(k, "Kraus operators")
+        k = _as_matrix(k, stack=True)
+        total = (dagger(k) @ k).sum(axis=1)
+        if np.max(np.abs(total - np.eye(k.shape[-1]))) > ATOL_MATRIX:
             raise QmathError("Kraus operators are not complete")
-        for k in frozen:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", frozen)
+        k.setflags(write=False)
+        return tuple(_rows_of(cls, kraus=tuple(rows)) for rows in k)
 
     @property
     def dim(self) -> int:

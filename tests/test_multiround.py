@@ -79,6 +79,15 @@ class TestRunThreeRound:
                 atol=1e-12,
             )
 
+    def test_interactive_twist_builds_its_final_measurements_once(self, monkeypatch):
+        p = interactive_twist_protocol()
+        built = []
+        monkeypatch.setattr(qmath.Povm, "__post_init__", built.append)
+        run_odd_round(p, *random_pair(np.random.default_rng(3)))
+        multiround.tabulate(p)
+        assert built == []
+        assert p.final_povm(0, (0, 1, 0)) is p.final_povm(0, (0, 1, 0))
+
 
 class TestCollapse:
     def test_collapse_equality_hundred_random_protocols(self):

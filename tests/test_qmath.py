@@ -9,7 +9,7 @@ from helpers import TETRA_BLOCH
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchansim import cli, protocols, qmath
+from qchansim import cli, multiround, protocols, qmath
 from qchansim.qmath import (
     I2,
     I4,
@@ -254,6 +254,142 @@ class TestPovmValidation:
         m = catalog_measurement("comp")
         with pytest.raises(ValueError):
             m.effects[0][0, 0] = 5.0
+
+
+def good_stack(count=5, n=3, dim=2, seed=4):
+    """The Kraus blocks of ``count`` random instruments and their K^dag K measurements."""
+    blocks = multiround._isometry_blocks(np.random.default_rng(seed), count, n, dim)
+    return blocks, qmath.dagger(blocks) @ blocks
+
+
+def raised(build) -> tuple[type, str]:
+    """The class of the QmathError that ``build()`` raises, and its message up to the first figure."""
+    with pytest.raises(qmath.QmathError) as info:
+        build()
+    return type(info.value), str(info.value).split(":")[0].split(", got")[0]
+
+
+BAD_EFFECTS = {
+    "non-hermitian": [projector(qmath.KET0) + 0.1 * SIGMA_X @ SIGMA_Z,
+                      projector(qmath.KET1) - 0.1 * SIGMA_X @ SIGMA_Z],
+    "eigenvalue-outside": [1.5 * projector(qmath.KET0), I2 - 1.5 * projector(qmath.KET0)],
+    "incomplete": [projector(qmath.KET0), 0.5 * projector(qmath.KET1)],
+    "non-finite": [np.full((2, 2), np.nan), I2],
+    "non-square": [np.eye(2, 3), np.eye(2, 3)],
+}
+
+
+class TestPovmStack:
+    @pytest.mark.parametrize("bad", BAD_EFFECTS.values(), ids=BAD_EFFECTS.keys())
+    def test_one_bad_member_raises_what_it_raises_alone(self, bad):
+        expected = raised(lambda: Povm(effects=tuple(bad), labels=(0, 1)))
+        stack = np.array([[projector(qmath.KET0), projector(qmath.KET1)]] * 4, dtype=complex)
+        if np.shape(bad) != stack.shape[1:]:
+            stack = np.zeros((4,) + np.shape(bad), dtype=complex)
+        stack[2] = bad
+        assert raised(lambda: Povm.stack(stack, (0, 1))) == expected
+
+    @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1)], ids=["repeated", "too-few"])
+    def test_bad_labels_raise_what_one_measurement_raises(self, labels):
+        _, effects = good_stack()
+        expected = raised(lambda: Povm(effects=tuple(effects[0]), labels=labels))
+        assert raised(lambda: Povm.stack(effects, labels)) == expected
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (0, 3, 2, 2), (2, 0, 2, 2)])
+    def test_anything_but_a_non_empty_stack_is_a_dimension_error(self, shape):
+        with pytest.raises(qmath.DimensionError):
+            Povm.stack(np.zeros(shape), range(shape[-3]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_equal_one_at_a_time_measurements_and_are_read_only(self, dim):
+        _, effects = good_stack(dim=dim)
+        stacked = Povm.stack(effects, "abc")
+        assert len(stacked) == len(effects)
+        for povm, rows in zip(stacked, effects):
+            single = Povm(effects=tuple(rows), labels=tuple("abc"))
+            assert povm.labels == single.labels == ("a", "b", "c")
+            assert povm.dim == dim and len(povm) == 3
+            for e, f in zip(povm.effects, single.effects):
+                assert np.array_equal(e, f)
+                assert not e.flags.writeable
+                with pytest.raises(ValueError):
+                    e[0, 0] = 5.0
+
+    def test_the_stack_is_a_copy(self):
+        _, effects = good_stack()
+        kept = effects.copy()
+        stacked = Povm.stack(effects, range(3))
+        assert effects.flags.writeable
+        effects[:] = 0.0
+        assert all(np.array_equal(povm.effects, rows) for povm, rows in zip(stacked, kept))
+
+
+BAD_KRAUS = {
+    "incomplete": [projector(qmath.KET0), 0.5 * projector(qmath.KET1)],
+    "non-finite": [np.full((2, 2), np.inf), projector(qmath.KET1)],
+    "not-square": [np.eye(2, 3), np.eye(2, 3)],
+}
+
+
+class TestInstrumentStack:
+    @pytest.mark.parametrize("bad", BAD_KRAUS.values(), ids=BAD_KRAUS.keys())
+    def test_one_bad_member_raises_what_it_raises_alone(self, bad):
+        expected = raised(lambda: Instrument(kraus=tuple(bad)))
+        stack = np.zeros((4,) + np.shape(bad), dtype=complex)
+        if np.shape(bad)[-1] == np.shape(bad)[-2]:
+            stack[:] = [projector(qmath.KET0), projector(qmath.KET1)]
+        stack[2] = bad
+        assert raised(lambda: Instrument.stack(stack)) == expected
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (0, 3, 2, 2), (2, 0, 2, 2)])
+    def test_anything_but_a_non_empty_stack_is_a_dimension_error(self, shape):
+        with pytest.raises(qmath.DimensionError):
+            Instrument.stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_equal_one_at_a_time_instruments_and_are_read_only(self, dim):
+        blocks, _ = good_stack(dim=dim)
+        stacked = Instrument.stack(blocks)
+        assert len(stacked) == len(blocks)
+        for inst, rows in zip(stacked, blocks):
+            single = Instrument(kraus=tuple(rows))
+            assert inst.dim == dim and len(inst) == 3
+            for k, j in zip(inst.kraus, single.kraus):
+                assert np.array_equal(k, j)
+                assert not k.flags.writeable
+                with pytest.raises(ValueError):
+                    k[0, 0] = 5.0
+        assert blocks.flags.writeable
+
+    def test_mixed_shapes_in_one_instrument_are_a_dimension_error(self):
+        with pytest.raises(qmath.DimensionError):
+            Instrument(kraus=(I2, np.eye(3)))
+
+
+def test_a_depth5_generator_checks_three_stacks(monkeypatch):
+    """One measurement stack and two instrument stacks, and no object checks itself."""
+    calls = {"measurements": 0, "instrument stacks": 0, "objects": 0}
+    check, stack = qmath.assert_measurements, Instrument.stack.__func__
+
+    def counting_check(effects):
+        calls["measurements"] += 1
+        return check(effects)
+
+    def counting_stack(cls, kraus):
+        calls["instrument stacks"] += 1
+        return stack(cls, kraus)
+
+    def counting_object(self):
+        calls["objects"] += 1
+
+    monkeypatch.setattr(qmath, "assert_measurements", counting_check)
+    monkeypatch.setattr(Instrument, "stack", classmethod(counting_stack))
+    monkeypatch.setattr(Instrument, "__post_init__", counting_object)
+    monkeypatch.setattr(Povm, "__post_init__", counting_object)
+    p = multiround.random_odd_round(3, 5)
+    assert calls == {"measurements": 1, "instrument stacks": 2, "objects": 0}
+    assert isinstance(p.final_povm(1, (0, 1, 1, 0, 1)), Povm)
+    assert isinstance(p.instruments[1](0, (1, 0, 0)), Instrument)
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ catalog measurements, ``blockbasis6``, shift A and B, every
 seeds 0-5, and the 256-member tetrahedral family.  The seeded multi-round
 generators follow: ``random_three_round`` (two alphabet shapes),
 ``random_odd_round`` at depths 3, 5 and 7, and at depth 3 over ternary
-alphabets with 3 atoms and 3 outcomes and over a qutrit receiver
-(``dim=3``), at seeds 0-2, over their tabulated
+alphabets with 3 atoms and 3 outcomes and over a qutrit receiver (``dim=3``),
+at seeds 0-2, and then ``interactive_twist_protocol``, each over its tabulated
 protocol (``tabulate``): the atom probabilities, the bytes of every Kraus table
 and of the final measurements, and the coins on the same 10 states.  Then three
 separable measurements, digested like the first group: ``tb`` with its terms
@@ -34,12 +34,12 @@ family, unpruned, on each of the 10 states.  The next covers the runners as the
 ``simulate-protocols`` benchmark calls them: state by state, every protocol of
 the first and third groups in turn runs ``run_analytic`` and then
 ``run_sampled`` on the same shared states, so a check or a table that one
-protocol's call remembers is reused by the next.  The last four are the
-SHA-256 of the ``.collapsed.json`` text that ``qchansim collapse --out`` writes
-with 10 check states and the default seed, for ``random_odd_round`` at depths
-3, 5 and 7 (protocol seed 3) and for ``random_three_round`` (protocol seed 21);
-their npz holds the atom probabilities, effects, ``named`` mask and encoder
-tables on the check states that the text serializes.
+protocol's call remembers is reused by the next.  The last four are the SHA-256
+of the ``.collapsed.json`` text that ``qchansim collapse --out`` writes with 10
+check states and the default seed, for ``random_odd_round`` at depths 3, 5 and
+7 (protocol seed 3) and for ``random_three_round`` (protocol seed 21); their
+npz holds the atom probabilities, effects, ``named`` mask and encoder tables on
+the check states that the text serializes.
 
 No-go reports: one line each in ``nogo_reports.txt`` with a case name,
 ``repr(best_error)``, ``iterations``, the status (``exact`` below
@@ -201,6 +201,7 @@ def build_round_protocols():
             seed, 3, n_atoms=3, alphabet=3, n_outcomes=3
         )
         yield f"odd-round-depth3-dim3-seed{seed}", multiround.random_odd_round(seed, 3, dim=3)
+    yield "interactive-twist", multiround.interactive_twist_protocol()
 
 
 def round_digest(d: Digest, protocol, states) -> None:

@@ -112,12 +112,19 @@ class OddRoundProtocol:
         return len(self.sender_alphabets) + len(self.receiver_alphabets)
 
 
-def _stacked_coins(
-    p: OddRoundProtocol, t: int, psi: np.ndarray, x: int, transcripts: list
-) -> np.ndarray:
-    """The coin of round t on every transcript, as checked rows of one array."""
+def _unknown_outcome(p: OddRoundProtocol, label) -> ProtocolError:
+    return ProtocolError(f"a final measurement names {label!r}, which is not in outcomes {p.outcomes!r}")
+
+
+def _extend(entries: list, rows: np.ndarray, symbols: np.ndarray) -> list:
+    """The (atom, transcript) entries at ``rows``, each transcript extended by its symbol."""
+    return [(entries[i][0], entries[i][1] + (s,)) for i, s in zip(rows.tolist(), symbols.tolist())]
+
+
+def _stacked_coins(p: OddRoundProtocol, t: int, psi: np.ndarray, entries: list) -> np.ndarray:
+    """The coin of round t on every (atom, transcript) entry, as checked rows of one array."""
     size = len(p.sender_alphabets[t])
-    coins = [p.coins[t](psi, x, tr) for tr in transcripts]
+    coins = [p.coins[t](psi, x, tr) for x, tr in entries]
     for coin in coins:
         if np.shape(coin) != (size,):
             raise ProtocolError(f"coin {t} has shape {np.shape(coin)}, expected {(size,)}")
@@ -127,42 +134,50 @@ def _stacked_coins(
 def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Direct nested-summation evaluation of an odd-depth protocol.
 
-    Each atom's transcripts advance one round at a time, all live ones
-    together: one coin call per transcript and one check of the stacked
-    coins, the branches with positive probability, one stacked Kraus
-    sandwich per receiver round (dropping replies of trace at most 1e-15),
-    and at the end one stacked ``effect @ state`` with its trace.  Every
-    product and trace is the one a depth-first walk of the transcript tree
-    takes, on the same matrices, and the final contributions are added to the
-    distribution one by one in that walk's (lexicographic) order, so the
-    result is bit for bit the nested sum.  Only the protocol's own callables
-    are used, never the tables the collapse works from.
+    The live (atom, transcript) entries of every atom advance one round at a
+    time, together: atom 0's transcripts in walk order, then atom 1's, and so
+    on.  Each round makes one coin call per entry, in that order, one check of
+    the stacked coins and keeps the branches with positive probability; a
+    receiver round makes one stacked Kraus sandwich and one trace, dropping
+    replies of trace at most 1e-15.  At the end one stacked ``effect @
+    state`` with its trace gives every term, and one ``np.add.at`` adds them
+    to the distribution in the order of the depth-first walk of the
+    transcript tree, atom by atom.  Every product and trace is the one that
+    walk takes, on the same matrices, so the result is bit for bit the
+    nested sum.  Only the protocol's own callables are used, never the
+    tables the collapse works from.  A final measurement that names a label
+    outside ``outcomes`` raises a ProtocolError.
     """
     phi = qmath.assert_density_matrix(phi, "receiver state")
     index = {label: i for i, label in enumerate(p.outcomes)}
     out = np.zeros(len(p.outcomes))
     n_receiver = len(p.receiver_alphabets)
-    for x, p_atom in enumerate(p.randomness.probabilities):
-        transcripts, states, weights = [()], phi[None], np.array([p_atom])
-        for t in range(n_receiver + 1):
-            coin = _stacked_coins(p, t, psi, x, transcripts)
-            # The negated tests keep what the nested sum kept, NaN included.
-            rows, messages = np.nonzero(~(coin <= 0.0))
-            transcripts = [transcripts[i] + (m,) for i, m in zip(rows.tolist(), messages.tolist())]
-            states, weights = states[rows], weights[rows] * coin[rows, messages]
-            if t == n_receiver:
-                break
-            kraus = np.array([_instrument(p, t, x, tr).kraus for tr in transcripts])
-            updated = kraus @ states[:, None] @ dagger(kraus)
-            # Replies of trace at most 1e-15 are zero-probability branches.
-            rows, replies = np.nonzero(~(np.trace(updated, axis1=-2, axis2=-1).real <= 1e-15))
-            transcripts = [transcripts[i] + (b,) for i, b in zip(rows.tolist(), replies.tolist())]
-            states, weights = updated[rows, replies], weights[rows]
-        povms = [p.final_povm(x, tr) for tr in transcripts]
-        owner = np.repeat(np.arange(len(povms)), [len(povm) for povm in povms])
-        effects = np.array([e for povm in povms for e in povm.effects])
-        terms = weights[owner] * np.trace(effects @ states[owner], axis1=-2, axis2=-1).real
-        np.add.at(out, [index[label] for povm in povms for label in povm.labels], terms)
+    weights = np.array(p.randomness.probabilities, dtype=float)
+    entries = [(x, ()) for x in range(len(weights))]
+    states = np.broadcast_to(phi, weights.shape + phi.shape)
+    for t in range(n_receiver + 1):
+        coin = _stacked_coins(p, t, psi, entries)
+        # The negated tests keep what the nested sum kept, NaN included.
+        rows, messages = np.nonzero(~(coin <= 0.0))
+        entries = _extend(entries, rows, messages)
+        states, weights = states[rows], weights[rows] * coin[rows, messages]
+        if t == n_receiver:
+            break
+        kraus = np.array([_instrument(p, t, x, tr).kraus for x, tr in entries])
+        updated = kraus @ states[:, None] @ dagger(kraus)
+        # Replies of trace at most 1e-15 are zero-probability branches.
+        rows, replies = np.nonzero(~(np.trace(updated, axis1=-2, axis2=-1).real <= 1e-15))
+        entries = _extend(entries, rows, replies)
+        states, weights = updated[rows, replies], weights[rows]
+    povms = [p.final_povm(x, tr) for x, tr in entries]
+    try:
+        slots = [index[label] for povm in povms for label in povm.labels]
+    except KeyError as missing:
+        raise _unknown_outcome(p, missing.args[0]) from None
+    owner = np.repeat(np.arange(len(povms)), [len(povm) for povm in povms])
+    effects = np.array([e for povm in povms for e in povm.effects])
+    terms = weights[owner] * np.trace(effects @ states[owner], axis1=-2, axis2=-1).real
+    np.add.at(out, slots, terms)
     return out
 
 
@@ -214,8 +229,17 @@ def tabulate(p: OddRoundProtocol) -> TabulatedRounds:
             table(2 * t + 1, lambda x, tr: _instrument(p, t, x, tr).kraus)
             for t in range(len(p.receiver_alphabets))
         ),
-        final=table(p.depth, lambda x, tr: p.final_povm(x, tr).padded(p.outcomes)),
+        final=table(p.depth, lambda x, tr: _padded_final(p, x, tr)),
     )
+
+
+def _padded_final(p: OddRoundProtocol, x: int, transcript: tuple) -> np.ndarray:
+    """The final measurement's effects in ``outcomes`` order (``Povm.padded``), its labels checked."""
+    povm = p.final_povm(x, transcript)
+    for label in povm.labels:
+        if label not in p.outcomes:
+            raise _unknown_outcome(p, label)
+    return povm.padded(p.outcomes)
 
 
 def _merge_coins(coins: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -334,10 +358,6 @@ def pad_leading_sender_round(
 # Random protocol generation (seeded, for property tests and the CLI)
 # ---------------------------------------------------------------------------
 
-def _random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(size))
-
-
 class _CoinRound:
     """The state coins of one sender round, held as one table over their keys.
 
@@ -357,14 +377,35 @@ class _CoinRound:
 
     @classmethod
     def draw(cls, rng: np.random.Generator, keys: list, size: int) -> "_CoinRound":
-        """Per key in order: two flat-simplex draws of ``size`` entries and a random Bloch axis."""
-        base0, base1, axes = [], [], []
-        for _ in keys:
-            base0.append(_random_simplex(rng, size))
-            base1.append(_random_simplex(rng, size))
-            axes.append(qmath.bloch_to_density(qmath.random_bloch(rng)))
+        """Per key in order: two flat-simplex draws of ``size`` entries and a random Bloch axis.
+
+        A key's draws go straight into preallocated rows: ``2 * size``
+        standard exponentials (the two simplex draws, which consume the
+        stream as two calls of ``size`` do) and a normal 3-vector.  The rows
+        are then normalised at once, as ``rng.dirichlet(np.ones(size))`` and
+        ``qmath.random_bloch`` normalise one draw.  This relies on numpy's
+        Dirichlet rule for α > 0.1: it draws ``standard_gamma(α)``, which is
+        ``standard_exponential`` at α = 1, and multiplies each entry by 1/acc
+        with acc summed left to right; so the sum is taken as column adds,
+        since ``.sum(axis=-1)`` regroups from 8 entries up.  The test of the
+        generator against its one-draw-at-a-time oracle pins this.  The
+        Bloch norms come from ``np.vecdot``, as ``np.linalg.norm`` takes
+        them, and ``qmath.bloch_stack_to_density`` checks and builds every
+        axis at once.
+        """
+        n = len(keys)
+        gammas = np.empty((n, 2, size))
+        normals = np.empty((n, 3))
+        for i in range(n):
+            rng.standard_exponential(out=gammas[i])
+            normals[i] = rng.normal(size=3)
+        acc = gammas[..., 0]
+        for j in range(1, size):
+            acc = acc + gammas[..., j]
+        simplex = gammas * (1.0 / acc)[..., None]
+        axes = normals / np.sqrt(np.vecdot(normals, normals))[:, None]
         rows = {key: i for i, key in enumerate(keys)}
-        return cls(rows, np.array(base0), np.array(base1), np.array(axes))
+        return cls(rows, simplex[:, 0], simplex[:, 1], qmath.bloch_stack_to_density(axes))
 
     def table(self, psi) -> np.ndarray:
         """Every key's coin on ``psi``, one row per key."""
@@ -429,19 +470,21 @@ def _random_rounds(
     transcripts of length L holds coins (L even), instruments (L odd) or the
     final measurements (L the depth).  Tables are drawn in ``table_order``,
     and within a table atom by atom (``atom_major``) or transcript by
-    transcript.  A coin round is a ``_CoinRound``, its per-key draws (two
-    Dirichlet draws, then a normal 3-vector) stacked in key order; it
-    evaluates every key's coin at once and keeps the table of the last
-    sender state.  An instrument or measurement round draws the normals of
-    all its isometries in one call and factors them in one stacked QR, and
-    its instruments or measurements are checked once, as one stack
-    (``Instrument.stack``, ``Povm.stack``).  The stream is consumed
+    transcript.  A coin round is a ``_CoinRound``: per key in order it draws
+    the exponentials of two flat Dirichlet draws and a normal 3-vector into
+    preallocated rows, then normalises every simplex row and Bloch axis of
+    the round at once, as numpy's ``dirichlet`` and ``qmath.random_bloch``
+    would one key at a time; it evaluates every key's coin at once and keeps
+    the table of the last sender state.  An instrument or measurement round
+    draws the normals of all its isometries in one call and factors them in
+    one stacked QR, and its instruments or measurements are checked once, as
+    one stack (``Instrument.stack``, ``Povm.stack``).  The stream is consumed
     as drawing each entry alone consumed it, so a seed gives the protocol it
     always gave.  Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES``
     raise a ProtocolError before any table is drawn.
     """
     collapsed_message_count(rounds[0::2], rounds[1::2])
-    atom_probs = _random_simplex(rng, n_atoms)
+    atom_probs = rng.dirichlet(np.ones(n_atoms))
     atom_probs = atom_probs / atom_probs.sum()
     depth = len(rounds)
     tables = {}

@@ -216,10 +216,21 @@ def bloch_to_density(n: Sequence[float]) -> np.ndarray:
     v = np.asarray(n, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise InvalidBlochVectorError(f"Bloch vector must have 3 components, got {v.shape}")
-    norm = np.linalg.norm(v)
-    if norm > 1.0 + 1e-12:
-        raise InvalidBlochVectorError(f"Bloch vector has norm {norm!r} > 1")
-    return 0.5 * (I2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+    return bloch_stack_to_density(v[None])[0]
+
+
+def bloch_stack_to_density(v: np.ndarray) -> np.ndarray:
+    """``bloch_to_density`` of every row of an (n, 3) array, checked and built at once.
+
+    Each row's norm is ``np.vecdot`` of the row with itself, the product
+    ``np.linalg.norm`` takes, so a row gives the matrix it gives alone.
+    """
+    norms = np.sqrt(np.vecdot(v, v))
+    over = norms > 1.0 + 1e-12
+    if over.any():
+        raise InvalidBlochVectorError(f"Bloch vector has norm {norms[over][0]!r} > 1")
+    x, y, z = (v[:, k, None, None] for k in range(3))
+    return 0.5 * (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import count_coin_evaluations, nested_sum_odd_round, oracle_random_rounds
+from helpers import count_coin_evaluations, nested_sum_odd_round, oracle_random_rounds, oracle_state_coin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from qchansim.multiround import (
     run_odd_round,
 )
 from qchansim.protocols import ProtocolError, SharedRandomness, run_analytic
-from qchansim.qmath import Instrument, born, catalog_measurement, haar_ket, projector, tensor
+from qchansim.qmath import Instrument, Povm, born, catalog_measurement, haar_ket, projector, tensor
 
 
 def random_pair(rng):
@@ -441,6 +441,112 @@ class TestLevelWiseEvaluation:
         with pytest.raises(ProtocolError, match="coin 1 has shape"):
             run_odd_round(bad, psi, phi)
 
+    def test_unknown_final_label_is_a_protocol_error_in_the_direct_run(self):
+        psi, phi = random_pair(np.random.default_rng(109))
+        with pytest.raises(ProtocolError, match="names 'zz'"):
+            run_odd_round(with_unknown_final_label(), psi, phi)
+
+    @pytest.mark.parametrize("build", [multiround.tabulate, collapse_odd_rounds], ids=["tabulate", "collapse"])
+    def test_unknown_final_label_is_a_protocol_error_in_the_tables(self, build):
+        with pytest.raises(ProtocolError, match="names 'zz'"):
+            build(with_unknown_final_label())
+
+
+def with_unknown_final_label():
+    """``random_odd_round(3, 3)`` whose second atom's final measurement names the label 'zz'."""
+    p = random_odd_round(3, 3)
+    stray = Povm(effects=(qmath.I2,), labels=("zz",))
+    return dataclasses.replace(p, final_povm=lambda x, tr: stray if x == 1 else p.final_povm(x, tr))
+
+
+def atom_dependent_protocol():
+    """A depth-3 protocol whose two atoms differ where the stacked walk could mix them up.
+
+    Atom 0's first coin is a point mass on message 0 and its instrument
+    measures z, so on a z basis state one of its replies has trace 0; atom 1's
+    first coin gives both messages mass and its instrument never gives a zero
+    trace.
+    """
+    rng = np.random.default_rng(113)
+    z = Instrument(kraus=(projector(qmath.KET0), projector(qmath.KET1)))
+    haar = multiround.random_instrument(rng, 2, 2)
+    finals = [multiround.random_povm(rng, 3, 2) for _ in range(2)]
+    return OddRoundProtocol(
+        randomness=SharedRandomness(probabilities=(0.375, 0.625)),
+        sender_alphabets=((0, 1), (0, 1, 2)),
+        receiver_alphabets=((0, 1),),
+        outcomes=finals[0].labels,
+        coins=(
+            lambda psi, x, tr: np.array([1.0, 0.0]) if x == 0 else np.array([0.25, 0.75]),
+            lambda psi, x, tr: np.array([0.5, 0.0, 0.5]) if tr[1] == x else np.array([0.2, 0.3, 0.5]),
+        ),
+        instruments=(lambda x, tr: z if x == 0 else haar,),
+        final_povm=lambda x, tr: finals[(x + tr[2]) % 2],
+    )
+
+
+class TestStackedWalk:
+    """Every atom of a check state advances as one stack, bit for bit the depth-first walk."""
+
+    def test_a_message_one_atom_never_sends(self):
+        p = atom_dependent_protocol()
+        rng = np.random.default_rng(127)
+        for _ in range(4):
+            psi, phi = random_pair(rng)
+            assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    def test_a_zero_trace_reply_of_one_atom_only(self):
+        p = atom_dependent_protocol()
+        psi = projector(haar_ket(2, np.random.default_rng(131)))
+        for phi in map(projector, (qmath.KET0, qmath.KET1)):
+            # Atom 0 drops one reply on a z basis state; atom 1 keeps both.
+            traces = [[np.trace(k @ phi @ qmath.dagger(k)).real for k in p.instruments[0](x, (0,)).kraus]
+                      for x in range(2)]
+            assert min(traces[0]) <= 1e-15 < min(traces[1])
+            assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    @pytest.mark.parametrize(
+        "build, dim",
+        [
+            pytest.param(lambda: random_odd_round(17, 5, n_atoms=3), 2, id="3-atoms-depth5"),
+            pytest.param(lambda: random_odd_round(19, 3, n_atoms=3, alphabet=3, n_outcomes=3), 2, id="ternary"),
+            pytest.param(lambda: random_three_round(23, n_m1=3, n_m2=2, n_m3=3, dim=3), 3, id="qutrit"),
+            pytest.param(interactive_twist_protocol, 2, id="interactive-twist"),
+        ],
+    )
+    def test_equals_the_nested_sum(self, build, dim):
+        p = build()
+        rng = np.random.default_rng(137)
+        for _ in range(3):
+            psi, phi = projector(haar_ket(2, rng)), projector(haar_ket(dim, rng))
+            assert np.array_equal(run_odd_round(p, psi, phi), nested_sum_odd_round(p, psi, phi))
+
+    def test_one_stacked_coin_check_per_sender_round(self, monkeypatch):
+        checks = []
+        check = multiround.check_distributions
+
+        def counting(dist, shape, what):
+            checks.append(shape)
+            return check(dist, shape, what)
+
+        monkeypatch.setattr(multiround, "check_distributions", counting)
+        p = random_odd_round(29, 5)
+        run_odd_round(p, *random_pair(np.random.default_rng(139)))
+        # Three sender rounds over both atoms: 2 first coins, then every live entry.
+        assert len(checks) == 3
+        assert checks[0] == (2, 2)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_coin_round_draw_equals_the_one_coin_oracle(self, size):
+        keys = [(x, tr) for x in range(3) for tr in np.ndindex(4, 4)]
+        rng, oracle_rng = np.random.default_rng(size), np.random.default_rng(size)
+        drawn = multiround._CoinRound.draw(rng, keys, size)
+        oracles = [oracle_state_coin(oracle_rng, size) for _ in keys]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        for psi in oracle_states(size)[:4]:
+            for (x, tr), oracle in zip(keys, oracles):
+                assert np.array_equal(drawn(psi, x, tr), oracle(psi))
+
 
 def odd_round_order(depth):
     """The table order of ``random_odd_round``: coins, then instruments, then the final measurement."""
@@ -587,9 +693,10 @@ class TestCoinMemo:
             multiround.tabulate(new).coins(nan)
         assert new.coins[0]._last is kept
         # Nothing is kept for NaN, so each coin call on it evaluates again: once
-        # per direct run (its first atom raises) and once per atom in tabulate.
+        # per atom in each direct run (both atoms' coins are called before the
+        # stacked check raises) and once per atom in tabulate.
         nan_calls = [state for round_, state in seen if round_ is new.coins[0] and state is nan]
-        assert len(nan_calls) == 2 + 2
+        assert len(nan_calls) == 2 * 2 + 2
 
     def test_tabulate_and_direct_run_share_one_evaluation_per_state(self, monkeypatch):
         new, old = self.pair()

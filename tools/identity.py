@@ -24,7 +24,10 @@ generators follow: ``random_three_round`` (two alphabet shapes),
 alphabets with 3 atoms and 3 outcomes and over a qutrit receiver (``dim=3``),
 at seeds 0-2, and then ``interactive_twist_protocol``, each over its tabulated
 protocol (``tabulate``): the atom probabilities, the bytes of every Kraus table
-and of the final measurements, and the coins on the same 10 states.  Then three
+and of the final measurements, and the coins on the same 10 states.  Each of
+them then has a ``-direct`` case: the statistics ``run_odd_round`` gives on the
+10 states, each with the fixed Haar receiver state of its index, which the
+collapse check compares against.  Then three
 separable measurements, digested like the first group: ``tb`` with its terms
 grouped as {0}, {1, 2}, {3, 4} and shift, through configurations A and B, with
 its eight terms grouped in three outcomes.  One line covers the non-negative
@@ -204,6 +207,13 @@ def build_round_protocols():
     yield "interactive-twist", multiround.interactive_twist_protocol()
 
 
+def direct_round_digest(d: Digest, protocol, states) -> None:
+    """``run_odd_round`` on the 10 states, each with the fixed receiver state of the same index."""
+    phis = receiver_states(protocol.final_povm(0, (0,) * protocol.depth).dim)
+    for i, (psi, phi) in enumerate(zip(states, phis)):
+        d.add(f"direct{i}", multiround.run_odd_round(protocol, psi, phi))
+
+
 def round_digest(d: Digest, protocol, states) -> None:
     tables = multiround.tabulate(protocol)
     d.add("probabilities", np.asarray(tables.randomness.probabilities, dtype=float))
@@ -292,8 +302,11 @@ def protocol_cases(out: Path):
 
     for name, protocol, n in built:
         yield case(name, protocol_digest, protocol, states[n])
-    for name, protocol in build_round_protocols():
+    rounds = list(build_round_protocols())
+    for name, protocol in rounds:
         yield case(name, round_digest, protocol, states[1])
+    for name, protocol in rounds:
+        yield case(f"{name}-direct", direct_round_digest, protocol, states[1])
     for name, protocol, n in grouped:
         yield case(name, protocol_digest, protocol, states[n])
     yield case("tetra-tetra-256-nnls", nnls_digest, states[1])

@@ -367,6 +367,10 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
 # collapse
 # ---------------------------------------------------------------------------
 
+#: The most encoder-table entries a collapse keeps: atoms x check states x
+#: collapsed messages floats, 512 KiB per check state at depth 7 (2 x 32,768).
+MAX_CHECK_TABLE_ENTRIES = 2**24
+
 #: The integer entries of each generator spec, with their defaults; the kind
 #: names the ``multiround`` function that builds the protocol.  Sizes are at
 #: least 1 and the seed at least 0; the generator itself checks the depth.
@@ -416,6 +420,14 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     seed = _int_entry(config, "seed", 0, minimum=0)
     n_checks = _int_entry(config, "check_states", 10, minimum=1)
     protocol, flavor, source = _build_protocol(spec)
+    messages = multiround.collapsed_message_count(
+        [len(a) for a in protocol.sender_alphabets], [len(a) for a in protocol.receiver_alphabets]
+    )
+    if len(protocol.randomness) * n_checks * messages > MAX_CHECK_TABLE_ENTRIES:
+        raise ConfigError(
+            f"{n_checks} check states of {len(protocol.randomness)} atoms x {messages} collapsed messages "
+            f"exceed {MAX_CHECK_TABLE_ENTRIES} encoder-table entries"
+        )
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     raw_tolerance = config.get("check_tolerance", default_tolerance)
     tolerance = _number(raw_tolerance, float, "check_tolerance")
@@ -439,11 +451,17 @@ def cmd_collapse(config: dict, out: str | None) -> int:
 
     # One encoder evaluation per grid state serves both the file and the check:
     # run_analytic reuses the table that encoder_matrix keeps for the last state.
+    # A seeded protocol's coin rounds keep the tables of a whole chunk of states,
+    # so the direct walk over the chunk reads the coins the encoders evaluated.
     tables, gaps = [], []
-    for psi, phi in zip(grid, probes):
-        tables.append(collapsed.encoder_matrix(psi))
-        direct = multiround.run_odd_round(protocol, psi, phi)
-        gaps.append(np.max(np.abs(protocols.run_analytic(collapsed, psi, phi) - direct)))
+    for start in range(0, n_checks, multiround.COIN_STATES_KEPT):
+        chunk = slice(start, start + multiround.COIN_STATES_KEPT)
+        analytic = []
+        for psi, phi in zip(grid[chunk], probes[chunk]):
+            tables.append(collapsed.encoder_matrix(psi))
+            analytic.append(protocols.run_analytic(collapsed, psi, phi))
+        direct = multiround.run_odd_rounds(protocol, grid[chunk], probes[chunk])
+        gaps.extend(np.max(np.abs(np.array(analytic) - direct), axis=1))
     # np.max keeps a NaN gap, where max() would drop it, and a NaN fails the check below.
     deviation = float(np.max(gaps))
 

@@ -36,6 +36,9 @@ from .protocols import (
 from .qmath import Instrument, Povm, dagger
 
 
+#: The most sender states whose coin tables a generated coin round keeps.
+COIN_STATES_KEPT = 64
+
 #: The most messages a collapse may build.  Depth 5 over ternary alphabets
 #: (1,594,323) and depth 7 over binary ones (32,768) stay below it.
 MAX_COLLAPSED_MESSAGES = 2**21
@@ -87,6 +90,11 @@ class OddRoundProtocol:
     transcript holds all earlier messages, ``instruments[t](x, transcript)``
     for receiver rounds, and ``final_povm(x, transcript)`` closing the run.
     The ``outcomes`` labels must be distinct.
+
+    ``tables`` holds the arrays that ``tabulate`` returns, when a seeded
+    generator has handed them over; it is never a constructor argument, so
+    ``dataclasses.replace`` drops it and a protocol with replaced callables
+    is tabulated from them.
     """
 
     randomness: SharedRandomness
@@ -96,6 +104,7 @@ class OddRoundProtocol:
     coins: tuple[Callable, ...]
     instruments: tuple[Callable, ...]
     final_povm: Callable[[int, tuple], Povm]
+    tables: TabulatedRounds | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coins) != len(self.sender_alphabets):
@@ -116,69 +125,99 @@ def _unknown_outcome(p: OddRoundProtocol, label) -> ProtocolError:
     return ProtocolError(f"a final measurement names {label!r}, which is not in outcomes {p.outcomes!r}")
 
 
-def _extend(entries: list, rows: np.ndarray, symbols: np.ndarray) -> list:
-    """The (atom, transcript) entries at ``rows``, each transcript extended by its symbol."""
-    return [(entries[i][0], entries[i][1] + (s,)) for i, s in zip(rows.tolist(), symbols.tolist())]
+def _extend(keys: list, parents: np.ndarray, symbols: np.ndarray, size: int) -> tuple[list, np.ndarray]:
+    """The distinct (atom, transcript) keys that extend ``keys[parents]`` by ``symbols``, and each entry's index.
+
+    The keys come out in walk order: by parent, then by symbol.
+    """
+    codes, index = np.unique(parents * size + symbols, return_inverse=True)
+    parent, symbol = np.divmod(codes, size)
+    return [(keys[i][0], keys[i][1] + (s,)) for i, s in zip(parent.tolist(), symbol.tolist())], index
 
 
-def _stacked_coins(p: OddRoundProtocol, t: int, psi: np.ndarray, entries: list) -> np.ndarray:
-    """The coin of round t on every (atom, transcript) entry, as checked rows of one array."""
+def _stacked_coins(p: OddRoundProtocol, t: int, psis: Sequence, pair: np.ndarray, keys: list,
+                   key: np.ndarray) -> np.ndarray:
+    """The coin of round t on every (pair, atom, transcript) entry, as checked rows of one array."""
     size = len(p.sender_alphabets[t])
-    coins = [p.coins[t](psi, x, tr) for x, tr in entries]
-    for coin in coins:
-        if np.shape(coin) != (size,):
-            raise ProtocolError(f"coin {t} has shape {np.shape(coin)}, expected {(size,)}")
+    coin = p.coins[t]
+    coins = [coin(psis[i], *keys[k]) for i, k in zip(pair.tolist(), key.tolist())]
+    for row in coins:
+        if np.shape(row) != (size,):
+            raise ProtocolError(f"coin {t} has shape {np.shape(row)}, expected {(size,)}")
     return check_distributions(coins, (len(coins), size), f"coin {t}")
 
 
-def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Direct nested-summation evaluation of an odd-depth protocol.
+def run_odd_rounds(p: OddRoundProtocol, psis: Sequence, phis: Sequence[np.ndarray]) -> np.ndarray:
+    """Direct nested-summation evaluation of an odd-depth protocol on (psi, phi) pairs.
 
-    The live (atom, transcript) entries of every atom advance one round at a
-    time, together: atom 0's transcripts in walk order, then atom 1's, and so
-    on.  Each round makes one coin call per entry, in that order, one check of
-    the stacked coins and keeps the branches with positive probability; a
-    receiver round makes one stacked Kraus sandwich and one trace, dropping
-    replies of trace at most 1e-15.  At the end one stacked ``effect @
-    state`` with its trace gives every term, and one ``np.add.at`` adds them
-    to the distribution in the order of the depth-first walk of the
-    transcript tree, atom by atom.  Every product and trace is the one that
-    walk takes, on the same matrices, so the result is bit for bit the
+    Row i of the (pairs, outcomes) result is the distribution on
+    ``(psis[i], phis[i])``.  The live (pair, atom, transcript) entries advance
+    one round at a time, together, pair by pair and, within a pair, atom by
+    atom in walk order.  Each sender round makes one coin call per entry, in
+    that order, one check of the stacked coins and keeps the branches with
+    positive probability.  Each receiver round calls each instrument once per
+    distinct (atom, transcript) and gathers its Kraus operators by index for
+    one stacked sandwich and one trace, dropping replies of trace at most
+    1e-15.  At the end each distinct final measurement is called once, one
+    stacked ``effect @ state`` with its trace gives every term, and one
+    ``np.add.at`` adds them to the rows in the order of each pair's
+    depth-first walk of the transcript tree.  Every product and trace is the
+    one that walk takes, on the same matrices, so each row is bit for bit the
     nested sum.  Only the protocol's own callables are used, never the
     tables the collapse works from.  A final measurement that names a label
     outside ``outcomes`` raises a ProtocolError.
     """
-    phi = qmath.assert_density_matrix(phi, "receiver state")
+    if len(psis) != len(phis):
+        raise ProtocolError(f"{len(psis)} sender states for {len(phis)} receiver states")
+    phis = [qmath.assert_density_matrix(phi, "receiver state") for phi in phis]
     index = {label: i for i, label in enumerate(p.outcomes)}
-    out = np.zeros(len(p.outcomes))
+    out = np.zeros((len(phis), len(p.outcomes)))
+    if not phis:
+        return out
+    n_atoms = len(p.randomness)
     n_receiver = len(p.receiver_alphabets)
-    weights = np.array(p.randomness.probabilities, dtype=float)
-    entries = [(x, ()) for x in range(len(weights))]
-    states = np.broadcast_to(phi, weights.shape + phi.shape)
+    # Entry e is the pair pair[e] at the (atom, transcript) keys[key[e]].
+    keys = [(x, ()) for x in range(n_atoms)]
+    pair = np.repeat(np.arange(len(phis)), n_atoms)
+    key = np.tile(np.arange(n_atoms), len(phis))
+    weights = np.tile(np.array(p.randomness.probabilities, dtype=float), len(phis))
+    states = np.array(phis)[pair]
     for t in range(n_receiver + 1):
-        coin = _stacked_coins(p, t, psi, entries)
+        coin = _stacked_coins(p, t, psis, pair, keys, key)
         # The negated tests keep what the nested sum kept, NaN included.
         rows, messages = np.nonzero(~(coin <= 0.0))
-        entries = _extend(entries, rows, messages)
-        states, weights = states[rows], weights[rows] * coin[rows, messages]
+        keys, key = _extend(keys, key[rows], messages, coin.shape[1])
+        pair, states, weights = pair[rows], states[rows], weights[rows] * coin[rows, messages]
         if t == n_receiver:
             break
-        kraus = np.array([_instrument(p, t, x, tr).kraus for x, tr in entries])
+        kraus = np.array([_instrument(p, t, x, tr).kraus for x, tr in keys])[key]
         updated = kraus @ states[:, None] @ dagger(kraus)
         # Replies of trace at most 1e-15 are zero-probability branches.
         rows, replies = np.nonzero(~(np.trace(updated, axis1=-2, axis2=-1).real <= 1e-15))
-        entries = _extend(entries, rows, replies)
-        states, weights = updated[rows, replies], weights[rows]
-    povms = [p.final_povm(x, tr) for x, tr in entries]
+        keys, key = _extend(keys, key[rows], replies, kraus.shape[1])
+        pair, states, weights = pair[rows], updated[rows, replies], weights[rows]
+    povms = [p.final_povm(x, tr) for x, tr in keys]
     try:
-        slots = [index[label] for povm in povms for label in povm.labels]
+        slots = np.array([index[label] for povm in povms for label in povm.labels])
     except KeyError as missing:
         raise _unknown_outcome(p, missing.args[0]) from None
-    owner = np.repeat(np.arange(len(povms)), [len(povm) for povm in povms])
     effects = np.array([e for povm in povms for e in povm.effects])
-    terms = weights[owner] * np.trace(effects @ states[owner], axis1=-2, axis2=-1).real
-    np.add.at(out, slots, terms)
+    # Entry e's terms are the effects of its measurement, in order: the j-th is
+    # effects[first[key[e]] + j], where first[k] is where measurement k starts.
+    sizes = np.array([len(povm) for povm in povms])
+    first = np.cumsum(sizes) - sizes
+    counts = sizes[key]
+    owner = np.repeat(np.arange(len(key)), counts)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    effect = first[key][owner] + j
+    terms = weights[owner] * np.trace(effects[effect] @ states[owner], axis1=-2, axis2=-1).real
+    np.add.at(out, (pair[owner], slots[effect]), terms)
     return out
+
+
+def run_odd_round(p: OddRoundProtocol, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The distribution of an odd-depth protocol on one (psi, phi) pair: ``run_odd_rounds`` of that pair."""
+    return run_odd_rounds(p, [psi], [phi])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +242,16 @@ class TabulatedRounds:
 
 
 def tabulate(p: OddRoundProtocol) -> TabulatedRounds:
-    """Evaluate an odd-depth protocol's instruments and final measurements on every transcript."""
+    """An odd-depth protocol's instruments, final measurements and coins as arrays over every transcript.
+
+    A protocol that a seeded generator made carries its tables
+    (``p.tables``), the checked stacks it drew, and gets them back with no
+    call per transcript.  Any other protocol is evaluated through its
+    callables: every instrument and final measurement once, here, and every
+    coin on each state ``coins(psi)`` is given.  The two agree bit for bit.
+    """
+    if p.tables is not None:
+        return p.tables
     rounds = [a for pair in itertools.zip_longest(p.sender_alphabets, p.receiver_alphabets)
               for a in pair if a is not None]
     n_atoms = len(p.randomness)
@@ -365,15 +413,15 @@ class _CoinRound:
     transcript) key whose ``rows`` entry is i.  On a sender state psi every
     row is evaluated at once: with f the overlap tr(axis psi) clipped to
     [0, 1], the coin is f base0 + (1 - f) base1, so the distribution depends
-    smoothly on the known state.  The table of the last state with a
-    ``qmath.state_key`` is kept, as ``OneRoundProtocol.encoder_matrix`` keeps
-    its own, unless it holds a non-finite entry; calling the round with the
-    same state again reads that table.
+    smoothly on the known state.  The tables of the last
+    ``COIN_STATES_KEPT`` states are kept in a ``qmath.StateMemo``, so the
+    collapse's coin tables and the direct walk's coin calls on the same
+    states share one evaluation per state.
     """
 
     def __init__(self, rows: dict, base0: np.ndarray, base1: np.ndarray, axes: np.ndarray):
         self.rows, self.base0, self.base1, self.axes = rows, base0, base1, axes
-        self._last = None
+        self._memo = qmath.StateMemo(COIN_STATES_KEPT)
 
     @classmethod
     def draw(cls, rng: np.random.Generator, keys: list, size: int) -> "_CoinRound":
@@ -409,15 +457,7 @@ class _CoinRound:
 
     def table(self, psi) -> np.ndarray:
         """Every key's coin on ``psi``, one row per key."""
-        key = qmath.state_key(psi)
-        last = self._last
-        if key is not None and last is not None and last[0] == key:
-            return last[1]
-        table = self._evaluate(psi)
-        if key is not None and np.isfinite(table).all():
-            table.setflags(write=False)
-            self._last = (key, table)
-        return table
+        return self._memo.get(psi, self._evaluate)
 
     def _evaluate(self, psi) -> np.ndarray:
         f = np.clip(np.trace(self.axes @ psi, axis1=-2, axis2=-1).real, 0.0, 1.0)[:, None]
@@ -475,19 +515,25 @@ def _random_rounds(
     preallocated rows, then normalises every simplex row and Bloch axis of
     the round at once, as numpy's ``dirichlet`` and ``qmath.random_bloch``
     would one key at a time; it evaluates every key's coin at once and keeps
-    the table of the last sender state.  An instrument or measurement round
+    the tables of the last sender states.  An instrument or measurement round
     draws the normals of all its isometries in one call and factors them in
     one stacked QR, and its instruments or measurements are checked once, as
-    one stack (``Instrument.stack``, ``Povm.stack``).  The stream is consumed
-    as drawing each entry alone consumed it, so a seed gives the protocol it
-    always gave.  Rounds whose collapse would pass ``MAX_COLLAPSED_MESSAGES``
-    raise a ProtocolError before any table is drawn.
+    one stack (``qmath.checked_kraus``, ``qmath.checked_effects``).  The
+    stream is consumed as drawing each entry alone consumed it, so a seed
+    gives the protocol it always gave.  Rounds whose collapse would pass
+    ``MAX_COLLAPSED_MESSAGES`` raise a ProtocolError before any table is
+    drawn.
+
+    The protocol carries its checked, read-only stacks as its ``tables``:
+    each is a reshape of a round's stack, or for transcript-major keys a
+    ``moveaxis`` of one, to the (atom, transcript, ...) axes ``tabulate``
+    gives; the coin tables are those of the coin rounds' memos.
     """
     collapsed_message_count(rounds[0::2], rounds[1::2])
     atom_probs = rng.dirichlet(np.ones(n_atoms))
     atom_probs = atom_probs / atom_probs.sum()
     depth = len(rounds)
-    tables = {}
+    tables, stacks = {}, {}
     for length in table_order:
         transcripts = list(np.ndindex(*rounds[:length]))
         keys = list(itertools.product(range(n_atoms), transcripts)) if atom_major else [
@@ -499,23 +545,51 @@ def _random_rounds(
         n = n_outcomes if length == depth else rounds[length]
         blocks = _isometry_blocks(rng, len(keys), n, dim)
         if length == depth:
-            made = Povm.stack(dagger(blocks) @ blocks, range(n_outcomes))
+            stacks[length] = qmath.checked_effects(dagger(blocks) @ blocks, range(n_outcomes))
+            made = Povm.rows(stacks[length], range(n_outcomes))
         else:
-            made = Instrument.stack(blocks)
+            stacks[length] = qmath.checked_kraus(blocks)
+            made = Instrument.rows(stacks[length])
         tables[length] = dict(zip(keys, made))
 
     def instrument(table):
         return lambda x, tr: table[(x, tuple(tr))]
 
-    return OddRoundProtocol(
+    def arranged(stack: np.ndarray, length: int) -> np.ndarray:
+        """A stack over the keys of transcripts of ``length`` rounds, on (atom, transcript, ...) axes."""
+        sizes = rounds[:length]
+        if atom_major:
+            return stack.reshape((n_atoms, *sizes) + stack.shape[1:])
+        return np.moveaxis(stack.reshape((*sizes, n_atoms) + stack.shape[1:]), length, 0)
+
+    coin_rounds = [tables[length] for length in range(0, depth, 2)]
+
+    def coins(psi) -> tuple[np.ndarray, ...]:
+        return tuple(
+            check_distributions(arranged(c.table(psi), 2 * t), (n_atoms, *rounds[: 2 * t + 1]), f"coin {t}")
+            for t, c in enumerate(coin_rounds)
+        )
+
+    protocol = OddRoundProtocol(
         randomness=SharedRandomness(probabilities=tuple(atom_probs)),
         sender_alphabets=tuple(tuple(range(n)) for n in rounds[0::2]),
         receiver_alphabets=tuple(tuple(range(n)) for n in rounds[1::2]),
         outcomes=tuple(range(n_outcomes)),
-        coins=tuple(tables[length] for length in range(0, depth, 2)),
+        coins=tuple(coin_rounds),
         instruments=tuple(instrument(tables[length]) for length in range(1, depth, 2)),
         final_povm=lambda x, tr: tables[depth][(x, tuple(tr))],
     )
+    handed = TabulatedRounds(
+        randomness=protocol.randomness,
+        sender_alphabets=protocol.sender_alphabets,
+        receiver_alphabets=protocol.receiver_alphabets,
+        outcomes=protocol.outcomes,
+        coins=coins,
+        kraus=tuple(arranged(stacks[length], length) for length in range(1, depth, 2)),
+        final=arranged(stacks[depth], depth),
+    )
+    object.__setattr__(protocol, "tables", handed)
+    return protocol
 
 
 def random_three_round(

@@ -91,9 +91,9 @@ class OneRoundProtocol:
     names (default: all).
 
     ``encoder_matrix`` keeps the checked table of the last sender state it
-    evaluated, read-only, so the runners called one after the other on the
-    same state run the encoder once.  An encoder that raises leaves nothing
-    kept.
+    evaluated, read-only, in a one-state ``qmath.StateMemo``, so the runners
+    called one after the other on the same state run the encoder once.  An
+    encoder that raises leaves nothing kept.
     """
 
     randomness: SharedRandomness
@@ -104,7 +104,10 @@ class OneRoundProtocol:
     cost_bits: int
     meta: dict = field(default_factory=dict)
     named: np.ndarray | None = None
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # check_distributions refuses a non-finite table, so the memo need not test one.
+    _memo: qmath.StateMemo = field(
+        default_factory=lambda: qmath.StateMemo(1, check_finite=False), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         effects = np.array(self.effects, dtype=complex)
@@ -137,15 +140,10 @@ class OneRoundProtocol:
         and bytes, or a list or tuple of such arrays.  Any other ``psi`` runs
         the encoder on every call.  An encoder that raises keeps nothing.
         """
-        key = qmath.state_key(psi)
-        last = self._last
-        if key is not None and last is not None and last[0] == key:
-            return last[1]
-        table = check_distributions(self.encoder(psi), self.shape[:2], "encoder output")
-        if key is not None:
-            table.setflags(write=False)
-            object.__setattr__(self, "_last", (key, table))
-        return table
+        return self._memo.get(psi, self._checked_encoder)
+
+    def _checked_encoder(self, psi) -> np.ndarray:
+        return check_distributions(self.encoder(psi), self.shape[:2], "encoder output")
 
 
 def check_distributions(dist, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -106,6 +106,39 @@ def state_key(psi) -> tuple | None:
     return None
 
 
+class StateMemo:
+    """The tables of at most ``size`` sender states, keyed by ``state_key``.
+
+    ``get(psi, compute)`` returns the table kept for ``psi``'s key, or runs
+    ``compute(psi)``, keeps the result read-only and drops the oldest table
+    past ``size``.  A state without a key keeps nothing, nor does a
+    ``compute`` that raises or returns a non-finite entry, so such states
+    run ``compute`` on every call.  With ``check_finite`` false the entries
+    are not tested: the caller's ``compute`` raises on a non-finite table.
+    """
+
+    def __init__(self, size: int, check_finite: bool = True):
+        self.size, self.check_finite = size, check_finite
+        self._tables: dict = {}  # in insertion order, so the first key is the oldest
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def get(self, psi, compute) -> np.ndarray:
+        key = state_key(psi)
+        tables = self._tables
+        table = None if key is None else tables.get(key)
+        if table is not None:
+            return table
+        table = compute(psi)
+        if key is not None and (not self.check_finite or np.isfinite(table).all()):
+            table.setflags(write=False)
+            tables[key] = table
+            if len(tables) > self.size:
+                del tables[next(iter(tables))]
+        return table
+
+
 # The memo of states that passed assert_density_matrix: the largest space used
 # anywhere is 12-dimensional (2,304 bytes as complex128), and one
 # simulate-protocols op checks 32 distinct states.
@@ -274,6 +307,46 @@ def _stack_of(a: np.ndarray, what: str) -> None:
         raise DimensionError(f"expected a (count, outcomes, d, d) stack of {what}, got shape {a.shape}")
 
 
+def checked_effects(effects, labels) -> np.ndarray:
+    """A (count, outcomes, d, d) stack of measurements, all with ``labels``, as one checked array.
+
+    The conditions of the ``Povm`` constructor run once over the whole
+    stack: one ``assert_measurements`` call, and the labels checked once for
+    length and uniqueness.  A stack with any bad member raises what that
+    member alone would raise.  The effects are copied into one read-only
+    complex array.
+    """
+    e = np.array(effects, dtype=complex)
+    _stack_of(e, "effects")
+    labels = tuple(labels)
+    if len(labels) != e.shape[1]:
+        raise QmathError("labels and effects must have the same length")
+    if len(set(labels)) != len(labels):
+        raise QmathError("outcome labels must be unique")
+    e = assert_measurements(e)
+    e.setflags(write=False)
+    return e
+
+
+def checked_kraus(kraus) -> np.ndarray:
+    """A (count, outcomes, d, d) stack of instruments' Kraus operators as one checked array.
+
+    The conditions of the ``Instrument`` constructor run once over the whole
+    stack: finite square blocks, and sum_k K_k^dag K_k equal to the identity
+    within ``ATOL_MATRIX`` for each instrument.  A stack with any bad member
+    raises what that member alone would raise.  The operators are copied
+    into one read-only complex array.
+    """
+    k = np.array(kraus, dtype=complex)
+    _stack_of(k, "Kraus operators")
+    k = _as_matrix(k, stack=True)
+    total = (dagger(k) @ k).sum(axis=1)
+    if np.max(np.abs(total - np.eye(k.shape[-1]))) > ATOL_MATRIX:
+        raise QmathError("Kraus operators are not complete")
+    k.setflags(write=False)
+    return k
+
+
 def _rows_of(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, without running ``__post_init__``."""
     obj = object.__new__(cls)
@@ -299,23 +372,17 @@ class Povm:
     def stack(cls, effects, labels) -> tuple["Povm", ...]:
         """One checked measurement per row of a (count, outcomes, d, d) array, all with ``labels``.
 
-        The conditions of the one-object constructor run once over the whole
-        stack: one ``assert_measurements`` call, and the labels checked once
-        for length and uniqueness.  A stack with any bad member raises what
-        that member alone would raise.  The effects are copied into one
-        read-only array, and measurement i holds the rows of its entry i as its
-        effects, so no measurement checks itself again.
+        The stack is checked once, by ``checked_effects``, and measurement i
+        holds the rows of its entry i as its effects, so no measurement
+        checks itself again.
         """
-        e = np.array(effects, dtype=complex)
-        _stack_of(e, "effects")
+        return cls.rows(checked_effects(effects, labels), labels)
+
+    @classmethod
+    def rows(cls, effects: np.ndarray, labels) -> tuple["Povm", ...]:
+        """One measurement per row of an array that ``checked_effects`` returned for ``labels``, unchecked."""
         labels = tuple(labels)
-        if len(labels) != e.shape[1]:
-            raise QmathError("labels and effects must have the same length")
-        if len(set(labels)) != len(labels):
-            raise QmathError("outcome labels must be unique")
-        e = assert_measurements(e)
-        e.setflags(write=False)
-        return tuple(_rows_of(cls, effects=tuple(rows), labels=labels) for rows in e)
+        return tuple(_rows_of(cls, effects=tuple(rows), labels=labels) for rows in effects)
 
     @property
     def dim(self) -> int:
@@ -358,22 +425,16 @@ class Instrument:
     def stack(cls, kraus) -> tuple["Instrument", ...]:
         """One checked instrument per row of a (count, outcomes, d, d) array of Kraus operators.
 
-        The conditions of the one-object constructor run once over the whole
-        stack: finite square blocks, and sum_k K_k^dag K_k equal to the
-        identity within ``ATOL_MATRIX`` for each instrument.  A stack with any
-        bad member raises what that member alone would raise.  The operators
-        are copied into one read-only array, and instrument i holds the rows
-        of its entry i as its Kraus operators, so no instrument checks itself
-        again.
+        The stack is checked once, by ``checked_kraus``, and instrument i
+        holds the rows of its entry i as its Kraus operators, so no
+        instrument checks itself again.
         """
-        k = np.array(kraus, dtype=complex)
-        _stack_of(k, "Kraus operators")
-        k = _as_matrix(k, stack=True)
-        total = (dagger(k) @ k).sum(axis=1)
-        if np.max(np.abs(total - np.eye(k.shape[-1]))) > ATOL_MATRIX:
-            raise QmathError("Kraus operators are not complete")
-        k.setflags(write=False)
-        return tuple(_rows_of(cls, kraus=tuple(rows)) for rows in k)
+        return cls.rows(checked_kraus(kraus))
+
+    @classmethod
+    def rows(cls, kraus: np.ndarray) -> tuple["Instrument", ...]:
+        """One instrument per row of an array that ``checked_kraus`` returned, unchecked."""
+        return tuple(_rows_of(cls, kraus=tuple(rows)) for rows in kraus)
 
     @property
     def dim(self) -> int:

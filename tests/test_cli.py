@@ -261,6 +261,43 @@ class TestCollapse:
         assert len(calls) == 3 * 4
         assert len({(id(coin_round), psi.tobytes()) for coin_round, psi in calls}) == len(calls)
 
+    def test_check_states_past_one_chunk_are_evaluated_once_each(self, tmp_path, monkeypatch):
+        # 70 states run as chunks of 64 and 6; each coin round keeps the tables of 64 states.
+        calls = count_coin_evaluations(monkeypatch)
+        direct = multiround.run_odd_rounds
+        chunks = []
+
+        def counting(protocol, psis, phis):
+            chunks.append(len(psis))
+            return direct(protocol, psis, phis)
+
+        monkeypatch.setattr(multiround, "run_odd_rounds", counting)
+        config = write_config(
+            tmp_path,
+            "col.json",
+            {"protocol": {"kind": "random_odd_round", "seed": 23, "depth": 5}, "check_states": 70},
+        )
+        assert run_cli(["collapse", "--config", config]) == 0
+        assert chunks == [64, 6]
+        assert len(calls) == 3 * 70
+        assert len({(id(coin_round), psi.tobytes()) for coin_round, psi in calls}) == len(calls)
+
+    def test_an_altered_handed_kraus_table_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        # The collapse reads the tables the generator hands over; the direct walk calls the instruments.
+        generate = multiround.random_three_round
+
+        def altered(*args, **kwargs):
+            protocol = generate(*args, **kwargs)
+            kraus = protocol.tables.kraus[0].copy()
+            kraus[0, 0] = kraus[0, 0, ::-1]  # atom 0 after message 0 swaps its two replies
+            object.__setattr__(protocol, "tables", dataclasses.replace(protocol.tables, kraus=(kraus,)))
+            return protocol
+
+        monkeypatch.setattr(multiround, "random_three_round", altered)
+        config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
+        assert run_cli(["collapse", "--config", config]) == 2
+        assert json.loads(capsys.readouterr().out)["max_deviation"] > 1e-6
+
     def test_seven_round_report_on_stdout(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -407,6 +444,20 @@ class TestCollapse:
         assert f"more than {multiround.MAX_COLLAPSED_MESSAGES} messages" in capsys.readouterr().err
         assert not (tmp_path / "r.collapsed.json").exists()
 
+    def test_check_states_past_the_table_bound_are_malformed_input(self, tmp_path, capsys, monkeypatch):
+        # random_three_round keeps 2 atoms x 8 collapsed messages per check state.
+        config = {"protocol": {"kind": "random_three_round", "seed": 21}}
+        allowed = cli.MAX_CHECK_TABLE_ENTRIES // 16
+        path = write_config(tmp_path, "col.json", {**config, "check_states": allowed + 1})
+        monkeypatch.setattr(qmath, "haar_ket", lambda *args: pytest.fail("a check state was drawn"))
+        assert run_cli(["collapse", "--config", path]) == 3
+        assert f"exceed {cli.MAX_CHECK_TABLE_ENTRIES} encoder-table entries" in capsys.readouterr().err
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_CHECK_TABLE_ENTRIES", 16 * 3)
+        for n_checks, code in ((3, 0), (4, 3)):
+            path = write_config(tmp_path, "col.json", {**config, "check_states": n_checks})
+            assert run_cli(["collapse", "--config", path]) == code
+
     @pytest.mark.parametrize("cost", [-3, 0, 2.7, True, 99])
     def test_wrong_cost_bits_in_a_collapsed_file_is_malformed_input(self, tmp_path, capsys, cost):
         config = write_config(tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}})
@@ -422,15 +473,14 @@ class TestCollapse:
         assert "cost_bits" in capsys.readouterr().err
 
     def test_nan_gap_fails_the_check(self, tmp_path, monkeypatch, capsys):
-        direct = multiround.run_odd_round
-        seen = []
+        direct = multiround.run_odd_rounds
 
-        def first_state_nan(protocol, psi, phi):
-            seen.append(psi)
-            out = direct(protocol, psi, phi)
-            return np.full_like(out, np.nan) if len(seen) == 1 else out
+        def first_pair_nan(protocol, psis, phis):
+            out = direct(protocol, psis, phis)
+            out[0] = np.nan
+            return out
 
-        monkeypatch.setattr(multiround, "run_odd_round", first_state_nan)
+        monkeypatch.setattr(multiround, "run_odd_rounds", first_pair_nan)
         config = write_config(
             tmp_path, "col.json", {"protocol": {"kind": "random_three_round", "seed": 21}}
         )

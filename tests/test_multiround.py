@@ -17,6 +17,7 @@ from qchansim.multiround import (
     random_odd_round,
     random_three_round,
     run_odd_round,
+    run_odd_rounds,
 )
 from qchansim.protocols import ProtocolError, SharedRandomness, run_analytic
 from qchansim.qmath import Instrument, Povm, born, catalog_measurement, haar_ket, projector, tensor
@@ -548,6 +549,86 @@ class TestStackedWalk:
                 assert np.array_equal(drawn(psi, x, tr), oracle(psi))
 
 
+def state_pruned_protocol():
+    """A depth-3 protocol whose first coin is a point mass on z basis states only.
+
+    After message 1 the final measurement names one of the two outcomes, so
+    the final measurements of one walk hold different numbers of effects.
+    """
+    rng = np.random.default_rng(151)
+    instrument = multiround.random_instrument(rng, 2, 2)
+    finals = (multiround.random_povm(rng, 2, 2), Povm(effects=(qmath.I2,), labels=(1,)))
+
+    def first(psi, x, tr):
+        p0 = float(np.clip(np.trace(projector(qmath.KET0) @ psi).real, 0.0, 1.0))
+        return np.array([p0, 1.0 - p0])
+
+    return OddRoundProtocol(
+        randomness=SharedRandomness(probabilities=(0.4, 0.6)),
+        sender_alphabets=((0, 1), (0, 1)),
+        receiver_alphabets=((0, 1),),
+        outcomes=(0, 1),
+        coins=(first, lambda psi, x, tr: np.array([0.7, 0.3]) if x == tr[1] else np.array([0.2, 0.8])),
+        instruments=(lambda x, tr: instrument,),
+        final_povm=lambda x, tr: finals[tr[0]],
+    )
+
+
+def assert_rows_are_nested_sums(p, psis, phis):
+    rows = run_odd_rounds(p, psis, phis)
+    assert rows.shape == (len(psis), len(p.outcomes))
+    for row, psi, phi in zip(rows, psis, phis, strict=True):
+        assert np.array_equal(row, nested_sum_odd_round(p, psi, phi))
+
+
+class TestBatchedWalk:
+    """``run_odd_rounds`` against the depth-first nested sum of each pair, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build, dim",
+        [
+            pytest.param(lambda: random_odd_round(37, 3, n_atoms=3), 2, id="depth3"),
+            pytest.param(lambda: random_odd_round(41, 5), 2, id="depth5"),
+            pytest.param(lambda: random_odd_round(43, 7), 2, id="depth7"),
+            pytest.param(lambda: random_three_round(47, n_m1=2, n_m2=3, n_m3=2), 2, id="three-round"),
+            pytest.param(
+                lambda: multiround._random_rounds(
+                    np.random.default_rng(53), (2, 3, 2), 2, 2, 2, table_order=(0, 1, 2, 3), atom_major=True
+                ),
+                2,
+                id="three-round-atom-major",
+            ),
+            pytest.param(lambda: random_odd_round(59, 3, n_atoms=3, alphabet=3, n_outcomes=3), 2, id="ternary"),
+            pytest.param(lambda: random_odd_round(61, 3, dim=3), 3, id="qutrit"),
+            pytest.param(lambda: random_three_round(67, n_m1=3, n_m2=2, n_m3=3, dim=3), 3, id="qutrit-three-round"),
+        ],
+    )
+    def test_every_generator_shape(self, build, dim):
+        p = build()
+        rng = np.random.default_rng(157)
+        psis = [projector(haar_ket(2, rng)) for _ in range(5)]
+        phis = [projector(haar_ket(dim, rng)) for _ in range(5)]
+        assert_rows_are_nested_sums(p, psis, phis)
+
+    def test_interactive_twist_at_basis_and_haar_states(self):
+        # Basis states prune coin messages and z replies in some pairs only.
+        rng = np.random.default_rng(163)
+        kets = [qmath.KET0, haar_ket(2, rng), qmath.KET1, qmath.KET_PLUS, haar_ket(2, rng)]
+        pairs = list(itertools.product(map(projector, kets), repeat=2))
+        assert_rows_are_nested_sums(interactive_twist_protocol(), *zip(*pairs))
+
+    def test_a_coin_that_is_zero_for_some_states_only(self):
+        rng = np.random.default_rng(167)
+        psis = [projector(k) for k in (haar_ket(2, rng), qmath.KET0, haar_ket(2, rng), qmath.KET1)]
+        phis = [projector(haar_ket(2, rng)) for _ in psis]
+        assert_rows_are_nested_sums(state_pruned_protocol(), psis, phis)
+
+    def test_pairs_of_unequal_lengths_are_a_protocol_error(self):
+        psi, phi = random_pair(np.random.default_rng(173))
+        with pytest.raises(ProtocolError, match="2 sender states for 1 receiver states"):
+            run_odd_rounds(random_odd_round(3, 3), [psi, psi], [phi])
+
+
 def odd_round_order(depth):
     """The table order of ``random_odd_round``: coins, then instruments, then the final measurement."""
     return (*range(0, depth, 2), *range(1, depth, 2), depth)
@@ -582,21 +663,22 @@ def assert_same_rounds(new, old, rounds, states):
                 assert all(np.array_equal(new.coins[t](psi, x, tr), old.coins[t](psi, x, tr)) for psi in states)
 
 
+#: (rounds, atoms, outcomes, receiver dimension, table order, atom-major keys) of every generator shape.
+GENERATOR_SHAPES = [
+    pytest.param((2, 2, 2), 2, 2, 2, odd_round_order(3), True, id="odd-depth3"),
+    pytest.param((2,) * 5, 2, 2, 2, odd_round_order(5), True, id="odd-depth5"),
+    pytest.param((2,) * 7, 2, 2, 2, odd_round_order(7), True, id="odd-depth7"),
+    pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), False, id="three-round-transcript-major"),
+    pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), True, id="three-round-atom-major"),
+    pytest.param((3, 3, 3), 3, 3, 2, odd_round_order(3), True, id="ternary-3atoms-3outcomes"),
+    pytest.param((2, 2, 2), 2, 2, 3, odd_round_order(3), True, id="receiver-dim3"),
+]
+
+
 class TestGeneratorAgainstOracle:
     """``_random_rounds`` against the generator that drew every table entry alone, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "rounds, n_atoms, n_outcomes, dim, order, atom_major",
-        [
-            pytest.param((2, 2, 2), 2, 2, 2, odd_round_order(3), True, id="odd-depth3"),
-            pytest.param((2,) * 5, 2, 2, 2, odd_round_order(5), True, id="odd-depth5"),
-            pytest.param((2,) * 7, 2, 2, 2, odd_round_order(7), True, id="odd-depth7"),
-            pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), False, id="three-round-transcript-major"),
-            pytest.param((2, 3, 2), 2, 2, 2, (0, 1, 2, 3), True, id="three-round-atom-major"),
-            pytest.param((3, 3, 3), 3, 3, 2, odd_round_order(3), True, id="ternary-3atoms-3outcomes"),
-            pytest.param((2, 2, 2), 2, 2, 3, odd_round_order(3), True, id="receiver-dim3"),
-        ],
-    )
+    @pytest.mark.parametrize("rounds, n_atoms, n_outcomes, dim, order, atom_major", GENERATOR_SHAPES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_one_at_a_time_draws(self, seed, rounds, n_atoms, n_outcomes, dim, order, atom_major):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -632,8 +714,33 @@ class TestGeneratorAgainstOracle:
         assert a.bit_generator.state == b.bit_generator.state
 
 
+class TestHandedTables:
+    """The tables a generated protocol hands to ``tabulate`` equal the tabulation of its callables."""
+
+    @pytest.mark.parametrize("rounds, n_atoms, n_outcomes, dim, order, atom_major", GENERATOR_SHAPES)
+    def test_equal_the_callables_tabulation(self, rounds, n_atoms, n_outcomes, dim, order, atom_major):
+        rng = np.random.default_rng(np.random.SeedSequence(31))
+        p = multiround._random_rounds(rng, rounds, n_atoms, n_outcomes, dim, table_order=order, atom_major=atom_major)
+        handed = multiround.tabulate(p)
+        # dataclasses.replace drops the handed tables, so this one calls every instrument and measurement.
+        called = multiround.tabulate(dataclasses.replace(p))
+        assert handed is p.tables and called is not handed
+        for a, b in zip(handed.kraus, called.kraus, strict=True):
+            assert np.array_equal(a, b) and a.shape == b.shape and not a.flags.writeable
+        assert np.array_equal(handed.final, called.final) and handed.final.shape == called.final.shape
+        assert not handed.final.flags.writeable
+        for psi in oracle_states(31):
+            for a, b in zip(handed.coins(psi), called.coins(psi), strict=True):
+                assert np.array_equal(a, b) and a.shape == b.shape
+
+    def test_public_generators_hand_their_tables(self):
+        for p in (random_odd_round(3, 5), random_three_round(21)):
+            assert multiround.tabulate(p) is p.tables is not None
+        assert interactive_twist_protocol().tables is None
+
+
 class TestCoinMemo:
-    """A coin round keeps the table of the last sender state it evaluated."""
+    """A coin round keeps the tables of the last ``COIN_STATES_KEPT`` sender states it evaluated."""
 
     @staticmethod
     def pair(seed=5, depth=5):
@@ -675,7 +782,22 @@ class TestCoinMemo:
         for psi in (a, b, a, a, b):
             for x, tr in itertools.product(range(2), np.ndindex(2, 2)):
                 assert np.array_equal(new.coins[1](psi, x, tr), old.coins[1](psi, x, tr))
-        assert len(seen) == 4  # a, b, a, b: the second a in a row reads the kept table
+        # Both tables stay kept, so a and b are evaluated once each.
+        assert len(seen) == 2
+
+    def test_the_state_past_the_limit_drops_the_oldest_table(self, monkeypatch):
+        new, old = self.pair()
+        seen = count_coin_evaluations(monkeypatch)
+        rng = np.random.default_rng(8)
+        states = [projector(haar_ket(2, rng)) for _ in range(multiround.COIN_STATES_KEPT + 1)]
+        for psi in states:
+            new.coins[1](psi, 0, (1, 0))
+        assert len(seen) == 65 and len(new.coins[1]._memo) == 64
+        # The 65th state dropped the first, which is evaluated again; the second is still kept.
+        new.coins[1](states[1], 0, (1, 0))
+        assert len(seen) == 65
+        assert np.array_equal(new.coins[1](states[0], 0, (1, 0)), old.coins[1](states[0], 0, (1, 0)))
+        assert len(seen) == 66
 
     def test_nan_state_raises_and_leaves_no_entry(self, monkeypatch):
         new, _ = self.pair(depth=3)
@@ -686,17 +808,17 @@ class TestCoinMemo:
         for _ in range(2):
             with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
                 run_odd_round(new, nan, phi)
-        assert new.coins[0]._last is None
+        assert len(new.coins[0]._memo) == 0
         run_odd_round(new, psi, phi)
-        kept = new.coins[0]._last
+        assert len(new.coins[0]._memo) == 1
         with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
             multiround.tabulate(new).coins(nan)
-        assert new.coins[0]._last is kept
+        assert len(new.coins[0]._memo) == 1
         # Nothing is kept for NaN, so each coin call on it evaluates again: once
         # per atom in each direct run (both atoms' coins are called before the
-        # stacked check raises) and once per atom in tabulate.
+        # stacked check raises), and once in the handed coin tables.
         nan_calls = [state for round_, state in seen if round_ is new.coins[0] and state is nan]
-        assert len(nan_calls) == 2 * 2 + 2
+        assert len(nan_calls) == 2 * 2 + 1
 
     def test_tabulate_and_direct_run_share_one_evaluation_per_state(self, monkeypatch):
         new, old = self.pair()

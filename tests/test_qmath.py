@@ -279,6 +279,40 @@ BAD_EFFECTS = {
 }
 
 
+class TestStateMemo:
+    @staticmethod
+    def counting(calls):
+        def compute(psi):
+            calls.append(psi)
+            return np.array([np.asarray(psi)[0, 0].real, 1.0])
+
+        return compute
+
+    def test_a_one_state_memo_keeps_the_last_state(self):
+        memo, calls = qmath.StateMemo(1), []
+        a, b = np.diag([1.0, 0.0]).astype(complex), np.diag([0.25, 0.75]).astype(complex)
+        tables = [memo.get(psi, self.counting(calls)) for psi in (a, b, a, a, b)]
+        assert len(calls) == 4 and tables[3] is tables[2] and not tables[2].flags.writeable
+
+    def test_non_finite_tables_are_kept_only_when_unchecked(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        for check_finite, kept in ((True, 0), (False, 1)):
+            memo = qmath.StateMemo(2, check_finite=check_finite)
+            assert np.isnan(memo.get(nan, self.counting([]))[0])
+            assert len(memo) == kept
+
+    def test_a_state_without_a_key_or_a_raising_compute_keeps_nothing(self):
+        memo = qmath.StateMemo(2)
+        memo.get([[1.0, 0.0], [0.0, 0.0]], self.counting([]))
+
+        def raising(psi):
+            raise ValueError("no table")
+
+        with pytest.raises(ValueError, match="no table"):
+            memo.get(np.eye(2) / 2, raising)
+        assert len(memo) == 0
+
+
 class TestPovmStack:
     @pytest.mark.parametrize("bad", BAD_EFFECTS.values(), ids=BAD_EFFECTS.keys())
     def test_one_bad_member_raises_what_it_raises_alone(self, bad):
@@ -369,21 +403,21 @@ class TestInstrumentStack:
 def test_a_depth5_generator_checks_three_stacks(monkeypatch):
     """One measurement stack and two instrument stacks, and no object checks itself."""
     calls = {"measurements": 0, "instrument stacks": 0, "objects": 0}
-    check, stack = qmath.assert_measurements, Instrument.stack.__func__
+    check, stack = qmath.assert_measurements, qmath.checked_kraus
 
     def counting_check(effects):
         calls["measurements"] += 1
         return check(effects)
 
-    def counting_stack(cls, kraus):
+    def counting_stack(kraus):
         calls["instrument stacks"] += 1
-        return stack(cls, kraus)
+        return stack(kraus)
 
     def counting_object(self):
         calls["objects"] += 1
 
     monkeypatch.setattr(qmath, "assert_measurements", counting_check)
-    monkeypatch.setattr(Instrument, "stack", classmethod(counting_stack))
+    monkeypatch.setattr(qmath, "checked_kraus", counting_stack)
     monkeypatch.setattr(Instrument, "__post_init__", counting_object)
     monkeypatch.setattr(Povm, "__post_init__", counting_object)
     p = multiround.random_odd_round(3, 5)

@@ -25,12 +25,12 @@ alphabets with 3 atoms and 3 outcomes and over a qutrit receiver (``dim=3``),
 at seeds 0-2, and then ``interactive_twist_protocol``, each over its tabulated
 protocol (``tabulate``): the atom probabilities, the bytes of every Kraus table
 and of the final measurements, and the coins on the same 10 states.  Each of
-them then has a ``-direct`` case: the statistics ``run_odd_round`` gives on the
-10 states, each with the fixed Haar receiver state of its index, which the
-collapse check compares against.  Then three
-separable measurements, digested like the first group: ``tb`` with its terms
-grouped as {0}, {1, 2}, {3, 4} and shift, through configurations A and B, with
-its eight terms grouped in three outcomes.  One line covers the non-negative
+them then has a ``-direct`` case: the statistics on the 10 states, each with
+the fixed Haar receiver state of its index, as the 10 rows of one
+``run_odd_rounds`` call, the direct walk the collapse check compares against.
+Then three separable measurements, digested like the first group: ``tb`` with
+its terms grouped as {0}, {1, 2}, {3, 4} and shift, through configurations A
+and B, with its eight terms grouped in three outcomes.  One line covers the non-negative
 least-squares path, which no protocol above takes since the sender-first
 alphabet prunes the 256-member tetrahedral family: ``solve_mixture`` over that
 family, unpruned, on each of the 10 states.  The next covers the runners as the
@@ -208,10 +208,10 @@ def build_round_protocols():
 
 
 def direct_round_digest(d: Digest, protocol, states) -> None:
-    """``run_odd_round`` on the 10 states, each with the fixed receiver state of the same index."""
+    """One ``run_odd_rounds`` call on the 10 states, each with the fixed receiver state of the same index."""
     phis = receiver_states(protocol.final_povm(0, (0,) * protocol.depth).dim)
-    for i, (psi, phi) in enumerate(zip(states, phis)):
-        d.add(f"direct{i}", multiround.run_odd_round(protocol, psi, phi))
+    for i, row in enumerate(multiround.run_odd_rounds(protocol, states, phis)):
+        d.add(f"direct{i}", row)
 
 
 def round_digest(d: Digest, protocol, states) -> None:

@@ -367,8 +367,9 @@ def cmd_depolarize(config: dict, out: str | None) -> int:
 # collapse
 # ---------------------------------------------------------------------------
 
-#: The most encoder-table entries a collapse keeps: atoms x check states x
-#: collapsed messages floats, 512 KiB per check state at depth 7 (2 x 32,768).
+#: The most encoder-table entries a collapse with ``--out`` keeps for the
+#: collapsed file: atoms x check states x collapsed messages floats, 512 KiB
+#: per check state at depth 7 (2 x 32,768).  Without ``--out`` no table is kept.
 MAX_CHECK_TABLE_ENTRIES = 2**24
 
 #: The integer entries of each generator spec, with their defaults; the kind
@@ -423,10 +424,10 @@ def cmd_collapse(config: dict, out: str | None) -> int:
     messages = multiround.collapsed_message_count(
         [len(a) for a in protocol.sender_alphabets], [len(a) for a in protocol.receiver_alphabets]
     )
-    if len(protocol.randomness) * n_checks * messages > MAX_CHECK_TABLE_ENTRIES:
+    if out and len(protocol.randomness) * n_checks * messages > MAX_CHECK_TABLE_ENTRIES:
         raise ConfigError(
             f"{n_checks} check states of {len(protocol.randomness)} atoms x {messages} collapsed messages "
-            f"exceed {MAX_CHECK_TABLE_ENTRIES} encoder-table entries"
+            f"exceed {MAX_CHECK_TABLE_ENTRIES} encoder-table entries kept for --out"
         )
     default_tolerance = 1e-12 if flavor == "three_round" else 1e-10
     raw_tolerance = config.get("check_tolerance", default_tolerance)
@@ -450,7 +451,8 @@ def cmd_collapse(config: dict, out: str | None) -> int:
         }
 
     # One encoder evaluation per grid state serves both the file and the check:
-    # run_analytic reuses the table that encoder_matrix keeps for the last state.
+    # run_analytic reuses the table that encoder_matrix keeps for the last state,
+    # and the tables are kept only when --out writes them.
     # A seeded protocol's coin rounds keep the tables of a whole chunk of states,
     # so the direct walk over the chunk reads the coins the encoders evaluated.
     tables, gaps = [], []
@@ -458,7 +460,9 @@ def cmd_collapse(config: dict, out: str | None) -> int:
         chunk = slice(start, start + multiround.COIN_STATES_KEPT)
         analytic = []
         for psi, phi in zip(grid[chunk], probes[chunk]):
-            tables.append(collapsed.encoder_matrix(psi))
+            table = collapsed.encoder_matrix(psi)
+            if out:
+                tables.append(table)
             analytic.append(protocols.run_analytic(collapsed, psi, phi))
         direct = multiround.run_odd_rounds(protocol, grid[chunk], probes[chunk])
         gaps.extend(np.max(np.abs(np.array(analytic) - direct), axis=1))

@@ -546,10 +546,10 @@ def _random_rounds(
         blocks = _isometry_blocks(rng, len(keys), n, dim)
         if length == depth:
             stacks[length] = qmath.checked_effects(dagger(blocks) @ blocks, range(n_outcomes))
-            made = Povm.rows(stacks[length], range(n_outcomes))
+            made = Povm._rows(stacks[length], tuple(range(n_outcomes)))
         else:
             stacks[length] = qmath.checked_kraus(blocks)
-            made = Instrument.rows(stacks[length])
+            made = Instrument._rows(stacks[length])
         tables[length] = dict(zip(keys, made))
 
     def instrument(table):

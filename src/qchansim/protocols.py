@@ -104,10 +104,7 @@ class OneRoundProtocol:
     cost_bits: int
     meta: dict = field(default_factory=dict)
     named: np.ndarray | None = None
-    # check_distributions refuses a non-finite table, so the memo need not test one.
-    _memo: qmath.StateMemo = field(
-        default_factory=lambda: qmath.StateMemo(1, check_finite=False), init=False, repr=False, compare=False
-    )
+    _memo: qmath.StateMemo = field(default_factory=lambda: qmath.StateMemo(1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         effects = np.array(self.effects, dtype=complex)

@@ -113,12 +113,11 @@ class StateMemo:
     ``compute(psi)``, keeps the result read-only and drops the oldest table
     past ``size``.  A state without a key keeps nothing, nor does a
     ``compute`` that raises or returns a non-finite entry, so such states
-    run ``compute`` on every call.  With ``check_finite`` false the entries
-    are not tested: the caller's ``compute`` raises on a non-finite table.
+    run ``compute`` on every call.
     """
 
-    def __init__(self, size: int, check_finite: bool = True):
-        self.size, self.check_finite = size, check_finite
+    def __init__(self, size: int):
+        self.size = size
         self._tables: dict = {}  # in insertion order, so the first key is the oldest
 
     def __len__(self) -> int:
@@ -131,7 +130,7 @@ class StateMemo:
         if table is not None:
             return table
         table = compute(psi)
-        if key is not None and (not self.check_finite or np.isfinite(table).all()):
+        if key is not None and np.isfinite(table).all():
             table.setflags(write=False)
             tables[key] = table
             if len(tables) > self.size:
@@ -364,24 +363,14 @@ class Povm:
 
     def __post_init__(self):
         _same_shapes(self.effects, "effects")
-        (checked,) = Povm.stack([self.effects], self.labels)
+        labels = tuple(self.labels)
+        (checked,) = Povm._rows(checked_effects([self.effects], labels), labels)
         object.__setattr__(self, "effects", checked.effects)
         object.__setattr__(self, "labels", checked.labels)
 
     @classmethod
-    def stack(cls, effects, labels) -> tuple["Povm", ...]:
-        """One checked measurement per row of a (count, outcomes, d, d) array, all with ``labels``.
-
-        The stack is checked once, by ``checked_effects``, and measurement i
-        holds the rows of its entry i as its effects, so no measurement
-        checks itself again.
-        """
-        return cls.rows(checked_effects(effects, labels), labels)
-
-    @classmethod
-    def rows(cls, effects: np.ndarray, labels) -> tuple["Povm", ...]:
+    def _rows(cls, effects: np.ndarray, labels: tuple) -> tuple["Povm", ...]:
         """One measurement per row of an array that ``checked_effects`` returned for ``labels``, unchecked."""
-        labels = tuple(labels)
         return tuple(_rows_of(cls, effects=tuple(rows), labels=labels) for rows in effects)
 
     @property
@@ -418,21 +407,11 @@ class Instrument:
 
     def __post_init__(self):
         _same_shapes(self.kraus, "Kraus operators")
-        (checked,) = Instrument.stack([self.kraus])
+        (checked,) = Instrument._rows(checked_kraus([self.kraus]))
         object.__setattr__(self, "kraus", checked.kraus)
 
     @classmethod
-    def stack(cls, kraus) -> tuple["Instrument", ...]:
-        """One checked instrument per row of a (count, outcomes, d, d) array of Kraus operators.
-
-        The stack is checked once, by ``checked_kraus``, and instrument i
-        holds the rows of its entry i as its Kraus operators, so no
-        instrument checks itself again.
-        """
-        return cls.rows(checked_kraus(kraus))
-
-    @classmethod
-    def rows(cls, kraus: np.ndarray) -> tuple["Instrument", ...]:
+    def _rows(cls, kraus: np.ndarray) -> tuple["Instrument", ...]:
         """One instrument per row of an array that ``checked_kraus`` returned, unchecked."""
         return tuple(_rows_of(cls, kraus=tuple(rows)) for rows in kraus)
 

@@ -447,16 +447,36 @@ class TestCollapse:
     def test_check_states_past_the_table_bound_are_malformed_input(self, tmp_path, capsys, monkeypatch):
         # random_three_round keeps 2 atoms x 8 collapsed messages per check state.
         config = {"protocol": {"kind": "random_three_round", "seed": 21}}
+        out = ["--out", str(tmp_path / "r.json")]
         allowed = cli.MAX_CHECK_TABLE_ENTRIES // 16
         path = write_config(tmp_path, "col.json", {**config, "check_states": allowed + 1})
         monkeypatch.setattr(qmath, "haar_ket", lambda *args: pytest.fail("a check state was drawn"))
-        assert run_cli(["collapse", "--config", path]) == 3
+        assert run_cli(["collapse", "--config", path, *out]) == 3
         assert f"exceed {cli.MAX_CHECK_TABLE_ENTRIES} encoder-table entries" in capsys.readouterr().err
+        assert not (tmp_path / "r.collapsed.json").exists()
         monkeypatch.undo()
         monkeypatch.setattr(cli, "MAX_CHECK_TABLE_ENTRIES", 16 * 3)
         for n_checks, code in ((3, 0), (4, 3)):
             path = write_config(tmp_path, "col.json", {**config, "check_states": n_checks})
-            assert run_cli(["collapse", "--config", path]) == code
+            assert run_cli(["collapse", "--config", path, *out]) == code
+        # Without --out no table is kept, so the bound does not apply.
+        assert run_cli(["collapse", "--config", path]) == 0
+
+    def test_a_run_without_out_keeps_no_tables_past_the_bound(self, tmp_path):
+        # A depth-7 check state keeps 2 atoms x 32,768 collapsed messages, so
+        # 257 of them pass the bound; kept, their tables would take 128.5 MiB.
+        spec = {"kind": "random_odd_round", "seed": 0, "depth": 7}
+        n_checks = cli.MAX_CHECK_TABLE_ENTRIES // (2 * 2**15) + 1
+        path = write_config(tmp_path, "col.json", {"protocol": spec, "check_states": n_checks})
+        tracemalloc.start()
+        try:
+            code = run_cli(["collapse", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20
+        assert run_cli(["collapse", "--config", path, "--out", str(tmp_path / "r.json")]) == 3
 
     @pytest.mark.parametrize("cost", [-3, 0, 2.7, True, 99])
     def test_wrong_cost_bits_in_a_collapsed_file_is_malformed_input(self, tmp_path, capsys, cost):

@@ -811,14 +811,18 @@ class TestCoinMemo:
         assert len(new.coins[0]._memo) == 0
         run_odd_round(new, psi, phi)
         assert len(new.coins[0]._memo) == 1
-        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
-            multiround.tabulate(new).coins(nan)
+        # Both paths of tabulate refuse it: the handed coin tables, and the
+        # callables of the same protocol without them.
+        for protocol in (new, dataclasses.replace(new)):
+            with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="non-finite"):
+                multiround.tabulate(protocol).coins(nan)
         assert len(new.coins[0]._memo) == 1
         # Nothing is kept for NaN, so each coin call on it evaluates again: once
         # per atom in each direct run (both atoms' coins are called before the
-        # stacked check raises), and once in the handed coin tables.
+        # stacked check raises), once in the handed coin tables, and once per
+        # atom in the callables' tabulation.
         nan_calls = [state for round_, state in seen if round_ is new.coins[0] and state is nan]
-        assert len(nan_calls) == 2 * 2 + 1
+        assert len(nan_calls) == 2 * 2 + 1 + 2
 
     def test_tabulate_and_direct_run_share_one_evaluation_per_state(self, monkeypatch):
         new, old = self.pair()

@@ -11,23 +11,29 @@ prepared state is a depolarized copy of the input, with noise parameter
 independent of the input direction by rotational invariance.  Sampling the
 shared unitary reduces to sampling a uniform rotation, since only the adjoint
 action on Bloch vectors enters the protocol.  For the z input only the z row
-of R enters, z_hat . R omega_i = (R^T z_hat) . omega_i, so ``estimate_eta``
-builds that row alone.
+of R enters, z_hat . R omega_i = (R^T z_hat) . omega_i, and for a uniform R
+that row u = R^T z_hat is uniform on the sphere.  So ``estimate_eta`` draws u
+itself, from two uniforms (a, b) per sample, by Archimedes' equal-area map
+z = 1 - 2a, (x, y) = 2 sqrt(a (1 - a)) (cos 2 pi b, sin 2 pi b)
+(``_directions``).
 
 Both Monte Carlo paths split each batch into blocks and run them with
-``_run_blocks``.  A worker draws its next block's quaternions from the
-batch's generator under one lock, so block k holds the k-th draw whichever
-thread runs it, then normalises and scores the block in its own scratch,
-outside the lock, into the block's own rows of the batch's result.  Results
-therefore do not depend on the number of threads.  ``estimate_eta`` runs its
-blocks of ``_SAMPLE_BLOCK`` samples on up to one thread per CPU the process
-may use, as many as fit their scratch in ``_SCRATCH_BYTES``
-(``_worker_count``), and scores each against the codewords in cache-sized
-(codewords x samples) blocks (``_batch_scores``), keeping only the batch's
-score vector.  ``simulate_average_state`` runs on one worker, rotates every
-codeword of a block of at most ``_SAMPLE_BLOCK`` and ``_SCORE_ENTRIES`` /
-(3 x codewords) samples at once and keeps only the batch's chosen Bloch
-vectors.
+``_run_blocks``, which hands each block of the batch's draws to a worker:
+two uniforms per sample for ``estimate_eta``, four normals (a quaternion)
+per sample for ``simulate_average_state``, which needs whole rotations.  A
+worker draws its next block from the batch's generator under one lock, so
+block k holds the k-th draw whichever thread runs it, then maps and scores
+the block in its own scratch, outside the lock, into the block's own rows of
+the batch's result.  Results therefore do not depend on the number of
+threads.  ``estimate_eta`` runs its blocks of ``_SAMPLE_BLOCK`` samples on up
+to one thread per CPU the process may use, as many as fit their scratch in
+``_SCRATCH_BYTES`` (``_worker_count``), or on the caller's thread alone below
+``_THREADED_WORDS`` codewords, and scores each against the codewords
+in cache-sized (codewords x samples) blocks (``_batch_scores``), keeping only
+the batch's score vector.  ``simulate_average_state`` runs on one worker,
+rotates every codeword of a block of at most ``_SAMPLE_BLOCK`` and
+``_SCORE_ENTRIES`` / (3 x codewords) samples at once and keeps only the
+batch's chosen Bloch vectors.
 """
 
 from __future__ import annotations
@@ -58,11 +64,17 @@ MAX_BITS = 16
 # matrix.  8 MB of float64.
 _SCORE_ENTRIES = 4096 * 256
 # Bytes of scratch the workers of one estimate_eta batch may hold together,
-# so peak memory does not grow with the CPU count: two workers at 256
-# codewords (0.92 MB each) fit, four at 2 codewords (0.49 MB each).
+# so peak memory does not grow with the CPU count: three workers at 64 or 256
+# codewords (0.70 and 0.69 MB each) fit.
 _SCRATCH_BYTES = 2**21
-# Samples drawn and rotated at once by both Monte Carlo paths: a (block, 4)
-# array of quaternions is 128 KB.
+# estimate_eta starts threads only for codebooks of at least _THREADED_WORDS
+# words.  A smaller codebook's block is about 20 numpy calls of a few us, each
+# of which releases and retakes the GIL, and a second worker slowed a
+# 2·10^5-sample call (m = 1: 4.9 -> 8.2 ms, m = 3: 5.5 -> 7.9 ms, 2 CPUs); at
+# 128 words it sped one up (27.4 -> 21.5 ms).
+_THREADED_WORDS = 64
+# Samples drawn and mapped at once by both Monte Carlo paths: a (block, 4)
+# array of quaternions is 128 KB, a (block, 2) array of uniforms 64 KB.
 _SAMPLE_BLOCK = 4096
 # estimate_eta scores (codewords x samples) blocks of at most _SCORE_ROWS
 # codewords and _CACHE_SCORE_ENTRIES entries (512 KB), so a block stays in
@@ -107,6 +119,9 @@ class Codebook:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 1:
             raise DepolarizeError(f"codebook must have shape (n, 3), got {v.shape}")
+        # NaN fails no comparison, so the norm and distinctness checks would pass it.
+        if not np.all(np.isfinite(v)):
+            raise DepolarizeError("codebook vectors must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise DepolarizeError("codebook vectors must be unit length")
@@ -163,26 +178,37 @@ def codebook(spec: str | int) -> Codebook:
     return Codebook(fibonacci_sphere(2**m), name=f"fibonacci-{m}")
 
 
-def _z_rows(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row 2 (R^T z_hat) of the rotations of unit quaternions (n, 4), written into ``rows``.
+def _directions(uniforms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Uniform unit vectors from uniforms (n, 2) in [0, 1), written into ``rows``.
 
+    Row (a, b) maps to z = 1 - 2a, (x, y) = 2 sqrt(a (1 - a)) (cos 2 pi b,
+    sin 2 pi b), Archimedes' equal-area map, so the points are uniform on the
+    sphere.  cos 2 pi b and sin 2 pi b are taken as r - 1 and t r from
+    t = tan(pi b) and r = 2 / (1 + t^2): one ``np.tan`` call costs a fifth of
+    ``np.cos`` and ``np.sin`` together on 4,096 samples (8 against 72 us).
     ``rows`` is a (3, columns) array with columns >= n; columns past n are
-    zeroed.  Returns ``rows``.
+    zeroed.  Every step is elementwise, so a point does not depend on how the
+    batch is split.  Returns ``rows``.
     """
-    n = q.shape[0]
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    n = uniforms.shape[0]
+    a, b = uniforms[:, 0], uniforms[:, 1]
     rows[:, n:] = 0.0
-    r0, r1, r2 = rows[0, :n], rows[1, :n], rows[2, :n]
-    np.multiply(x, z, out=r0)
-    r0 -= y * w
-    r0 *= 2
-    np.multiply(y, z, out=r1)
-    r1 += x * w
-    r1 *= 2
-    np.multiply(x, x, out=r2)
-    r2 += y * y
-    r2 *= 2
-    np.subtract(1, r2, out=r2)
+    x, y, z = rows[0, :n], rows[1, :n], rows[2, :n]
+    np.multiply(b, np.pi, out=y)
+    np.tan(y, out=y)
+    np.multiply(y, y, out=x)
+    x += 1
+    np.divide(2, x, out=x)
+    y *= x
+    x -= 1
+    np.subtract(1, a, out=z)
+    z *= a
+    np.sqrt(z, out=z)
+    z *= 2
+    x *= z
+    y *= z
+    np.multiply(a, -2, out=z)
+    z += 1
     return rows
 
 
@@ -196,7 +222,9 @@ def _quaternions_to_rotations(q: np.ndarray) -> np.ndarray:
     out[:, 1, 0] = 2 * (x * y + z * w)
     out[:, 1, 1] = 1 - 2 * (x * x + z * z)
     out[:, 1, 2] = 2 * (y * z - x * w)
-    out[:, 2, :] = _z_rows(q, np.empty((3, q.shape[0]))).T
+    out[:, 2, 0] = 2 * (x * z - y * w)
+    out[:, 2, 1] = 2 * (y * z + x * w)
+    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return out
 
 
@@ -219,41 +247,40 @@ def _worker_count(size: int, block: int, work_bytes: int) -> int:
     """Workers for a batch of ``size`` samples in blocks of ``block``.
 
     At most one per CPU and one per block, and only as many as fit their
-    scratch in ``_SCRATCH_BYTES``: ``work_bytes`` each, plus the quaternion,
-    square and norm buffers of ``_run_blocks``.  Always at least one.
+    scratch in ``_SCRATCH_BYTES``: ``work_bytes`` each, the draw buffer of
+    ``_run_blocks`` included.  Always at least one.
     """
-    rows = min(block, size)
-    fit = _SCRATCH_BYTES // (work_bytes + 8 * 9 * rows)
+    fit = _SCRATCH_BYTES // work_bytes
     return max(1, min(_cpu_count(), -(-size // block), fit))
 
 
 def _run_blocks(
-    rng: np.random.Generator,
+    draw: Callable[..., np.ndarray],
+    width: int,
     size: int,
     block: int,
     make_work: Callable[[], Callable[[int, np.ndarray], None]],
     workers: int,
 ) -> None:
-    """Draw one batch of ``size`` unit quaternions block by block and hand each block to a worker.
+    """Draw one batch of ``size`` rows of ``width`` numbers block by block and hand each block to a worker.
 
-    ``workers`` workers run, one of them in the caller's thread, so one
-    worker starts no thread.  ``make_work()`` is called once per worker and
-    returns ``work(lo, q)``, which owns that worker's scratch and may write
-    only rows lo..lo + len(q) of the batch's result.  All scratch is
-    allocated in the caller's thread, since glibc gives each started thread a
-    malloc arena of its own that keeps freed blocks resident: over
-    estimate_eta calls at m = 1, 2, 3, 6 and 8, a second worker that
-    allocated its own scratch added 2.3 MB of peak RSS, and one whose scratch
-    is allocated here adds 1.0 MB.
+    ``draw`` is the batch generator's ``random`` or ``standard_normal``,
+    called as ``draw(out=...)``.  ``workers`` workers run, one of them in the
+    caller's thread, so one worker starts no thread.  ``make_work()`` is
+    called once per worker and returns ``work(lo, draws)``, which owns that
+    worker's scratch, may overwrite ``draws`` and may write only rows
+    lo..lo + len(draws) of the batch's result.  All scratch is allocated in
+    the caller's thread, since glibc gives each started thread a malloc arena
+    of its own that keeps freed blocks resident: over estimate_eta calls at
+    m = 1, 2, 3, 6 and 8, a second worker that allocated its own scratch added
+    2.3 MB of peak RSS, and one whose scratch is allocated here adds 1.0 MB.
 
-    Under one lock a worker takes the next block start and draws the block's
-    normals into its own buffer, so q holds rows lo..lo + len(q) of
-    ``_unit_quaternions(rng, size)`` whichever thread runs it (the normal
-    stream does not depend on how it is split).  Outside the lock it
-    normalises q in place, adding each row's squares as column adds in the
-    order ``np.linalg.norm``'s 4-wide row reduce adds them, and calls
-    ``work``.  An exception in any worker stops the others from taking
-    blocks and is raised here once every thread has ended.
+    Under one lock a worker takes the next block start and draws the block
+    into its own (block, width) buffer, so ``draws`` holds rows
+    lo..lo + len(draws) of ``draw(size=(size, width))`` whichever thread runs
+    it (the generator's stream does not depend on how it is split).  Outside
+    the lock it calls ``work``.  An exception in any worker stops the others
+    from taking blocks and is raised here once every thread has ended.
     """
     starts = iter(range(0, size, block))
     lock = threading.Lock()
@@ -261,27 +288,18 @@ def _run_blocks(
     rows = min(block, size)
 
     def scratch():
-        return make_work(), np.empty((rows, 4)), np.empty((rows, 4)), np.empty((rows, 1))
+        return make_work(), np.empty((rows, width))
 
-    def worker(work, draws, squares, norms):
+    def worker(work, buffer):
         try:
             while True:
                 with lock:
                     lo = None if failures else next(starts, None)
                     if lo is None:
                         return
-                    n = min(block, size - lo)
-                    q = draws[:n]
-                    rng.standard_normal(out=q)
-                np.multiply(q, q, out=squares[:n])
-                # (s0 + s1) + s2 + s3, the order the 4-wide row reduce adds in.
-                total = norms[:n, 0]
-                np.add(squares[:n, 0], squares[:n, 1], out=total)
-                np.add(total, squares[:n, 2], out=total)
-                np.add(total, squares[:n, 3], out=total)
-                np.sqrt(norms[:n], out=norms[:n])
-                q /= norms[:n]
-                work(lo, q)
+                    draws = buffer[: min(block, size - lo)]
+                    draw(out=draws)
+                work(lo, draws)
         except BaseException as exc:  # raised again in the caller's thread below
             failures.append(exc)
 
@@ -357,30 +375,45 @@ def simulate_average_state(
     for rng, size in zip(rngs, sizes):
         # Rotate and score block by block, and sum the batch's choices at once.
         chosen = np.empty((size, 3))
+        squares = np.empty((min(block, size), 4))
+        norms = np.empty((min(block, size), 1))
 
         def choose(lo, q):
+            # Normalise q in place as _unit_quaternions does, adding each row's
+            # squares as column adds in the order np.linalg.norm's 4-wide row
+            # reduce adds them: (s0 + s1) + s2 + s3.
+            n = len(q)
+            np.multiply(q, q, out=squares[:n])
+            total = norms[:n, 0]
+            np.add(squares[:n, 0], squares[:n, 1], out=total)
+            np.add(total, squares[:n, 2], out=total)
+            np.add(total, squares[:n, 3], out=total)
+            np.sqrt(norms[:n], out=norms[:n])
+            q /= norms[:n]
             rotated = np.einsum("nij,kj->nki", _quaternions_to_rotations(q), c.vectors)
             winners = np.argmax(rotated @ psi_hat, axis=1)
-            chosen[lo : lo + len(q)] = rotated[np.arange(len(q)), winners]
+            chosen[lo : lo + n] = rotated[np.arange(n), winners]
 
         # One worker: np.einsum holds the GIL, and a second worker made a
         # 2·10^5-sample call slower (118 -> 123 ms at 2 codewords, 2 CPUs).
-        _run_blocks(rng, size, block, lambda: choose, 1)
+        _run_blocks(rng.standard_normal, 4, size, block, lambda: choose, 1)
         total += chosen.sum(axis=0)
     return qmath.bloch_to_density(total / n)
 
 
 def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarray:
-    """max_i z_hat . R omega_i for each of one batch's ``size`` rotations.
+    """max_i u . omega_i for each of one batch's ``size`` uniform directions u.
 
-    Draws the same unit quaternions as ``sample_rotations(rng, size)``, block
-    by block (``_run_blocks``).  Of each block it builds only the z
-    rows R^T z_hat, since z_hat . R omega_i = (R^T z_hat) . omega_i, and
-    takes the maximum over codewords of (codewords x samples) score blocks:
-    ``_score_columns`` samples, padded to whole panels, against near-equal
-    chunks of at most ``_SCORE_ROWS`` codewords.  No chunk is one codeword
-    (gemv) unless the codebook is, and a maximum does not round, so every
-    score equals that of the full rotation scored sample by sample.
+    u stands for the z row R^T z_hat of a uniform rotation R, since
+    z_hat . R omega_i = (R^T z_hat) . omega_i.  The batch's uniforms
+    ``rng.random((size, 2))`` are drawn block by block (``_run_blocks``) and
+    mapped to directions by ``_directions`` in each worker.  Each block's
+    score is the maximum over codewords of (codewords x samples) score
+    blocks: ``_score_columns`` samples, padded to whole panels, against
+    near-equal chunks of at most ``_SCORE_ROWS`` codewords.  No chunk is one
+    codeword (gemv) unless the codebook is, and a maximum does not round, so
+    every score equals that of the batch's directions scored sample by
+    sample.
     """
     chunks = np.array_split(c.vectors, -(-len(c) // _SCORE_ROWS))
     columns = _score_columns(len(chunks[0]))
@@ -391,29 +424,32 @@ def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarra
         # A one-sample batch stays one column (gemv), as sample-major scoring has it.
         return n if size == 1 else -(-n // _PANEL) * _PANEL
 
-    work_bytes = 8 * (3 * panels(min(block, size)) + (len(chunks[0]) + 1) * columns)
+    # Per worker: the draw buffer of _run_blocks, the directions and a score block.
+    rows = min(block, size)
+    work_bytes = 8 * (2 * rows + 3 * panels(rows) + (len(chunks[0]) + 1) * columns)
 
     def make_work():
-        z_buffer = np.empty((3, panels(min(block, size))))
+        direction_buffer = np.empty((3, panels(rows)))
         products = np.empty((len(chunks[0]), columns))  # every score block is written here
         chunk_best = np.empty(columns)
 
-        def work(lo, q):
-            n_q = len(q)
-            z_rows = _z_rows(q, z_buffer[:, : panels(n_q)])
-            for a in range(0, n_q, columns):
-                width = min(columns, z_rows.shape[1] - a)
-                best = scores[lo + a : lo + min(a + columns, n_q)]
+        def work(lo, uniforms):
+            n_u = len(uniforms)
+            directions = _directions(uniforms, direction_buffer[:, : panels(n_u)])
+            for a in range(0, n_u, columns):
+                width = min(columns, directions.shape[1] - a)
+                best = scores[lo + a : lo + min(a + columns, n_u)]
                 best.fill(-np.inf)
                 for chunk in chunks:
                     out = products[: len(chunk), :width]
-                    score_block = np.matmul(chunk, z_rows[:, a : a + width], out=out)
+                    score_block = np.matmul(chunk, directions[:, a : a + width], out=out)
                     np.max(score_block[:, : len(best)], axis=0, out=chunk_best[: len(best)])
                     np.maximum(best, chunk_best[: len(best)], out=best)
 
         return work
 
-    _run_blocks(rng, size, block, make_work, _worker_count(size, block, work_bytes))
+    workers = _worker_count(size, block, work_bytes) if len(c) >= _THREADED_WORDS else 1
+    _run_blocks(rng.random, 2, size, block, make_work, workers)
     return scores
 
 
@@ -422,10 +458,12 @@ def estimate_eta(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the realized noise parameter, with standard error.
 
-    Estimates E[max_i z_hat . R omega_i]; by rotational invariance the value
-    is the same for every input direction.  Each batch's scores come from
-    ``_batch_scores``; the sum and then the sum of squares are taken over the
-    batch's whole score vector, squared in place.
+    Estimates E[max_i z_hat . R omega_i] = E[max_i u . omega_i] over uniform
+    unit vectors u; by rotational invariance the value is the same for every
+    input direction.  Each batch's scores come from ``_batch_scores``, which
+    draws u directly from two uniforms per sample, not a whole rotation; the
+    sum and then the sum of squares are taken over the batch's whole score
+    vector, squared in place.
     """
     _check_counts(n, batch)
     sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])

@@ -63,6 +63,12 @@ class TestCodebooks:
         with pytest.raises(DepolarizeError, match=f"between 1 and {dp.MAX_BITS}"):
             codebook(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vectors(self, bad):
+        # NaN fails every comparison, so the norm and distinctness checks alone pass it.
+        with pytest.raises(DepolarizeError, match="finite"):
+            Codebook(np.array([[bad, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
     def test_rejects_duplicates(self):
         with pytest.raises(DepolarizeError):
             Codebook(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
@@ -315,8 +321,7 @@ class TestEstimateEta:
         sizes = (batch, batch, n % batch)
         total = total_sq = 0.0
         for rng, size in zip(dp._batch_seeds(seed, len(sizes)), sizes):
-            rows = sample_rotations(rng, size)[:, 2, :]
-            scores = np.max(rows @ c.vectors.T, axis=1)
+            scores = np.max(uniform_directions(rng, size) @ c.vectors.T, axis=1)
             total += scores.sum()
             total_sq += np.square(scores).sum()
         mean = total / n
@@ -335,14 +340,27 @@ class TestEstimateEta:
         assert peak < 30e6
 
 
+def uniform_directions(rng, size):
+    """The batch's directions, Archimedes' map of ``rng.random((size, 2))`` on the whole batch.
+
+    z = 1 - 2a and (x, y) = 2 sqrt(a (1 - a)) (cos 2 pi b, sin 2 pi b), with
+    cos 2 pi b = r - 1 and sin 2 pi b = t r for t = tan(pi b), r = 2 / (1 + t^2).
+    """
+    a, b = rng.random((size, 2)).T
+    t = np.tan(np.pi * b)
+    r = 2 / (1 + t * t)
+    s = 2 * np.sqrt(a * (1 - a))
+    return np.column_stack([s * (r - 1), s * (t * r), 1 - 2 * a])
+
+
 def sample_major_scores(c, rng, size, rows_per_product=512):
-    """Scores of whole rotations, each z row against every codeword.
+    """Scores of the batch's directions, each against every codeword.
 
     The (samples x codewords) products take near-equal parts of at most
-    ``rows_per_product`` rotations, so a 4096-word codebook stays near 16 MB
+    ``rows_per_product`` directions, so a 4096-word codebook stays near 16 MB
     and no part is a single row (gemv) unless the batch is.
     """
-    rows = sample_rotations(rng, size)[:, 2, :]
+    rows = uniform_directions(rng, size)
     parts = np.array_split(rows, -(-size // rows_per_product))
     return np.concatenate([np.max(part @ c.vectors.T, axis=1) for part in parts])
 
@@ -350,8 +368,59 @@ def sample_major_scores(c, rng, size, rows_per_product=512):
 BLOCK = dp._SAMPLE_BLOCK
 
 
+class TestDirections:
+    """The two-uniform map that gives estimate_eta its directions."""
+
+    N = 10**6
+
+    @pytest.fixture(scope="class")
+    def uniforms(self):
+        return np.random.default_rng(131).random((self.N, 2))
+
+    @pytest.fixture(scope="class")
+    def points(self, uniforms):
+        return dp._directions(uniforms, np.empty((3, self.N)))
+
+    def test_points_are_unit_vectors(self, points):
+        assert np.max(np.abs(np.linalg.norm(points, axis=0) - 1.0)) <= 1e-15
+
+    def test_matches_the_cosine_and_sine_form(self, uniforms, points):
+        a, b = uniforms.T
+        s = 2 * np.sqrt(a * (1 - a))
+        expected = [s * np.cos(2 * np.pi * b), s * np.sin(2 * np.pi * b), 1 - 2 * a]
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-15)
+
+    def test_first_and_second_moments_are_uniform(self, points):
+        # On the unit sphere each coordinate has mean 0 and variance 1/3, and
+        # its square has variance 1/5 - 1/9 = 4/45.
+        for coordinate in points:
+            assert abs(coordinate.mean()) <= 5.0 * math.sqrt(1.0 / 3.0 / self.N)
+            assert abs(np.square(coordinate).mean() - 1.0 / 3.0) <= 5.0 * math.sqrt(4.0 / 45.0 / self.N)
+
+    def test_pole_and_equator_inputs(self):
+        u = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.5, 0.5], [0.5, 0.75]])
+        expected = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+        np.testing.assert_allclose(dp._directions(u, np.empty((3, 5))).T, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 8, 1000, 4093, BLOCK])
+    def test_splitting_the_batch_moves_no_bit(self, uniforms, points, block):
+        n = 25_013
+        # Blocks write into buffers padded to whole panels, as _batch_scores does.
+        buffer = np.empty((3, block + dp._PANEL))
+        split = np.empty((3, n))
+        for lo in range(0, n, block):
+            width = min(block, n - lo)
+            dp._directions(uniforms[lo : lo + width], buffer[:, : width + 3])
+            assert not buffer[:, width : width + 3].any()
+            split[:, lo : lo + width] = buffer[:, :width]
+        np.testing.assert_array_equal(split, points[:, :n])
+
+    def test_matches_the_whole_batch_oracle(self, points):
+        np.testing.assert_array_equal(points.T, uniform_directions(np.random.default_rng(131), self.N))
+
+
 class TestBlockedEstimator:
-    """estimate_eta draws, rotates and scores in blocks; none of it may move a bit."""
+    """estimate_eta draws, maps and scores in blocks; none of it may move a bit."""
 
     CODEBOOKS = {
         1: lambda: Codebook(np.array([[0.0, 0.0, 1.0]])),
@@ -423,8 +492,8 @@ class TestBlockedEstimator:
 
     @pytest.mark.parametrize("cpus", [2, 16, 64])
     def test_peak_memory_at_256_codewords_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
-        # Each worker holds one block's scratch (quaternions, squares, norms, z rows
-        # and a score block, 0.92 MB); a worker per CPU would reach 5.3 MB at 4 CPUs.
+        # Each worker holds one block's scratch (uniforms, directions and a score
+        # block, 0.69 MB); a worker per CPU would reach 5.8 MB at 6 CPUs.
         monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         c = codebook(8)
         tracemalloc.start()
@@ -446,7 +515,10 @@ class TestBlockedEstimator:
 
 
 class TestBlockWorkers:
-    """estimate_eta blocks run on up to min(CPUs, blocks) threads; no result may depend on how many."""
+    """From 64 codewords estimate_eta blocks run on up to min(CPUs, blocks) threads.
+
+    No result may depend on how many.
+    """
 
     SMALL_BLOCK = 8
 
@@ -456,18 +528,25 @@ class TestBlockWorkers:
 
     @staticmethod
     def record_threads(monkeypatch):
-        """Wrap _z_rows, which every block calls, to record the live thread count."""
+        """Record the live thread count in every block of either path.
+
+        Wraps _directions, which every estimate_eta block calls, and
+        _quaternions_to_rotations, which every simulate_average_state block calls.
+        """
         seen = []
-        z_rows = dp._z_rows
 
-        def recording(q, rows):
-            seen.append(threading.active_count())
-            return z_rows(q, rows)
+        def recording(function):
+            def wrapped(*args):
+                seen.append(threading.active_count())
+                return function(*args)
 
-        monkeypatch.setattr(dp, "_z_rows", recording)
+            return wrapped
+
+        for name in ("_directions", "_quaternions_to_rotations"):
+            monkeypatch.setattr(dp, name, recording(getattr(dp, name)))
         return seen
 
-    @pytest.mark.parametrize("spec", ["tetrahedron", 8])
+    @pytest.mark.parametrize("spec", [6, 8])
     @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1, 9_001])
     def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, spec, n):
         c = codebook(spec)
@@ -509,17 +588,24 @@ class TestBlockWorkers:
         monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         seen = self.record_threads(monkeypatch)
         before = threading.active_count()
-        dp._batch_scores(codebook("cube"), np.random.default_rng(107), n)
+        dp._batch_scores(codebook(6), np.random.default_rng(107), n)
         assert max(seen) <= before + extra
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "path, spec, extra",
-        [("eta", "antipodal", 3), ("eta", 8, 1), ("average", "antipodal", 0), ("average", 8, 0)],
+        [
+            ("eta", "antipodal", 0),
+            ("eta", 6, 2),
+            ("eta", 8, 2),
+            ("average", "antipodal", 0),
+            ("average", 8, 0),
+        ],
     )
     def test_scratch_budget_caps_the_threads_on_many_cpus(self, monkeypatch, path, spec, extra):
-        # At full-size blocks an estimate_eta worker's scratch is 0.49 MB at 2
-        # codewords and 0.92 MB at 256; simulate_average_state runs on one worker.
+        # At full-size blocks an estimate_eta worker's scratch is 0.70 MB at 64
+        # codewords and 0.69 MB at 256.  Below 64 codewords estimate_eta starts
+        # no thread, and simulate_average_state runs on one worker.
         monkeypatch.setattr(dp, "_SAMPLE_BLOCK", BLOCK)
         monkeypatch.setattr(dp, "_cpu_count", lambda: 64)
         seen = self.record_threads(monkeypatch)
@@ -539,9 +625,9 @@ class TestBlockWorkers:
         monkeypatch.setattr(dp, "_cpu_count", lambda: 2)
         caller = threading.current_thread()
         blocks_run = {}
-        z_rows = dp._z_rows
+        directions = dp._directions
 
-        def failing_z_rows(q, rows):
+        def failing_directions(uniforms, rows):
             thread = threading.current_thread()
             blocks_run[thread] = blocks_run.get(thread, 0) + 1
             if (thread is caller) == (failing == "caller"):
@@ -549,12 +635,12 @@ class TestBlockWorkers:
                     raise RuntimeError("block failed")
             else:
                 time.sleep(0.001)
-            return z_rows(q, rows)
+            return directions(uniforms, rows)
 
-        monkeypatch.setattr(dp, "_z_rows", failing_z_rows)
+        monkeypatch.setattr(dp, "_directions", failing_directions)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block failed"):
-            dp._batch_scores(codebook("cube"), np.random.default_rng(109), 9_001)
+            dp._batch_scores(codebook(6), np.random.default_rng(109), 9_001)
         assert set(threading.enumerate()) == before
         assert sum(blocks_run.values()) < -(-9_001 // self.SMALL_BLOCK)
 

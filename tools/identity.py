@@ -69,13 +69,15 @@ for the named codebooks (antipodal, tetrahedron, cube) and the golden-angle
 spirals of 2^m words for m = 1..12; sample counts 1, 2, 4095, 4096, 4097, 8193,
 25005 and 200000 (a one-row tail, one block, a block and one sample, two blocks
 and one sample, and tails of every width class); the default batch (200000) and
-a batch of 10007, which is not a multiple of any block; and seeds 0-2.  An
-``average`` line holds a case name, the realized eta (the Bloch vector of
+a batch of 10007, which is not a multiple of any block; and seeds 0-2.  These
+lines pin the directions ``estimate_eta`` draws from two uniforms per sample
+(the equal-area map) and its blocked scoring.  An ``average`` line holds a
+case name, the realized eta (the Bloch vector of
 ``depolarize.simulate_average_state`` along the input) and ``repr`` of the real
 parameters rho00, Re rho01, Im rho01 and rho11 of the returned state, for the
 pure input along (1, 2, 2)/3 through the spirals of m = 1..8 bits, sample
 counts 1, 4097 and 25005, the default batch (100000) and a batch of 10007, and
-seeds 0-2.
+seeds 0-2; these pin the whole rotations drawn as unit quaternions.
 
 README examples: each runs through ``qchansim.cli.main`` with ``--out`` under a
 fixed name in ``readme/``, and ``readme/exit_codes.json`` records every exit

@@ -64,15 +64,17 @@ MAX_BITS = 16
 # matrix.  8 MB of float64.
 _SCORE_ENTRIES = 4096 * 256
 # Bytes of scratch the workers of one estimate_eta batch may hold together,
-# so peak memory does not grow with the CPU count: three workers at 64 or 256
-# codewords (0.70 and 0.69 MB each) fit.
+# so peak memory does not grow with the CPU count: three workers at 128 or 256
+# codewords (0.69 MB each) fit.
 _SCRATCH_BYTES = 2**21
 # estimate_eta starts threads only for codebooks of at least _THREADED_WORDS
-# words.  A smaller codebook's block is about 20 numpy calls of a few us, each
-# of which releases and retakes the GIL, and a second worker slowed a
-# 2·10^5-sample call (m = 1: 4.9 -> 8.2 ms, m = 3: 5.5 -> 7.9 ms, 2 CPUs); at
-# 128 words it sped one up (27.4 -> 21.5 ms).
-_THREADED_WORDS = 64
+# words.  A smaller codebook's block is a few numpy calls of a few us, each of
+# which releases and retakes the GIL.  Medians of 60 interleaved
+# 2·10^5-sample calls, one worker -> two, on 2 CPUs: m = 4 6.8 -> 7.1 ms
+# (threads faster in 20 of 60), m = 5 8.5 -> 9.6 (4 of 60), m = 6 13.2 -> 14.1
+# and 13.0 -> 12.9 in a second run (19 and 36 of 60), m = 7 22.6 -> 19.1
+# (59 of 60).  So threads pay from 128 words, not at 64.
+_THREADED_WORDS = 128
 # Samples drawn and mapped at once by both Monte Carlo paths: a (block, 4)
 # array of quaternions is 128 KB, a (block, 2) array of uniforms 64 KB.
 _SAMPLE_BLOCK = 4096

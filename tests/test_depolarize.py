@@ -515,7 +515,7 @@ class TestBlockedEstimator:
 
 
 class TestBlockWorkers:
-    """From 64 codewords estimate_eta blocks run on up to min(CPUs, blocks) threads.
+    """From 128 codewords estimate_eta blocks run on up to min(CPUs, blocks) threads.
 
     No result may depend on how many.
     """
@@ -546,7 +546,7 @@ class TestBlockWorkers:
             monkeypatch.setattr(dp, name, recording(getattr(dp, name)))
         return seen
 
-    @pytest.mark.parametrize("spec", [6, 8])
+    @pytest.mark.parametrize("spec", [7, 8])
     @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1, 9_001])
     def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, spec, n):
         c = codebook(spec)
@@ -588,7 +588,7 @@ class TestBlockWorkers:
         monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         seen = self.record_threads(monkeypatch)
         before = threading.active_count()
-        dp._batch_scores(codebook(6), np.random.default_rng(107), n)
+        dp._batch_scores(codebook(7), np.random.default_rng(107), n)
         assert max(seen) <= before + extra
         assert threading.active_count() == before
 
@@ -596,15 +596,16 @@ class TestBlockWorkers:
         "path, spec, extra",
         [
             ("eta", "antipodal", 0),
-            ("eta", 6, 2),
+            ("eta", 6, 0),
+            ("eta", 7, 2),
             ("eta", 8, 2),
             ("average", "antipodal", 0),
             ("average", 8, 0),
         ],
     )
     def test_scratch_budget_caps_the_threads_on_many_cpus(self, monkeypatch, path, spec, extra):
-        # At full-size blocks an estimate_eta worker's scratch is 0.70 MB at 64
-        # codewords and 0.69 MB at 256.  Below 64 codewords estimate_eta starts
+        # At full-size blocks an estimate_eta worker's scratch is 0.69 MB at 128
+        # and at 256 codewords.  Below 128 codewords estimate_eta starts
         # no thread, and simulate_average_state runs on one worker.
         monkeypatch.setattr(dp, "_SAMPLE_BLOCK", BLOCK)
         monkeypatch.setattr(dp, "_cpu_count", lambda: 64)
@@ -640,7 +641,7 @@ class TestBlockWorkers:
         monkeypatch.setattr(dp, "_directions", failing_directions)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block failed"):
-            dp._batch_scores(codebook(6), np.random.default_rng(109), 9_001)
+            dp._batch_scores(codebook(7), np.random.default_rng(109), 9_001)
         assert set(threading.enumerate()) == before
         assert sum(blocks_run.values()) < -(-9_001 // self.SMALL_BLOCK)
 

@@ -17,23 +17,21 @@ itself, from two uniforms (a, b) per sample, by Archimedes' equal-area map
 z = 1 - 2a, (x, y) = 2 sqrt(a (1 - a)) (cos 2 pi b, sin 2 pi b)
 (``_directions``).
 
-Both Monte Carlo paths split each batch into blocks and run them with
-``_run_blocks``, which hands each block of the batch's draws to a worker:
-two uniforms per sample for ``estimate_eta``, four normals (a quaternion)
-per sample for ``simulate_average_state``, which needs whole rotations.  A
-worker draws its next block from the batch's generator under one lock, so
-block k holds the k-th draw whichever thread runs it, then maps and scores
-the block in its own scratch, outside the lock, into the block's own rows of
-the batch's result.  Results therefore do not depend on the number of
-threads.  ``estimate_eta`` runs its blocks of ``_SAMPLE_BLOCK`` samples on up
-to one thread per CPU the process may use, as many as fit their scratch in
-``_SCRATCH_BYTES`` (``_worker_count``), or on the caller's thread alone below
-``_THREADED_WORDS`` codewords, and scores each against the codewords
-in cache-sized (codewords x samples) blocks (``_batch_scores``), keeping only
-the batch's score vector.  ``simulate_average_state`` runs on one worker,
-rotates every codeword of a block of at most ``_SAMPLE_BLOCK`` and
-``_SCORE_ENTRIES`` / (3 x codewords) samples at once and keeps only the
-batch's chosen Bloch vectors.
+Both Monte Carlo paths split each batch into blocks of samples and draw
+each block from the batch's generator in block order, so block k holds the
+k-th draw and results do not depend on the block size.  ``estimate_eta``
+(``_batch_scores``) draws two uniforms per sample and runs its blocks of
+``_SAMPLE_BLOCK`` samples on up to one thread per CPU the process may use, as
+many as fit their scratch in ``_SCRATCH_BYTES`` (``_worker_count``), or on
+the caller's thread alone below ``_THREADED_WORDS`` codewords.  A worker
+draws its next block under one lock, then maps it to directions and scores it
+against the codewords in cache-sized (codewords x samples) blocks, outside
+the lock, into the block's own rows of the batch's score vector.  Results
+therefore do not depend on the number of threads either.
+``simulate_average_state`` needs whole rotations: it runs on the caller's
+thread, draws each block of at most ``_SAMPLE_BLOCK`` and ``_SCORE_ENTRIES``
+/ (3 x codewords) samples with ``sample_rotations``, rotates every codeword
+at once and keeps only the batch's chosen Bloch vectors.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -230,13 +228,6 @@ def _quaternions_to_rotations(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniformly distributed unit quaternions, as an (n, 4) array."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on (all of the machine's where affinity is unknown)."""
     try:
@@ -249,79 +240,18 @@ def _worker_count(size: int, block: int, work_bytes: int) -> int:
     """Workers for a batch of ``size`` samples in blocks of ``block``.
 
     At most one per CPU and one per block, and only as many as fit their
-    scratch in ``_SCRATCH_BYTES``: ``work_bytes`` each, the draw buffer of
-    ``_run_blocks`` included.  Always at least one.
+    scratch in ``_SCRATCH_BYTES``: ``work_bytes`` each, the buffer its
+    uniforms are drawn into included.  Always at least one.
     """
     fit = _SCRATCH_BYTES // work_bytes
     return max(1, min(_cpu_count(), -(-size // block), fit))
 
 
-def _run_blocks(
-    draw: Callable[..., np.ndarray],
-    width: int,
-    size: int,
-    block: int,
-    make_work: Callable[[], Callable[[int, np.ndarray], None]],
-    workers: int,
-) -> None:
-    """Draw one batch of ``size`` rows of ``width`` numbers block by block and hand each block to a worker.
-
-    ``draw`` is the batch generator's ``random`` or ``standard_normal``,
-    called as ``draw(out=...)``.  ``workers`` workers run, one of them in the
-    caller's thread, so one worker starts no thread.  ``make_work()`` is
-    called once per worker and returns ``work(lo, draws)``, which owns that
-    worker's scratch, may overwrite ``draws`` and may write only rows
-    lo..lo + len(draws) of the batch's result.  All scratch is allocated in
-    the caller's thread, since glibc gives each started thread a malloc arena
-    of its own that keeps freed blocks resident: over estimate_eta calls at
-    m = 1, 2, 3, 6 and 8, a second worker that allocated its own scratch added
-    2.3 MB of peak RSS, and one whose scratch is allocated here adds 1.0 MB.
-
-    Under one lock a worker takes the next block start and draws the block
-    into its own (block, width) buffer, so ``draws`` holds rows
-    lo..lo + len(draws) of ``draw(size=(size, width))`` whichever thread runs
-    it (the generator's stream does not depend on how it is split).  Outside
-    the lock it calls ``work``.  An exception in any worker stops the others
-    from taking blocks and is raised here once every thread has ended.
-    """
-    starts = iter(range(0, size, block))
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-    rows = min(block, size)
-
-    def scratch():
-        return make_work(), np.empty((rows, width))
-
-    def worker(work, buffer):
-        try:
-            while True:
-                with lock:
-                    lo = None if failures else next(starts, None)
-                    if lo is None:
-                        return
-                    draws = buffer[: min(block, size - lo)]
-                    draw(out=draws)
-                work(lo, draws)
-        except BaseException as exc:  # raised again in the caller's thread below
-            failures.append(exc)
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=worker, args=scratch())
-            thread.start()
-            threads.append(thread)
-        worker(*scratch())
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-
-
 def sample_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """n rotation matrices distributed uniformly (unit-quaternion construction)."""
-    return _quaternions_to_rotations(_unit_quaternions(rng, n))
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return _quaternions_to_rotations(q)
 
 
 def alice_index(psi_hat: Sequence[float], rotation: np.ndarray, c: Codebook) -> int:
@@ -337,14 +267,6 @@ def alice_index(psi_hat: Sequence[float], rotation: np.ndarray, c: Codebook) -> 
     return int(np.argmax(scores))
 
 
-def _check_counts(n: int, batch: int) -> None:
-    """Reject a sample count or a batch size below 1."""
-    if n < 1:
-        raise DepolarizeError("sample count must be at least 1")
-    if batch < 1:
-        raise DepolarizeError("batch size must be at least 1")
-
-
 def _batch_seeds(seed: int, n_batches: int) -> list[np.random.Generator]:
     """Independent per-batch generators spawned from the master seed.
 
@@ -352,6 +274,19 @@ def _batch_seeds(seed: int, n_batches: int) -> list[np.random.Generator]:
     the batch size as long as batch boundaries are fixed.
     """
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_batches)]
+
+
+def _batches(n: int, batch: int, seed: int) -> list[tuple[np.random.Generator, int]]:
+    """(generator, size) of each batch of the n samples: ``batch`` each, then any rest.
+
+    Rejects a sample count or a batch size below 1.
+    """
+    if n < 1:
+        raise DepolarizeError("sample count must be at least 1")
+    if batch < 1:
+        raise DepolarizeError("batch size must be at least 1")
+    sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
+    return list(zip(_batch_seeds(seed, len(sizes)), sizes))
 
 
 def simulate_average_state(
@@ -368,37 +303,18 @@ def simulate_average_state(
     if abs(norm - 1.0) > 1e-9:
         raise DepolarizeError("the codebook protocol takes a pure input state")
     psi_hat = psi_hat / norm
-    _check_counts(n, batch)
-
-    sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
-    rngs = _batch_seeds(seed, len(sizes))
     block = min(_SAMPLE_BLOCK, max(1, _SCORE_ENTRIES // (3 * len(c))))
     total = np.zeros(3)
-    for rng, size in zip(rngs, sizes):
+    # One thread: np.einsum holds the GIL, and a second worker made a
+    # 2·10^5-sample call slower (118 -> 123 ms at 2 codewords, 2 CPUs).
+    for rng, size in _batches(n, batch, seed):
         # Rotate and score block by block, and sum the batch's choices at once.
         chosen = np.empty((size, 3))
-        squares = np.empty((min(block, size), 4))
-        norms = np.empty((min(block, size), 1))
-
-        def choose(lo, q):
-            # Normalise q in place as _unit_quaternions does, adding each row's
-            # squares as column adds in the order np.linalg.norm's 4-wide row
-            # reduce adds them: (s0 + s1) + s2 + s3.
-            n = len(q)
-            np.multiply(q, q, out=squares[:n])
-            total = norms[:n, 0]
-            np.add(squares[:n, 0], squares[:n, 1], out=total)
-            np.add(total, squares[:n, 2], out=total)
-            np.add(total, squares[:n, 3], out=total)
-            np.sqrt(norms[:n], out=norms[:n])
-            q /= norms[:n]
-            rotated = np.einsum("nij,kj->nki", _quaternions_to_rotations(q), c.vectors)
+        for lo in range(0, size, block):
+            rows = min(block, size - lo)
+            rotated = np.einsum("nij,kj->nki", sample_rotations(rng, rows), c.vectors)
             winners = np.argmax(rotated @ psi_hat, axis=1)
-            chosen[lo : lo + n] = rotated[np.arange(n), winners]
-
-        # One worker: np.einsum holds the GIL, and a second worker made a
-        # 2·10^5-sample call slower (118 -> 123 ms at 2 codewords, 2 CPUs).
-        _run_blocks(rng.standard_normal, 4, size, block, lambda: choose, 1)
+            chosen[lo : lo + rows] = rotated[np.arange(rows), winners]
         total += chosen.sum(axis=0)
     return qmath.bloch_to_density(total / n)
 
@@ -408,14 +324,26 @@ def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarra
 
     u stands for the z row R^T z_hat of a uniform rotation R, since
     z_hat . R omega_i = (R^T z_hat) . omega_i.  The batch's uniforms
-    ``rng.random((size, 2))`` are drawn block by block (``_run_blocks``) and
-    mapped to directions by ``_directions`` in each worker.  Each block's
-    score is the maximum over codewords of (codewords x samples) score
-    blocks: ``_score_columns`` samples, padded to whole panels, against
-    near-equal chunks of at most ``_SCORE_ROWS`` codewords.  No chunk is one
-    codeword (gemv) unless the codebook is, and a maximum does not round, so
-    every score equals that of the batch's directions scored sample by
-    sample.
+    ``rng.random((size, 2))`` are drawn in blocks of ``_SAMPLE_BLOCK``
+    samples.  Under one lock a worker takes the next block start and draws the
+    block into its own buffer, so the block holds those rows of the batch's
+    uniforms whichever thread runs it (the generator's stream does not depend
+    on how it is split).  Outside the lock it maps them to directions
+    (``_directions``) and writes each sample's score, the maximum over
+    codewords of (codewords x samples) score blocks: ``_score_columns``
+    samples, padded to whole panels, against near-equal chunks of at most
+    ``_SCORE_ROWS`` codewords.  No chunk is one codeword (gemv) unless the
+    codebook is, and a maximum does not round, so every score equals that of
+    the batch's directions scored sample by sample.
+
+    ``_worker_count`` workers run from ``_THREADED_WORDS`` codewords, one of
+    them in the caller's thread, and one worker below.  All scratch is
+    allocated in the caller's thread, since glibc gives each started thread a
+    malloc arena of its own that keeps freed blocks resident: over
+    estimate_eta calls at m = 1, 2, 3, 6 and 8, a second worker that
+    allocated its own scratch added 2.3 MB of peak RSS, and one whose scratch
+    is allocated here adds 1.0 MB.  An exception in any worker stops the
+    others from taking blocks and is raised here once every thread has ended.
     """
     chunks = np.array_split(c.vectors, -(-len(c) // _SCORE_ROWS))
     columns = _score_columns(len(chunks[0]))
@@ -426,32 +354,56 @@ def _batch_scores(c: Codebook, rng: np.random.Generator, size: int) -> np.ndarra
         # A one-sample batch stays one column (gemv), as sample-major scoring has it.
         return n if size == 1 else -(-n // _PANEL) * _PANEL
 
-    # Per worker: the draw buffer of _run_blocks, the directions and a score block.
+    # Per worker: the uniforms, the directions and a score block.
     rows = min(block, size)
     work_bytes = 8 * (2 * rows + 3 * panels(rows) + (len(chunks[0]) + 1) * columns)
-
-    def make_work():
-        direction_buffer = np.empty((3, panels(rows)))
-        products = np.empty((len(chunks[0]), columns))  # every score block is written here
-        chunk_best = np.empty(columns)
-
-        def work(lo, uniforms):
-            n_u = len(uniforms)
-            directions = _directions(uniforms, direction_buffer[:, : panels(n_u)])
-            for a in range(0, n_u, columns):
-                width = min(columns, directions.shape[1] - a)
-                best = scores[lo + a : lo + min(a + columns, n_u)]
-                best.fill(-np.inf)
-                for chunk in chunks:
-                    out = products[: len(chunk), :width]
-                    score_block = np.matmul(chunk, directions[:, a : a + width], out=out)
-                    np.max(score_block[:, : len(best)], axis=0, out=chunk_best[: len(best)])
-                    np.maximum(best, chunk_best[: len(best)], out=best)
-
-        return work
-
     workers = _worker_count(size, block, work_bytes) if len(c) >= _THREADED_WORDS else 1
-    _run_blocks(rng.random, 2, size, block, make_work, workers)
+    starts = iter(range(0, size, block))
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def scratch():
+        return (
+            np.empty((rows, 2)),
+            np.empty((3, panels(rows))),
+            np.empty((len(chunks[0]), columns)),  # every score block is written here
+            np.empty(columns),
+        )
+
+    def worker(uniform_buffer, direction_buffer, products, chunk_best):
+        try:
+            while True:
+                with lock:
+                    lo = None if failures else next(starts, None)
+                    if lo is None:
+                        return
+                    n_u = min(block, size - lo)
+                    uniforms = rng.random(out=uniform_buffer[:n_u])
+                directions = _directions(uniforms, direction_buffer[:, : panels(n_u)])
+                for a in range(0, n_u, columns):
+                    width = min(columns, directions.shape[1] - a)
+                    best = scores[lo + a : lo + min(a + columns, n_u)]
+                    best.fill(-np.inf)
+                    for chunk in chunks:
+                        out = products[: len(chunk), :width]
+                        score_block = np.matmul(chunk, directions[:, a : a + width], out=out)
+                        np.max(score_block[:, : len(best)], axis=0, out=chunk_best[: len(best)])
+                        np.maximum(best, chunk_best[: len(best)], out=best)
+        except BaseException as exc:  # raised again in the caller's thread below
+            failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=worker, args=scratch())
+            thread.start()
+            threads.append(thread)
+        worker(*scratch())
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return scores
 
 
@@ -467,11 +419,9 @@ def estimate_eta(
     sum and then the sum of squares are taken over the batch's whole score
     vector, squared in place.
     """
-    _check_counts(n, batch)
-    sizes = [batch] * (n // batch) + ([n % batch] if n % batch else [])
     total = 0.0
     total_sq = 0.0
-    for rng, size in zip(_batch_seeds(seed, len(sizes)), sizes):
+    for rng, size in _batches(n, batch, seed):
         scores = _batch_scores(c, rng, size)
         total += scores.sum()
         total_sq += np.square(scores, out=scores).sum()

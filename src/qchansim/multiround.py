@@ -336,11 +336,12 @@ def collapse_trailing_rounds(p: OddRoundProtocol | TabulatedRounds) -> Tabulated
     n_prev, n_last = (len(a) for a in p.sender_alphabets[-2:])
     answers = itertools.product(range(n_last), repeat=len(p.receiver_alphabets[-1]))
     merged_alphabet = tuple(itertools.product(range(n_prev), answers))
+    coins = p.coins  # not p itself, whose tables the collapsed protocol replaces
     return dataclasses.replace(
         p,
         sender_alphabets=p.sender_alphabets[:-2] + (merged_alphabet,),
         receiver_alphabets=p.receiver_alphabets[:-1],
-        coins=lambda psi: _merge_coins(p.coins(psi)),
+        coins=lambda psi: _merge_coins(coins(psi)),
         kraus=p.kraus[:-1],
         final=_merge_final(p.kraus[-1], p.final),
     )
@@ -365,10 +366,11 @@ def collapse_odd_rounds(p: OddRoundProtocol) -> OneRoundProtocol:
         stages.append(tuple(len(a) for a in tables.sender_alphabets))
         tables = collapse_trailing_rounds(tables)
     alphabet = tables.sender_alphabets[0]
+    coins = tables.coins  # the encoder keeps no stage's effects or Kraus tables
     return OneRoundProtocol(
         randomness=tables.randomness,
         messages=alphabet,
-        encoder=lambda psi: tables.coins(psi)[0],
+        encoder=lambda psi: coins(psi)[0],
         effects=tables.final,
         outcomes=tables.outcomes,
         cost_bits=bit_cost(len(alphabet)),

@@ -194,7 +194,8 @@ class TestAverageState:
         with pytest.raises(DepolarizeError):
             simulate_average_state(psi, codebook("cube"), n, seed=1, batch=batch)
 
-    @pytest.mark.parametrize("m, seed", [(1, 3), (3, 4), (6, 5)])
+    # At m = 8 a block is 1,365 rows, so each batch is several whole blocks and a short one.
+    @pytest.mark.parametrize("m, seed", [(1, 3), (3, 4), (6, 5), (8, 6)])
     def test_row_chunks_match_the_whole_batch_average(self, m, seed):
         psi_hat = qmath.random_bloch(np.random.default_rng(seed))
         c, n, batch = codebook(m), 10_000, 6_000
@@ -517,7 +518,7 @@ class TestBlockedEstimator:
 class TestBlockWorkers:
     """From 128 codewords estimate_eta blocks run on up to min(CPUs, blocks) threads.
 
-    No result may depend on how many.
+    simulate_average_state starts none.  No result may depend on how many.
     """
 
     SMALL_BLOCK = 8
@@ -528,10 +529,11 @@ class TestBlockWorkers:
 
     @staticmethod
     def record_threads(monkeypatch):
-        """Record the live thread count in every block of either path.
+        """Record the live thread count in every block of either estimator.
 
         Wraps _directions, which every estimate_eta block calls, and
-        _quaternions_to_rotations, which every simulate_average_state block calls.
+        _quaternions_to_rotations, which sample_rotations calls for every
+        simulate_average_state block.
         """
         seen = []
 

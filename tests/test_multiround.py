@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +303,23 @@ class TestOddRounds:
             np.testing.assert_allclose(
                 run_analytic(collapsed, psi, phi), run_odd_round(p, psi, phi), atol=1e-10
             )
+
+    def test_collapsed_protocol_holds_no_collapse_stage(self):
+        # The collapsed effects are 8.39 MB, and 11.5 MB is held in all.  An
+        # encoder or coin that kept its whole stage would also keep that
+        # stage's effects and Kraus tables, and those of every earlier stage:
+        # 20.1 MB held.
+        p = random_odd_round(3, 7)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            collapsed = collapse_odd_rounds(p)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert collapsed.effects.nbytes == 8 * 2**20
+        assert held < 14e6
 
     def test_depth_validation(self):
         with pytest.raises(ProtocolError):

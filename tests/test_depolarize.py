@@ -1,11 +1,10 @@
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchansim import depolarize as dp
 from qchansim import qmath
@@ -148,6 +147,31 @@ class TestAliceIndex:
         with pytest.raises(qmath.InvalidBlochVectorError):
             alice_index((0.2, 0, 0), np.eye(3), codebook("cube"))
 
+    @pytest.mark.parametrize("psi_hat", [(np.nan, 0, 0), (np.nan, np.nan, np.nan), (np.inf, 0, 0)])
+    def test_rejects_non_finite_state(self, psi_hat):
+        # NaN fails the unit-length comparison too, so only a finiteness check rejects it.
+        with pytest.raises(qmath.InvalidBlochVectorError):
+            alice_index(psi_hat, np.eye(3), codebook("cube"))
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            np.full((3, 3), np.nan),
+            np.diag([1.0, 1.0, np.inf]),
+            5 * np.eye(3),
+            np.diag([1.0, 1.0, -1.0]),  # orthogonal but a reflection
+            np.eye(3) + 1e-6,
+            np.eye(2),
+        ],
+    )
+    def test_rejects_a_matrix_that_is_not_a_finite_rotation(self, rotation):
+        with pytest.raises(DepolarizeError):
+            alice_index((0, 0, 1), rotation, codebook("cube"))
+
+    def test_accepts_rotations_within_rounding(self):
+        rotation = sample_rotations(np.random.default_rng(5), 1)[0]
+        assert 0 <= alice_index((0, 0, 1), rotation, codebook("cube")) < 8
+
 
 class TestAverageState:
     def test_antipodal_shrinks_to_half(self):
@@ -217,11 +241,9 @@ class TestAverageState:
             tracemalloc.stop()
         assert peak < 80e6
 
-    @pytest.mark.parametrize("cpus", [8, 64])
-    def test_peak_memory_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
-        # Every worker would rotate a block of its own: 8 workers peaked at 74.6 MB,
-        # against 12.5 MB on one.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
+    def test_peak_memory_at_256_codewords_stays_near_one_block(self):
+        # The averager rotates one block at a time on the caller's thread: a
+        # worker per CPU would hold a block each (74.6 MB at 8 workers, 12.5 MB on one).
         tracemalloc.start()
         try:
             simulate_average_state(qmath.bloch_to_density((0, 0, 1)), codebook(8), 20_000, seed=3)
@@ -322,7 +344,7 @@ class TestEstimateEta:
         sizes = (batch, batch, n % batch)
         total = total_sq = 0.0
         for rng, size in zip(dp._batch_seeds(seed, len(sizes)), sizes):
-            scores = np.max(uniform_directions(rng, size) @ c.vectors.T, axis=1)
+            scores = elementwise_scores(uniform_directions(rng, size), c)
             total += scores.sum()
             total_sq += np.square(scores).sum()
         mean = total / n
@@ -354,16 +376,25 @@ def uniform_directions(rng, size):
     return np.column_stack([s * (r - 1), s * (t * r), 1 - 2 * a])
 
 
-def sample_major_scores(c, rng, size, rows_per_product=512):
-    """Scores of the batch's directions, each against every codeword.
+def elementwise_scores(directions, c):
+    """max_i (x wx_i + y wy_i) + z wz_i over every codeword, for (samples, 3) ``directions``.
 
-    The (samples x codewords) products take near-equal parts of at most
-    ``rows_per_product`` directions, so a 4096-word codebook stays near 16 MB
-    and no part is a single row (gemv) unless the batch is.
+    The formula ``_batch_scores`` scores a candidate with, evaluated for
+    every word, so the pruning of its cell index must move no bit.  Parts of
+    at most 2^20 (sample, word) entries are broadcast at once.
     """
-    rows = uniform_directions(rng, size)
-    parts = np.array_split(rows, -(-size // rows_per_product))
-    return np.concatenate([np.max(part @ c.vectors.T, axis=1) for part in parts])
+    wx, wy, wz = c.vectors.T
+    step = max(1, 2**20 // len(wx))
+    best = np.empty(len(directions))
+    for lo in range(0, len(directions), step):
+        x, y, z = directions[lo : lo + step, :, np.newaxis].transpose(1, 0, 2)
+        np.max((x * wx + y * wy) + z * wz, axis=1, out=best[lo : lo + step])
+    return best
+
+
+def sample_major_scores(c, rng, size):
+    """Scores of the batch's directions, each against every codeword (``elementwise_scores``)."""
+    return elementwise_scores(uniform_directions(rng, size), c)
 
 
 BLOCK = dp._SAMPLE_BLOCK
@@ -406,13 +437,11 @@ class TestDirections:
     @pytest.mark.parametrize("block", [1, 8, 1000, 4093, BLOCK])
     def test_splitting_the_batch_moves_no_bit(self, uniforms, points, block):
         n = 25_013
-        # Blocks write into buffers padded to whole panels, as _batch_scores does.
-        buffer = np.empty((3, block + dp._PANEL))
+        buffer = np.empty((3, block))
         split = np.empty((3, n))
         for lo in range(0, n, block):
             width = min(block, n - lo)
-            dp._directions(uniforms[lo : lo + width], buffer[:, : width + 3])
-            assert not buffer[:, width : width + 3].any()
+            dp._directions(uniforms[lo : lo + width], buffer[:, :width])
             split[:, lo : lo + width] = buffer[:, :width]
         np.testing.assert_array_equal(split, points[:, :n])
 
@@ -428,7 +457,7 @@ class TestBlockedEstimator:
         2: lambda: codebook("antipodal"),
         4: lambda: codebook("tetrahedron"),
         256: lambda: codebook(8),
-        257: lambda: Codebook(fibonacci_sphere(257)),  # codeword chunks of 129 and 128
+        257: lambda: Codebook(fibonacci_sphere(257)),
         4096: lambda: codebook(12),
     }
 
@@ -459,7 +488,7 @@ class TestBlockedEstimator:
 
     @pytest.mark.parametrize("spec", ["tetrahedron", "cube", 8, 12])
     def test_one_sample_batches_match_sample_major_scoring(self, spec):
-        # A one-sample batch is one column, scored through gemv as sample-major scoring is.
+        # The 200 m = 12 batches share one cell index, built on the first.
         c = codebook(spec)
         for seq in np.random.SeedSequence(89).spawn(200):
             expected = sample_major_scores(c, np.random.default_rng(seq), 1)
@@ -473,29 +502,8 @@ class TestBlockedEstimator:
         monkeypatch.setattr(dp, "_SAMPLE_BLOCK", block)
         np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(73), n), whole)
 
-    def test_score_blocks_are_whole_panels(self):
-        for rows in [1, 2, 3, 8, 100, 129, dp._SCORE_ROWS]:
-            columns = dp._score_columns(rows)
-            assert columns % dp._PANEL == 0
-            assert dp._PANEL <= columns <= BLOCK
-            assert rows * columns <= dp._CACHE_SCORE_ENTRIES
-
     def test_peak_memory_at_256_codewords(self):
         # Scoring whole batches peaked at 16 MB: 2e5 quaternions, z rows and 2^20-entry blocks.
-        c = codebook(8)
-        tracemalloc.start()
-        try:
-            estimate_eta(c, 200_000, seed=79)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6
-
-    @pytest.mark.parametrize("cpus", [2, 16, 64])
-    def test_peak_memory_at_256_codewords_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
-        # Each worker holds one block's scratch (uniforms, directions and a score
-        # block, 0.69 MB); a worker per CPU would reach 5.8 MB at 6 CPUs.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
         c = codebook(8)
         tracemalloc.start()
         try:
@@ -515,153 +523,135 @@ class TestBlockedEstimator:
         np.testing.assert_array_equal(rho, expected)
 
 
-class TestBlockWorkers:
-    """From 128 codewords estimate_eta blocks run on up to min(CPUs, blocks) threads.
+class UniformRows:
+    """Stands in for a generator: ``random(out=...)`` hands out fixed rows of uniforms in order."""
 
-    simulate_average_state starts none.  No result may depend on how many.
-    """
+    def __init__(self, rows):
+        self.rows = rows
+        self.used = 0
 
-    SMALL_BLOCK = 8
+    def random(self, out):
+        out[...] = self.rows[self.used : self.used + len(out)]
+        self.used += len(out)
+        return out
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", self.SMALL_BLOCK)
 
-    @staticmethod
-    def record_threads(monkeypatch):
-        """Record the live thread count in every block of either estimator.
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-        Wraps _directions, which every estimate_eta block calls, and
-        _quaternions_to_rotations, which sample_rotations calls for every
-        simulate_average_state block.
-        """
-        seen = []
 
-        def recording(function):
-            def wrapped(*args):
-                seen.append(threading.active_count())
-                return function(*args)
+def make_codebook(kind, words, m, seed):
+    """A codebook of one of the kinds the cell index must score exactly."""
+    rng = np.random.default_rng(seed)
+    if kind == "spiral":
+        return Codebook(fibonacci_sphere(2**m))
+    if kind == "random":
+        return Codebook(unit_rows(rng.normal(size=(words, 3))))
+    if kind == "antipodal":
+        v = unit_rows(rng.normal(size=(-(-words // 2), 3)))
+        return Codebook(np.concatenate([v, -v]))
+    # Every word within 0.1 rad of one axis, so the far cells keep nearly every word.
+    polar = 0.1 * np.sqrt(rng.random(words))
+    azimuth = 2 * np.pi * rng.random(words)
+    local = np.column_stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+    axes = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return Codebook(unit_rows(local @ axes.T))
 
-            return wrapped
 
-        for name in ("_directions", "_quaternions_to_rotations"):
-            monkeypatch.setattr(dp, name, recording(getattr(dp, name)))
-        return seen
+def edge_uniforms(c, rng, count):
+    """Uniforms on the cells' edges: band edges, sector edges, the last double below each, a = 0, b = 1 - 2^-53."""
+    below = 1 - 2.0**-53
+    rows = [[0.0, 0.0], [0.0, below], [below, 0.0], [below, below], [0.5, 0.5]]
+    if c._cells.grid:
+        layout = dp._cell_layout(len(c))
+        cells = np.arange(layout.first[-1] + layout.sectors[-1])
+        band = np.searchsorted(layout.first, cells, side="right") - 1
+        n = layout.sectors[band]
+        sector = cells - layout.first[band]
+        a = [layout.edges[band] / layout.grid, np.nextafter(layout.edges[band + 1] / layout.grid, 0)]
+        b = [sector / n, np.nextafter((sector + 1) / n, 0)]
+        edges = np.concatenate([np.column_stack([a_k, b_k]) for a_k in a for b_k in b])
+        edges = np.minimum(edges, below)  # a and b stay below 1, as the generator's do
+        rows += edges[rng.permutation(len(edges))[:count]].tolist()
+    return np.array(rows)
 
-    @pytest.mark.parametrize("spec", [7, 8])
-    @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1, 9_001])
-    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, spec, n):
-        c = codebook(spec)
-        psi = qmath.bloch_to_density(qmath.random_bloch(np.random.default_rng(n)))
-        expected_scores = sample_major_scores(c, np.random.default_rng(97), n)
-        results = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
-            before = threading.active_count()
-            scores = dp._batch_scores(c, np.random.default_rng(97), n)
-            assert threading.active_count() == before
-            eta = estimate_eta(c, n, 101, batch=n // 2 + 1)
-            assert threading.active_count() == before
-            rho = simulate_average_state(psi, c, n, 103)
-            assert threading.active_count() == before
-            np.testing.assert_array_equal(scores, expected_scores)
-            results.append((eta, rho))
-        for eta, rho in results[1:]:
-            assert eta == results[0][0]
-            np.testing.assert_array_equal(rho, results[0][1])
 
-    def test_more_workers_than_cores_under_fast_thread_switching(self, monkeypatch):
-        # A block drawn out of turn or taken twice would move a score.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: 8)
-        c, n = codebook(8), 9_001
-        expected = sample_major_scores(c, np.random.default_rng(113), n)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+class TestCellIndex:
+    """estimate_eta scores each sample only against its sphere cell's candidates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "clustered", "antipodal", "spiral"]),
+        words=st.integers(1, 300),
+        m=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_equal_the_elementwise_max_over_all_codewords(self, kind, words, m, seed):
+        c = make_codebook(kind, words, m, seed)
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([edge_uniforms(c, rng, 2_000), rng.random((2_000, 2))])
+        scores = dp._batch_scores(c, UniformRows(rows), len(rows))
+        expected = elementwise_scores(dp._directions(rows, np.empty((3, len(rows)))).T, c)
+        np.testing.assert_array_equal(scores, expected)
+
+    @pytest.mark.parametrize("words", [17, 256, 4096])
+    def test_no_point_of_a_cell_lies_beyond_its_radius(self, words):
+        layout = dp._cell_layout(words)
+        cells = np.arange(layout.first[-1] + layout.sectors[-1])
+        band, centres = dp._cell_centres(layout, cells)
+        a0, a1 = layout.edges[band] / layout.grid, layout.edges[band + 1] / layout.grid
+        n = layout.sectors[band]
+        b0 = (cells - layout.first[band]) / n
+        b1 = b0 + 1 / n
+        farthest = np.zeros(len(cells))
+        for t in np.linspace(0.0, 1.0, 65):
+            a_t, b_t = a0 + t * (a1 - a0), b0 + t * (b1 - b0)
+            for a, b in [(a_t, b0), (a_t, b1), (a0, b_t), (a1, b_t)]:
+                points = dp._directions(np.column_stack([a, b]), np.empty((3, len(cells))))
+                angle = np.arccos(np.clip(np.sum(points * centres, axis=0), -1, 1))
+                np.maximum(farthest, angle, out=farthest)
+        radius = layout.radius[band]
+        assert np.all(farthest <= radius)
+        # The farthest point is a corner: the slack is not what keeps the edges inside.
+        assert np.all(farthest <= radius - dp._CELL_SLACK + 1e-9)
+
+    def test_sectors_are_at_most_half_a_turn_and_bands_are_whole_grid_steps(self):
+        for words in (17, 100, 256, 4096, 65536):
+            layout = dp._cell_layout(words)
+            assert layout.sectors.min() >= 2
+            assert layout.edges[0] == 0 and layout.edges[-1] == layout.grid
+            assert np.all(np.diff(layout.edges) > 0)
+            assert layout.grid & (layout.grid - 1) == 0
+
+    def test_the_sector_of_the_largest_uniform_is_the_last(self):
+        # floor(b * n) < n for every b < 1, so no sample leaves its band.
+        n = np.arange(2, 200_000)
+        assert np.all(np.floor((1 - 2.0**-53) * n) == n - 1)
+
+    @pytest.mark.parametrize("extra, one_cell", [(0, True), (1, False)])
+    def test_small_codebooks_are_one_cell(self, extra, one_cell):
+        index = Codebook(fibonacci_sphere(dp._SINGLE_CELL_WORDS + extra))._cells
+        assert (index.grid == 0) == one_cell
+
+    def test_built_on_first_use_and_kept_on_the_codebook(self):
+        c = codebook(8)
+        assert "_cells" not in vars(c)
+        estimate_eta(c, 1_000, 1)
+        index = vars(c)["_cells"]
+        estimate_eta(c, 1_000, 2)
+        assert c._cells is index
+
+    def test_build_scratch_at_4096_codewords(self):
+        # The cells are searched in runs of 1,024: all 16,250 at once held 13 MB.
+        c = codebook(12)
+        tracemalloc.start()
         try:
-            for _ in range(3):
-                np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(113), n), expected)
+            index = c._cells
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize(
-        "cpus, n, extra", [(1, 9_001, 0), (3, SMALL_BLOCK, 0), (3, SMALL_BLOCK + 1, 1), (3, 9_001, 2)]
-    )
-    def test_starts_one_thread_fewer_than_min_of_cpus_and_blocks(self, monkeypatch, cpus, n, extra):
-        monkeypatch.setattr(dp, "_cpu_count", lambda: cpus)
-        seen = self.record_threads(monkeypatch)
-        before = threading.active_count()
-        dp._batch_scores(codebook(7), np.random.default_rng(107), n)
-        assert max(seen) <= before + extra
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize(
-        "path, spec, extra",
-        [
-            ("eta", "antipodal", 0),
-            ("eta", 6, 0),
-            ("eta", 7, 2),
-            ("eta", 8, 2),
-            ("average", "antipodal", 0),
-            ("average", 8, 0),
-        ],
-    )
-    def test_scratch_budget_caps_the_threads_on_many_cpus(self, monkeypatch, path, spec, extra):
-        # At full-size blocks an estimate_eta worker's scratch is 0.69 MB at 128
-        # and at 256 codewords.  Below 128 codewords estimate_eta starts
-        # no thread, and simulate_average_state runs on one worker.
-        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", BLOCK)
-        monkeypatch.setattr(dp, "_cpu_count", lambda: 64)
-        seen = self.record_threads(monkeypatch)
-        c = codebook(spec)
-        before = threading.active_count()
-        if path == "eta":
-            estimate_eta(c, 9 * BLOCK, 127)
-        else:
-            simulate_average_state(qmath.bloch_to_density((0, 0, 1)), c, 9 * BLOCK, 127)
-        assert max(seen) <= before + extra
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("failing", ["caller", "started"])
-    def test_a_failing_block_raises_in_the_caller_and_ends_every_thread(self, monkeypatch, failing):
-        # The failing kind of thread raises on its third block; the other kind
-        # sleeps on each block, so the failing one is sure to reach its third.
-        monkeypatch.setattr(dp, "_cpu_count", lambda: 2)
-        caller = threading.current_thread()
-        blocks_run = {}
-        directions = dp._directions
-
-        def failing_directions(uniforms, rows):
-            thread = threading.current_thread()
-            blocks_run[thread] = blocks_run.get(thread, 0) + 1
-            if (thread is caller) == (failing == "caller"):
-                if blocks_run[thread] == 3:
-                    raise RuntimeError("block failed")
-            else:
-                time.sleep(0.001)
-            return directions(uniforms, rows)
-
-        monkeypatch.setattr(dp, "_directions", failing_directions)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="block failed"):
-            dp._batch_scores(codebook(7), np.random.default_rng(109), 9_001)
-        assert set(threading.enumerate()) == before
-        assert sum(blocks_run.values()) < -(-9_001 // self.SMALL_BLOCK)
-
-    def test_cpu_count_falls_back_to_the_machine_count(self, monkeypatch):
-        assert dp._cpu_count() >= 1
-        monkeypatch.delattr(dp.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(dp.os, "cpu_count", lambda: 5)
-        assert dp._cpu_count() == 5
-        monkeypatch.setattr(dp.os, "cpu_count", lambda: None)
-        assert dp._cpu_count() == 1
-
-        def unavailable(pid):
-            raise OSError("affinity unavailable")
-
-        monkeypatch.setattr(dp.os, "sched_getaffinity", unavailable, raising=False)
-        monkeypatch.setattr(dp.os, "cpu_count", lambda: 5)
-        assert dp._cpu_count() == 5
-
+            tracemalloc.stop()
+        table = index.words.nbytes + index.first_cell.nbytes + index.sectors.nbytes
+        assert peak - table < 2e6
 
 class TestEtaCap:
     def test_reference_points(self):
@@ -678,3 +668,8 @@ class TestEtaCap:
             eta_cap(-0.1)
         with pytest.raises(DepolarizeError):
             eta_cap(3.5)
+
+    def test_rejects_nan(self):
+        # NaN fails both range comparisons, so only a check that it is in range rejects it.
+        with pytest.raises(DepolarizeError):
+            eta_cap(float("nan"))

@@ -71,7 +71,8 @@ spirals of 2^m words for m = 1..12; sample counts 1, 2, 4095, 4096, 4097, 8193,
 and one sample, and tails of every width class); the default batch (200000) and
 a batch of 10007, which is not a multiple of any block; and seeds 0-2.  These
 lines pin the directions ``estimate_eta`` draws from two uniforms per sample
-(the equal-area map) and its blocked scoring.  An ``average`` line holds a
+(the equal-area map) and its scoring: one cell holding every word up to 16
+words, the candidates of each sample's sphere cell from 32 words on.  An ``average`` line holds a
 case name, the realized eta (the Bloch vector of
 ``depolarize.simulate_average_state`` along the input) and ``repr`` of the real
 parameters rho00, Re rho01, Im rho01 and rho11 of the returned state, for the

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -241,9 +244,11 @@ class TestAverageState:
             tracemalloc.stop()
         assert peak < 80e6
 
-    def test_peak_memory_at_256_codewords_stays_near_one_block(self):
+    @pytest.mark.parametrize("cpus", [8, 64])
+    def test_peak_memory_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
         # The averager rotates one block at a time on the caller's thread: a
         # worker per CPU would hold a block each (74.6 MB at 8 workers, 12.5 MB on one).
+        report_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:
             simulate_average_state(qmath.bloch_to_density((0, 0, 1)), codebook(8), 20_000, seed=3)
@@ -397,6 +402,12 @@ def sample_major_scores(c, rng, size):
     return elementwise_scores(uniform_directions(rng, size), c)
 
 
+def report_cpus(monkeypatch, cpus):
+    """Make the machine report ``cpus`` CPUs to every caller that asks ``os``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 BLOCK = dp._SAMPLE_BLOCK
 
 
@@ -504,6 +515,20 @@ class TestBlockedEstimator:
 
     def test_peak_memory_at_256_codewords(self):
         # Scoring whole batches peaked at 16 MB: 2e5 quaternions, z rows and 2^20-entry blocks.
+        c = codebook(8)
+        tracemalloc.start()
+        try:
+            estimate_eta(c, 200_000, seed=79)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("cpus", [2, 16, 64])
+    def test_peak_memory_at_256_codewords_does_not_grow_with_the_cpu_count(self, monkeypatch, cpus):
+        # One block's scratch (uniforms, directions and gathered candidates) on
+        # the caller's thread; a worker per CPU would reach 5.8 MB at 6 CPUs.
+        report_cpus(monkeypatch, cpus)
         c = codebook(8)
         tracemalloc.start()
         try:
@@ -652,6 +677,107 @@ class TestCellIndex:
             tracemalloc.stop()
         table = index.words.nbytes + index.first_cell.nbytes + index.sectors.nbytes
         assert peak - table < 2e6
+
+
+class TestBlockWorkers:
+    """Both Monte Carlo paths run every block on the thread that calls them.
+
+    No result may depend on the machine's CPU count or on which thread calls.
+    """
+
+    SMALL_BLOCK = 8
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dp, "_SAMPLE_BLOCK", self.SMALL_BLOCK)
+
+    @pytest.mark.parametrize("spec", [7, 8])
+    @pytest.mark.parametrize("n", [SMALL_BLOCK - 1, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1, 9_001])
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, spec, n):
+        psi = qmath.bloch_to_density(qmath.random_bloch(np.random.default_rng(n)))
+        expected_scores = sample_major_scores(codebook(spec), np.random.default_rng(97), n)
+        results = []
+        for cpus in (1, 2, 3):
+            report_cpus(monkeypatch, cpus)
+            c = codebook(spec)  # a fresh cell index, built under this CPU count
+            before = threading.active_count()
+            scores = dp._batch_scores(c, np.random.default_rng(97), n)
+            assert threading.active_count() == before
+            eta = estimate_eta(c, n, 101, batch=n // 2 + 1)
+            assert threading.active_count() == before
+            rho = simulate_average_state(psi, c, n, 103)
+            assert threading.active_count() == before
+            np.testing.assert_array_equal(scores, expected_scores)
+            results.append((eta, rho))
+        for eta, rho in results[1:]:
+            assert eta == results[0][0]
+            np.testing.assert_array_equal(rho, results[0][1])
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self):
+        # Callers on more threads than cores share one codebook whose cell index
+        # none has built yet; a block drawn out of turn or a half-built index
+        # would move a score.
+        c, n = codebook(8), 9_001
+        expected = sample_major_scores(c, np.random.default_rng(113), n)
+        workers = min(len(os.sched_getaffinity(0)), 32) + 1
+        results = [None] * workers
+
+        def work(k):
+            results[k] = dp._batch_scores(c, np.random.default_rng(113), n)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for scores in results:
+            np.testing.assert_array_equal(scores, expected)
+
+    @pytest.mark.parametrize("failing", ["caller", "started"])
+    def test_a_failing_block_raises_in_the_caller_and_ends_every_thread(self, monkeypatch, failing):
+        # The third block fails in the test's own thread or in one it starts;
+        # the error reaches that call, the later blocks do not run, and the
+        # codebook's cell index still scores right afterwards.
+        c, n = codebook(7), 9_001
+        blocks_run = []
+        directions = dp._directions
+
+        def failing_directions(uniforms, rows):
+            blocks_run.append(threading.current_thread())
+            if len(blocks_run) == 3:
+                raise RuntimeError("block failed")
+            return directions(uniforms, rows)
+
+        monkeypatch.setattr(dp, "_directions", failing_directions)
+        before = set(threading.enumerate())
+        if failing == "caller":
+            with pytest.raises(RuntimeError, match="block failed"):
+                dp._batch_scores(c, np.random.default_rng(109), n)
+        else:
+            raised = []
+
+            def call():
+                try:
+                    dp._batch_scores(c, np.random.default_rng(109), n)
+                except RuntimeError as error:
+                    raised.append(error)
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            thread.join()
+            assert [str(error) for error in raised] == ["block failed"]
+            assert set(blocks_run) == {thread}
+        assert set(threading.enumerate()) == before
+        assert len(blocks_run) == 3
+        monkeypatch.setattr(dp, "_directions", directions)
+        expected = sample_major_scores(c, np.random.default_rng(109), n)
+        np.testing.assert_array_equal(dp._batch_scores(c, np.random.default_rng(109), n), expected)
+
 
 class TestEtaCap:
     def test_reference_points(self):
